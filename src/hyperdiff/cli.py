@@ -412,6 +412,8 @@ def _cmd_unicity(cfg: Dict) -> int:
 
 
 def _cmd_build_m0(cfg: Dict) -> int:
+    if cfg["decay_base"] < 1:
+        raise ConfigError(f"decay_base must be a positive integer, got {cfg['decay_base']}")
     seq = _family_from(cfg)
     out = _outdir(cfg)
     basis = select_indices(seq, cfg["count"], n_start=cfg["n_start"], n_cap=cfg["n_cap"])

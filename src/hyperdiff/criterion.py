@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .errors import PreconditionError
-from .families import EvidenceReport, GrowthRule, OperatorSequence
+from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
 from .scalars import LogMagnitude, QComplex
@@ -71,12 +71,7 @@ class CriterionReport:
 
     @property
     def overall(self) -> str:
-        verdicts = [ev.verdict for ev in self.items.values()]
-        if all(v == "supports" for v in verdicts):
-            return "supports"
-        if any(v == "refutes" for v in verdicts):
-            return "refutes"
-        return "inconclusive"
+        return combine(ev.verdict for ev in self.items.values())
 
 
 def _sample_indices(lo: int, hi: int, count: int) -> List[int]:
@@ -115,69 +110,41 @@ def _check_unbounded_valence(seq: OperatorSequence, lo: int, hi: int) -> None:
 
 def _hypothesis_i(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
-    verdict = "supports"
-    crossings = {}
+    ns = range(cfg.n_lo, cfg.n_hi + 1)
     for g in _battery(cfg.test_degrees, cfg.seed):
-        crossing = None
-        for n in range(cfg.n_lo, cfg.n_hi + 1):
-            if seq.valence(n) > g.degree:
-                crossing = n
-                break
-        if crossing is None:
-            verdict = "inconclusive"
-            rows.append({"degree": g.degree, "crossing": None, "exact_zero": None})
-            continue
-        ok = True
-        for n in _sample_indices(crossing, cfg.n_hi, cfg.sweep_points):
-            image = apply_operator(seq.op(n), g.to_float() if not seq.exact else g)
-            if not image.is_zero:
-                ok = False
-                break
-        if not ok:
-            verdict = "refutes"
-        crossings[g.degree] = crossing
+        crossing = next((n for n in ns if seq.valence(n) > g.degree), None)
+        ok = None if crossing is None else all(
+            apply_operator(seq.op(n), g.to_float() if not seq.exact else g).is_zero
+            for n in _sample_indices(crossing, cfg.n_hi, cfg.sweep_points)
+        )
         rows.append({"degree": g.degree, "crossing": crossing, "exact_zero": ok})
-    return HypothesisEvidence(verdict=verdict, rows=rows, notes={"crossings": crossings})
+    verdicts = {None: "inconclusive", True: "supports", False: "refutes"}
+    crossings = {row["degree"]: row["crossing"] for row in rows if row["crossing"] is not None}
+    return HypothesisEvidence(
+        verdict=combine(verdicts[row["exact_zero"]] for row in rows),
+        rows=rows,
+        notes={"crossings": crossings},
+    )
 
 
 def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
-    verdicts = []
     for k in range(0, cfg.k_max + 1):
         rep = fnk_decay(seq, k, max(cfg.r, 1.5), (max(cfg.n_lo, 2), cfg.n_hi))
-        verdicts.append(rep.verdict)
-        rows.append(
-            {
-                "k": k,
-                "verdict": rep.verdict,
-                "crossing": rep.crossing,
-                "final_norm_log": rep.rows[-1].norm.log,
-            }
-        )
-    if all(v == "supports" for v in verdicts):
-        verdict = "supports"
-    elif any(v == "refutes" for v in verdicts):
-        verdict = "refutes"
-    else:
-        verdict = "inconclusive"
-    return HypothesisEvidence(verdict=verdict, rows=rows)
+        final = rep.rows[-1].norm.log
+        rows.append(dict(k=k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=final))
+    return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows)
 
 
 def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
-    rule = GrowthRule()
-    rows = []
-    ns = list(range(cfg.n_lo, cfg.n_hi + 1))
-    all_support = True
-    any_refute = False
-    for w in cfg.u_samples:
-        logs = [seq.log_abs_at(n, w).log for n in ns]
-        verdict, _ = rule.classify(ns, logs)
-        # S_n e_w = e_w / P_n(w): growth of |P_n(w)| is exactly decay of the inverse
-        rows.append({"w": str(w), "p_growth_verdict": verdict, "final_log": logs[-1]})
-        all_support &= verdict == "supports"
-        any_refute |= verdict == "refutes"
-    verdict = "supports" if all_support else ("refutes" if any_refute else "inconclusive")
-    return HypothesisEvidence(verdict=verdict, rows=rows)
+    rep = check_property_P(seq, cfg.u_samples, (cfg.n_lo, cfg.n_hi), GrowthRule())
+    verdicts, tracks = rep.tracks["per_sample_verdicts"], rep.tracks["samples"]
+    # S_n e_w = e_w / P_n(w): growth of |P_n(w)| is exactly decay of the inverse
+    rows = [
+        {"w": str(w), "p_growth_verdict": verdicts[str(w)], "final_log": tracks[str(w)][-1]}
+        for w in cfg.u_samples
+    ]
+    return HypothesisEvidence(verdict=rep.verdict, rows=rows)
 
 
 def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:

@@ -189,7 +189,7 @@ def _f1() -> OperatorSequence:
         return PolynomialOperator({n: QComplex(Fraction(1, n**n)), n + 1: QComplex(1)})
 
     def items(n: int):
-        return [(n, LogMagnitude(-math.log(n**n))), (n + 1, LogMagnitude.one())]
+        return [(n, LogMagnitude(-n * math.log(n))), (n + 1, LogMagnitude.one())]
 
     def log_abs(n: int, z: complex) -> LogMagnitude:
         # |z|^n * |z + n^-n|; the shift underflows harmlessly for large n
@@ -478,30 +478,58 @@ class GrowthRule:
     vanish_hits: Optional[int] = 2
     min_len: int = 8
 
+    def __post_init__(self):
+        if self.min_len < 3 or (self.vanish_hits is not None and self.vanish_hits < 1):
+            raise ConfigError(f"growth rule needs min_len >= 3 and vanish_hits >= 1, got {self}")
+
     def classify(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[str, dict]:
+        """(verdict, evidence) for the whole track; an empty track is inconclusive."""
+        verdicts, info = self.running(ns, logs)
+        return (verdicts[-1] if verdicts else "inconclusive"), info
+
+    def running(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[List[str], dict]:
+        """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n log n) pass,
+        and the evidence for the whole track."""
+        range_min = _range_min(logs)
+        verdicts: List[str] = []
+        hits: List[Tuple[int, float]] = []
+        high = -1  # last index whose value is not below the floor
         info: dict = {}
-        if self.vanish_hits is not None:
-            hits = [(n, v) for n, v in zip(ns, logs) if v < -n * LN2]
-            if len(hits) >= self.vanish_hits:
-                info["vanishing"] = hits
-                return "refutes", info
-        if len(logs) < self.min_len:
-            return "inconclusive", info
-        half = list(logs[len(logs) // 2 :])
-        if all(v < self.floor_log for v in half) and half[-1] <= half[0]:
-            info["decay"] = {"first": half[0], "last": half[-1], "floor": self.floor_log}
-            return "refutes", info
-        q3 = half[: len(half) // 2]
-        q4 = half[len(half) // 2 :]
-        first_half_min = min(logs[: len(logs) // 2])
-        if (
-            min(q4) > min(q3)
-            and min(half) > first_half_min
-            and logs[-1] > self.threshold_log
-        ):
-            info["quartile_minima"] = (first_half_min, min(q3), min(q4))
-            return "supports", info
-        return "inconclusive", info
+        for L, (n, v) in enumerate(zip(ns, logs), 1):
+            if self.vanish_hits is not None and v < -n * LN2:
+                hits.append((n, v))
+            if not v < self.floor_log:
+                high = L - 1
+            h, q = L // 2, (L + L // 2) // 2  # last half logs[h:], its quartiles split at q
+            if self.vanish_hits is not None and len(hits) >= self.vanish_hits:
+                verdict, info = "refutes", {"vanishing": hits}
+            elif L < self.min_len:
+                verdict, info = "inconclusive", {}
+            elif high < h and v <= logs[h]:
+                decay = {"first": logs[h], "last": v, "floor": self.floor_log}
+                verdict, info = "refutes", {"decay": decay}
+            else:
+                first, q3, q4 = range_min(0, h), range_min(h, q), range_min(q, L)
+                if q4 > q3 and min(q3, q4) > first and v > self.threshold_log:
+                    verdict, info = "supports", {"quartile_minima": (first, q3, q4)}
+                else:
+                    verdict, info = "inconclusive", {}
+            verdicts.append(verdict)
+        return verdicts, info
+
+
+def _range_min(values: Sequence[float]) -> Callable[[int, int], float]:
+    """O(1) queries min(values[a:b]), a < b, over a sparse table built in O(n log n)."""
+    table = [list(values)]
+    while 2 ** len(table) <= len(values):
+        prev, width = table[-1], 2 ** (len(table) - 1)
+        table.append([min(prev[i], prev[i + width]) for i in range(len(prev) - width)])
+
+    def query(a: int, b: int) -> float:
+        k = (b - a).bit_length() - 1
+        return min(table[k][a], table[k][b - 2**k])
+
+    return query
 
 
 @dataclass
@@ -529,13 +557,30 @@ def _fmt_log(v: float) -> str:
     return repr(v)
 
 
-def _combine_sample_verdicts(per_sample: Mapping[str, Tuple[str, dict]]) -> Tuple[str, Optional[dict]]:
-    for key, (verdict, info) in per_sample.items():
-        if verdict == "refutes":
-            return "refutes", {"sample": key, **info}
-    if all(v == "supports" for v, _ in per_sample.values()):
-        return "supports", None
-    return "inconclusive", None
+def combine(verdicts: Iterable[str]) -> str:
+    """refutes if any verdict refutes, supports if all support, else inconclusive."""
+    seen = set(verdicts)
+    if "refutes" in seen:
+        return "refutes"
+    return "supports" if seen <= {"supports"} else "inconclusive"
+
+
+def _sweep(rule: GrowthRule, ns: List[int], refuting: Mapping, supporting: Mapping, gate=True):
+    """Rows (n, min of the supporting tracks, running verdict), the last running verdict,
+    ``classify`` of each refuting track, and the first refuting key (the witness) or None.
+
+    Refuting tracks only refute and supporting tracks only support; a false gate blocks support.
+    """
+    runs = {key: rule.running(ns, track)[0] for key, track in {**refuting, **supporting}.items()}
+    rows = []
+    for i, n in enumerate(ns):
+        votes = [] if gate else ["inconclusive"]
+        votes += [runs[k][i] for k in refuting if runs[k][i] == "refutes"]
+        votes += [runs[k][i] if runs[k][i] != "refutes" else "inconclusive" for k in supporting]
+        rows.append((n, min(track[i] for track in supporting.values()), combine(votes)))
+    finals = {key: rule.classify(ns, track) for key, track in refuting.items()}
+    witness = next((key for key, (verdict, _) in finals.items() if verdict == "refutes"), None)
+    return rows, (rows[-1][2] if rows else "inconclusive"), finals, witness
 
 
 def check_property_P(
@@ -554,26 +599,15 @@ def check_property_P(
     rule = rule or GrowthRule()
     lo, hi = n_range
     ns = list(range(lo, hi + 1))
-    tracks: dict = {}
-    for z in u_samples:
-        key = str(z)
-        tracks[key] = [seq.log_abs_at(n, z).log for n in ns]
-    per_sample = {key: rule.classify(ns, logs) for key, logs in tracks.items()}
-    verdict, witness = _combine_sample_verdicts(per_sample)
-
-    def verdict_at(i: int) -> str:
-        sub = {k: rule.classify(ns[: i + 1], logs[: i + 1]) for k, logs in tracks.items()}
-        return _combine_sample_verdicts(sub)[0]
-
-    stat = [min(tracks[k][i] for k in tracks) for i in range(len(ns))]
-    rows = [(n, stat[i], verdict_at(i)) for i, n in enumerate(ns)]
+    tracks = {str(z): [seq.log_abs_at(n, z).log for n in ns] for z in u_samples}
+    rows, verdict, finals, bad = _sweep(rule, ns, tracks, tracks)
     return EvidenceReport(
         prop="P",
         n_range=n_range,
         verdict=verdict,
         rows=rows,
-        tracks={"samples": tracks, "per_sample_verdicts": {k: v[0] for k, v in per_sample.items()}},
-        witness=witness,
+        tracks={"samples": tracks, "per_sample_verdicts": {k: v for k, (v, _) in finals.items()}},
+        witness=None if bad is None else {"sample": bad, **finals[bad][1]},
         notes={"rule": rule},
     )
 
@@ -608,35 +642,15 @@ def check_property_Q(
             worst = max(worst, shifted)
         growth[k] = track
         bound[k] = worst
-    per_k = {k: rule.classify(ns, growth[k]) for k in growth}
     bounded_ok = all(v <= bound_cap_log for v in bound.values())
-    refuting = [k for k, (v, _) in per_k.items() if v == "refutes"]
-    if refuting:
-        k_bad = refuting[0]
-        verdict = "refutes"
-        witness = {"k": k_bad, "statistic_log": growth[k_bad], **per_k[k_bad][1]}
-    elif all(v == "supports" for v, _ in per_k.values()) and bounded_ok:
-        verdict, witness = "supports", None
-    else:
-        verdict, witness = "inconclusive", None
-
-    def verdict_at(i: int) -> str:
-        sub = {k: rule.classify(ns[: i + 1], growth[k][: i + 1])[0] for k in growth}
-        if any(v == "refutes" for v in sub.values()):
-            return "refutes"
-        if all(v == "supports" for v in sub.values()) and bounded_ok:
-            return "supports"
-        return "inconclusive"
-
-    stat = [min(growth[k][i] for k in growth) for i in range(len(ns))]
-    rows = [(n, stat[i], verdict_at(i)) for i, n in enumerate(ns)]
+    rows, verdict, finals, bad = _sweep(rule, ns, growth, growth, gate=bounded_ok)
     return EvidenceReport(
         prop="Q",
         n_range=n_range,
         verdict=verdict,
         rows=rows,
         tracks={"growth": growth, "shifted_bound_log": bound, "bound_cap_log": bound_cap_log},
-        witness=witness,
+        witness=None if bad is None else {"k": bad, "statistic_log": growth[bad], **finals[bad][1]},
         notes={"rule": rule, "k_max": k_max},
     )
 
@@ -676,23 +690,24 @@ def _circle_scan(
         return exact, exact
     fop = op.to_float()
     coeffs = list(reversed(fop.coeffs))
+    # |P(z)| = r^m |H(z)| on |z| = r: scan H, scale the corrections by r^-m; no float overflows
+    r_m = LogMagnitude(fop.valence * math.log(r))
     sampled = math.inf
     for t in range(m_samples):
         z = r * cmath.exp(2j * math.pi * t / m_samples)
         acc = 0j
         for c in coeffs:
             acc = acc * z + c
-        acc *= z**fop.valence
         val = abs(acc)
         if val < sampled:
             sampled = val
-    upper = LogMagnitude.of(sampled) if math.isfinite(sampled) else LogMagnitude(math.inf)
-    b = op.derivative_majorant(r).value()
-    guard = 8.0 * 2.0**-52 * (op.degree + 1) * _op_coeff_majorant_log(op, r).value()
+    upper = LogMagnitude.of(sampled) * r_m if math.isfinite(sampled) else LogMagnitude(math.inf)
+    b = (op.derivative_majorant(r) / r_m).value()
+    guard = 8.0 * 2.0**-52 * (op.degree + 1) * (_op_coeff_majorant_log(op, r) / r_m).value()
     if not (math.isfinite(sampled) and math.isfinite(b) and math.isfinite(guard)):
         return LogMagnitude.zero(), upper
     lower_val = sampled - (math.pi * r / m_samples) * b - guard
-    lower = LogMagnitude.of(lower_val) if lower_val > 0 else LogMagnitude.zero()
+    lower = LogMagnitude.of(lower_val) * r_m if lower_val > 0 else LogMagnitude.zero()
     return lower, upper
 
 
@@ -729,30 +744,14 @@ def check_property_R(
                 up = exact_sample
         lower_track.append(low.log)
         upper_track.append(up.log)
-    support_verdict, support_info = rule.classify(ns, lower_track)
-    refute_verdict, refute_info = rule.classify(ns, upper_track)
-    if refute_verdict == "refutes":
-        verdict, witness = "refutes", refute_info
-    elif support_verdict == "supports":
-        verdict, witness = "supports", None
-    else:
-        verdict, witness = "inconclusive", None
-
-    def verdict_at(i: int) -> str:
-        rv, _ = rule.classify(ns[: i + 1], upper_track[: i + 1])
-        if rv == "refutes":
-            return "refutes"
-        sv, _ = rule.classify(ns[: i + 1], lower_track[: i + 1])
-        return sv if sv == "supports" else "inconclusive"
-
-    rows = [(n, lower_track[i], verdict_at(i)) for i, n in enumerate(ns)]
+    rows, verdict, finals, bad = _sweep(rule, ns, {"upper": upper_track}, {"lower": lower_track})
     return EvidenceReport(
         prop="R",
         n_range=n_range,
         verdict=verdict,
         rows=rows,
         tracks={"lower_log": lower_track, "upper_log": upper_track, "r": r},
-        witness=witness,
+        witness=None if bad is None else finals[bad][1],
         notes={"rule": rule, "samples_per_circle": samples_per_circle},
     )
 

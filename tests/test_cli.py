@@ -1,4 +1,5 @@
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,11 @@ class TestExitCodes:
             str(tmp_path),
         )
         assert rc == 3
+
+    def test_nonpositive_decay_base(self, tmp_path, capsys):
+        rc = run("build-m0", "--family", "F4", "--decay-base", "0", "--out", str(tmp_path))
+        assert rc == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_cap_exhaustion(self, tmp_path):
         rc = run(
@@ -226,6 +232,19 @@ class TestCommands:
         assert rc == 0
         assert "overall: supports" in capsys.readouterr().out
         assert (out / "criterion.jsonl").exists()
+
+    def test_verify_criterion_p_route_keeps_duplicate_samples(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        rc = run(
+            "verify-criterion", "--family", "F1", "--route", "P", "--n-max", "30",
+            "--u-samples=-2,-2,-3", "--out", str(out),
+        )
+        assert rc == 0
+        records = [json.loads(line) for line in (out / "criterion.jsonl").read_text().splitlines()]
+        ii = [rec for rec in records if rec["hypothesis"] == "ii"]
+        assert [rec["w"] for rec in ii] == ["-2", "-2", "-3"]
+        assert all(rec["p_growth_verdict"] == "supports" for rec in ii)
+        assert "hypothesis (ii): supports" in capsys.readouterr().out
 
     def test_joint_outputs(self, tmp_path):
         out = tmp_path / "j"

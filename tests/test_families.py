@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperdiff.errors import ConfigError, PreconditionError
 from hyperdiff.families import (
@@ -16,7 +17,7 @@ from hyperdiff.families import (
     positive_rational,
     unicity_exponent,
 )
-from hyperdiff.scalars import QComplex
+from hyperdiff.scalars import LN2, QComplex
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
 
@@ -178,6 +179,28 @@ class TestPropertyR:
         rep = check_property_R(make_family("F4"), 1.0, (1, 60), 256)
         assert rep.verdict in ("inconclusive", "refutes")
 
+    def test_collapsed_lower_bound_never_refutes(self):
+        # the certified lower track reads -inf once the arc correction eats the
+        # sampled minimum; that is a weak bound, not a witness of small values
+        f1 = check_property_R(make_family("F1"), 2.0, (1, 120), 256)
+        lower = f1.tracks["lower_log"]
+        assert all(v == -math.inf for v in lower[80:]) and lower[79] > -math.inf
+        assert GrowthRule().classify(list(range(1, 121)), lower)[0] == "refutes"
+        assert all(verdict != "refutes" for _, _, verdict in f1.rows)
+        assert f1.verdict == "inconclusive" and f1.witness is None
+        unit = check_property_R(make_family("F2", {"c_mode": "unit"}), 2.0, (1, 80), 256)
+        assert unit.tracks["lower_log"][-1] == -math.inf
+        assert unit.verdict != "refutes"
+
+    def test_f1_past_double_range(self):
+        # |z^m| = 2^m leaves the double range at m = 1024; the scan factors it out
+        ns = range(1015, 1101)
+        rep = check_property_R(make_family("F1"), 2.0, (ns[0], ns[-1]), 256)
+        for n, upper in zip(ns, rep.tracks["upper_log"]):
+            # |P_n| on |z| = 2 is 2^n |z + n^-n|, about 2^(n+1)
+            assert upper == pytest.approx((n + 1) * LN2, rel=1e-12)
+        assert rep.verdict == "inconclusive"
+
 
 class TestCircleMin:
     def test_monomial_exact(self):
@@ -289,6 +312,58 @@ class TestGrowthRule:
     def test_short_sweep_inconclusive(self):
         verdict, _ = GrowthRule().classify([1, 2, 3], [1.0, 2.0, 3.0])
         assert verdict == "inconclusive"
+
+    def test_degenerate_rule_rejected(self):
+        for bad in ({"min_len": 2}, {"min_len": 1}, {"vanish_hits": 0}):
+            with pytest.raises(ConfigError):
+                GrowthRule(**bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.builds(
+            GrowthRule,
+            threshold_log=st.floats(-5.0, 30.0),
+            floor_log=st.floats(-5.0, 5.0),
+            vanish_hits=st.none() | st.integers(1, 4),
+            min_len=st.integers(3, 12),
+        ),
+        st.integers(1, 40),
+        st.lists(
+            st.sampled_from([-math.inf, math.inf, 0.0, -0.0, 1.0])
+            | st.integers(-80, 40).map(float)
+            | st.floats(-80.0, 80.0),
+            max_size=60,
+        ),
+    )
+    def test_running_matches_prefix_reclassification(self, rule, lo, logs):
+        ns = list(range(lo, lo + len(logs)))
+        verdicts, _ = rule.running(ns, logs)
+        expected = [_reclassify(rule, ns[:i], logs[:i])[0] for i in range(1, len(ns) + 1)]
+        assert verdicts == expected
+        assert repr(rule.classify(ns, logs)) == repr(_reclassify(rule, ns, logs))
+
+
+def _reclassify(rule, ns, logs):
+    """Reference: the growth rule evaluated from scratch on one whole track."""
+    info = {}
+    if rule.vanish_hits is not None:
+        hits = [(n, v) for n, v in zip(ns, logs) if v < -n * LN2]
+        if len(hits) >= rule.vanish_hits:
+            info["vanishing"] = hits
+            return "refutes", info
+    if len(logs) < rule.min_len:
+        return "inconclusive", info
+    half = list(logs[len(logs) // 2 :])
+    if all(v < rule.floor_log for v in half) and half[-1] <= half[0]:
+        info["decay"] = {"first": half[0], "last": half[-1], "floor": rule.floor_log}
+        return "refutes", info
+    q3 = half[: len(half) // 2]
+    q4 = half[len(half) // 2 :]
+    first_half_min = min(logs[: len(logs) // 2])
+    if min(q4) > min(q3) and min(half) > first_half_min and logs[-1] > rule.threshold_log:
+        info["quartile_minima"] = (first_half_min, min(q3), min(q4))
+        return "supports", info
+    return "inconclusive", info
 
 
 class TestF2OpenQuestions:
