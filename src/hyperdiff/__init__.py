@@ -36,7 +36,6 @@ from .inverses import (
     exp_inverse,
     fnk_decay,
     inverse_for_polynomial,
-    shifted_coeffs,
     solve_monic_system,
 )
 from .lacunary import (
@@ -52,12 +51,8 @@ from .series import (
     PolynomialOperator,
     TaylorPolynomial,
     apply_operator,
-    apply_to_exponential,
-    differentiate,
     eigen_defect_bound,
-    evaluate,
     exp_truncate,
-    majorant_norm,
     read_coefficients,
     write_operator,
     write_taylor,
@@ -101,7 +96,6 @@ __all__ = [
     "exp_inverse",
     "fnk_decay",
     "inverse_for_polynomial",
-    "shifted_coeffs",
     "solve_monic_system",
     "LacunaryBasis",
     "decay_report",
@@ -114,12 +108,8 @@ __all__ = [
     "PolynomialOperator",
     "TaylorPolynomial",
     "apply_operator",
-    "apply_to_exponential",
-    "differentiate",
     "eigen_defect_bound",
-    "evaluate",
     "exp_truncate",
-    "majorant_norm",
     "read_coefficients",
     "write_operator",
     "write_taylor",

@@ -9,6 +9,7 @@ Exit codes: 2 config errors, 3 precondition failures, 4 cap exhaustion,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .criterion import CriterionConfig, verify_hypotheses, write_criterion_jsonl
-from .errors import ConfigError, HyperdiffError
+from .errors import ConfigError, HyperdiffError, PreconditionError
 from .families import (
     GrowthRule,
     OperatorSequence,
@@ -35,7 +36,7 @@ from .lacunary import (
     write_basis_csv,
     write_decay_csv,
 )
-from .scalars import QComplex
+from .scalars import QComplex, fmt_log
 from .series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -64,9 +65,12 @@ def _p_int(text: str) -> int:
 
 def _p_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _p_str(text: str) -> str:
@@ -150,6 +154,14 @@ FAMILY_KEYS = [
 OUT_KEY = Key("out", _p_str, "out", "output directory")
 SEED_KEY = Key("seed", _p_int, 0, "seed for randomized batteries")
 
+# the single-trace construction shared by synthesize and perturb
+TRACE_KEYS = [
+    Key("targets", _p_str, "diagonal", "diagonal | polys:<a0,a1;...>"),
+    Key("count", _p_int, 8, "number of steps K"),
+    Key("zero_recurrent", _p_bool, False, "interleave zero targets"),
+    Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+]
+
 COMMANDS: Dict[str, List[Key]] = {
     "check-properties": FAMILY_KEYS
     + [
@@ -200,20 +212,10 @@ COMMANDS: Dict[str, List[Key]] = {
         SEED_KEY,
         OUT_KEY,
     ],
-    "synthesize": FAMILY_KEYS
-    + [
-        Key("targets", _p_str, "diagonal", "diagonal | polys:<a0,a1;...>"),
-        Key("count", _p_int, 8, "number of steps K"),
-        Key("zero_recurrent", _p_bool, False, "interleave zero targets"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
-        OUT_KEY,
-    ],
+    "synthesize": FAMILY_KEYS + TRACE_KEYS + [OUT_KEY],
     "perturb": FAMILY_KEYS
+    + TRACE_KEYS
     + [
-        Key("targets", _p_str, "diagonal", "diagonal | polys:<a0,a1;...>"),
-        Key("count", _p_int, 8, "number of steps K"),
-        Key("zero_recurrent", _p_bool, False, "interleave zero targets"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
         Key("g", _p_poly, _p_poly("0,0,0,1"), "perturbation polynomial (coefficients)"),
         OUT_KEY,
     ],
@@ -277,15 +279,9 @@ def _family_from(cfg: Dict) -> OperatorSequence:
     tag = cfg.get("family")
     if not tag:
         raise ConfigError("a family tag is required (family=F1..F5)")
-    params: Dict = {}
-    if cfg.get("c") is not None:
-        params["c"] = cfg["c"]
-    if cfg.get("decay") is not None:
-        params["decay"] = cfg["decay"]
-    if cfg.get("c_mode") is not None:
-        params["c_mode"] = cfg["c_mode"]
-    if cfg.get("log_base") is not None:
-        params["log_base"] = cfg["log_base"]
+    params: Dict = {
+        name: cfg[name] for name in ("c", "decay", "c_mode", "log_base") if cfg.get(name) is not None
+    }
     if tag.upper() == "F5":
         table = cfg.get("table")
         if not table:
@@ -430,8 +426,6 @@ def _cmd_build_m0(cfg: Dict) -> int:
 
 
 def _cmd_build_inverse(cfg: Dict) -> int:
-    from .errors import PreconditionError
-
     seq = _family_from(cfg)
     if cfg["n"] is None or cfg["k"] is None:
         raise ConfigError("build-inverse needs n=<index> and k=<degree>")
@@ -477,11 +471,15 @@ def _cmd_verify_criterion(cfg: Dict) -> int:
     return 0
 
 
-def _cmd_synthesize(cfg: Dict) -> int:
+def _synthesized(cfg: Dict):
+    """The output directory and the single trace built from the TRACE_KEYS settings."""
     seq = _family_from(cfg)
     out = _outdir(cfg)
-    targets = _targets_from(cfg)
-    trace = synthesize(seq, targets, n_cap=cfg["n_cap"])
+    return out, synthesize(seq, _targets_from(cfg), n_cap=cfg["n_cap"])
+
+
+def _cmd_synthesize(cfg: Dict) -> int:
+    out, trace = _synthesized(cfg)
     _write(out / "trace.jsonl", lambda h: write_trace_jsonl(trace, h))
     _write(out / "vector.coeffs", lambda h: write_taylor(trace.vector, h))
     _write(out / "residuals.csv", lambda h: write_residual_csv(trace, h))
@@ -492,19 +490,15 @@ def _cmd_synthesize(cfg: Dict) -> int:
 
 
 def _cmd_perturb(cfg: Dict) -> int:
-    seq = _family_from(cfg)
-    out = _outdir(cfg)
-    targets = _targets_from(cfg)
-    trace = synthesize(seq, targets, n_cap=cfg["n_cap"])
+    out, trace = _synthesized(cfg)
     report = perturb(trace, cfg["g"])
 
     def writer(handle):
         handle.write("i,n_i,annihilated,residual_log,base_residual_log,exactly_equal\n")
         for row in report.rows:
-            res = "-inf" if row.residual.is_zero else repr(row.residual.log)
-            base = "-inf" if row.base_residual.is_zero else repr(row.base_residual.log)
             handle.write(
-                f"{row.index},{row.n},{row.annihilated},{res},{base},{row.exactly_equal}\n"
+                f"{row.index},{row.n},{row.annihilated},{fmt_log(row.residual)},"
+                f"{fmt_log(row.base_residual)},{row.exactly_equal}\n"
             )
 
     _write(out / "perturb.csv", writer)
@@ -527,11 +521,10 @@ def _cmd_augment(cfg: Dict) -> int:
     def writer(handle):
         handle.write("lambda,target,step,n,radius,direct_log,bound_log,stated_log,ok\n")
         for row in report.rows:
-            direct = "-inf" if row.direct.is_zero else repr(row.direct.log)
-            bound = "-inf" if row.bound.is_zero else repr(row.bound.log)
+            # the target and step columns coincide: extra target i rides on step i
             handle.write(
-                f"{row.lam},{row.target_index},{row.step_index},{row.n},{row.radius},"
-                f"{direct},{bound},{repr(row.stated_log)},{row.ok}\n"
+                f"{row.lam},{row.step_index},{row.step_index},{row.n},{row.radius},"
+                f"{fmt_log(row.direct)},{fmt_log(row.bound)},{repr(row.stated_log)},{row.ok}\n"
             )
 
     _write(out / "augment.csv", writer)
@@ -554,10 +547,9 @@ def _cmd_joint(cfg: Dict) -> int:
         handle.write("combo,target,global_step,n,radius,direct_log,tolerance_log,ok\n")
         for row in report.combo_rows:
             combo = " ".join(str(c) for c in row.combo)
-            direct = "-inf" if row.direct.is_zero else repr(row.direct.log)
             handle.write(
                 f"{combo},{row.target_index},{row.global_step},{row.n},{row.radius},"
-                f"{direct},{repr(row.tolerance_log)},{row.ok}\n"
+                f"{fmt_log(row.direct)},{repr(row.tolerance_log)},{row.ok}\n"
             )
 
     _write(out / "joint.csv", writer)

@@ -25,14 +25,11 @@ from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
 from .scalars import LogMagnitude, QComplex
-from .series import (
-    PolynomialOperator,
-    TaylorPolynomial,
-    apply_operator,
-    eigen_defect_bound,
-    exp_truncate,
-    majorant_norm,
-)
+from .series import PolynomialOperator, TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
+from .synthesis import _mag_json, _residual
+
+# how many n values to spot-check for exact identities
+SWEEP_POINTS = 12
 
 
 def check_annihilation(op: PolynomialOperator, g: TaylorPolynomial) -> bool:
@@ -49,10 +46,7 @@ class CriterionConfig:
     u_samples: Tuple = ()
     r: float = 2.0
     basis_size: int = 4
-    basis_start: int = 1
-    basis_cap: int = 10**6
     trunc: int = 60
-    sweep_points: int = 12  # how many n values to spot-check for exact identities
     seed: int = 0
 
 
@@ -115,7 +109,7 @@ def _hypothesis_i(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvid
         crossing = next((n for n in ns if seq.valence(n) > g.degree), None)
         ok = None if crossing is None else all(
             apply_operator(seq.op(n), g.to_float() if not seq.exact else g).is_zero
-            for n in _sample_indices(crossing, cfg.n_hi, cfg.sweep_points)
+            for n in _sample_indices(crossing, cfg.n_hi, SWEEP_POINTS)
         )
         rows.append({"degree": g.degree, "crossing": crossing, "exact_zero": ok})
     verdicts = {None: "inconclusive", True: "supports", False: "refutes"}
@@ -151,7 +145,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
     rows = []
     verdict = "supports"
     exact_everywhere = True
-    for n in _sample_indices(cfg.n_lo, cfg.n_hi, cfg.sweep_points):
+    for n in _sample_indices(cfg.n_lo, cfg.n_hi, SWEEP_POINTS):
         op = seq.op(n)
         for k in range(0, cfg.k_max + 1):
             if op.exact:
@@ -160,8 +154,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             else:
                 exact_everywhere = False
                 inv = build_f_nk(op, k, verify=False)
-                defect = apply_operator(op, inv.f) - TaylorPolynomial.monomial(k, 1.0 + 0j)
-                d_log = majorant_norm(defect, max(cfg.r, 1.0)).log if not defect.is_zero else -math.inf
+                d_log = _residual(op, inv.f, TaylorPolynomial.monomial(k, 1.0 + 0j), max(cfg.r, 1.0)).log
                 ok = d_log < -9 * math.log(10)
                 rows.append({"n": n, "k": k, "identity": "float", "defect_log": d_log})
                 if not ok:
@@ -176,7 +169,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
 def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
     verdict = "supports"
-    for n in _sample_indices(cfg.n_lo, cfg.n_hi, cfg.sweep_points):
+    for n in _sample_indices(cfg.n_lo, cfg.n_hi, SWEEP_POINTS):
         op = seq.op(n)
         for w in cfg.u_samples:
             val = op.value_at(w)
@@ -190,9 +183,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
             if not op.exact:
                 trunc = trunc.to_float()
-            image = apply_operator(op, trunc)
-            scaled = trunc.scale(val)
-            defect = majorant_norm(image - scaled, 1.0)
+            defect = _residual(op, trunc, trunc.scale(val), 1.0)
             ok = defect.log <= bound.log + 1e-9 * max(1.0, abs(bound.log))
             rows.append(
                 {
@@ -209,7 +200,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
 
 
 def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
-    basis = select_indices(seq, cfg.basis_size, n_start=cfg.basis_start, n_cap=cfg.basis_cap)
+    basis = select_indices(seq, cfg.basis_size)
     r_iv = max(1.0, cfg.r)
     q = max(4, math.ceil(4 * r_iv))
     member = m0_member(basis, [QComplex(Fraction(1, q ** e.valence)) for e in basis.entries])
@@ -248,6 +239,10 @@ def verify_hypotheses(
         raise PreconditionError("route must be 'P' or 'Q'")
     if route == "P" and not cfg.u_samples:
         raise PreconditionError("P-route verification needs a nonempty u_samples set")
+    if route == "P" and cfg.trunc < 0:
+        raise PreconditionError(f"exponential truncation degree must be >= 0, got {cfg.trunc}")
+    if cfg.n_lo > cfg.n_hi:
+        raise PreconditionError(f"empty index range: n_lo={cfg.n_lo} exceeds n_hi={cfg.n_hi}")
     _check_unbounded_valence(seq, cfg.n_lo, cfg.n_hi)
     items = {"i": _hypothesis_i(seq, cfg)}
     if route == "Q":
@@ -286,7 +281,7 @@ def _jsonable(row: dict) -> dict:
     out = {}
     for key, val in row.items():
         if isinstance(val, LogMagnitude):
-            out[key] = None if val.is_zero else val.log
+            out[key] = _mag_json(val)
         elif isinstance(val, float) and math.isinf(val):
             out[key] = "-inf" if val < 0 else "inf"
         elif isinstance(val, tuple):

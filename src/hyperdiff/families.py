@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, LogMagnitude, NEG_INF, QComplex, is_exact, to_complex
+from .scalars import LN2, LogMagnitude, NEG_INF, QComplex, fmt_log, is_exact, to_complex
 from .series import ExponentialCombo, PolynomialOperator, TaylorPolynomial, exp_truncate
 
 # -- rational enumeration ------------------------------------------------------
@@ -106,32 +106,28 @@ class OperatorSequence:
         got = self._cache.get(n)
         if got is None:
             got = self._build(n)
-            if got.valence != self.valence(n) or got.degree != self.degree(n):
+            # families without metadata functions take it from the built operator
+            m = got.valence if self._valence_fn is None else self._valence_fn(n)
+            d = got.degree if self._degree_fn is None else self._degree_fn(n)
+            if (got.valence, got.degree) != (m, d):
                 raise PreconditionError(
-                    f"{self.label}: metadata (m={self.valence(n)}, d={self.degree(n)}) "
+                    f"{self.label}: metadata (m={m}, d={d}) "
                     f"disagrees with built coefficients (m={got.valence}, d={got.degree}) at n={n}"
                 )
             self._cache[n] = got
         return got
 
     def valence(self, n: int) -> int:
+        if self._valence_fn is None:
+            return self.op(n).valence
         self._check_index(n)
-        if self._valence_fn is not None:
-            return self._valence_fn(n)
-        return self._ensure_built(n).valence
+        return self._valence_fn(n)
 
     def degree(self, n: int) -> int:
+        if self._degree_fn is None:
+            return self.op(n).degree
         self._check_index(n)
-        if self._degree_fn is not None:
-            return self._degree_fn(n)
-        return self._ensure_built(n).degree
-
-    def _ensure_built(self, n: int) -> PolynomialOperator:
-        got = self._cache.get(n)
-        if got is None:
-            got = self._build(n)
-            self._cache[n] = got
-        return got
+        return self._degree_fn(n)
 
     def coeff_log_items(self, n: int) -> List[Tuple[int, LogMagnitude]]:
         self._check_index(n)
@@ -174,12 +170,11 @@ class OperatorSequence:
 
 
 def _parse_rational(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction, str)):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise ConfigError(f"expected a rational constant, got {value!r}")
 
 
@@ -236,12 +231,12 @@ def _f2(params: Mapping) -> OperatorSequence:
     if c_mode not in ("paper", "unit"):
         raise ConfigError(f"F2 c_mode must be 'paper' or 'unit', got {c_mode!r}")
     base = params.get("log_base", "e")
-    if base == "e":
-        ln_base = 1.0
-    else:
-        ln_base = math.log(float(base))
-        if ln_base <= 0:
-            raise ConfigError("F2 log_base must exceed 1")
+    try:
+        ln_base = 1.0 if base == "e" else math.log(float(base))
+    except ValueError:  # not a number, or not positive
+        ln_base = math.nan
+    if not ln_base > 0:
+        raise ConfigError(f"F2 log_base must be e or a number above 1, got {base!r}")
 
     if c_mode == "unit":
         def build(n: int) -> PolynomialOperator:
@@ -548,13 +543,7 @@ class EvidenceReport:
 def write_evidence_csv(report: EvidenceReport, out: TextIO) -> None:
     out.write("n,statistic_log,verdict_running\n")
     for n, stat, running in report.rows:
-        out.write(f"{n},{_fmt_log(stat)},{running}\n")
-
-
-def _fmt_log(v: float) -> str:
-    if v == NEG_INF:
-        return "-inf"
-    return repr(v)
+        out.write(f"{n},{fmt_log(stat)},{running}\n")
 
 
 def combine(verdicts: Iterable[str]) -> str:
@@ -725,8 +714,8 @@ def check_property_R(
     evaluation at the real point z = r whenever the family can do it exactly)
     through the vanishing-witness and floor rules.
     """
-    if r <= 0:
-        raise PreconditionError("property (R) radius must be positive")
+    if not 0 < r < math.inf:
+        raise PreconditionError(f"property (R) radius must be positive and finite, got {r}")
     if samples_per_circle < 64:
         raise PreconditionError("samples_per_circle must be >= 64")
     rule = rule or GrowthRule()

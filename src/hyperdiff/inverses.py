@@ -64,11 +64,6 @@ def exp_inverse(op: PolynomialOperator, w) -> ExponentialCombo:
 # -- polynomial route ----------------------------------------------------------
 
 
-def shifted_coeffs(op: PolynomialOperator) -> Tuple[Scalar, ...]:
-    """a_j = c_{j+m} for j = 0..d-m; a_0 is nonzero by the valence invariant."""
-    return tuple(op.coeffs)
-
-
 def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
     """Unique solution b_0..b_k by back-substitution from s = k downward.
 
@@ -318,7 +313,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     """
     if k < 0:
         raise PreconditionError("k must be >= 0")
-    a = shifted_coeffs(op)
+    a = tuple(op.coeffs)  # a_j = c_{j+m}; a_0 is nonzero by the valence invariant
     b = solve_monic_system(a, k)
     m = op.valence
     pairs = []
@@ -379,7 +374,7 @@ def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitud
     if op_exact:
         inv = build_f_nk(seq.op(n), k, verify=False)
         return inv.f.majorant_norm(r)
-    a = [to_complex(c) for c in shifted_coeffs(seq.op(n))]
+    a = [to_complex(c) for c in seq.op(n).coeffs]
     b_tilde, log_a0 = solve_ratio_normalized(a, k)
     terms = []
     for s, bt in enumerate(b_tilde):

@@ -21,8 +21,8 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
-from .scalars import LN2, LogMagnitude, log_lt
-from .series import TaylorPolynomial, apply_operator, majorant_norm
+from .scalars import LN2, LogMagnitude, fmt_log, log_lt
+from .series import TaylorPolynomial, apply_operator
 
 
 @dataclass(frozen=True)
@@ -84,18 +84,7 @@ class LacunaryBasis:
 
     @classmethod
     def build(cls, seq: OperatorSequence, indices: Sequence[int], *, strict: bool = True) -> "LacunaryBasis":
-        entries = []
-        for k, n in enumerate(indices, start=1):
-            entries.append(
-                BasisEntry(
-                    k=k,
-                    n=n,
-                    valence=seq.valence(n),
-                    degree=seq.degree(n),
-                    log_a=seq.coeff_abs_log_sum(n).log,
-                )
-            )
-        return cls(seq, entries, strict=strict)
+        return cls(seq, [_entry(seq, k, n) for k, n in enumerate(indices, start=1)], strict=strict)
 
     @property
     def indices(self) -> Tuple[int, ...]:
@@ -277,7 +266,7 @@ def decay_report(
                 if a is not None and i >= k
             ]
             tail = TaylorPolynomial.from_pairs(tail_pairs)
-            measured = majorant_norm(apply_operator(op, tail), r)
+            measured = apply_operator(op, tail).majorant_norm(r)
         else:
             items = basis.seq.coeff_log_items(entry.n)
             terms = []
@@ -356,8 +345,4 @@ def write_basis_csv(basis: LacunaryBasis, out: TextIO) -> None:
 def write_decay_csv(report: DecayReport, out: TextIO) -> None:
     out.write("k,measured_log,bound_log\n")
     for row in report.rows:
-        out.write(f"{row.k},{_fmt(row.measured)},{_fmt(row.bound)}\n")
-
-
-def _fmt(mag: LogMagnitude) -> str:
-    return "-inf" if mag.is_zero else repr(mag.log)
+        out.write(f"{row.k},{fmt_log(row.measured)},{fmt_log(row.bound)}\n")

@@ -11,8 +11,12 @@ for growth/decay sweeps. Nonnegative sizes that would overflow any native type
 from __future__ import annotations
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Union
+
+from .errors import PreconditionError
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -194,9 +198,10 @@ def is_exact(value) -> bool:
 
 
 def to_complex(value) -> complex:
-    if isinstance(value, QComplex):
+    try:
         return complex(value)
-    return complex(value)
+    except OverflowError as exc:
+        raise PreconditionError("an exact value beyond the double range entered the floating regime") from exc
 
 
 def scale_by_int(value: Scalar, factor: int) -> Scalar:
@@ -375,6 +380,12 @@ class LogMagnitude:
         return "LogMagnitude(zero)" if self.is_zero else f"LogMagnitude(log={self.log!r})"
 
 
+def fmt_log(value: Union[float, "LogMagnitude"]) -> str:
+    """Text form of a log-domain value: "-inf" for an exact zero, else repr of the log."""
+    log = value.log if isinstance(value, LogMagnitude) else value
+    return "-inf" if log == NEG_INF else repr(log)
+
+
 def _as_log(other) -> float:
     if isinstance(other, LogMagnitude):
         return other.log
@@ -386,13 +397,17 @@ def _as_log(other) -> float:
 # Coefficient files carry one `index,re,im` line per entry. Exact values use
 # rational notation (`p/q` or a bare integer); floating values use the shortest
 # round-tripping decimal produced by repr(). The two never mix in one file.
+# Integers of any length go through Decimal, which the interpreter's limit on
+# int/str conversion (4300 digits by default) does not apply to.
+
+_RATIONAL = re.compile(r"([+-]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 
 
 def format_real(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
+    if isinstance(value, (int, Fraction)):
+        value = Fraction(value)
+        num = str(Decimal(value.numerator))
+        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
     if not math.isfinite(value):
         raise ValueError(f"cannot serialize non-finite value {value!r}")
     return repr(float(value))
@@ -403,13 +418,15 @@ def parse_real(token: str):
     token = token.strip()
     if not token:
         raise ValueError("empty numeric token")
-    if "/" in token:
-        return Fraction(token)
-    if any(ch in token for ch in ".eE"):
-        if token.lstrip("+-").replace(".", "").replace("e", "").replace("E", "") == "":
-            raise ValueError(f"bad numeric token {token!r}")
-        return float(token)
-    return Fraction(int(token))
+    rational = _RATIONAL.fullmatch(token)
+    if rational:
+        num, den = rational.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    if "/" in token or not any(ch in token for ch in ".eE"):
+        raise ValueError(f"bad numeric token {token!r}")
+    if token.lstrip("+-").replace(".", "").replace("e", "").replace("E", "") == "":
+        raise ValueError(f"bad numeric token {token!r}")
+    return float(token)
 
 
 def format_scalar(value: Scalar) -> str:

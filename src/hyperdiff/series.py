@@ -423,10 +423,6 @@ def _truthy(value) -> bool:
 # -- operations ---------------------------------------------------------------
 
 
-def differentiate(f: TaylorPolynomial, order: int) -> TaylorPolynomial:
-    return f.differentiate(order)
-
-
 def apply_operator(op: PolynomialOperator, f: TaylorPolynomial) -> TaylorPolynomial:
     """P(D) f = sum(c_j f^(j)), linear in f, exact in the exact regime."""
     if op.exact and not f.exact:
@@ -437,19 +433,6 @@ def apply_operator(op: PolynomialOperator, f: TaylorPolynomial) -> TaylorPolynom
     for j, c in op.terms():
         result = result + f.differentiate(j).scale(c)
     return result
-
-
-def apply_to_exponential(op: PolynomialOperator, w: CoeffLike) -> Scalar:
-    """Eigenvalue P(w) of P(D) acting on e_w."""
-    return op.value_at(w)
-
-
-def evaluate(f: TaylorPolynomial, z: CoeffLike) -> Scalar:
-    return f.evaluate(z)
-
-
-def majorant_norm(f: TaylorPolynomial, r: float) -> LogMagnitude:
-    return f.majorant_norm(r)
 
 
 def exp_truncate(w: CoeffLike, n: int, r: float) -> Tuple[TaylorPolynomial, LogMagnitude]:

@@ -34,8 +34,8 @@ from typing import Iterable, List, Optional, Sequence, TextIO, Tuple, Union
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
-from .scalars import LN2, LogMagnitude, QComplex, format_scalar, is_exact, to_complex
-from .series import TaylorPolynomial, apply_operator, majorant_norm
+from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar
+from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 EpsLike = Union[Fraction, float]
 
@@ -241,7 +241,7 @@ def _build_schedule(
             cross_logs: List[float] = []
             ok = True
             for prior in steps:
-                c = majorant_norm(apply_operator(seq.op(prior.n), h), prior.radius)
+                c = apply_operator(seq.op(prior.n), h).majorant_norm(prior.radius)
                 if not c.log < e_log:
                     ok = False
                     break
@@ -288,6 +288,11 @@ def _trace_vector(seq: OperatorSequence, steps: Sequence[SynthesisStep], trace_i
     return vec
 
 
+def _residual(op: PolynomialOperator, x: TaylorPolynomial, y: TaylorPolynomial, r: float) -> LogMagnitude:
+    """||P(D) x - y|| on |z| <= r: the orbit residual every certificate rests on."""
+    return (apply_operator(op, x) - y).majorant_norm(r)
+
+
 def _residual_table(
     seq: OperatorSequence,
     steps: Sequence[SynthesisStep],
@@ -298,9 +303,7 @@ def _residual_table(
     own = [s for s in steps if s.trace == trace_id]
     records = []
     for pos, step in enumerate(own, start=1):
-        image = apply_operator(seq.op(step.n), vector)
-        target = step.target if vector.exact == step.target.exact else step.target.to_float()
-        residual = majorant_norm(image - target, step.radius) if not (image - target).is_zero else LogMagnitude.zero()
+        residual = _residual(seq.op(step.n), vector, step.target, step.radius)
         tail = sum((s.eps for s in own[pos:]), Fraction(0))
         budget_log = (
             math.log(tail.numerator) - math.log(tail.denominator) if tail else -math.inf
@@ -383,10 +386,7 @@ def perturb(trace: SynthesisTrace, g: TaylorPolynomial) -> PerturbReport:
     combined = trace.vector + g
     rows = []
     for step, base in zip(trace.steps, trace.residuals):
-        image = apply_operator(seq.op(step.n), combined)
-        target = step.target if combined.exact == step.target.exact else step.target.to_float()
-        diff = image - target
-        residual = majorant_norm(diff, step.radius) if not diff.is_zero else LogMagnitude.zero()
+        residual = _residual(seq.op(step.n), combined, step.target, step.radius)
         annihilated = seq.valence(step.n) > g.degree
         equal = residual.log == base.residual.log
         if annihilated and not equal:
@@ -412,7 +412,6 @@ def perturb(trace: SynthesisTrace, g: TaylorPolynomial) -> PerturbReport:
 @dataclass(frozen=True)
 class AugmentRow:
     lam: Fraction
-    target_index: int
     step_index: int
     n: int
     radius: float
@@ -471,16 +470,11 @@ def augment(
         y = step.target
         op = seq.op(step.n)
         v_res = second.residuals[pos - 1].residual
-        base_image = apply_operator(op, x0)
-        base_orbit = majorant_norm(base_image, step.radius) if not base_image.is_zero else LogMagnitude.zero()
+        base_orbit = apply_operator(op, x0).majorant_norm(step.radius)
         stated_log = (2 - pos) * LN2
         for lam in lambda_set:
             lam = Fraction(lam)
-            combined = second.vector + x0.scale(QComplex(lam) if x0.exact else complex(lam))
-            image = apply_operator(op, combined)
-            target = y if combined.exact == y.exact else y.to_float()
-            diff = image - target
-            direct = majorant_norm(diff, step.radius) if not diff.is_zero else LogMagnitude.zero()
+            direct = _residual(op, second.vector + x0.scale(lam), y, step.radius)
             bound = v_res + LogMagnitude.of(lam) * base_orbit
             ok = (
                 (direct.is_zero or direct.log <= bound.log + 1e-9)
@@ -494,7 +488,6 @@ def augment(
             rows.append(
                 AugmentRow(
                     lam=lam,
-                    target_index=pos,
                     step_index=pos,
                     n=step.n,
                     radius=step.radius,
@@ -596,14 +589,8 @@ def joint_family(
         for tid, coeff in enumerate(combo):
             if not coeff:
                 continue
-            scaled = traces[tid].vector.scale(
-                QComplex(coeff) if traces[tid].vector.exact else complex(coeff)
-            )
-            combined = combined + scaled
-        image = apply_operator(seq.op(step.n), combined)
-        target = y if combined.exact == y.exact else y.to_float()
-        diff = image - target
-        direct = majorant_norm(diff, step.radius) if not diff.is_zero else LogMagnitude.zero()
+            combined = combined + traces[tid].vector.scale(coeff)
+        direct = _residual(seq.op(step.n), combined, y, step.radius)
         abs_sum = sum(abs(c) for c in combo)
         tolerance_log = (
             math.log(abs_sum.numerator) - math.log(abs_sum.denominator) - global_step * LN2
@@ -697,9 +684,7 @@ def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:
 def write_residual_csv(trace: SynthesisTrace, out: TextIO) -> None:
     out.write("i,n_i,radius,residual_log,budget_log,certificate_log,certified\n")
     for rec in trace.residuals:
-        res = "-inf" if rec.residual.is_zero else repr(rec.residual.log)
-        bud = "-inf" if math.isinf(rec.budget_log) else repr(rec.budget_log)
         out.write(
-            f"{rec.index},{rec.n},{rec.radius},{res},{bud},"
+            f"{rec.index},{rec.n},{rec.radius},{fmt_log(rec.residual)},{fmt_log(rec.budget_log)},"
             f"{repr(rec.certificate_log)},{rec.certified}\n"
         )

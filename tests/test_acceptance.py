@@ -29,7 +29,6 @@ from hyperdiff.series import (
     apply_operator,
     eigen_defect_bound,
     exp_truncate,
-    majorant_norm,
 )
 from hyperdiff.synthesis import augment, enumerate_targets, perturb, synthesize
 
@@ -123,7 +122,7 @@ def test_criterion_05_eigenrelation():
             trunc, _ = exp_truncate(w, 80, 1.0)
             image = apply_operator(op, trunc)
             scaled = trunc.scale(op.value_at(w))
-            distance = majorant_norm(image - scaled, 1.0)
+            distance = (image - scaled).majorant_norm(1.0)
             bound = eigen_defect_bound(op, w, 80, 1.0)
             assert distance.log <= bound.log + 1e-9, (n, w)
             assert bound.value() < 1e-6, (n, w)
@@ -182,7 +181,7 @@ def test_criterion_08_synthesis_certificate():
     for rec, step in zip(trace.residuals, trace.steps):
         image = apply_operator(seq.op(step.n), trace.vector)
         diff = image - step.target
-        direct = majorant_norm(diff, step.radius) if not diff.is_zero else LogMagnitude.zero()
+        direct = diff.majorant_norm(step.radius) if not diff.is_zero else LogMagnitude.zero()
         limit = (1 - rec.index) * LN2
         assert direct.is_zero or direct.log <= limit + 1e-9, rec.index
     rep = perturb(trace, TaylorPolynomial.monomial(3))

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from hyperdiff.cli import main, read_operator_table
+from hyperdiff.cli import COMMANDS, main, read_operator_table
 from hyperdiff.scalars import QComplex
 from hyperdiff.series import (
     PolynomialOperator,
@@ -53,6 +57,15 @@ class TestExitCodes:
         rc = run("build-m0", "--family", "F4", "--decay-base", "0", "--out", str(tmp_path))
         assert rc == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    def test_inverted_index_range_is_precondition_error(self, tmp_path, capsys):
+        rc = run(
+            "verify-criterion", "--family", "F4", "--route", "Q", "--n-min", "10", "--n-max", "5",
+            "--out", str(tmp_path),
+        )
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("PreconditionError:") and "Traceback" not in err
 
     def test_cap_exhaustion(self, tmp_path):
         rc = run(
@@ -289,3 +302,101 @@ class TestErrorCodes:
         )
         assert rc == 0
         assert "floating" in capsys.readouterr().out
+
+
+# -- fuzzing the command boundary ----------------------------------------------------
+
+# malformed, non-finite and beyond-double-range literals
+_MALFORMED = st.sampled_from(["", "x", "1/0", "1.2.3", "2,,3", "-", "nan", "inf", "1e400"])
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+def _pick(*values):
+    return st.sampled_from(values)
+
+
+# small values per key, including zero/negative sizes and inverted index ranges;
+# any value may also be replaced by one of the literals above
+_VALUES = {
+    "family": _pick("F1", "F2", "F3", "F4", "F5", "f4", "F9"),
+    "c": _pick("2", "-1/3", "0"),
+    "decay": _pick("pow2cubic", "fast"),
+    "c_mode": _pick("paper", "unit", "other"),
+    "log_base": _pick("e", "2", "1", "0", "-3"),
+    "table": _pick("TABLE", "missing.coeffs"),
+    "props": _pick("P", "Q", "R", "PQR", "", "z"),
+    "n_min": _ints(-2, 12),
+    "n_max": _ints(-2, 24),
+    "r": _pick("-1", "0", "0.5", "2", "3.5"),
+    "samples": _pick("-1", "0", "63", "64", "100"),
+    "k_max": _ints(-1, 3),
+    "u_samples": _pick("-2,-3", "-2", "0,1/2", "1+2i", "-5/2,-3"),
+    "threshold_log": _pick("-5", "0", "1.5", "20"),
+    "q_threshold_log": _pick("-5", "0", "1"),
+    "points": _pick("sqrt", "linear", "pow2", "file:missing.txt", "cube"),
+    "r_max": _pick("-1", "5", "100", "1e4"),
+    "margin": _pick("-1", "0.1", "2"),
+    "count": _ints(-1, 4),
+    "n_start": _ints(-1, 6),
+    "n_cap": _ints(-1, 60),
+    "decay_base": _ints(-1, 5),
+    "n": _ints(-1, 12),
+    "k": _ints(-1, 6),
+    "mode": _pick("auto", "exact", "float", "fast"),
+    "route": _pick("P", "Q", "q", "R"),
+    "basis_size": _ints(-1, 3),
+    "trunc": _ints(-1, 20),
+    "degrees": _pick("0,1,2", "-1,3", "5"),
+    "seed": _ints(-2, 3),
+    "targets": _pick("diagonal", "polys:1;0,1", "polys:", "spiral", "1;0,1", "1"),
+    "zero_recurrent": _pick("true", "0", "maybe"),
+    "g": _pick("0,0,0,1", "0", "1,2"),
+    "base_count": _ints(-1, 6),
+    "extra": _pick("1;0,1", "1", "0"),
+    "lambdas": _pick("-1,1,2", "0", "1/2"),
+    "traces": _ints(-1, 3),
+    "combos": _pick("1,0;0,1;1,1", "0,0", "1", "1,2,3"),
+}
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    values = {}
+    for key in COMMANDS[command]:
+        # family and n_cap are always set: the default cap of 10**6 candidates is
+        # a long search by design, not a small config
+        if key.name == "out" or (key.name not in ("family", "n_cap") and draw(st.booleans())):
+            continue
+        # mostly well-formed values, so that runs get past parsing into the commands
+        values[key.name] = draw(_MALFORMED if draw(st.integers(0, 7)) == 0 else _VALUES[key.name])
+    return command, values
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cli_case())
+@example(("verify-criterion", {"family": "F4", "route": "Q", "n_min": "10", "n_max": "5"}))
+@example(("verify-criterion", {"family": "F4", "route": "P", "n_max": "20", "trunc": "-1"}))
+@example(("check-properties", {"family": "F1", "n_max": "20", "r": "nan"}))
+@example(("augment", {"family": "F2", "base_count": "4", "extra": "1e400", "n_cap": "40"}))
+def test_fuzzed_configs_exit_with_a_typed_code(case):
+    """Small random configs for every command end in exit code 0, 2, 3, 4 or 5, never a traceback."""
+    command, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        table = Path(tmp) / "table.coeffs"
+        with open(table, "w") as handle:
+            for n in range(1, 25):
+                write_operator(PolynomialOperator({n: QComplex(1), n + 1: QComplex(Fraction(1, n))}), handle)
+        argv = [command, f"--out={tmp}/out"]
+        argv += [f"--{k.replace('_', '-')}={str(table) if v == 'TABLE' else v}" for k, v in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse rejections
+                rc = exc.code
+    assert rc in (0, 2, 3, 4, 5), (argv, rc)
+    assert "Traceback" not in err.getvalue()

@@ -7,7 +7,7 @@ import pytest
 from hyperdiff.errors import CapExhausted, PreconditionError
 from hyperdiff.families import make_family
 from hyperdiff.scalars import LN2, QComplex
-from hyperdiff.series import TaylorPolynomial, apply_operator, majorant_norm
+from hyperdiff.series import TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
     augment,
     enumerate_targets,
@@ -73,7 +73,7 @@ class TestSynthesize:
             # independent recomputation through the operator action
             image = apply_operator(seq.op(step.n), trace.vector)
             direct = image - step.target
-            measured = majorant_norm(direct, step.radius) if not direct.is_zero else None
+            measured = direct.majorant_norm(step.radius) if not direct.is_zero else None
             if measured is None:
                 assert rec.residual.is_zero
             else:
@@ -246,9 +246,7 @@ class TestAugmentZeroTarget:
         assert row.ok
         if v_res.is_zero:
             # single-step second trace: bound equals the base orbit alone
-            from hyperdiff.series import apply_operator, majorant_norm
+            from hyperdiff.series import apply_operator
 
-            orbit = majorant_norm(
-                apply_operator(seq.op(row.n), base.vector), row.radius
-            )
+            orbit = apply_operator(seq.op(row.n), base.vector).majorant_norm(row.radius)
             assert row.bound.log == orbit.log
