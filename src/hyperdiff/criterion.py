@@ -160,7 +160,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
                 if not ok:
                     verdict = "refutes"
     return HypothesisEvidence(
-        verdict=verdict,
+        verdict=verdict if rows else "inconclusive",
         rows=rows,
         notes={"exact": exact_everywhere},
     )
@@ -196,7 +196,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             )
             if not ok:
                 verdict = "refutes"
-    return HypothesisEvidence(verdict=verdict, rows=rows)
+    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows)
 
 
 def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:

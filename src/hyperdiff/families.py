@@ -547,11 +547,11 @@ def write_evidence_csv(report: EvidenceReport, out: TextIO) -> None:
 
 
 def combine(verdicts: Iterable[str]) -> str:
-    """refutes if any verdict refutes, supports if all support, else inconclusive."""
+    """refutes if any verdict refutes, supports if there is one and all support, else inconclusive."""
     seen = set(verdicts)
     if "refutes" in seen:
         return "refutes"
-    return "supports" if seen <= {"supports"} else "inconclusive"
+    return "supports" if seen == {"supports"} else "inconclusive"
 
 
 def _sweep(rule: GrowthRule, ns: List[int], refuting: Mapping, supporting: Mapping, gate=True):

@@ -97,7 +97,7 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
             a_js = coeff(j - s)
             if not _nonzero(a_js):
                 continue
-            acc = acc + a_js * b[j] * (math.factorial(j) // math.factorial(s))
+            acc = acc + a_js * b[j] * falling_factorial(j, j - s)
         b[s] = -(inv_a0 * acc)
     return tuple(b)
 

@@ -49,28 +49,9 @@ def log_fraction(fr: Fraction) -> float:
     return math.log(fr.numerator) - math.log(fr.denominator)
 
 
-def _range_product(lo: int, hi: int) -> int:
-    """Product of the integers lo..hi inclusive, by balanced splitting."""
-    if hi - lo < 32:
-        out = lo
-        for v in range(lo + 1, hi + 1):
-            out *= v
-        return out
-    mid = (lo + hi) // 2
-    return _range_product(lo, mid) * _range_product(mid + 1, hi)
-
-
 def falling_factorial(m: int, s: int) -> int:
-    """Exact m·(m-1)···(m-s+1); balanced products keep long runs cheap."""
-    if s < 0 or m < 0:
-        raise ValueError("falling_factorial needs nonnegative arguments")
-    if s > m:
-        return 0
-    if s == 0:
-        return 1
-    if s <= 64:
-        return math.perm(m, s)
-    return _range_product(m - s + 1, m)
+    """Exact m·(m-1)···(m-s+1), 0 when s > m; ValueError on a negative argument."""
+    return math.perm(m, s)
 
 
 def log_falling_factorial(m: int, s: int) -> float:
@@ -86,7 +67,9 @@ class QComplex:
     """Complex number with exact rational real and imaginary parts.
 
     Arithmetic stays exact; mixing with floats is rejected so the exact and
-    floating regimes cannot silently contaminate each other.
+    floating regimes cannot silently contaminate each other. When both operands
+    of +, -, * or / are real (zero imaginary part), the result comes from a
+    single ``Fraction`` operation on the real parts.
     """
 
     __slots__ = ("re", "im")
@@ -118,12 +101,16 @@ class QComplex:
 
     def __add__(self, other):
         other = QComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re + other.re)
         return QComplex(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = QComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re - other.re)
         return QComplex(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
@@ -134,8 +121,12 @@ class QComplex:
 
     def __mul__(self, other):
         if isinstance(other, int):
+            if not self.im:
+                return _real(self.re * other)
             return QComplex(self.re * other, self.im * other)
         other = QComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re * other.re)
         return QComplex(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -145,6 +136,8 @@ class QComplex:
 
     def __truediv__(self, other):
         other = QComplex.coerce(other)
+        if not (self.im or other.im):
+            return _real(self.re / other.re)  # Fraction raises ZeroDivisionError on 0
         den = other.re * other.re + other.im * other.im
         if not den:
             raise ZeroDivisionError("division by zero QComplex")
@@ -185,6 +178,16 @@ class QComplex:
         if not self.im:
             return str(self.re)
         return f"{self.re}{'+' if self.im >= 0 else ''}{self.im}i"
+
+
+_F0 = Fraction(0)
+
+
+def _real(re: Fraction) -> QComplex:
+    """QComplex(re) for a Fraction, sharing one zero imaginary part and skipping coercion."""
+    out = object.__new__(QComplex)
+    out.re, out.im = re, _F0
+    return out
 
 
 QC_ZERO = QComplex(0, 0)

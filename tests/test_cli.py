@@ -246,6 +246,18 @@ class TestCommands:
         assert "overall: supports" in capsys.readouterr().out
         assert (out / "criterion.jsonl").exists()
 
+    @pytest.mark.parametrize("flag, empty", [("--k-max=-1", ("ii", "iii")), ("--degrees=", ("i",))])
+    def test_verify_criterion_empty_evidence_is_inconclusive(self, tmp_path, capsys, flag, empty):
+        rc = run(
+            "verify-criterion", "--family", "F4", "--route", "Q", "--n-max", "30", flag,
+            "--out", str(tmp_path / "c"),
+        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        for hyp in empty:
+            assert f"hypothesis ({hyp}): inconclusive" in out
+        assert "overall: inconclusive" in out
+
     def test_verify_criterion_p_route_keeps_duplicate_samples(self, tmp_path, capsys):
         out = tmp_path / "p"
         rc = run(

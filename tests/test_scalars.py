@@ -54,6 +54,62 @@ class TestQComplex:
         assert QComplex(Fraction(3, 5), Fraction(4, 5)).abs_squared() == 1
 
 
+# Real-only, complex, zero and negative parts, with heights up to 2**200.
+huge = st.integers(min_value=-(2**200), max_value=2**200)
+parts = st.one_of(
+    st.just(Fraction(0)),
+    rationals,
+    st.builds(Fraction, huge, st.integers(min_value=1, max_value=2**200)),
+)
+operands = st.one_of(st.builds(QComplex, parts), st.builds(QComplex, parts, parts))
+
+
+def _ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+class TestQComplexAgainstPartFormulas:
+    """Every operator, real fast path or not, against the general (re, im) formulas."""
+
+    @staticmethod
+    def _check(got, want):
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert (got.re, got.im) == want
+        if not want[1]:
+            assert got == QComplex(want[0]) and hash(got) == hash(QComplex(want[0]))
+
+    @given(operands, operands)
+    def test_binary_operators(self, x, y):
+        (a, b), (c, d) = (x.re, x.im), (y.re, y.im)
+        self._check(x + y, (a + c, b + d))
+        self._check(x - y, (a - c, b - d))
+        self._check(x * y, _ref_mul((a, b), (c, d)))
+        den = c * c + d * d
+        if den:
+            self._check(x / y, ((a * c + b * d) / den, (b * c - a * d) / den))
+
+    @given(operands, huge)
+    def test_int_operands(self, x, n):
+        self._check(x * n, (x.re * n, x.im * n))
+        self._check(n * x, (x.re * n, x.im * n))
+        self._check(x + n, (x.re + n, x.im))
+        self._check(n - x, (n - x.re, -x.im))
+
+    @given(operands, st.integers(min_value=0, max_value=5))
+    def test_pow(self, x, e):
+        want = (Fraction(1), Fraction(0))
+        for _ in range(e):
+            want = _ref_mul(want, (x.re, x.im))
+        self._check(x**e, want)
+
+    @pytest.mark.parametrize("num", [QComplex(3), QComplex(0), QComplex(1, 1)])
+    def test_division_by_real_zero_raises(self, num):
+        for zero in (QComplex(0), 0, Fraction(0)):
+            with pytest.raises(ZeroDivisionError):
+                num / zero
+
+
 class TestLogMagnitude:
     def test_zero_identity(self):
         z = LogMagnitude.zero()
@@ -91,6 +147,21 @@ class TestFallingFactorial:
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
     def test_matches_perm(self, m, s):
         assert falling_factorial(m, s) == (math.perm(m, s) if s <= m else 0)
+
+    @given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=300))
+    def test_matches_plain_product(self, m, s):
+        want = 1
+        for v in range(m - s + 1, m + 1):
+            want *= v
+        assert falling_factorial(m, s) == want  # the range holds 0 when s > m
+
+    def test_edge_cases(self):
+        assert falling_factorial(3, 4) == 0
+        assert falling_factorial(0, 1) == 0
+        assert falling_factorial(0, 0) == falling_factorial(7, 0) == 1
+        for m, s in [(-1, 0), (-3, 2), (3, -1)]:
+            with pytest.raises(ValueError):
+                falling_factorial(m, s)
 
     def test_large_run_equals_factorial_ratio(self):
         assert falling_factorial(5000, 3000) == math.factorial(5000) // math.factorial(2000)
