@@ -60,9 +60,13 @@ def positive_rational(n: int) -> Fraction:
 class OperatorSequence:
     """An indexed family n -> P_n with metadata and log-domain escorts.
 
-    ``coeff_log_items(n)`` yields (exponent, LogMagnitude) pairs for |c_{j,n}|
+    ``coeff_log_items(n)`` lists (exponent, LogMagnitude) pairs for |c_{j,n}|
     without materializing the operator, so sweeps stay overflow/underflow free
-    even where the coefficients leave the double range.
+    even where the coefficients leave the double range. A family's
+    ``coeff_items_fn`` may be lazy (F3 yields its items in exponent order), so
+    ``log_coeff`` reads only up to the exponent it asks for.
+    ``nondecreasing_valence`` declares n -> m(n) monotone, which lets
+    ``select_indices`` gallop instead of scanning every index.
     """
 
     def __init__(
@@ -73,17 +77,19 @@ class OperatorSequence:
         *,
         valence_fn: Optional[Callable[[int], int]] = None,
         degree_fn: Optional[Callable[[int], int]] = None,
-        coeff_items_fn: Optional[Callable[[int], List[Tuple[int, LogMagnitude]]]] = None,
+        coeff_items_fn: Optional[Callable[[int], Iterable[Tuple[int, LogMagnitude]]]] = None,
         coeff_abs_log_fn: Optional[Callable[[int], float]] = None,
         log_abs_fn: Optional[Callable[[int, complex], LogMagnitude]] = None,
         exact_abs_fn: Optional[Callable[[int, Fraction], LogMagnitude]] = None,
         exact: bool,
+        nondecreasing_valence: bool = False,
         max_n: Optional[int] = None,
         params: Optional[Mapping] = None,
     ):
         self.tag = tag
         self.label = label
         self.exact = exact
+        self.nondecreasing_valence = nondecreasing_valence
         self.max_n = max_n
         self.params = dict(params or {})
         self._build = build
@@ -129,14 +135,18 @@ class OperatorSequence:
         self._check_index(n)
         return self._degree_fn(n)
 
-    def coeff_log_items(self, n: int) -> List[Tuple[int, LogMagnitude]]:
+    def _log_items(self, n: int) -> Iterable[Tuple[int, LogMagnitude]]:
         self._check_index(n)
         if self._coeff_items_fn is not None:
             return self._coeff_items_fn(n)
-        return [(j, LogMagnitude.of(c)) for j, c in self.op(n).terms()]
+        return ((j, LogMagnitude.of(c)) for j, c in self.op(n).terms())
+
+    def coeff_log_items(self, n: int) -> List[Tuple[int, LogMagnitude]]:
+        return list(self._log_items(n))
 
     def log_coeff(self, n: int, j: int) -> LogMagnitude:
-        for jj, mag in self.coeff_log_items(n):
+        """log |c_{j,n}|, stopping at the first matching item."""
+        for jj, mag in self._log_items(n):
             if jj == j:
                 return mag
         return LogMagnitude.zero()
@@ -146,7 +156,7 @@ class OperatorSequence:
         self._check_index(n)
         if self._coeff_abs_log_fn is not None:
             return LogMagnitude(self._coeff_abs_log_fn(n))
-        return LogMagnitude.sum(mag for _, mag in self.coeff_log_items(n))
+        return LogMagnitude.sum(mag for _, mag in self._log_items(n))
 
     def log_abs_at(self, n: int, z) -> LogMagnitude:
         """|P_n(z)| as a LogMagnitude, using the family's closed form if any.
@@ -218,6 +228,7 @@ def _f1() -> OperatorSequence:
         log_abs_fn=log_abs,
         exact_abs_fn=exact_abs,
         exact=True,
+        nondecreasing_valence=True,
     )
 
 
@@ -266,6 +277,7 @@ def _f2(params: Mapping) -> OperatorSequence:
             log_abs_fn=log_abs,
             exact_abs_fn=exact_abs,
             exact=True,
+            nondecreasing_valence=True,
             params={"c_mode": "unit"},
         )
 
@@ -301,6 +313,7 @@ def _f2(params: Mapping) -> OperatorSequence:
         coeff_abs_log_fn=lambda n: LN2 + log_c(n),
         log_abs_fn=log_abs,
         exact=False,
+        nondecreasing_valence=True,
         params={"c_mode": "paper", "log_base": base},
     )
 
@@ -327,14 +340,13 @@ def _f3() -> OperatorSequence:
         return LogMagnitude(n * (LogMagnitude.of(x).log + LogMagnitude.of(x - q).log))
 
     def items(n: int):
-        # |c_{n+i}| = C(n, i) q^(n-i), via lgamma so huge n stays cheap
+        # |c_{n+i}| = C(n, i) q^(n-i), via lgamma so huge n stays cheap; lazy,
+        # so log_coeff(n, n + i) computes i + 1 items, not n + 1
         log_q = LogMagnitude.of(positive_rational(n)).log
         lg_n = math.lgamma(n + 1)
-        out = []
         for i in range(n + 1):
             log_comb = lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-            out.append((n + i, LogMagnitude(log_comb + (n - i) * log_q)))
-        return out
+            yield n + i, LogMagnitude(log_comb + (n - i) * log_q)
 
     def abs_sum(n: int) -> float:
         # A = (1 + q_n)^n
@@ -351,6 +363,7 @@ def _f3() -> OperatorSequence:
         log_abs_fn=log_abs,
         exact_abs_fn=exact_abs,
         exact=True,
+        nondecreasing_valence=True,
     )
 
 
@@ -410,6 +423,7 @@ def _f4(params: Mapping) -> OperatorSequence:
         log_abs_fn=log_abs,
         exact_abs_fn=exact_abs,
         exact=True,
+        nondecreasing_valence=True,
         params=dict(params),
     )
 

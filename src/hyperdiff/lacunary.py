@@ -15,9 +15,10 @@ in (k, j) order, so callers may parallelize them.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
@@ -113,28 +114,42 @@ def select_indices(
     index is the least one whose valence exceeds the previous degree and whose
     valence m satisfies the recursion target  max(log A, 0) + d < m*log2/log m
     (strictly, with a relative guard band).
+
+    When the sequence declares nondecreasing valence (F1..F4), each least index
+    is found by galloping: probe last + 1, + 2, + 4, ... (clamped at ``n_cap``),
+    then bisect. Every conjunct of the test only turns from false to true as m
+    grows (m*log2/log m increases for m >= 3), so this picks exactly the index
+    the linear scan would. Other sequences (F5 tables) are scanned linearly.
     """
     if count < 2:
         raise PreconditionError("basis size must be >= 2")
     if n_start < 1:
         raise PreconditionError("n_start must be >= 1")
-    n = n_start
-    while n <= n_cap and seq.valence(n) < 3:
-        n += 1
-    if n > n_cap:
+
+    def least(lo: int, ok: Callable[[int], bool]) -> Optional[int]:
+        """Least n in [lo, n_cap] with ok(n), or None."""
+        if not seq.nondecreasing_valence:
+            return next((n for n in range(lo, n_cap + 1) if ok(n)), None)
+        bad, probe = lo - 1, min(lo, n_cap)  # ok fails at bad; probe lo, lo + 1, lo + 3, ...
+        while probe > bad and not ok(probe):
+            bad, probe = probe, min(2 * probe - lo + 1, n_cap)
+        if probe <= bad:
+            return None
+        return bad + 1 + bisect.bisect_left(range(bad + 1, probe), True, key=ok)
+
+    n = least(n_start, lambda n: seq.valence(n) >= 3)
+    if n is None:
         raise CapExhausted("no index with valence >= 3 below the cap", step=1)
     entries = [_entry(seq, 1, n)]
     while len(entries) < count:
         last = entries[-1]
         target = max(last.log_a, 0.0) + last.degree
-        n = last.n + 1
-        chosen: Optional[int] = None
-        while n <= n_cap:
+
+        def admissible(n: int) -> bool:
             m = seq.valence(n)
-            if m > last.degree and m >= 3 and log_lt(target, m * LN2 / math.log(m)):
-                chosen = n
-                break
-            n += 1
+            return m > last.degree and m >= 3 and log_lt(target, m * LN2 / math.log(m))
+
+        chosen = least(last.n + 1, admissible)
         if chosen is None:
             raise CapExhausted(
                 f"no admissible index <= {n_cap} at step {len(entries) + 1} "
@@ -268,25 +283,24 @@ def decay_report(
             tail = TaylorPolynomial.from_pairs(tail_pairs)
             measured = apply_operator(op, tail).majorant_norm(r)
         else:
-            items = basis.seq.coeff_log_items(entry.n)
-            terms = []
-            for i in range(k, len(exponents)):
-                a = coeffs[i]
-                if a is None:
-                    continue
-                m_j = exponents[i]
-                a_log = LogMagnitude.of(a).log
-                for s, c_mag in items:
-                    terms.append(
-                        LogMagnitude(
-                            a_log
-                            + c_mag.log
-                            + math.lgamma(m_j + 1)
-                            - math.lgamma(m_j - s + 1)
-                            + (m_j - s) * log_r
-                        )
-                    )
-            measured = LogMagnitude.sum(terms)
+            tail = [
+                (m_j, LogMagnitude.of(a).log)
+                for m_j, a in zip(exponents[k:], coeffs[k:])
+                if a is not None
+            ]
+            # an empty strict tail (always the last entry) needs no coefficients
+            items = basis.seq.coeff_log_items(entry.n) if tail else []
+            measured = LogMagnitude.sum(
+                LogMagnitude(
+                    a_log
+                    + c_mag.log
+                    + math.lgamma(m_j + 1)
+                    - math.lgamma(m_j - s + 1)
+                    + (m_j - s) * log_r
+                )
+                for m_j, a_log in tail
+                for s, c_mag in items
+            )
         # The j = k image is the single constant a_k * c_{m_k} * m_k!, because the
         # operator's valence equals this exponent; its support (degree 0) is
         # disjoint from the tail image (degrees >= m_{k+1} - d_k > 0), so the

@@ -149,6 +149,8 @@ class QComplex:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("QComplex powers take nonnegative integer exponents")
+        if not self.im:
+            return _real(self.re**exponent)
         result = QC_ONE
         base = self
         e = exponent

@@ -379,9 +379,11 @@ def _cli_case(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     values = {}
     for key in COMMANDS[command]:
-        # family and n_cap are always set: the default cap of 10**6 candidates is
-        # a long search by design, not a small config
-        if key.name == "out" or (key.name not in ("family", "n_cap") and draw(st.booleans())):
+        # family is always set, and so is n_cap for the greedy commands: their
+        # default cap of 10**6 candidates is a long linear search by design;
+        # build-m0's galloping index search ends quickly at the default cap
+        forced = ("family",) if command == "build-m0" else ("family", "n_cap")
+        if key.name == "out" or (key.name not in forced and draw(st.booleans())):
             continue
         # mostly well-formed values, so that runs get past parsing into the commands
         values[key.name] = draw(_MALFORMED if draw(st.integers(0, 7)) == 0 else _VALUES[key.name])
@@ -394,6 +396,9 @@ def _cli_case(draw):
 @example(("verify-criterion", {"family": "F4", "route": "P", "n_max": "20", "trunc": "-1"}))
 @example(("check-properties", {"family": "F1", "n_max": "20", "r": "nan"}))
 @example(("augment", {"family": "F2", "base_count": "4", "extra": "1e400", "n_cap": "40"}))
+@example(("build-m0", {"family": "F3", "count": "4"}))
+@example(("build-m0", {"family": "F1", "count": "4"}))
+@example(("build-m0", {"family": "F4", "decay": "pow2cubic", "count": "3"}))
 def test_fuzzed_configs_exit_with_a_typed_code(case):
     """Small random configs for every command end in exit code 0, 2, 3, 4 or 5, never a traceback."""
     command, values = case

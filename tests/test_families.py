@@ -17,6 +17,7 @@ from hyperdiff.families import (
     positive_rational,
     unicity_exponent,
 )
+from hyperdiff.lacunary import decay_report, m0_member, select_indices
 from hyperdiff.scalars import LN2, QComplex
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
@@ -111,6 +112,69 @@ class TestMakeFamily:
         assert seq.op(1) == ops[0]
         with pytest.raises(PreconditionError):
             seq.op(7)
+
+
+def _counting_items(seq):
+    """Wrap the family's item function; returns how many items each call yielded."""
+    inner, calls = seq._coeff_items_fn, []
+
+    def items(n):
+        calls.append(0)
+        for item in inner(n):
+            calls[-1] += 1
+            yield item
+
+    seq._coeff_items_fn = items
+    return calls
+
+
+class TestLazyEscorts:
+    def test_log_coeff_matches_item_list(self):
+        ops = [PolynomialOperator({n: QComplex(Fraction(1, n)), n + 2: QComplex(-3)}) for n in range(1, 30)]
+        fams = [
+            make_family("F1"),
+            make_family("F2"),
+            make_family("F2", {"c_mode": "unit"}),
+            make_family("F3"),
+            make_family("F4", {"c": "7/2"}),
+            make_family("F4", {"decay": "pow2cubic"}),
+            make_family("F5", {"ops": ops}),
+        ]
+        for seq in fams:
+            for n in (1, 2, 7, 19, 29):
+                listed = dict(seq.coeff_log_items(n))
+                for j in range(n - 1, 2 * n + 3):
+                    got = seq.log_coeff(n, j)
+                    if j in listed:
+                        assert got.log == listed[j].log, (seq, n, j)
+                    else:
+                        assert got.is_zero, (seq, n, j)
+
+    def test_f3_log_coeff_reads_only_up_to_its_exponent(self):
+        seq = make_family("F3")
+        calls = _counting_items(seq)
+        seq.log_coeff(80_917, 80_917)
+        seq.log_coeff(500, 503)
+        assert calls == [1, 4]
+        assert len(seq.coeff_log_items(40)) == 41 and calls[-1] == 41
+
+    def test_decay_report_reads_items_only_for_nonempty_tails(self):
+        seq = make_family("F3")
+        basis = select_indices(seq, 3)
+        (n1, m1), (n2, _), (_, m3) = [(e.n, e.valence) for e in basis.entries]
+        calls = _counting_items(seq)
+        half, quarter = QComplex(Fraction(1, 2)), QComplex(Fraction(1, 4))
+        cases = (
+            # member, item reads: one per diagonal term, n + 1 per non-empty strict tail
+            (m0_member(basis, [QComplex(1), half, quarter]), [1, 1, 1, n1 + 1, n2 + 1]),
+            (TaylorPolynomial.from_pairs([(m1, 1), (m3, 1)]), [1, 1, n1 + 1, n2 + 1]),
+            (m0_member(basis, [QComplex(1), half]), [1, 1, n1 + 1]),
+            (TaylorPolynomial.zero(), []),
+        )
+        for f, want in cases:
+            calls.clear()
+            decay_report(basis, f, 1.0, method="log")
+            assert sorted(calls) == want
 
 
 class TestPropertyP:

@@ -1,12 +1,15 @@
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from hyperdiff.cli import main
 from hyperdiff.errors import CapExhausted, InvariantViolation, PreconditionError
-from hyperdiff.families import make_family
+from hyperdiff.families import OperatorSequence, make_family
 from hyperdiff.lacunary import (
     LacunaryBasis,
     decay_report,
@@ -70,6 +73,102 @@ class TestSelectIndices:
         seq = make_family("F4")
         basis = select_indices(seq, 2, n_start=1)
         assert basis.entries[0].valence >= 3
+
+
+def linear_select(seq, count, n_start, n_cap):
+    """Reference: the linear scan, testing every index in turn.
+
+    Returns ("ok", indices) or ("cap", step, condition, message).
+    """
+    n = n_start
+    while n <= n_cap and seq.valence(n) < 3:
+        n += 1
+    if n > n_cap:
+        return ("cap", 1, None, "no index with valence >= 3 below the cap")
+    chosen = [n]
+    while len(chosen) < count:
+        degree = seq.degree(chosen[-1])
+        target = max(seq.coeff_abs_log_sum(chosen[-1]).log, 0.0) + degree
+        n = chosen[-1] + 1
+        while n <= n_cap:
+            m = seq.valence(n)
+            if m > degree and m >= 3 and log_lt(target, m * LN2 / math.log(m)):
+                break
+            n += 1
+        else:
+            step = len(chosen) + 1
+            return ("cap", step, "recursion",
+                    f"no admissible index <= {n_cap} at step {step} (recursion target "
+                    f"{target:.6g}); this bounds the sweep, it does not refute")
+        chosen.append(n)
+    return ("ok", tuple(chosen))
+
+
+def _galloped(seq, count, n_start, n_cap):
+    try:
+        return ("ok", select_indices(seq, count, n_start=n_start, n_cap=n_cap).indices)
+    except CapExhausted as exc:
+        return ("cap", exc.step, exc.condition, str(exc))
+
+
+_MONOTONE_FAMILIES = (
+    ("F1", None),
+    ("F2", None),
+    ("F2", {"c_mode": "unit"}),
+    ("F3", None),
+    ("F4", {"c": "7/2"}),
+    ("F4", {"c": "1/9"}),
+    ("F4", {"decay": "pow2cubic"}),
+)
+
+
+class TestGalloping:
+    """Galloping on nondecreasing valence picks exactly what the linear scan picks."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(_MONOTONE_FAMILIES),
+        st.integers(2, 5),
+        st.integers(1, 40),
+        # caps spread evenly in log scale over [10, 120000]
+        st.floats(1.0, math.log10(120_000)).map(lambda e: min(int(10**e), 120_000)),
+    )
+    @example(("F4", {"c": "7/2"}), 5, 1, 120_000)
+    @example(("F3", None), 4, 1, 80_917)
+    @example(("F3", None), 4, 1, 80_916)
+    @example(("F1", None), 2, 11, 11)
+    def test_matches_linear_scan(self, family, count, n_start, n_cap):
+        seq = make_family(*family)
+        assert seq.nondecreasing_valence
+        assert _galloped(seq, count, n_start, n_cap) == linear_select(seq, count, n_start, n_cap)
+
+    def test_non_monotone_table_gets_least_admissible_index(self):
+        # valences 3, 4 x4, 40, 4 x10, then 50: only n = 6 and n >= 17 are
+        # admissible after n = 1, and probing 2, 3, 5, 9, 17 would step over 6
+        valences = [3] + [4] * 4 + [40] + [4] * 10 + [50] * 10
+        ops = [PolynomialOperator({m: QComplex(1)}) for m in valences]
+        seq = make_family("F5", {"ops": ops})
+        assert not seq.nondecreasing_valence
+        assert select_indices(seq, 2, n_cap=len(ops)).indices == (1, 6)
+        assert linear_select(seq, 2, 1, len(ops)) == ("ok", (1, 6))
+        # the same table declared monotone gallops past n = 6: the flag matters
+        declared = OperatorSequence("F5", "declared", lambda n: ops[n - 1], exact=True,
+                                    nondecreasing_valence=True, max_n=len(ops))
+        assert select_indices(declared, 2, n_cap=len(ops)).indices != (1, 6)
+
+    def test_default_cap_exhaustion_via_cli(self, tmp_path, capsys):
+        rc = main(["build-m0", "--family", "F4", "--count", "7", "--n-start", "3",
+                   "--out", str(tmp_path)])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "CapExhausted: no admissible index <= 1000000 at step 7 (recursion target "
+            "114492); this bounds the sweep, it does not refute\n"
+        )
+
+    def test_recursion_rhs_strictly_increases_in_floats(self):
+        # m*log2/log m for m in [3, 2*10**6]: the float values never tie or fall
+        values = (m * LN2 / math.log(m) for m in range(3, 2 * 10**6 + 1))
+        assert all(a < b for a, b in itertools.pairwise(values))
 
 
 class TestVerifyIneq:

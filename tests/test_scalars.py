@@ -103,6 +103,14 @@ class TestQComplexAgainstPartFormulas:
             want = _ref_mul(want, (x.re, x.im))
         self._check(x**e, want)
 
+    @given(parts, st.sampled_from([0, 1, 1000]))
+    def test_real_base_pow(self, a, e):
+        got = QComplex(a) ** e
+        assert type(got.re) is Fraction and type(got.im) is Fraction and got.im == 0
+        # a is in lowest terms, so its powered parts are too
+        assert (got.re.numerator, got.re.denominator) == (a.numerator**e, a.denominator**e)
+        assert got == QComplex(got.re) and hash(got) == hash(QComplex(got.re))
+
     @pytest.mark.parametrize("num", [QComplex(3), QComplex(0), QComplex(1, 1)])
     def test_division_by_real_zero_raises(self, num):
         for zero in (QComplex(0), 0, Fraction(0)):
