@@ -28,11 +28,11 @@ from .families import (
     positive_rational,
     unicity_exponent,
 )
-from .criterion import CriterionConfig, CriterionReport, check_annihilation, verify_hypotheses
+from .criterion import CriterionConfig, CriterionReport, verify_hypotheses
 from .inverses import (
     RightInverse,
     build_f_nk,
-    cramer_cross_check,
+    cramer_with_cofactors,
     exp_inverse,
     fnk_decay,
     inverse_for_polynomial,
@@ -88,11 +88,10 @@ __all__ = [
     "unicity_exponent",
     "CriterionConfig",
     "CriterionReport",
-    "check_annihilation",
     "verify_hypotheses",
     "RightInverse",
     "build_f_nk",
-    "cramer_cross_check",
+    "cramer_with_cofactors",
     "exp_inverse",
     "fnk_decay",
     "inverse_for_polynomial",

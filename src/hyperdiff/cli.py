@@ -317,9 +317,7 @@ def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:
     if isinstance(spec, tuple):
         return list(spec)
     if spec == "diagonal":
-        return enumerate_targets(
-            "rational-diagonal", cfg["count"], zero_recurrent=cfg.get("zero_recurrent", False)
-        )
+        return enumerate_targets(cfg["count"], zero_recurrent=cfg.get("zero_recurrent", False))
     if spec.startswith("polys:"):
         polys = list(_p_polys(spec[len("polys:") :]))
         if len(polys) < cfg["count"]:
@@ -512,7 +510,7 @@ def _cmd_perturb(cfg: Dict) -> int:
 def _cmd_augment(cfg: Dict) -> int:
     seq = _family_from(cfg)
     out = _outdir(cfg)
-    base_targets = enumerate_targets("rational-diagonal", cfg["base_count"], zero_recurrent=True)
+    base_targets = enumerate_targets(cfg["base_count"], zero_recurrent=True)
     base = synthesize(seq, base_targets, n_cap=cfg["n_cap"])
     report = augment(seq, base, list(cfg["extra"]), list(cfg["lambdas"]), n_cap=cfg["n_cap"])
     _write(out / "base_trace.jsonl", lambda h: write_trace_jsonl(base, h))

@@ -25,16 +25,11 @@ from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
 from .scalars import LogMagnitude, QComplex
-from .series import PolynomialOperator, TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
+from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
 from .synthesis import _mag_json, _residual
 
 # how many n values to spot-check for exact identities
 SWEEP_POINTS = 12
-
-
-def check_annihilation(op: PolynomialOperator, g: TaylorPolynomial) -> bool:
-    """True iff the operator's valence exceeds deg g, which forces P(D) g = 0."""
-    return op.valence > g.degree
 
 
 @dataclass
@@ -108,7 +103,7 @@ def _hypothesis_i(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvid
     for g in _battery(cfg.test_degrees, cfg.seed):
         crossing = next((n for n in ns if seq.valence(n) > g.degree), None)
         ok = None if crossing is None else all(
-            apply_operator(seq.op(n), g.to_float() if not seq.exact else g).is_zero
+            apply_operator(seq.op(n), g).is_zero
             for n in _sample_indices(crossing, cfg.n_hi, SWEEP_POINTS)
         )
         rows.append({"degree": g.degree, "crossing": crossing, "exact_zero": ok})
@@ -173,16 +168,13 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
         op = seq.op(n)
         for w in cfg.u_samples:
             val = op.value_at(w)
-            is_root = (not val) if isinstance(val, QComplex) else val == 0
-            if is_root:
+            if not val:
                 rows.append({"n": n, "w": str(w), "status": "root (inverse defined as 0)"})
                 continue
             # algebraic identity P(w) * (1/P(w)) = 1 is exact; certify the
             # truncation defect against its reported bound
             bound = eigen_defect_bound(op, w, cfg.trunc, 1.0)
             trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
-            if not op.exact:
-                trunc = trunc.to_float()
             defect = _residual(op, trunc, trunc.scale(val), 1.0)
             ok = defect.log <= bound.log + 1e-9 * max(1.0, abs(bound.log))
             rows.append(

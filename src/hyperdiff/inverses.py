@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvariantViolation, PreconditionError
@@ -52,12 +51,10 @@ from .series import (
 def exp_inverse(op: PolynomialOperator, w) -> ExponentialCombo:
     """e_w / P(w), or the zero combination when P(w) = 0 (a value, not an error)."""
     val = op.value_at(w)
-    if isinstance(val, QComplex):
-        if not val:
-            return ExponentialCombo(())
-        return ExponentialCombo([(QC_ONE / val, QComplex.coerce(w))])
-    if val == 0:
+    if not val:
         return ExponentialCombo(())
+    if isinstance(val, QComplex):
+        return ExponentialCombo([(QC_ONE / val, QComplex.coerce(w))])
     return ExponentialCombo([(1.0 / val, to_complex(w))])
 
 
@@ -95,17 +92,11 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
         acc = zero
         for j in range(s + 1, k + 1):
             a_js = coeff(j - s)
-            if not _nonzero(a_js):
+            if not a_js:
                 continue
             acc = acc + a_js * b[j] * falling_factorial(j, j - s)
         b[s] = -(inv_a0 * acc)
     return tuple(b)
-
-
-def _nonzero(v) -> bool:
-    if isinstance(v, QComplex):
-        return bool(v)
-    return v != 0
 
 
 def solve_ratio_normalized(a: Sequence[complex], k: int) -> Tuple[Tuple[complex, ...], float]:
@@ -121,7 +112,7 @@ def solve_ratio_normalized(a: Sequence[complex], k: int) -> Tuple[Tuple[complex,
     log_a0 = math.log(abs(aa[0]))
     ratios = [v / aa[0] for v in aa]
     b_tilde = solve_monic_system(ratios, k)
-    return tuple(to_complex(v) for v in b_tilde), log_a0
+    return b_tilde, log_a0
 
 
 # -- Cramer cross-check ----------------------------------------------------------
@@ -224,13 +215,8 @@ class CofactorTable:
         return best.log
 
 
-def cramer_cross_check(a: Sequence, k: int) -> Tuple[Scalar, ...]:
-    """Solve via exact determinant cofactor expansion; oracle route, k <= 8."""
-    b, _ = cramer_with_cofactors(a, k)
-    return b
-
-
 def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[Scalar, ...], CofactorTable]:
+    """Exact cofactor-expansion solve (oracle route, k <= 8): b_0..b_k and its cofactor table."""
     if k < 0:
         raise PreconditionError("k must be >= 0")
     if k > CRAMER_K_CAP:
@@ -318,7 +304,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     pairs = []
     for s, b_s in enumerate(b):
-        if not _nonzero(b_s):
+        if not b_s:
             continue
         den = falling_factorial(s + m, m)  # (s+1)(s+2)...(s+m)
         pairs.append((s + m, divide_by_int(b_s, den)))

@@ -91,10 +91,6 @@ class LacunaryBasis:
     def indices(self) -> Tuple[int, ...]:
         return tuple(e.n for e in self.entries)
 
-    @property
-    def valences(self) -> Tuple[int, ...]:
-        return tuple(e.valence for e in self.entries)
-
     def __len__(self):
         return len(self.entries)
 
@@ -243,7 +239,8 @@ def decay_report(
     same norms term-by-term in the log domain, valid (and bit-equal up to float
     rounding) whenever consecutive valence gaps exceed every operator spread
     d - m, so no two image terms share a degree; "auto" picks "log" only for
-    that collision-free case when the exact route would be expensive.
+    that collision-free case when the exact route would be expensive: long
+    operators, or coefficients of more than about 10^6 bits.
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
@@ -259,7 +256,12 @@ def decay_report(
         coeffs[slot[j]] = f.coefficient(j)
     collision_free = _collision_free(basis.entries)
     if method == "auto":
-        heavy = sum(e.degree - e.valence + 1 for e in basis.entries) > 20000
+        # |log c| / log 2 (valence coefficient, coefficient sum) bounds the bit
+        # height of an exact coefficient from below
+        heavy = sum(e.degree - e.valence + 1 for e in basis.entries) > 20000 or any(
+            max(abs(e.log_a), abs(basis.seq.log_coeff(e.n, e.valence).log)) > 10**6 * LN2
+            for e in basis.entries
+        )
         # floating families also prefer the log path: materializing deep
         # operators would underflow their coefficients for nothing
         method = "log" if (collision_free and (heavy or not basis.seq.exact)) else "exact"

@@ -35,13 +35,6 @@ def log_lt(lhs: float, rhs: float, guard: float = GUARD) -> bool:
     return lhs < rhs - guard * max(1.0, abs(lhs), abs(rhs))
 
 
-def log_int(n: int) -> float:
-    """Natural log of a positive integer of arbitrary size."""
-    if n <= 0:
-        raise ValueError("log_int needs a positive integer")
-    return math.log(n)
-
-
 def log_fraction(fr: Fraction) -> float:
     """Natural log of a positive rational, safe for huge numerators/denominators."""
     if fr <= 0:
@@ -52,15 +45,6 @@ def log_fraction(fr: Fraction) -> float:
 def falling_factorial(m: int, s: int) -> int:
     """Exact m·(m-1)···(m-s+1), 0 when s > m; ValueError on a negative argument."""
     return math.perm(m, s)
-
-
-def log_falling_factorial(m: int, s: int) -> float:
-    """Natural log of the falling factorial via lgamma (float precision)."""
-    if s > m:
-        return NEG_INF
-    if s == 0:
-        return 0.0
-    return math.lgamma(m + 1) - math.lgamma(m - s + 1)
 
 
 class QComplex:
@@ -160,9 +144,6 @@ class QComplex:
             base = base * base
             e >>= 1
         return result
-
-    def conjugate(self):
-        return QComplex(self.re, -self.im)
 
     def abs_squared(self) -> Fraction:
         return self.re * self.re + self.im * self.im
@@ -268,10 +249,6 @@ class LogMagnitude:
         return cls(0.0)
 
     @classmethod
-    def from_log(cls, log: float) -> "LogMagnitude":
-        return cls(log)
-
-    @classmethod
     def of(cls, value) -> "LogMagnitude":
         """Magnitude |value| of any supported scalar, without overflow."""
         if isinstance(value, LogMagnitude):
@@ -291,7 +268,7 @@ class LogMagnitude:
         if isinstance(value, int):
             if not value:
                 return cls.zero()
-            return cls(log_int(abs(value)))
+            return cls(math.log(abs(value)))
         if isinstance(value, complex):
             mag = abs(value)
             return cls(math.log(mag)) if mag else cls.zero()
@@ -375,11 +352,6 @@ class LogMagnitude:
 
     def __hash__(self):
         return hash(self.log)
-
-    def close_to(self, other: "LogMagnitude", tol: float = 1e-9) -> bool:
-        if self.is_zero or other.is_zero:
-            return self.is_zero and other.is_zero
-        return abs(self.log - other.log) <= tol * max(1.0, abs(self.log), abs(other.log))
 
     def __repr__(self):
         return "LogMagnitude(zero)" if self.is_zero else f"LogMagnitude(log={self.log!r})"

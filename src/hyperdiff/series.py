@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, TextIO, Tuple, Union
+from typing import Iterable, TextIO, Tuple, Union
 
 from .scalars import (
     LogMagnitude,
@@ -21,7 +21,7 @@ from .scalars import (
     falling_factorial,
     format_scalar,
     is_exact,
-    parse_real,
+    parse_scalar,
     scale_by_int,
     to_complex,
 )
@@ -52,15 +52,10 @@ class TaylorPolynomial:
 
     __slots__ = ("coeffs", "exact", "_support")
 
-    def __init__(self, coeffs: Iterable[CoeffLike] = (), exact: bool | None = None):
-        cs, inferred = _coerce_coeffs(coeffs)
-        if exact is not None and exact != inferred:
-            if exact and not inferred:
-                raise TypeError("exact polynomial requested from floating coefficients")
-            cs = tuple(to_complex(c) for c in cs)
-            inferred = False
+    def __init__(self, coeffs: Iterable[CoeffLike] = ()):
+        cs, exact = _coerce_coeffs(coeffs)
         self.coeffs = cs
-        self.exact = inferred
+        self.exact = exact
         self._support = tuple(i for i, c in enumerate(cs) if c is not QC_ZERO and c)
 
     # -- constructors ------------------------------------------------------
@@ -143,7 +138,7 @@ class TaylorPolynomial:
         return all(self.coefficient(j) == other.coefficient(j) for j in range(d + 1))
 
     def __hash__(self):
-        return hash((self.exact, tuple(self.coeffs[: self.degree + 1])))
+        return hash(tuple(self.coeffs[: self.degree + 1]))
 
     def __repr__(self):
         if self.is_zero:
@@ -204,17 +199,6 @@ class TaylorPolynomial:
                 out_f[j] = v
                 support.append(j)
         return TaylorPolynomial._raw(tuple(out_f), False, tuple(support))
-
-    def shift_up(self, offset: int) -> "TaylorPolynomial":
-        """Multiply by z**offset."""
-        if offset < 0:
-            raise ValueError("shift must be >= 0")
-        if offset == 0:
-            return self
-        pad = (self._zero_coeff(),) * offset
-        return TaylorPolynomial._raw(
-            pad + self.coeffs, self.exact, tuple(j + offset for j in self._support)
-        )
 
     def to_float(self) -> "TaylorPolynomial":
         if not self.exact:
@@ -393,7 +377,7 @@ class ExponentialCombo:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms or all(not _truthy(a) for a, _ in self.terms)
+        return not any(a for a, _ in self.terms)
 
     def truncate(self, n: int, r: float = 1.0) -> Tuple[TaylorPolynomial, LogMagnitude]:
         """Sum of truncated exponentials plus a combined tail majorant."""
@@ -404,20 +388,6 @@ class ExponentialCombo:
             total = total + base.scale(weight)
             tails.append(LogMagnitude.of(weight) * tail)
         return total, LogMagnitude.sum(tails)
-
-    def evaluate(self, z: complex) -> complex:
-        import cmath
-
-        acc = 0j
-        for weight, freq in self.terms:
-            acc += to_complex(weight) * cmath.exp(to_complex(freq) * complex(z))
-        return acc
-
-
-def _truthy(value) -> bool:
-    if isinstance(value, QComplex):
-        return bool(value)
-    return value != 0
 
 
 # -- operations ---------------------------------------------------------------
@@ -524,14 +494,7 @@ def _parse_body(lines) -> list:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad coefficient line {line!r}")
-        idx = int(parts[0])
-        re_val = parse_real(parts[1])
-        im_val = parse_real(parts[2])
-        exact = isinstance(re_val, Fraction) and isinstance(im_val, Fraction)
-        if exact:
-            entries.append((idx, QComplex(re_val, im_val)))
-        else:
-            entries.append((idx, complex(float(re_val), float(im_val))))
+        entries.append((int(parts[0]), parse_scalar(parts[1], parts[2])))
     return entries
 
 

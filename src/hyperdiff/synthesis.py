@@ -29,15 +29,14 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple, Union
+from itertools import islice
+from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
-from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar
+from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_fraction
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
-
-EpsLike = Union[Fraction, float]
 
 
 # -- target enumeration ----------------------------------------------------------
@@ -100,51 +99,23 @@ def _rational_diagonal() -> Iterable[TaylorPolynomial]:
         c += 1
 
 
-def enumerate_targets(
-    scheme: str,
-    count: int,
-    *,
-    zero_recurrent: bool = False,
-    user_list: Optional[Sequence[TaylorPolynomial]] = None,
-) -> List[TaylorPolynomial]:
+def enumerate_targets(count: int, *, zero_recurrent: bool = False) -> List[TaylorPolynomial]:
     """Deterministic target polynomials for the orbit construction.
 
-    "rational-diagonal" lists all rational polynomials by increasing
-    complexity (zero first); "user-list" passes the given list through in
-    order. With zero_recurrent set, every even position (1-based) targets the
-    zero polynomial and the odd positions walk the nonzero stream, so zero
-    recurs infinitely often as the count grows.
+    Lists all rational polynomials by increasing complexity (zero first).
+    With zero_recurrent set, every even position (1-based) targets the zero
+    polynomial and the odd positions walk the nonzero stream, so zero recurs
+    infinitely often as the count grows.
     """
     if count < 0:
         raise PreconditionError("count must be >= 0")
-    if scheme == "user-list":
-        if user_list is None:
-            raise PreconditionError("user-list scheme needs the list")
-        base: Iterable[TaylorPolynomial] = list(user_list)
-    elif scheme == "rational-diagonal":
-        base = _rational_diagonal()
-    else:
-        raise PreconditionError(f"unknown target scheme {scheme!r}")
     if not zero_recurrent:
-        out = []
-        for poly in base:
-            if len(out) == count:
-                break
-            out.append(poly)
-        if len(out) < count:
-            raise PreconditionError("user list shorter than requested count")
-        return out
-    stream = (p for p in base if not p.is_zero)
-    out = []
-    for position in range(1, count + 1):
-        if position % 2 == 0:
-            out.append(TaylorPolynomial.zero())
-        else:
-            nxt = next(stream, None)
-            if nxt is None:
-                raise PreconditionError("user list exhausted while interleaving zeros")
-            out.append(nxt)
-    return out
+        return list(islice(_rational_diagonal(), count))
+    stream = (p for p in _rational_diagonal() if not p.is_zero)
+    return [
+        TaylorPolynomial.zero() if position % 2 == 0 else next(stream)
+        for position in range(1, count + 1)
+    ]
 
 
 # -- greedy engine -----------------------------------------------------------------
@@ -191,32 +162,26 @@ class SynthesisTrace:
         return tuple(s for s in self.steps if s.target.is_zero)
 
 
-def _default_eps(count: int) -> List[Fraction]:
-    return [Fraction(1, 2**k) for k in range(1, count + 1)]
-
-
-def _default_radii(count: int) -> List[float]:
-    return [float(k) for k in range(1, count + 1)]
-
-
 def _build_schedule(
     seq: OperatorSequence,
     schedule: Sequence[Tuple[int, TaylorPolynomial]],
-    radii: Sequence[float],
-    eps: Sequence[Fraction],
     n_cap: int,
     index_pool: Optional[Sequence[int]] = None,
 ) -> List[SynthesisStep]:
-    """Run the greedy selection over a (trace, target) schedule."""
+    """Run the greedy selection over a (trace, target) schedule.
+
+    Step s works on radius s with tolerance 2^-s: the residual certificates
+    2^(1-i) rest on exactly this schedule.
+    """
     steps: List[SynthesisStep] = []
     max_deg = -1
     n_prev = 0
     pool = sorted(index_pool) if index_pool is not None else None
     per_trace_count: dict = {}
     for s, (trace_id, target) in enumerate(schedule, start=1):
-        r_s = radii[s - 1]
-        e_s = eps[s - 1]
-        e_log = math.log(e_s.numerator) - math.log(e_s.denominator)
+        r_s = float(s)
+        e_s = Fraction(1, 2**s)
+        e_log = log_fraction(e_s)
         if pool is not None:
             candidates: Iterable[int] = [n for n in pool if n > n_prev]
         else:
@@ -305,9 +270,7 @@ def _residual_table(
     for pos, step in enumerate(own, start=1):
         residual = _residual(seq.op(step.n), vector, step.target, step.radius)
         tail = sum((s.eps for s in own[pos:]), Fraction(0))
-        budget_log = (
-            math.log(tail.numerator) - math.log(tail.denominator) if tail else -math.inf
-        )
+        budget_log = log_fraction(tail) if tail else -math.inf
         cert_log = (1 - pos) * LN2
         within = residual.is_zero or residual.log <= budget_log + 1e-9
         certified = residual.is_zero or residual.log <= cert_log + 1e-9
@@ -335,27 +298,20 @@ def synthesize(
     seq: OperatorSequence,
     targets: Sequence[TaylorPolynomial],
     *,
-    radii: Optional[Sequence[float]] = None,
-    eps: Optional[Sequence[Fraction]] = None,
     n_cap: int = 10**6,
     index_pool: Optional[Sequence[int]] = None,
 ) -> SynthesisTrace:
     """Build a single trace whose orbit approximates the target list.
 
-    Defaults: radius k and tolerance 2^-k at step k. Requires a sequence with
+    Step k works on radius k with tolerance 2^-k. Requires a sequence with
     unbounded valences whose right inverses exist throughout (valence
     coefficient nonzero holds by construction); index_pool restricts the
     candidate indices (used by the augmentation scheduler).
     """
     if not targets:
         raise PreconditionError("need at least one target")
-    count = len(targets)
-    radii = list(radii) if radii is not None else _default_radii(count)
-    eps_list = [Fraction(e) for e in eps] if eps is not None else _default_eps(count)
-    if len(radii) != count or len(eps_list) != count:
-        raise PreconditionError("radii/eps schedules must match the target count")
     schedule = [(0, t) for t in targets]
-    steps = _build_schedule(seq, schedule, radii, eps_list, n_cap, index_pool)
+    steps = _build_schedule(seq, schedule, n_cap, index_pool)
     vector = _trace_vector(seq, steps, 0)
     residuals = _residual_table(seq, steps, 0, vector)
     return SynthesisTrace(seq=seq, steps=tuple(steps), vector=vector, residuals=residuals)
@@ -562,10 +518,7 @@ def joint_family(
             scaled = y.scale(QComplex(1) / QComplex(combo[designated])) if y.exact else y.scale(1.0 / complex(combo[designated]))
             schedule.append((designated, scaled))
             combo_slots.append((len(schedule), combo, t_idx))
-    count = len(schedule)
-    radii = _default_radii(count)
-    eps_list = _default_eps(count)
-    steps = _build_schedule(seq, schedule, radii, eps_list, n_cap)
+    steps = _build_schedule(seq, schedule, n_cap)
     traces = []
     for tid in range(trace_count):
         vector = _trace_vector(seq, steps, tid)
@@ -592,9 +545,7 @@ def joint_family(
             combined = combined + traces[tid].vector.scale(coeff)
         direct = _residual(seq.op(step.n), combined, y, step.radius)
         abs_sum = sum(abs(c) for c in combo)
-        tolerance_log = (
-            math.log(abs_sum.numerator) - math.log(abs_sum.denominator) - global_step * LN2
-        )
+        tolerance_log = log_fraction(abs_sum) - global_step * LN2
         ok = direct.is_zero or direct.log <= tolerance_log + 1e-9
         if not ok:
             raise InvariantViolation(

@@ -417,3 +417,19 @@ def test_fuzzed_configs_exit_with_a_typed_code(case):
                 rc = exc.code
     assert rc in (0, 2, 3, 4, 5), (argv, rc)
     assert "Traceback" not in err.getvalue()
+
+
+def test_numpy_stays_unimported(python_child, tmp_path):
+    """Importing hyperdiff and sweeping properties never loads numpy (only density_demo needs it)."""
+    proc = python_child(
+        "import sys\n"
+        "import hyperdiff\n"
+        "from hyperdiff.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(rc)\n",
+        "check-properties", "--family", "F1", "--props", "PQR", "--n-max", "20",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

@@ -5,7 +5,6 @@ import pytest
 
 from hyperdiff.criterion import (
     CriterionConfig,
-    check_annihilation,
     verify_hypotheses,
     write_criterion_jsonl,
 )
@@ -19,23 +18,20 @@ class TestCheckAnnihilation:
     def test_valence_above_degree(self):
         p = PolynomialOperator({5: QComplex(1)})
         g = TaylorPolynomial([1, 0, 0, 1])
-        assert check_annihilation(p, g)
         assert apply_operator(p, g).is_zero
 
     def test_valence_below_degree(self):
         p = PolynomialOperator({2: QComplex(1)})
         g = TaylorPolynomial.monomial(3)
-        assert not check_annihilation(p, g)
         assert apply_operator(p, g) == TaylorPolynomial.from_pairs([(1, 6)])
 
     def test_f1_at_10_kills_degree_9(self):
         op = make_family("F1").op(10)
         g = TaylorPolynomial([QComplex(i + 1) for i in range(10)])  # degree 9
-        assert check_annihilation(op, g)
         assert apply_operator(op, g).is_zero
 
     def test_zero_polynomial_always_annihilated(self):
-        assert check_annihilation(PolynomialOperator({1: QComplex(1)}), TaylorPolynomial.zero())
+        assert apply_operator(PolynomialOperator({1: QComplex(1)}), TaylorPolynomial.zero()).is_zero
 
 
 @pytest.fixture(scope="module")

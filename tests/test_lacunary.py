@@ -2,6 +2,7 @@ import io
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -297,6 +298,38 @@ class TestDecayReport:
                 assert b.measured.is_zero
             else:
                 assert a.measured.log == pytest.approx(b.measured.log, rel=1e-9)
+
+    def test_auto_route_follows_coefficient_height(self):
+        # P_535 = 2^(-535^3) z^535: the exact route would materialize a
+        # 153-million-bit coefficient; the log route reads its log
+        basis = select_indices(make_family("F4", {"decay": "pow2cubic"}), 4)
+        assert basis.indices[-1] == 535
+        f = m0_member(basis, [QComplex(Fraction(1, 4**e.valence)) for e in basis.entries])
+        tracemalloc.start()
+        try:
+            rep = decay_report(basis, f, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert rep.measured_nonincreasing
+
+    def test_pow2cubic_count_5_runs_in_bounded_memory(self, python_child, tmp_path):
+        # the exact route would need tens of GB here: the child caps its own
+        # address space, so a regression fails instead of exhausting the host
+        proc = python_child(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from hyperdiff.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            # peak RSS of this program alone (ru_maxrss keeps the parent's peak across exec)
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+            "sys.exit(rc)\n",
+            "build-m0", "--family", "F4", "--decay", "pow2cubic", "--count", "5",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 50 * 1024  # VmHWM is in kB
 
     def test_multi_term_operator_family(self):
         # interleaved-normalization family with two-term operators

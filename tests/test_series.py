@@ -48,6 +48,13 @@ class TestDifferentiate:
         assert math.log(abs(coeff)) == pytest.approx(expected_log, rel=1e-9)
 
 
+class TestEquality:
+    def test_equal_polynomials_hash_equal(self):
+        # the exact and the floating zero compare equal, so a set holds one of them
+        assert TaylorPolynomial.zero(True) == TaylorPolynomial.zero(False)
+        assert len({TaylorPolynomial.zero(True), TaylorPolynomial.zero(False)}) == 1
+
+
 class TestApplyOperator:
     def test_single_derivative(self):
         p = PolynomialOperator({1: QComplex(1)})

@@ -27,38 +27,30 @@ def poly_str(p):
 
 class TestEnumerateTargets:
     def test_zero_first(self):
-        assert enumerate_targets("rational-diagonal", 1) == [TaylorPolynomial.zero()]
+        assert enumerate_targets(1) == [TaylorPolynomial.zero()]
 
     def test_expected_members_in_first_fifty(self):
-        got = {poly_str(p) for p in enumerate_targets("rational-diagonal", 50)}
+        got = {poly_str(p) for p in enumerate_targets(50)}
         for want in ("1 z^1", "1 z^0", "-1 z^0", "1 z^2", "1/2 z^0"):
             assert want in got
 
     def test_no_duplicates_in_first_200(self):
-        keys = [poly_str(p) for p in enumerate_targets("rational-diagonal", 200)]
+        keys = [poly_str(p) for p in enumerate_targets(200)]
         assert len(keys) == len(set(keys))
 
     def test_covers_degrees(self):
-        degrees = {p.degree for p in enumerate_targets("rational-diagonal", 200)}
+        degrees = {p.degree for p in enumerate_targets(200)}
         assert {0, 1, 2, 3}.issubset(degrees)
 
-    def test_user_list_passthrough(self):
-        polys = [TaylorPolynomial([1]), TaylorPolynomial.monomial(2)]
-        assert enumerate_targets("user-list", 2, user_list=polys) == polys
-
     def test_zero_recurrent_even_steps(self):
-        ts = enumerate_targets("rational-diagonal", 10, zero_recurrent=True)
+        ts = enumerate_targets(10, zero_recurrent=True)
         for pos, p in enumerate(ts, start=1):
             assert p.is_zero == (pos % 2 == 0)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(PreconditionError):
-            enumerate_targets("mystery", 3)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    targets = enumerate_targets("rational-diagonal", 8)
+    targets = enumerate_targets(8)
     return synthesize(make_family("F4"), targets)
 
 
@@ -104,7 +96,7 @@ class TestSynthesize:
         assert trace.residuals[0].residual.is_zero
 
     def test_determinism_byte_for_byte(self):
-        targets = enumerate_targets("rational-diagonal", 6)
+        targets = enumerate_targets(6)
         bufs = []
         for _ in range(2):
             trace = synthesize(make_family("F4"), targets)
@@ -119,10 +111,6 @@ class TestSynthesize:
         with pytest.raises(CapExhausted) as err:
             synthesize(make_family("F4"), [TaylorPolynomial([1])] * 3, n_cap=4)
         assert err.value.step is not None
-
-    def test_schedule_length_validation(self):
-        with pytest.raises(PreconditionError):
-            synthesize(make_family("F4"), [TaylorPolynomial([1])], radii=[1.0, 2.0])
 
 
 class TestPerturb:
@@ -146,7 +134,7 @@ class TestPerturb:
 
 @pytest.fixture(scope="module")
 def base():
-    targets = enumerate_targets("rational-diagonal", 12, zero_recurrent=True)
+    targets = enumerate_targets(12, zero_recurrent=True)
     return synthesize(make_family("F4"), targets)
 
 
@@ -182,7 +170,7 @@ class TestAugment:
 
     def test_non_zero_recurrent_base_rejected(self):
         seq = make_family("F4")
-        bad = synthesize(seq, enumerate_targets("rational-diagonal", 6))
+        bad = synthesize(seq, enumerate_targets(6))
         with pytest.raises(PreconditionError):
             augment(seq, bad, [TaylorPolynomial([1])], [Fraction(1)])
 
