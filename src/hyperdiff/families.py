@@ -64,7 +64,10 @@ class OperatorSequence:
     without materializing the operator, so sweeps stay overflow/underflow free
     even where the coefficients leave the double range. A family's
     ``coeff_items_fn`` may be lazy (F3 yields its items in exponent order), so
-    ``log_coeff`` reads only up to the exponent it asks for.
+    ``log_coeff`` reads only up to the exponent it asks for; A_n is the sum of
+    the items unless ``coeff_abs_log_fn`` gives its closed form.
+    ``abs_log_fn(n, z)`` is the family's one closed form for |P_n(z)|: it is
+    passed a ``Fraction`` on exact families and a ``complex`` otherwise.
     ``nondecreasing_valence`` declares n -> m(n) monotone, which lets
     ``select_indices`` gallop instead of scanning every index.
     """
@@ -79,26 +82,22 @@ class OperatorSequence:
         degree_fn: Optional[Callable[[int], int]] = None,
         coeff_items_fn: Optional[Callable[[int], Iterable[Tuple[int, LogMagnitude]]]] = None,
         coeff_abs_log_fn: Optional[Callable[[int], float]] = None,
-        log_abs_fn: Optional[Callable[[int, complex], LogMagnitude]] = None,
-        exact_abs_fn: Optional[Callable[[int, Fraction], LogMagnitude]] = None,
+        abs_log_fn: Optional[Callable[[int, Union[Fraction, complex]], LogMagnitude]] = None,
         exact: bool,
         nondecreasing_valence: bool = False,
         max_n: Optional[int] = None,
-        params: Optional[Mapping] = None,
     ):
         self.tag = tag
         self.label = label
         self.exact = exact
         self.nondecreasing_valence = nondecreasing_valence
         self.max_n = max_n
-        self.params = dict(params or {})
         self._build = build
         self._valence_fn = valence_fn
         self._degree_fn = degree_fn
         self._coeff_items_fn = coeff_items_fn
         self._coeff_abs_log_fn = coeff_abs_log_fn
-        self._log_abs_fn = log_abs_fn
-        self._exact_abs_fn = exact_abs_fn
+        self._abs_log_fn = abs_log_fn
         self._cache: dict[int, PolynomialOperator] = {}
 
     def _check_index(self, n: int) -> None:
@@ -165,14 +164,13 @@ class OperatorSequence:
         which is what makes near-root witnesses detectable below 2^-n.
         """
         self._check_index(n)
-        if is_exact(z):
-            if self._exact_abs_fn is not None and isinstance(z, (int, Fraction)):
-                return self._exact_abs_fn(n, Fraction(z))
-            if self.exact:
-                return LogMagnitude.of(self.op(n).value_at(z))
+        if is_exact(z) and self.exact:
+            if self._abs_log_fn is not None and isinstance(z, (int, Fraction)):
+                return self._abs_log_fn(n, Fraction(z))
+            return LogMagnitude.of(self.op(n).value_at(z))
         zf = to_complex(z)
-        if self._log_abs_fn is not None:
-            return self._log_abs_fn(n, zf)
+        if self._abs_log_fn is not None:
+            return self._abs_log_fn(n, zf)
         return LogMagnitude.of(self.op(n).to_float().value_at(zf))
 
     def __repr__(self):
@@ -196,21 +194,13 @@ def _f1() -> OperatorSequence:
     def items(n: int):
         return [(n, LogMagnitude(-n * math.log(n))), (n + 1, LogMagnitude.one())]
 
-    def log_abs(n: int, z: complex) -> LogMagnitude:
-        # |z|^n * |z + n^-n|; the shift underflows harmlessly for large n
-        inner = z + math.exp(-n * math.log(n)) if n * math.log(n) < 700 else z
-        if abs(z) == 0.0 or abs(inner) == 0.0:
-            return LogMagnitude.zero()
-        return LogMagnitude(n * math.log(abs(z)) + math.log(abs(inner)))
-
-    def exact_abs(n: int, x: Fraction) -> LogMagnitude:
-        inner = x + Fraction(1, n**n)
-        if x == 0 or inner == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(
-            n * (math.log(abs(x.numerator)) - math.log(x.denominator))
-            + LogMagnitude.of(inner).log
-        )
+    def abs_log(n: int, z) -> LogMagnitude:
+        # |z|^n * |z + n^-n|; in floats the shift underflows harmlessly for large n
+        if isinstance(z, Fraction):
+            shift = Fraction(1, n**n)
+        else:
+            shift = math.exp(-n * math.log(n)) if n * math.log(n) < 700 else 0.0
+        return LogMagnitude.of(z) ** n * LogMagnitude.of(z + shift)
 
     def abs_sum(n: int) -> float:
         # A = 1 + n^-n
@@ -225,67 +215,31 @@ def _f1() -> OperatorSequence:
         degree_fn=lambda n: n + 1,
         coeff_items_fn=items,
         coeff_abs_log_fn=abs_sum,
-        log_abs_fn=log_abs,
-        exact_abs_fn=exact_abs,
+        abs_log_fn=abs_log,
         exact=True,
         nondecreasing_valence=True,
     )
 
 
-def _f2(params: Mapping) -> OperatorSequence:
-    # P_n = c_n z^n (1 + z); paper coefficients c_n = n^(-n/log(n+1))
-    known = {"c_mode", "log_base"}
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigError(f"F2 does not take parameters {sorted(unknown)}")
-    c_mode = params.get("c_mode", "paper")
+def _f2(c_mode: str = "paper", log_base: str = "e") -> OperatorSequence:
+    # P_n = c_n z^n (1 + z); paper coefficients c_n = n^(-n/log(n+1)), unit ones c_n = 1
     if c_mode not in ("paper", "unit"):
         raise ConfigError(f"F2 c_mode must be 'paper' or 'unit', got {c_mode!r}")
-    base = params.get("log_base", "e")
     try:
-        ln_base = 1.0 if base == "e" else math.log(float(base))
+        ln_base = 1.0 if log_base == "e" else math.log(float(log_base))
     except ValueError:  # not a number, or not positive
         ln_base = math.nan
     if not ln_base > 0:
-        raise ConfigError(f"F2 log_base must be e or a number above 1, got {base!r}")
-
-    if c_mode == "unit":
-        def build(n: int) -> PolynomialOperator:
-            return PolynomialOperator({n: QComplex(1), n + 1: QComplex(1)})
-
-        def items(n: int):
-            return [(n, LogMagnitude.one()), (n + 1, LogMagnitude.one())]
-
-        def log_abs(n: int, z: complex) -> LogMagnitude:
-            if abs(z) == 0.0 or abs(1 + z) == 0.0:
-                return LogMagnitude.zero()
-            return LogMagnitude(n * math.log(abs(z)) + math.log(abs(1 + z)))
-
-        def exact_abs(n: int, x: Fraction) -> LogMagnitude:
-            if x == 0 or x == -1:
-                return LogMagnitude.zero()
-            return LogMagnitude(n * LogMagnitude.of(x).log + LogMagnitude.of(1 + x).log)
-
-        return OperatorSequence(
-            "F2",
-            "F2(unit): z^n (1 + z)",
-            build,
-            valence_fn=lambda n: n,
-            degree_fn=lambda n: n + 1,
-            coeff_items_fn=items,
-            coeff_abs_log_fn=lambda n: LN2,
-            log_abs_fn=log_abs,
-            exact_abs_fn=exact_abs,
-            exact=True,
-            nondecreasing_valence=True,
-            params={"c_mode": "unit"},
-        )
+        raise ConfigError(f"F2 log_base must be e or a number above 1, got {log_base!r}")
+    unit = c_mode == "unit"
 
     def log_c(n: int) -> float:
         # ln c_n = -n * ln(n) * ln(base) / ln(n+1)
-        return -n * math.log(n) * ln_base / math.log(n + 1) if n > 1 else 0.0
+        return -n * math.log(n) * ln_base / math.log(n + 1) if n > 1 and not unit else 0.0
 
     def build(n: int) -> PolynomialOperator:
+        if unit:
+            return PolynomialOperator({n: QComplex(1), n + 1: QComplex(1)})
         c = math.exp(log_c(n))
         if c == 0.0:
             raise PreconditionError(
@@ -298,23 +252,19 @@ def _f2(params: Mapping) -> OperatorSequence:
         lc = LogMagnitude(log_c(n))
         return [(n, lc), (n + 1, lc)]
 
-    def log_abs(n: int, z: complex) -> LogMagnitude:
-        if abs(z) == 0.0 or abs(1 + z) == 0.0:
-            return LogMagnitude.zero()
-        return LogMagnitude(log_c(n) + n * math.log(abs(z)) + math.log(abs(1 + z)))
+    def abs_log(n: int, z) -> LogMagnitude:
+        return LogMagnitude(log_c(n)) * LogMagnitude.of(z) ** n * LogMagnitude.of(1 + z)
 
     return OperatorSequence(
         "F2",
-        "F2: n^(-n/log(n+1)) z^n (1 + z)",
+        "F2(unit): z^n (1 + z)" if unit else "F2: n^(-n/log(n+1)) z^n (1 + z)",
         build,
         valence_fn=lambda n: n,
         degree_fn=lambda n: n + 1,
         coeff_items_fn=items,
-        coeff_abs_log_fn=lambda n: LN2 + log_c(n),
-        log_abs_fn=log_abs,
-        exact=False,
+        abs_log_fn=abs_log,
+        exact=unit,
         nondecreasing_valence=True,
-        params={"c_mode": "paper", "log_base": base},
     )
 
 
@@ -327,17 +277,8 @@ def _f3() -> OperatorSequence:
             coeffs[n + i] = QComplex(math.comb(n, i) * (-q) ** (n - i))
         return PolynomialOperator(coeffs)
 
-    def log_abs(n: int, z: complex) -> LogMagnitude:
-        q = float(positive_rational(n))
-        if abs(z) == 0.0 or abs(z - q) == 0.0:
-            return LogMagnitude.zero()
-        return LogMagnitude(n * (math.log(abs(z)) + math.log(abs(z - q))))
-
-    def exact_abs(n: int, x: Fraction) -> LogMagnitude:
-        q = positive_rational(n)
-        if x == 0 or x == q:
-            return LogMagnitude.zero()
-        return LogMagnitude(n * (LogMagnitude.of(x).log + LogMagnitude.of(x - q).log))
+    def abs_log(n: int, z) -> LogMagnitude:
+        return (LogMagnitude.of(z) * LogMagnitude.of(z - positive_rational(n))) ** n
 
     def items(n: int):
         # |c_{n+i}| = C(n, i) q^(n-i), via lgamma so huge n stays cheap; lazy,
@@ -360,22 +301,16 @@ def _f3() -> OperatorSequence:
         degree_fn=lambda n: 2 * n,
         coeff_items_fn=items,
         coeff_abs_log_fn=abs_sum,
-        log_abs_fn=log_abs,
-        exact_abs_fn=exact_abs,
+        abs_log_fn=abs_log,
         exact=True,
         nondecreasing_valence=True,
     )
 
 
-def _f4(params: Mapping) -> OperatorSequence:
-    known = {"c", "decay"}
-    unknown = set(params) - known
-    if unknown:
-        raise ConfigError(f"F4 does not take parameters {sorted(unknown)}")
-    c = _parse_rational(params.get("c", 1))
+def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
+    c = _parse_rational(c)
     if c == 0:
         raise ConfigError("F4 constant c must be nonzero")
-    decay = params.get("decay")
     if decay not in (None, "pow2cubic"):
         raise ConfigError("F4 decay must be omitted or 'pow2cubic'")
 
@@ -402,15 +337,8 @@ def _f4(params: Mapping) -> OperatorSequence:
     def items(n: int):
         return [(n, LogMagnitude(log_coeff(n)))]
 
-    def log_abs(n: int, z: complex) -> LogMagnitude:
-        if abs(z) == 0.0:
-            return LogMagnitude.zero()
-        return LogMagnitude(log_coeff(n) + n * math.log(abs(z)))
-
-    def exact_abs(n: int, x: Fraction) -> LogMagnitude:
-        if x == 0:
-            return LogMagnitude.zero()
-        return LogMagnitude(log_coeff(n) + n * LogMagnitude.of(x).log)
+    def abs_log(n: int, z) -> LogMagnitude:
+        return LogMagnitude(log_coeff(n)) * LogMagnitude.of(z) ** n
 
     return OperatorSequence(
         "F4",
@@ -419,17 +347,13 @@ def _f4(params: Mapping) -> OperatorSequence:
         valence_fn=lambda n: n,
         degree_fn=lambda n: n,
         coeff_items_fn=items,
-        coeff_abs_log_fn=log_coeff,
-        log_abs_fn=log_abs,
-        exact_abs_fn=exact_abs,
+        abs_log_fn=abs_log,
         exact=True,
         nondecreasing_valence=True,
-        params=dict(params),
     )
 
 
-def _f5(params: Mapping) -> OperatorSequence:
-    ops = params.get("ops")
+def _f5(ops=None) -> OperatorSequence:
     if not ops:
         raise ConfigError("F5 needs an explicit operator table under params['ops']")
     table: List[PolynomialOperator] = list(ops)
@@ -447,25 +371,27 @@ def _f5(params: Mapping) -> OperatorSequence:
     )
 
 
+# tag -> (builder, the parameters it reads)
+_FAMILIES = {
+    "F1": (_f1, ()),
+    "F2": (_f2, ("c_mode", "log_base")),
+    "F3": (_f3, ()),
+    "F4": (_f4, ("c", "decay")),
+    "F5": (_f5, ("ops",)),
+}
+
+
 def make_family(tag: str, params: Optional[Mapping] = None) -> OperatorSequence:
     """Construct a built-in family (F1..F4) or wrap an explicit table (F5)."""
     params = dict(params or {})
     tag = tag.upper()
-    if tag == "F1":
-        if params:
-            raise ConfigError("F1 takes no parameters")
-        return _f1()
-    if tag == "F2":
-        return _f2(params)
-    if tag == "F3":
-        if params:
-            raise ConfigError("F3 takes no parameters")
-        return _f3()
-    if tag == "F4":
-        return _f4(params)
-    if tag == "F5":
-        return _f5(params)
-    raise ConfigError(f"unknown family tag {tag!r} (expected F1..F5)")
+    if tag not in _FAMILIES:
+        raise ConfigError(f"unknown family tag {tag!r} (expected F1..F5)")
+    builder, known = _FAMILIES[tag]
+    unknown = set(params) - set(known)
+    if unknown:
+        raise ConfigError(f"{tag} does not take parameters {sorted(unknown)}")
+    return builder(**params)
 
 
 # -- growth rule and evidence reports -------------------------------------------
@@ -620,13 +546,13 @@ def check_property_Q(
     k_max: int,
     n_range: Tuple[int, int],
     rule: Optional[GrowthRule] = None,
-    bound_cap_log: float = math.log(100.0),
 ) -> EvidenceReport:
     """Evidence for the valence-growth/bounded-shift property.
 
     Growth statistic per k: m(n) |c_{m(n),n}|^{k/m(n)} in the log domain.
-    Boundedness statistic per k: max_n |c_{k+m(n),n}| against a cap.
+    Boundedness statistic per k: max_n |c_{k+m(n),n}| against the cap 100.
     """
+    bound_cap_log = math.log(100.0)
     if k_max < 1:
         raise PreconditionError("k_max must be >= 1")
     rule = rule or GrowthRule(threshold_log=1.0, vanish_hits=None)
@@ -787,16 +713,16 @@ def unicity_exponent(
     points: PointSource,
     r_max: float,
     *,
-    per_decade: int = 8,
-    decades: int = 6,
     margin: float = 0.1,
 ) -> UnicityEstimate:
     """Estimate chi = limsup log n(r) / log r from a point-modulus source.
 
     ``points`` is either an explicit list of moduli or a 1-based nondecreasing
     generator index -> modulus (counting then proceeds by binary search, which
-    is what makes r_max = 1e6 with ~1e12 points feasible).
+    is what makes r_max = 1e6 with ~1e12 points feasible). Slopes are read at
+    8 radii per decade over the 6 decades below r_max.
     """
+    per_decade, decades = 8, 6
     if r_max <= 10:
         raise PreconditionError("r_max must exceed 10")
     counter = _make_counter(points)
@@ -877,17 +803,14 @@ def density_demo(
     target: TaylorPolynomial,
     r: float,
     m_terms: int,
-    *,
-    trunc: int = 40,
-    rings: int = 4,
-    angles: int = 16,
-    cond_cap: float = 1e12,
 ) -> Tuple[ExponentialCombo, DensityFit]:
     """Numeric witness that exponentials e_w, w from the sample set, span densely.
 
-    Fits the target on a fixed deterministic grid of the disk |z| <= r by a
-    combination of truncated exponentials over the first m_terms frequencies.
-    The max residual on the grid is nonincreasing in m_terms for a fixed grid.
+    Fits the target on a fixed deterministic grid of the disk |z| <= r (the
+    centre plus 16 angles on each of 4 rings) by a combination of degree-40
+    truncated exponentials over the first m_terms frequencies. The max residual
+    on the grid is nonincreasing in m_terms for a fixed grid; a condition number
+    above 1e12 is reported as ill-conditioned.
     """
     import numpy as np
 
@@ -897,13 +820,13 @@ def density_demo(
         raise PreconditionError("radius must be positive")
     freqs = [to_complex(w) for w in u_samples[:m_terms]]
     grid: List[complex] = [0j]
-    for ring in range(1, rings + 1):
-        rad = r * ring / rings
-        for t in range(angles):
-            grid.append(rad * cmath.exp(2j * math.pi * t / angles))
+    for ring in range(1, 5):
+        rad = r * ring / 4
+        for t in range(16):
+            grid.append(rad * cmath.exp(2j * math.pi * t / 16))
     basis = []
     for w in freqs:
-        poly, _ = exp_truncate(w, trunc, r)
+        poly, _ = exp_truncate(w, 40, r)
         fpoly = poly.to_float()
         basis.append([fpoly.evaluate(z) for z in grid])
     a = np.array(basis, dtype=complex).T
@@ -916,7 +839,7 @@ def density_demo(
     fit = DensityFit(
         residual_max=resid,
         condition=condition,
-        ill_conditioned=condition > cond_cap,
+        ill_conditioned=condition > 1e12,
         grid_size=len(grid),
         m_terms=m_terms,
     )

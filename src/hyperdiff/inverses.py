@@ -11,7 +11,7 @@ whose determinant is a_0^{k+1}; then antidifferentiate m times,
 
 which satisfies P(D) f_k = z^k exactly. Back-substitution is the production
 solver; a Cramer/cofactor route (capped at k <= 8) is kept as an independent
-cross-check oracle and as the source of the instance constants bounding |b_s|.
+cross-check oracle, and returns the cofactor table Phi_{j,s,k} with its solution.
 
 Exponential route: S(e_w) = e_w / P(w), with the zero combination at roots.
 """
@@ -204,16 +204,6 @@ class CofactorTable:
     k: int
     phi: Tuple[Tuple[QComplex, ...], ...]
 
-    def instance_constant_log(self) -> float:
-        """log of C = max |Phi_{j,s,k}| over the table."""
-        best = LogMagnitude.zero()
-        for row in self.phi:
-            for v in row:
-                mag = LogMagnitude.of(v)
-                if mag.log > best.log:
-                    best = mag
-        return best.log
-
 
 def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[Scalar, ...], CofactorTable]:
     """Exact cofactor-expansion solve (oracle route, k <= 8): b_0..b_k and its cofactor table."""
@@ -279,16 +269,11 @@ def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[Scalar, ...], Cofa
 
 @dataclass(frozen=True)
 class RightInverse:
-    """One solved right-inverse instance for a fixed operator and target degree."""
+    """One solved polynomial-route instance: P(D) f = z^k for a fixed operator."""
 
-    route: str  # "polynomial" | "exponential"
     k: int
     operator: PolynomialOperator
-    shifted: Tuple[Scalar, ...] = ()
-    solution: Tuple[Scalar, ...] = ()
-    f: Optional[TaylorPolynomial] = None
-    frequency: Optional[Scalar] = None
-    scale: Optional[Scalar] = None
+    f: TaylorPolynomial
 
 
 def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightInverse:
@@ -315,7 +300,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
             raise InvariantViolation(
                 f"right-inverse identity failed: P(D) f != z^{k} for {op!r}"
             )
-    return RightInverse(route="polynomial", k=k, operator=op, shifted=a, solution=b, f=f)
+    return RightInverse(k=k, operator=op, f=f)
 
 
 def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> TaylorPolynomial:
@@ -434,10 +419,8 @@ def fnk_decay(
 
 
 def write_right_inverse(inv: RightInverse, out: TextIO, *, n: Optional[int] = None) -> None:
-    """Coefficient file for f with a comment header noting (n, k, route)."""
-    if inv.f is None:
-        raise PreconditionError("only polynomial-route inverses carry a coefficient file")
-    tag = f"# route={inv.route} k={inv.k}"
+    """Coefficient file for f with a comment header noting (route, k, n)."""
+    tag = f"# route=polynomial k={inv.k}"
     if n is not None:
         tag += f" n={n}"
     out.write(tag + "\n")

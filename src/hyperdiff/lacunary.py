@@ -121,6 +121,8 @@ def select_indices(
         raise PreconditionError("basis size must be >= 2")
     if n_start < 1:
         raise PreconditionError("n_start must be >= 1")
+    if seq.max_n is not None:
+        n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
 
     def least(lo: int, ok: Callable[[int], bool]) -> Optional[int]:
         """Least n in [lo, n_cap] with ok(n), or None."""

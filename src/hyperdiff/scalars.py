@@ -26,13 +26,13 @@ NEG_INF = float("-inf")
 GUARD = 1e-12
 
 
-def log_lt(lhs: float, rhs: float, guard: float = GUARD) -> bool:
+def log_lt(lhs: float, rhs: float) -> bool:
     """Strict ``lhs < rhs`` for log-domain floats with a relative guard band."""
     if lhs == NEG_INF:
         return rhs > NEG_INF
     if rhs == NEG_INF:
         return False
-    return lhs < rhs - guard * max(1.0, abs(lhs), abs(rhs))
+    return lhs < rhs - GUARD * max(1.0, abs(lhs), abs(rhs))
 
 
 def log_fraction(fr: Fraction) -> float:

@@ -329,10 +329,6 @@ class PolynomialOperator:
             acc = acc * wf + to_complex(c)
         return acc * wf**self.valence
 
-    def coeff_abs_log_sum(self) -> LogMagnitude:
-        """log of A = sum(|c_j|), the coefficient absolute sum."""
-        return LogMagnitude.sum(LogMagnitude.of(c) for _, c in self.terms())
-
     def derivative_majorant(self, r: float) -> LogMagnitude:
         """log of B = sum(j |c_j| r^(j-1)), a sup bound for |P'| on |z| = r."""
         if r <= 0:
@@ -378,16 +374,6 @@ class ExponentialCombo:
     @property
     def is_zero(self) -> bool:
         return not any(a for a, _ in self.terms)
-
-    def truncate(self, n: int, r: float = 1.0) -> Tuple[TaylorPolynomial, LogMagnitude]:
-        """Sum of truncated exponentials plus a combined tail majorant."""
-        total = TaylorPolynomial.zero()
-        tails = []
-        for weight, freq in self.terms:
-            base, tail = exp_truncate(freq, n, r)
-            total = total + base.scale(weight)
-            tails.append(LogMagnitude.of(weight) * tail)
-        return total, LogMagnitude.sum(tails)
 
 
 # -- operations ---------------------------------------------------------------

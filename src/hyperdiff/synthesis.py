@@ -173,6 +173,8 @@ def _build_schedule(
     Step s works on radius s with tolerance 2^-s: the residual certificates
     2^(1-i) rest on exactly this schedule.
     """
+    if seq.max_n is not None:
+        n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
     steps: List[SynthesisStep] = []
     max_deg = -1
     n_prev = 0

@@ -21,6 +21,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def _write_table(path):
+    """A 24-operator F5 table: P_n = z^n + z^(n+1)/n."""
+    with open(path, "w") as handle:
+        for n in range(1, 25):
+            write_operator(PolynomialOperator({n: QComplex(1), n + 1: QComplex(Fraction(1, n))}), handle)
+
+
 class TestExitCodes:
     def test_no_command_is_config_error(self, capsys):
         assert run() == 2
@@ -207,6 +214,16 @@ class TestOperatorTable:
         assert rc == 0
         assert "property (Q):" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, count", [("build-m0", "3"), ("synthesize", "6")])
+    def test_f5_scan_ends_at_the_table(self, tmp_path, capsys, command, count):
+        """A greedy scan that runs off the end of a table is cap exhaustion at the table's length."""
+        path = tmp_path / "table.coeffs"
+        _write_table(path)
+        out = str(tmp_path / "out")
+        rc = run(command, "--family", "F5", "--table", str(path), "--count", count, "--out", out)
+        assert rc == 4
+        assert capsys.readouterr().err.startswith("CapExhausted: no admissible index <= 24 at ")
+
 
 class TestCommands:
     def test_perturb_outputs(self, tmp_path, capsys):
@@ -374,19 +391,31 @@ _VALUES = {
 }
 
 
+# the family keys each family reads (F1 and F3 read none)
+_READS = {"F2": ("c_mode", "log_base"), "F4": ("c", "decay"), "F5": ("table",)}
+_FAMILY_ONLY = {key for keys in _READS.values() for key in keys}
+
+
 @st.composite
 def _cli_case(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     values = {}
+    reads = ()
     for key in COMMANDS[command]:
-        # family is always set, and so is n_cap for the greedy commands: their
-        # default cap of 10**6 candidates is a long linear search by design;
-        # build-m0's galloping index search ends quickly at the default cap
+        # family is always set (and drawn first), and so is n_cap for the greedy
+        # commands: their default cap of 10**6 candidates is a long linear search
+        # by design; build-m0's galloping index search ends quickly at the default cap
         forced = ("family",) if command == "build-m0" else ("family", "n_cap")
         if key.name == "out" or (key.name not in forced and draw(st.booleans())):
             continue
+        # a key the drawn family does not read is set one time in 16, so that it
+        # rarely stops a run at configuration and the rejection stays covered
+        if key.name in _FAMILY_ONLY and key.name not in reads and draw(st.integers(0, 15)):
+            continue
         # mostly well-formed values, so that runs get past parsing into the commands
         values[key.name] = draw(_MALFORMED if draw(st.integers(0, 7)) == 0 else _VALUES[key.name])
+        if key.name == "family":
+            reads = _READS.get(values["family"].upper(), ())
     return command, values
 
 
@@ -404,9 +433,7 @@ def test_fuzzed_configs_exit_with_a_typed_code(case):
     command, values = case
     with tempfile.TemporaryDirectory() as tmp:
         table = Path(tmp) / "table.coeffs"
-        with open(table, "w") as handle:
-            for n in range(1, 25):
-                write_operator(PolynomialOperator({n: QComplex(1), n + 1: QComplex(Fraction(1, n))}), handle)
+        _write_table(table)
         argv = [command, f"--out={tmp}/out"]
         argv += [f"--{k.replace('_', '-')}={str(table) if v == 'TABLE' else v}" for k, v in values.items()]
         err = io.StringIO()

@@ -18,7 +18,7 @@ from hyperdiff.families import (
     unicity_exponent,
 )
 from hyperdiff.lacunary import decay_report, m0_member, select_indices
-from hyperdiff.scalars import LN2, QComplex
+from hyperdiff.scalars import LN2, LogMagnitude, QComplex
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
 
@@ -72,6 +72,8 @@ class TestMakeFamily:
             make_family("F4", {"c": "0"})
         with pytest.raises(ConfigError):
             make_family("F1", {"c": "1"})
+        with pytest.raises(ConfigError):
+            make_family("F5", {"ops": [PolynomialOperator({1: QComplex(1)})], "c": "2"})
 
     def test_f4_decay_regime(self):
         seq = make_family("F4", {"decay": "pow2cubic"})
@@ -100,8 +102,6 @@ class TestMakeFamily:
             seq = make_family(tag)
             for n in (2, 7, 19):
                 for j, c in seq.op(n).terms():
-                    from hyperdiff.scalars import LogMagnitude
-
                     assert seq.log_coeff(n, j).log == pytest.approx(
                         LogMagnitude.of(c).log, rel=1e-12, abs=1e-12
                     )
@@ -112,6 +112,40 @@ class TestMakeFamily:
         assert seq.op(1) == ops[0]
         with pytest.raises(PreconditionError):
             seq.op(7)
+
+
+class TestClosedForms:
+    """Each family's one closed form for |P_n(z)| against Horner on the built operator."""
+
+    @pytest.mark.parametrize(
+        "tag, params",
+        [
+            ("F1", {}),
+            ("F2", {}),
+            ("F2", {"c_mode": "unit"}),
+            ("F2", {"log_base": "2"}),
+            ("F3", {}),
+            ("F4", {"c": "7/2"}),
+            ("F4", {"decay": "pow2cubic"}),
+        ],
+    )
+    def test_abs_log_matches_horner(self, tag, params):
+        seq = make_family(tag, params)
+        for n in range(1, 10):  # 2^-(n^3) stays a nonzero double
+            op = seq.op(n)
+            # the roots of every family (0, -1, q_n, -n^-n) and points off them
+            roots = [Fraction(0), Fraction(-1), positive_rational(n), -Fraction(1, n**n)]
+            for x in roots + [Fraction(1, 2), Fraction(-5, 2)]:
+                got, want = seq.log_abs_at(n, x), LogMagnitude.of(op.value_at(QComplex(x)))
+                assert got.is_zero == want.is_zero, (n, x)
+                if not want.is_zero:
+                    assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, x)
+            fop = op.to_float()
+            for z in (0j, -1 + 0j, -3 + 0j, 1.5j, -2 + 0.5j, -0.5 - 1j):
+                got, want = seq.log_abs_at(n, z), LogMagnitude.of(fop.value_at(z))
+                assert got.is_zero == want.is_zero, (n, z)
+                if not want.is_zero:
+                    assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, z)
 
 
 def _counting_items(seq):

@@ -140,7 +140,7 @@ class TestCramerCrossCheck:
             if not a[0]:
                 a[0] = QComplex(1)
             b, table = cramer_with_cofactors(a, k)
-            c_log = table.instance_constant_log()
+            c_log = max(LogMagnitude.of(v).log for row in table.phi for v in row)  # C = max |Phi_{j,s,k}|
             inv_a0 = -LogMagnitude.of(a[0]).log
             for s, bs in enumerate(b):
                 lhs = LogMagnitude.of(bs)

@@ -212,13 +212,6 @@ class TestExponentialCombo:
         with pytest.raises(ValueError):
             ExponentialCombo([(1.0, 2.0), (3.0, 2.0)])
 
-    def test_truncate_sums_terms(self):
-        combo = ExponentialCombo([(QComplex(2), QComplex(1))])
-        poly, tail = combo.truncate(10, 1.0)
-        base, base_tail = exp_truncate(QComplex(1), 10, 1.0)
-        assert poly == base.scale(QComplex(2))
-        assert tail.log == pytest.approx(base_tail.log + math.log(2))
-
 
 class TestCoefficientFiles:
     def test_taylor_round_trip_exact(self):
