@@ -280,10 +280,12 @@ def _family_from(cfg: Dict) -> OperatorSequence:
     if not tag:
         raise ConfigError("a family tag is required (family=F1..F5)")
     params: Dict = {
-        name: cfg[name] for name in ("c", "decay", "c_mode", "log_base") if cfg.get(name) is not None
+        name: cfg[name]
+        for name in ("c", "decay", "c_mode", "log_base", "table")
+        if cfg.get(name) is not None
     }
     if tag.upper() == "F5":
-        table = cfg.get("table")
+        table = params.pop("table", None)
         if not table:
             raise ConfigError("family F5 needs table=<path>")
         params["ops"] = read_operator_table(table)

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, TextIO, Tuple, Union
 
+from .errors import PreconditionError
 from .scalars import (
     LogMagnitude,
     QComplex,
@@ -327,7 +328,12 @@ class PolynomialOperator:
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * wf + to_complex(c)
-        return acc * wf**self.valence
+        try:
+            return acc * wf**self.valence
+        except OverflowError as exc:  # complex ** raises where float arithmetic gives inf
+            raise PreconditionError(
+                f"w**{self.valence} at w = {wf} is beyond the double range"
+            ) from exc
 
     def derivative_majorant(self, r: float) -> LogMagnitude:
         """log of B = sum(j |c_j| r^(j-1)), a sup bound for |P'| on |z| = r."""

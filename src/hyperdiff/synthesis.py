@@ -172,6 +172,14 @@ def _build_schedule(
 
     Step s works on radius s with tolerance 2^-s: the residual certificates
     2^(1-i) rest on exactly this schedule.
+
+    The cross-norm test (c) runs over the earlier steps newest first. A
+    rejected candidate almost always fails at the newest step, which has the
+    largest radius and the nearest index, so testing it first spends one
+    exact operator application on a rejection instead of one per earlier
+    step. Admission is a conjunction of independent per-step tests, so the
+    order changes neither the chosen index nor the rejection tallies; the
+    admitted candidate's cross_norm_logs are stored in step order.
     """
     if seq.max_n is not None:
         n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
@@ -207,7 +215,7 @@ def _build_schedule(
                     continue
             cross_logs: List[float] = []
             ok = True
-            for prior in steps:
+            for prior in reversed(steps):
                 c = apply_operator(seq.op(prior.n), h).majorant_norm(prior.radius)
                 if not c.log < e_log:
                     ok = False
@@ -216,6 +224,7 @@ def _build_schedule(
             if not ok:
                 fail["cross_norm"] += 1
                 continue
+            cross_logs.reverse()
             chosen = n
             break
         if chosen is None:

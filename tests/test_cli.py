@@ -60,6 +60,15 @@ class TestExitCodes:
         )
         assert rc == 3
 
+    @pytest.mark.parametrize("family", ["F1", "F2", "F3", "F4"])
+    def test_table_rejected_for_builtin_families(self, tmp_path, capsys, family):
+        rc = run(
+            "check-properties", "--family", family, "--table", "nonexistent", "--props", "Q",
+            "--n-max", "5", "--out", str(tmp_path),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err == f"ConfigError: {family} does not take parameters ['table']\n"
+
     def test_nonpositive_decay_base(self, tmp_path, capsys):
         rc = run("build-m0", "--family", "F4", "--decay-base", "0", "--out", str(tmp_path))
         assert rc == 2
@@ -425,6 +434,7 @@ def _cli_case(draw):
 @example(("verify-criterion", {"family": "F4", "route": "P", "n_max": "20", "trunc": "-1"}))
 @example(("check-properties", {"family": "F1", "n_max": "20", "r": "nan"}))
 @example(("augment", {"family": "F2", "base_count": "4", "extra": "1e400", "n_cap": "40"}))
+@example(("check-properties", {"family": "F5", "table": "TABLE", "props": "P", "n_max": "2", "u_samples": "1e200+0i"}))
 @example(("build-m0", {"family": "F3", "count": "4"}))
 @example(("build-m0", {"family": "F1", "count": "4"}))
 @example(("build-m0", {"family": "F4", "decay": "pow2cubic", "count": "3"}))

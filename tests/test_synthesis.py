@@ -3,12 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hyperdiff.synthesis
 from hyperdiff.errors import CapExhausted, PreconditionError
 from hyperdiff.families import make_family
-from hyperdiff.scalars import LN2, QComplex
+from hyperdiff.inverses import inverse_for_polynomial
+from hyperdiff.scalars import LN2, QComplex, log_fraction
 from hyperdiff.series import TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
+    _build_schedule,
     augment,
     enumerate_targets,
     joint_family,
@@ -238,3 +242,120 @@ class TestAugmentZeroTarget:
 
             orbit = apply_operator(seq.op(row.n), base.vector).majorant_norm(row.radius)
             assert row.bound.log == orbit.log
+
+
+# -- the cross-norm check order ------------------------------------------------------
+
+
+def _synthesized():
+    return (synthesize(make_family("F4"), enumerate_targets(24)),)
+
+
+def _augmented():
+    seq = make_family("F4")
+    base = synthesize(seq, enumerate_targets(16, zero_recurrent=True))
+    return (augment(seq, base, enumerate_targets(6)[1:], [Fraction(1)]).second_trace,)
+
+
+def _joint():
+    return joint_family(make_family("F4"), 2, enumerate_targets(4)[1:], [[1, 1]]).traces
+
+
+@pytest.mark.parametrize("build", [_synthesized, _augmented, _joint], ids=["synthesize", "augment", "joint"])
+def test_cross_norm_logs_follow_step_order(build):
+    """cross_norm_logs[i] is the step's correction measured under the i-th earlier global step."""
+    built = build()
+    seq = built[0].seq
+    steps = sorted((s for t in built for s in t.steps), key=lambda s: s.global_index)
+    assert [s.global_index for s in steps] == list(range(1, len(steps) + 1))
+    assert len(steps) >= 3
+    for step in steps:
+        assert len(step.cross_norm_logs) == step.global_index - 1
+        for prior, logged in zip(steps, step.cross_norm_logs):
+            want = apply_operator(seq.op(prior.n), step.correction).majorant_norm(prior.radius)
+            assert logged == want.log
+
+
+def _oldest_first(seq, targets, n_cap):
+    """Reference greedy loop: the cross-norm test runs over the earlier steps oldest first.
+
+    Returns (n, correction, cross_norm_logs) per step, or raises CapExhausted as
+    the library does.
+    """
+    steps = []
+    max_deg, n_prev = -1, 0
+    for s, target in enumerate(targets, start=1):
+        e_log = log_fraction(Fraction(1, 2**s))
+        fail = {"annihilation": 0, "self_norm": 0, "cross_norm": 0}
+        for n in range(n_prev + 1, n_cap + 1):
+            if seq.valence(n) <= max_deg:
+                fail["annihilation"] += 1
+                continue
+            if target.is_zero:
+                h = TaylorPolynomial.zero(exact=seq.exact)
+            else:
+                h = inverse_for_polynomial(seq.op(n), target)
+                if not h.majorant_norm(float(s)).log < e_log:
+                    fail["self_norm"] += 1
+                    continue
+            logs = []
+            for prior_step, (prior_n, _, _) in enumerate(steps, start=1):
+                c = apply_operator(seq.op(prior_n), h).majorant_norm(float(prior_step)).log
+                if not c < e_log:
+                    break
+                logs.append(c)
+            else:
+                steps.append((n, h, tuple(logs)))
+                break
+            fail["cross_norm"] += 1
+        else:
+            raise CapExhausted(
+                f"no admissible index <= {n_cap} at build step {s} (rejections: {fail})",
+                step=s,
+                condition=max(fail, key=lambda key: fail[key]),
+            )
+        if not h.is_zero:
+            max_deg = max(max_deg, h.degree)
+        n_prev = n
+    return steps
+
+
+_ORACLE_FAMILIES = {"F1": {}, "F2": {"c_mode": "unit"}, "F3": {}, "F4": {"c": "7/2"}}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    tag=st.sampled_from(sorted(_ORACLE_FAMILIES)),
+    start=st.integers(0, 10),
+    length=st.integers(1, 5),
+    n_cap=st.integers(1, 40),
+)
+def test_newest_first_matches_oldest_first(tag, start, length, n_cap):
+    """Testing the newest earlier step first changes no chosen step and no cap-exhaustion report."""
+    seq = make_family(tag, _ORACLE_FAMILIES[tag])
+    targets = enumerate_targets(start + length)[start:]
+    schedule = [(0, t) for t in targets]
+    try:
+        want = _oldest_first(seq, targets, n_cap)
+    except CapExhausted as exc:
+        with pytest.raises(CapExhausted) as err:
+            _build_schedule(seq, schedule, n_cap)
+        assert (err.value.step, err.value.condition, str(err.value)) == (exc.step, exc.condition, str(exc))
+        return
+    got = _build_schedule(seq, schedule, n_cap)
+    assert [(s.n, s.correction, s.cross_norm_logs) for s in got] == want
+
+
+def test_rejections_cost_few_operator_applications(monkeypatch):
+    """A rejected candidate stops at the first failing earlier step, which is almost always the newest."""
+    calls = 0
+    apply = hyperdiff.synthesis.apply_operator
+
+    def counting(op, f):
+        nonlocal calls
+        calls += 1
+        return apply(op, f)
+
+    monkeypatch.setattr(hyperdiff.synthesis, "apply_operator", counting)
+    synthesize(make_family("F4"), enumerate_targets(24))
+    assert calls <= 2000
