@@ -308,10 +308,10 @@ def read_operator_table(path: str) -> List[PolynomialOperator]:
         raise ConfigError(f"{path} holds no #operator blocks")
     import io
 
-    ops = []
-    for block in blocks:
-        ops.append(read_coefficients(io.StringIO("\n".join(block) + "\n")))
-    return ops
+    try:
+        return [read_coefficients(io.StringIO("\n".join(block) + "\n")) for block in blocks]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:

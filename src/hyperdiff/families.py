@@ -31,9 +31,6 @@ from .series import ExponentialCombo, PolynomialOperator, TaylorPolynomial, exp_
 
 # -- rational enumeration ------------------------------------------------------
 
-_Q_CACHE: List[Fraction] = []
-
-
 def positive_rational(n: int) -> Fraction:
     """n-th positive rational in the diagonal enumeration.
 
@@ -43,15 +40,10 @@ def positive_rational(n: int) -> Fraction:
     """
     if n < 1:
         raise ValueError("enumeration index starts at 1")
-    while len(_Q_CACHE) < n:
-        s = 2
-        # next block after the current cache length
-        while s * (s - 1) // 2 < len(_Q_CACHE) + 1:
-            s += 1
-        base = (s - 1) * (s - 2) // 2
-        for p in range(len(_Q_CACHE) - base + 1, s):
-            _Q_CACHE.append(Fraction(p, s - p))
-    return _Q_CACHE[n - 1]
+    # block s = p + q holds s - 1 pairs, so it is the least s with s(s-1)/2 >= n
+    s = (math.isqrt(8 * n - 7) + 3) // 2
+    p = n - (s - 1) * (s - 2) // 2
+    return Fraction(p, s - p)
 
 
 # -- operator sequences --------------------------------------------------------

@@ -306,9 +306,9 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
 def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> TaylorPolynomial:
     """Linear extension: sum(y_k f_{n,k}); P(D) applied to it returns y exactly."""
     result = TaylorPolynomial.zero(exact=y.exact and op.exact)
-    for k in y.support():
+    for k, y_k in y.terms():
         inv = build_f_nk(op, k, verify=False)
-        result = result + inv.f.scale(y.coefficient(k))
+        result = result + inv.f.scale(y_k)
     return result
 
 

@@ -249,13 +249,13 @@ def decay_report(
     exponents = [e.valence for e in basis.entries]
     slot = {m: i for i, m in enumerate(exponents)}
     coeffs: List = [None] * len(exponents)
-    for j in f.support():
+    for j, c in f.terms():
         if j not in slot:
             raise PreconditionError(
                 f"membership violation: coefficient at degree {j} is off the "
                 f"lacunary support {tuple(exponents)}"
             )
-        coeffs[slot[j]] = f.coefficient(j)
+        coeffs[slot[j]] = c
     collision_free = _collision_free(basis.entries)
     if method == "auto":
         # |log c| / log 2 (valence coefficient, coefficient sum) bounds the bit

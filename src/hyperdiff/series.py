@@ -1,9 +1,11 @@
 """Truncated power series, polynomial differential operators, and their action.
 
 Every "entire function" handled here is a truncated Taylor polynomial with an
-explicit truncation degree; operations that drop tails report a majorant bound
-for what was dropped. Coefficients live in one of two regimes (exact rational
-complex or double complex) and never mix inside a single object.
+explicit truncation degree, stored as its nonzero terms: the paper's right
+inverses and lacunary members occupy a few degrees far above zero. Operations
+that drop tails report a majorant bound for what was dropped. Coefficients live
+in one of two regimes (exact rational complex or double complex) and never mix
+inside a single object.
 """
 
 from __future__ import annotations
@@ -30,129 +32,111 @@ from .scalars import (
 CoeffLike = Union[QComplex, complex, float, int, Fraction]
 
 
-def _coerce_coeffs(values: Iterable[CoeffLike]) -> Tuple[tuple, bool]:
-    """Normalize a coefficient list to one regime; returns (coeffs, exact)."""
-    raw = list(values)
-    exact = all(is_exact(v) for v in raw)
-    if exact:
-        out = []
-        for v in raw:
-            q = QComplex.coerce(v)
-            out.append(q if q else QC_ZERO)
-        return tuple(out), True
-    return tuple(to_complex(v) for v in raw), False
+def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> Tuple[dict, bool]:
+    """Normalize (j, a_j) pairs, distinct j in increasing order, to one regime.
+
+    Returns ({j: a_j} without the zero coefficients, exact).
+    """
+    items = list(items)
+    exact = all(is_exact(c) for _, c in items)
+    coerce = QComplex.coerce if exact else to_complex
+    return {j: v for j, c in items if (v := coerce(c))}, exact
 
 
 class TaylorPolynomial:
     """A truncated entire function sum(a_j z^j, j=0..N) with explicit N.
 
-    The stored length is the truncation degree plus one and is preserved by
-    construction even when the top coefficients are zero; equality compares
-    values after stripping trailing zeros.
+    Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
+    truncation degree N. Construction preserves N even when the top
+    coefficients are zero; the exact zero has N = -1, the floating one N = 0.
+    Equality compares values and ignores N.
     """
 
-    __slots__ = ("coeffs", "exact", "_support")
+    __slots__ = ("_terms", "exact", "truncation")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
-        cs, exact = _coerce_coeffs(coeffs)
-        self.coeffs = cs
-        self.exact = exact
-        self._support = tuple(i for i, c in enumerate(cs) if c is not QC_ZERO and c)
+        raw = list(coeffs)
+        self._terms, self.exact = _coerce_terms(enumerate(raw))
+        self.truncation = len(raw) - 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, coeffs: tuple, exact: bool, support: tuple) -> "TaylorPolynomial":
+    def _raw(cls, terms: dict, exact: bool, truncation: int) -> "TaylorPolynomial":
         """Internal constructor for callers that already guarantee invariants."""
         obj = object.__new__(cls)
-        obj.coeffs = coeffs
+        obj._terms = terms
         obj.exact = exact
-        obj._support = support
+        obj.truncation = truncation
         return obj
 
     @classmethod
     def zero(cls, exact: bool = True) -> "TaylorPolynomial":
-        if exact:
-            return cls._raw((), True, ())
-        return cls._raw((0j,), False, ())
+        return cls._raw({}, exact, -1 if exact else 0)
 
     @classmethod
     def monomial(cls, degree: int, coeff: CoeffLike = 1) -> "TaylorPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        zero: CoeffLike = QC_ZERO if is_exact(coeff) else 0j
-        return cls([zero] * degree + [coeff])
+        return cls._raw(*_coerce_terms([(degree, coeff)]), degree)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, CoeffLike]]) -> "TaylorPolynomial":
+        """Sum of the terms a z^j; repeated exponents add up."""
         items = list(pairs)
         if not items:
             return cls.zero()
         if any(j < 0 for j, _ in items):
             raise ValueError("negative exponent")
-        top = max(j for j, _ in items)
         exact = all(is_exact(c) for _, c in items)
         zero: CoeffLike = QC_ZERO if exact else 0j
-        out = [zero] * (top + 1)
-        touched = set()
+        out: dict = {}
         for j, c in items:
-            out[j] = out[j] + (QComplex.coerce(c) if exact else to_complex(c))
-            touched.add(j)
-        support = []
-        for j in sorted(touched):
-            if out[j]:
-                support.append(j)
-            else:
-                out[j] = zero
-        return cls._raw(tuple(out), exact, tuple(support))
+            out[j] = out.get(j, zero) + (QComplex.coerce(c) if exact else to_complex(c))
+        terms = {j: out[j] for j in sorted(out) if out[j]}
+        return cls._raw(terms, exact, max(out))
 
     # -- structure ---------------------------------------------------------
 
     @property
-    def truncation(self) -> int:
-        """Explicit truncation degree N (-1 for the empty zero polynomial)."""
-        return len(self.coeffs) - 1
-
-    @property
     def degree(self) -> int:
         """Greatest exponent with a nonzero coefficient (-1 for zero)."""
-        return self._support[-1] if self._support else -1
+        return next(reversed(self._terms), -1)
 
     @property
     def is_zero(self) -> bool:
-        return not self._support
+        return not self._terms
 
     def support(self) -> Tuple[int, ...]:
-        return self._support
+        return tuple(self._terms)
+
+    def terms(self):
+        """The (j, a_j) pairs with a_j nonzero, in increasing j."""
+        return self._terms.items()
 
     def coefficient(self, j: int) -> Scalar:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return QC_ZERO if self.exact else 0j
+        return self._terms.get(j, QC_ZERO if self.exact else 0j)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
         if self.exact != other.exact:
             return self.is_zero and other.is_zero
-        d = max(self.degree, other.degree)
-        return all(self.coefficient(j) == other.coefficient(j) for j in range(d + 1))
+        return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(self.coeffs[: self.degree + 1]))
+        return hash(tuple(self._terms.items()))
 
     def __repr__(self):
         if self.is_zero:
             return "TaylorPolynomial(0)"
-        parts = [f"{self.coeffs[j]}*z^{j}" for j in self._support[:4]]
-        if len(self._support) > 4:
+        items = list(self._terms.items())
+        parts = [f"{c}*z^{j}" for j, c in items[:4]]
+        if len(items) > 4:
             parts.append("...")
         return f"TaylorPolynomial({' + '.join(parts)}; N={self.truncation})"
 
     # -- linear algebra ----------------------------------------------------
-
-    def _zero_coeff(self):
-        return QC_ZERO if self.exact else 0j
 
     def __add__(self, other: "TaylorPolynomial") -> "TaylorPolynomial":
         if not isinstance(other, TaylorPolynomial):
@@ -160,20 +144,18 @@ class TaylorPolynomial:
         a, b = self, other
         if a.exact != b.exact:
             a, b = a.to_float(), b.to_float()
-        if len(b.coeffs) > len(a.coeffs):
+        if b.truncation > a.truncation:
             a, b = b, a
-        out = list(a.coeffs)
-        support = set(a._support)
-        zero = a._zero_coeff()
-        for j in b._support:
-            s = out[j] + b.coeffs[j]
+        out = dict(a._terms)
+        zero = QC_ZERO if a.exact else 0j
+        for j, c in b._terms.items():
+            # zero + c also for a lone c: 0j + c turns a -0.0 part into 0.0
+            s = out.get(j, zero) + c
             if s:
                 out[j] = s
-                support.add(j)
             else:
-                out[j] = zero
-                support.discard(j)
-        return TaylorPolynomial._raw(tuple(out), a.exact, tuple(sorted(support)))
+                del out[j]
+        return TaylorPolynomial._raw(dict(sorted(out.items())), a.exact, a.truncation)
 
     def __neg__(self) -> "TaylorPolynomial":
         return self.scale(-1 if self.exact else -1.0)
@@ -184,34 +166,18 @@ class TaylorPolynomial:
     def scale(self, factor: CoeffLike) -> "TaylorPolynomial":
         if self.exact and is_exact(factor):
             f = QComplex.coerce(factor)
-            if not f:
-                return TaylorPolynomial._raw((QC_ZERO,) * len(self.coeffs), True, ())
-            out = [QC_ZERO] * len(self.coeffs)
-            for j in self._support:
-                out[j] = self.coeffs[j] * f
-            return TaylorPolynomial._raw(tuple(out), True, self._support)
+            terms = {j: c * f for j, c in self._terms.items()} if f else {}
+            return TaylorPolynomial._raw(terms, True, self.truncation)
         f = to_complex(factor)
         me = self.to_float()
-        out_f = [0j] * len(me.coeffs)
-        support = []
-        for j in me._support:
-            v = me.coeffs[j] * f
-            if v:
-                out_f[j] = v
-                support.append(j)
-        return TaylorPolynomial._raw(tuple(out_f), False, tuple(support))
+        terms = {j: v for j, c in me._terms.items() if (v := c * f)}
+        return TaylorPolynomial._raw(terms, False, me.truncation)
 
     def to_float(self) -> "TaylorPolynomial":
         if not self.exact:
             return self
-        out = [0j] * max(1, len(self.coeffs))
-        support = []
-        for j in self._support:
-            v = to_complex(self.coeffs[j])
-            if v:
-                out[j] = v
-                support.append(j)
-        return TaylorPolynomial._raw(tuple(out), False, tuple(support))
+        terms = {j: v for j, c in self._terms.items() if (v := to_complex(c))}
+        return TaylorPolynomial._raw(terms, False, max(0, self.truncation))
 
     # -- analysis ----------------------------------------------------------
 
@@ -226,34 +192,30 @@ class TaylorPolynomial:
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self
-        n = len(self.coeffs) - order
-        if n <= 0:
+        if self.truncation < order:
             return TaylorPolynomial.zero(exact=self.exact)
-        out = [self._zero_coeff()] * n
-        support = []
-        for i in self._support:
-            if i < order:
-                continue
-            v = scale_by_int(self.coeffs[i], falling_factorial(i, order))
-            if v:
-                out[i - order] = v
-                support.append(i - order)
-        return TaylorPolynomial._raw(tuple(out), self.exact, tuple(support))
+        terms = {
+            i - order: v
+            for i, c in self._terms.items()
+            if i >= order and (v := scale_by_int(c, falling_factorial(i, order)))
+        }
+        return TaylorPolynomial._raw(terms, self.exact, self.truncation - order)
 
     def evaluate(self, z: CoeffLike) -> Scalar:
-        """Horner evaluation; exact when both the series and the point are exact."""
+        """Horner evaluation; exact when both the series and the point are exact.
+
+        The loop runs over every degree N..0 and adds a zero in each gap; in
+        the float regime those additions fix the sign of a zero part.
+        """
         if self.is_zero:
             return QC_ZERO if (self.exact and is_exact(z)) else 0j
         if self.exact and is_exact(z):
-            zq = QComplex.coerce(z)
-            acc = QC_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * zq + c
-            return acc
-        zf = to_complex(z)
-        acc = 0j
-        for c in reversed(self.to_float().coeffs):
-            acc = acc * zf + c
+            poly, x, zero = self, QComplex.coerce(z), QC_ZERO
+        else:
+            poly, x, zero = self.to_float(), to_complex(z), 0j
+        acc = zero
+        for j in range(poly.truncation, -1, -1):
+            acc = acc * x + poly._terms.get(j, zero)
         return acc
 
     def majorant_norm(self, r: float) -> LogMagnitude:
@@ -264,11 +226,9 @@ class TaylorPolynomial:
         if r <= 0:
             raise ValueError("majorant radius must be positive")
         log_r = math.log(r)
-        terms = []
-        for j in self._support:
-            mag = LogMagnitude.of(self.coeffs[j])
-            terms.append(LogMagnitude(mag.log + j * log_r))
-        return LogMagnitude.sum(terms)
+        return LogMagnitude.sum(
+            LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in self._terms.items()
+        )
 
 
 class PolynomialOperator:
@@ -467,8 +427,8 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
 
 def write_taylor(f: TaylorPolynomial, out: TextIO) -> None:
     out.write(f"#taylor N={f.truncation}\n")
-    for j in f.support():
-        out.write(f"{j},{format_scalar(f.coeffs[j])}\n")
+    for j, c in f.terms():
+        out.write(f"{j},{format_scalar(c)}\n")
 
 
 def write_operator(op: PolynomialOperator, out: TextIO) -> None:
@@ -479,6 +439,7 @@ def write_operator(op: PolynomialOperator, out: TextIO) -> None:
 
 def _parse_body(lines) -> list:
     entries = []
+    seen = set()
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -486,7 +447,11 @@ def _parse_body(lines) -> list:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad coefficient line {line!r}")
-        entries.append((int(parts[0]), parse_scalar(parts[1], parts[2])))
+        j = int(parts[0])
+        if j in seen:
+            raise ValueError(f"repeated coefficient index {j}")
+        seen.add(j)
+        entries.append((j, parse_scalar(parts[1], parts[2])))
     return entries
 
 
@@ -503,15 +468,11 @@ def read_coefficients(source: TextIO):
     )
     if header.startswith("#taylor"):
         n = int(header.split("N=")[1])
-        entries = _parse_body(lines)
-        exact = all(isinstance(c, QComplex) for _, c in entries)
-        zero: CoeffLike = QC_ZERO if exact else 0j
-        out = [zero] * (n + 1)
-        for j, c in entries:
-            if j > n:
-                raise ValueError(f"coefficient index {j} exceeds declared N={n}")
-            out[j] = c
-        return TaylorPolynomial(out)
+        entries = sorted(_parse_body(lines))
+        for j, _ in entries:
+            if not 0 <= j <= n:
+                raise ValueError(f"coefficient index {j} is outside 0..N={n}")
+        return TaylorPolynomial._raw(*_coerce_terms(entries), max(n, -1))
     if header.startswith("#operator"):
         entries = _parse_body(lines)
         return PolynomialOperator(entries)

@@ -210,7 +210,8 @@ def _build_schedule(
             else:
                 h = inverse_for_polynomial(seq.op(n), target)
                 h_norm = h.majorant_norm(r_s)
-                if not h_norm.log < e_log:
+                # a float inverse that underflows to zero cannot reach a nonzero target
+                if h.is_zero or not h_norm.log < e_log:
                     fail["self_norm"] += 1
                     continue
             cross_logs: List[float] = []
@@ -584,7 +585,7 @@ def joint_family(
 
 
 def _poly_json(poly: TaylorPolynomial) -> list:
-    return [[j, format_scalar(poly.coefficient(j))] for j in poly.support()]
+    return [[j, format_scalar(c)] for j, c in poly.terms()]
 
 
 def _mag_json(mag: LogMagnitude):

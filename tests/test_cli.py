@@ -83,6 +83,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("PreconditionError:") and "Traceback" not in err
 
+    def test_f2_greedy_step_with_underflowing_inverse(self, tmp_path, capsys):
+        # a float inverse that underflows to zero is rejected, not admitted as
+        # a correction that misses its target, so the scan runs on into the
+        # index where F2's coefficients leave the double range
+        rc = run("augment", "--family", "F2", "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "PreconditionError: F2 coefficient underflows double precision at n=746"
+        )
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "#operator m=1 d=3\n1,1,0\n3,abc,0\n",  # bad token
+            "#operator m=0 d=0\n0,1,0\n",  # constant operator
+            "#operator m=1 d=2\n1,1,0\n1,2,0\n2,1,0\n",  # repeated index
+            "#operator m=1 d=1\n1,1/0,0\n",  # zero denominator
+        ],
+    )
+    def test_malformed_table_is_config_error(self, tmp_path, capsys, body):
+        table = tmp_path / "table.coeffs"
+        table.write_text(body)
+        rc = run(
+            "build-inverse", "--family", "F5", "--table", str(table), "--n", "1", "--k", "1",
+            "--out", str(tmp_path / "out"),
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {table}: ")
+
     def test_cap_exhaustion(self, tmp_path):
         rc = run(
             "build-m0",

@@ -39,6 +39,13 @@ class TestRationalEnumeration:
         ]
         assert got == want
 
+    def test_closed_form_matches_the_diagonal_enumeration(self):
+        want = [Fraction(p, s - p) for s in range(2, 200) for p in range(1, s)][:10**4]
+        assert [positive_rational(n) for n in range(1, 10**4 + 1)] == want
+        # the blocks before s = 1414215 hold 1414214 * 1414213 / 2 = 999999911791
+        # pairs, so n = 10^12 is p = 88209 in block s
+        assert positive_rational(10**12) == Fraction(88209, 1414215 - 88209)
+
     def test_determinism_across_instances(self):
         a = make_family("F3")
         b = make_family("F3")

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperdiff.scalars import LogMagnitude, QComplex
+from hyperdiff.scalars import LogMagnitude, QComplex, format_scalar, is_exact, scale_by_int
 from hyperdiff.series import (
     ExponentialCombo,
     PolynomialOperator,
@@ -213,6 +213,93 @@ class TestExponentialCombo:
             ExponentialCombo([(1.0, 2.0), (3.0, 2.0)])
 
 
+class Dense:
+    """Reference model: a coefficient in every slot 0..N, the regime's zero in the gaps."""
+
+    def __init__(self, cs, exact):
+        self.exact = exact
+        self.zero = QComplex(0) if exact else 0j
+        self.cs = [c if c else self.zero for c in cs]
+
+    @classmethod
+    def of(cls, raw):
+        exact = all(is_exact(c) for c in raw)
+        return cls([QComplex.coerce(c) if exact else complex(c) for c in raw], exact)
+
+    def to_float(self):
+        return Dense([complex(c) for c in self.cs] or [0j], False) if self.exact else self
+
+    def add(self, other):
+        a, b = (self, other) if self.exact == other.exact else (self.to_float(), other.to_float())
+        if len(b.cs) > len(a.cs):
+            a, b = b, a
+        out = list(a.cs)
+        for j, c in enumerate(b.cs):
+            if c:
+                out[j] = out[j] + c
+        return Dense(out, a.exact)
+
+    def sub(self, other):
+        return self.add(other.scale(-1 if other.exact else -1.0))
+
+    def scale(self, f):
+        if self.exact and is_exact(f):
+            return Dense([c * QComplex.coerce(f) for c in self.cs], True)
+        return Dense([c * complex(f) for c in self.to_float().cs], False)
+
+    def differentiate(self, k):
+        if k == 0:
+            return self
+        n = len(self.cs) - k
+        if n <= 0:
+            return Dense([] if self.exact else [0j], self.exact)
+        return Dense([scale_by_int(self.cs[i + k], math.perm(i + k, k)) for i in range(n)], self.exact)
+
+    def evaluate(self, z):
+        exact = self.exact and is_exact(z)
+        x, acc, cs = (QComplex.coerce(z), QComplex(0), self.cs) if exact else (complex(z), 0j, self.to_float().cs)
+        if not any(cs):
+            return acc
+        for c in reversed(cs):
+            acc = acc * x + c
+        return acc
+
+    def majorant(self, r):
+        return LogMagnitude.sum(
+            LogMagnitude(LogMagnitude.of(c).log + j * math.log(r)) for j, c in enumerate(self.cs) if c
+        )
+
+
+float_parts = st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.1, 7.0, 1e-300, -3e-200])
+float_scalars = st.builds(complex, float_parts, float_parts)
+exact_scalars = st.builds(QComplex, rationals, rationals) | st.just(QComplex(0))
+dense_lists = st.lists(exact_scalars, max_size=6) | st.lists(float_scalars, min_size=1, max_size=6)
+
+
+class TestDenseReferenceModel:
+    @settings(max_examples=200, deadline=None)
+    @given(dense_lists, dense_lists, exact_scalars | float_scalars, st.integers(0, 4),
+           exact_scalars | float_scalars)
+    def test_operations_match_the_model_bit_for_bit(self, a, b, factor, order, z):
+        p, q, mp, mq = TaylorPolynomial(a), TaylorPolynomial(b), Dense.of(a), Dense.of(b)
+        cases = [
+            (p + q, mp.add(mq)),
+            (p - q, mp.sub(mq)),
+            (p - p, mp.sub(mp)),
+            ((p + q) - q, mp.add(mq).sub(mq)),
+            (p.scale(factor), mp.scale(factor)),
+            (p.differentiate(order), mp.differentiate(order)),
+            (p.to_float(), mp.to_float()),
+        ]
+        for poly, model in cases:
+            assert (poly.exact, poly.truncation) == (model.exact, len(model.cs) - 1)
+            assert [(j, format_scalar(c)) for j, c in poly.terms()] == [
+                (j, format_scalar(c)) for j, c in enumerate(model.cs) if c
+            ]
+            assert format_scalar(poly.evaluate(z)) == format_scalar(model.evaluate(z))
+            assert repr(poly.majorant_norm(2.0).log) == repr(model.majorant(2.0).log)
+
+
 class TestCoefficientFiles:
     def test_taylor_round_trip_exact(self):
         f = TaylorPolynomial.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-7, 2))])
@@ -227,7 +314,8 @@ class TestCoefficientFiles:
         write_taylor(f, buf)
         buf.seek(0)
         back = read_coefficients(buf)
-        assert back.coeffs == f.coeffs
+        assert list(back.terms()) == list(f.terms())
+        assert back.truncation == f.truncation
 
     def test_operator_round_trip(self):
         p = PolynomialOperator({3: QComplex(Fraction(1, 27)), 4: QComplex(1)})
