@@ -27,7 +27,13 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, TextIO
 
 from .errors import ConfigError, PreconditionError
 from .scalars import LN2, LogMagnitude, NEG_INF, QComplex, fmt_log, is_exact, to_complex
-from .series import ExponentialCombo, PolynomialOperator, TaylorPolynomial, exp_truncate
+from .series import (
+    ExponentialCombo,
+    PolynomialOperator,
+    TaylorPolynomial,
+    _majorant_log,
+    exp_truncate,
+)
 
 # -- rational enumeration ------------------------------------------------------
 
@@ -576,11 +582,11 @@ def check_property_Q(
     )
 
 
-def _op_coeff_majorant_log(op: PolynomialOperator, r: float) -> LogMagnitude:
-    log_r = math.log(r)
-    return LogMagnitude.sum(
-        LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in op.terms()
-    )
+def _check_circle(r: float, samples: int) -> None:
+    if not 0 < r < math.inf:
+        raise PreconditionError(f"property (R) radius must be positive and finite, got {r}")
+    if samples < 64:
+        raise PreconditionError("samples_per_circle must be >= 64")
 
 
 def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude:
@@ -592,10 +598,7 @@ def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude
     degrades gracefully to zero). Single-term operators have constant modulus
     on circles and are returned exactly.
     """
-    if m_samples < 64:
-        raise PreconditionError("circle sampling needs at least 64 points")
-    if r <= 0:
-        raise PreconditionError("circle radius must be positive")
+    _check_circle(r, m_samples)
     lower, _ = _circle_scan(op, r, m_samples)
     return lower
 
@@ -610,7 +613,7 @@ def _circle_scan(
         exact = LogMagnitude(LogMagnitude.of(c).log + j * math.log(r))
         return exact, exact
     fop = op.to_float()
-    coeffs = list(reversed(fop.coeffs))
+    coeffs = [fop.coefficient(j) for j in range(fop.degree, fop.valence - 1, -1)]
     # |P(z)| = r^m |H(z)| on |z| = r: scan H, scale the corrections by r^-m; no float overflows
     r_m = LogMagnitude(fop.valence * math.log(r))
     sampled = math.inf
@@ -624,7 +627,7 @@ def _circle_scan(
             sampled = val
     upper = LogMagnitude.of(sampled) * r_m if math.isfinite(sampled) else LogMagnitude(math.inf)
     b = (op.derivative_majorant(r) / r_m).value()
-    guard = 8.0 * 2.0**-52 * (op.degree + 1) * (_op_coeff_majorant_log(op, r) / r_m).value()
+    guard = 8.0 * 2.0**-52 * (op.degree + 1) * (_majorant_log(terms, r) / r_m).value()
     if not (math.isfinite(sampled) and math.isfinite(b) and math.isfinite(guard)):
         return LogMagnitude.zero(), upper
     lower_val = sampled - (math.pi * r / m_samples) * b - guard
@@ -646,10 +649,7 @@ def check_property_R(
     evaluation at the real point z = r whenever the family can do it exactly)
     through the vanishing-witness and floor rules.
     """
-    if not 0 < r < math.inf:
-        raise PreconditionError(f"property (R) radius must be positive and finite, got {r}")
-    if samples_per_circle < 64:
-        raise PreconditionError("samples_per_circle must be >= 64")
+    _check_circle(r, samples_per_circle)
     rule = rule or GrowthRule()
     lo, hi = n_range
     ns = list(range(lo, hi + 1))

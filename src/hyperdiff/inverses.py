@@ -71,17 +71,14 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
         raise PreconditionError("k must be >= 0")
     if not a:
         raise PreconditionError("empty coefficient list")
-    exact = all(is_exact(v) for v in a)
-    if exact:
-        aa = [QComplex.coerce(v) for v in a]
-        if not aa[0]:
-            raise PreconditionError("a_0 must be nonzero (operator valence coefficient)")
-        zero, inv_a0 = QC_ZERO, QC_ONE / aa[0]
+    if all(is_exact(v) for v in a):
+        coerce, zero, one = QComplex.coerce, QC_ZERO, QC_ONE
     else:
-        aa = [to_complex(v) for v in a]
-        if aa[0] == 0:
-            raise PreconditionError("a_0 must be nonzero (operator valence coefficient)")
-        zero, inv_a0 = 0j, 1.0 / aa[0]
+        coerce, zero, one = to_complex, 0j, 1.0
+    aa = [coerce(v) for v in a]
+    if not aa[0]:
+        raise PreconditionError("a_0 must be nonzero (operator valence coefficient)")
+    inv_a0 = one / aa[0]
 
     def coeff(i: int):
         return aa[i] if i < len(aa) else zero
@@ -284,9 +281,9 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     """
     if k < 0:
         raise PreconditionError("k must be >= 0")
-    a = tuple(op.coeffs)  # a_j = c_{j+m}; a_0 is nonzero by the valence invariant
-    b = solve_monic_system(a, k)
     m = op.valence
+    # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
+    b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
     pairs = []
     for s, b_s in enumerate(b):
         if not b_s:
@@ -339,14 +336,12 @@ def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitud
     ratio-normalized triangular solve and stay in the log domain throughout
     (raw b_s overflow doubles once 1/|a_0|^{k+1} leaves range).
     """
-    op_exact = seq.exact
     m = seq.valence(n)
     log_r = math.log(r)
-    if op_exact:
-        inv = build_f_nk(seq.op(n), k, verify=False)
-        return inv.f.majorant_norm(r)
-    a = [to_complex(c) for c in seq.op(n).coeffs]
-    b_tilde, log_a0 = solve_ratio_normalized(a, k)
+    op = seq.op(n)
+    if seq.exact:
+        return build_f_nk(op, k, verify=False).f.majorant_norm(r)
+    b_tilde, log_a0 = solve_ratio_normalized([op.coefficient(m + j) for j in range(k + 1)], k)
     terms = []
     for s, bt in enumerate(b_tilde):
         mag = abs(bt)

@@ -43,6 +43,12 @@ def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> Tuple[dict, bool]:
     return {j: v for j, c in items if (v := coerce(c))}, exact
 
 
+def _majorant_log(terms: Iterable[Tuple[int, Scalar]], r: float) -> LogMagnitude:
+    """sum(|c_j| r^j) over (j, c_j) pairs, in the log domain."""
+    log_r = math.log(r)
+    return LogMagnitude.sum(LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in terms)
+
+
 class TaylorPolynomial:
     """A truncated entire function sum(a_j z^j, j=0..N) with explicit N.
 
@@ -225,75 +231,61 @@ class TaylorPolynomial:
         """
         if r <= 0:
             raise ValueError("majorant radius must be positive")
-        log_r = math.log(r)
-        return LogMagnitude.sum(
-            LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in self._terms.items()
-        )
+        return _majorant_log(self._terms.items(), r)
 
 
 class PolynomialOperator:
     """A nonconstant polynomial P(z) = sum(c_j z^j, j=m..d) acting as P(D).
 
-    The valence m is the least exponent with nonzero coefficient, the degree d
-    the greatest; both coefficients are required nonzero on construction.
+    Stored as its nonzero terms, a map {j: c_j} in increasing j. The valence m
+    is the least exponent with nonzero coefficient, the degree d the greatest.
     """
 
-    __slots__ = ("valence", "degree", "coeffs", "exact")
+    __slots__ = ("_terms", "exact")
 
     def __init__(self, coeffs_by_degree):
-        if isinstance(coeffs_by_degree, dict):
-            items = sorted(coeffs_by_degree.items())
-        else:
-            items = sorted(coeffs_by_degree)
-        items = [(j, c) for j, c in items if c]
-        if not items:
+        items = sorted((j, c) for j, c in dict(coeffs_by_degree).items() if c)
+        self._terms, self.exact = _coerce_terms(items)
+        if not self._terms:
             raise ValueError("operator polynomial has no nonzero coefficients")
-        m = items[0][0]
-        d = items[-1][0]
-        if m < 0:
+        if self.valence < 0:
             raise ValueError("negative exponent in operator polynomial")
-        if d < 1:
+        if self.degree < 1:
             raise ValueError("operator polynomial must be nonconstant (degree >= 1)")
-        exact = all(is_exact(c) for _, c in items)
-        zero: CoeffLike = QC_ZERO if exact else 0j
-        row = [zero] * (d - m + 1)
-        for j, c in items:
-            row[j - m] = QComplex.coerce(c) if exact else to_complex(c)
-        if not row[0] or not row[-1]:
-            raise ValueError("operator coefficients at valence and degree must be nonzero")
-        self.valence = m
-        self.degree = d
-        self.coeffs = tuple(row)
-        self.exact = exact
+
+    @property
+    def valence(self) -> int:
+        return next(iter(self._terms))
+
+    @property
+    def degree(self) -> int:
+        return next(reversed(self._terms))
 
     def coefficient(self, j: int) -> Scalar:
-        if self.valence <= j <= self.degree:
-            return self.coeffs[j - self.valence]
-        return QC_ZERO if self.exact else 0j
+        return self._terms.get(j, QC_ZERO if self.exact else 0j)
 
     def terms(self):
-        for offset, c in enumerate(self.coeffs):
-            if c:
-                yield self.valence + offset, c
+        """The (j, c_j) pairs with c_j nonzero, in increasing j."""
+        return self._terms.items()
 
     def value_at(self, w: CoeffLike) -> Scalar:
-        """P(w) by Horner; the eigenvalue of P(D) on e_w."""
+        """P(w) by Horner over the degrees d..m; the eigenvalue of P(D) on e_w."""
+        m, terms = self.valence, self._terms
+        degrees = range(self.degree, m - 1, -1)
         if self.exact and is_exact(w):
             wq = QComplex.coerce(w)
             acc = QC_ZERO
-            for c in reversed(self.coeffs):
-                acc = acc * wq + c
-            return acc * wq**self.valence
+            for j in degrees:
+                acc = acc * wq + terms.get(j, QC_ZERO)
+            return acc * wq**m
         wf = to_complex(w)
         acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * wf + to_complex(c)
+        for j in degrees:
+            acc = acc * wf + to_complex(terms.get(j, 0j))
         try:
-            return acc * wf**self.valence
+            return acc * wf**m
         except OverflowError as exc:  # complex ** raises where float arithmetic gives inf
-            raise PreconditionError(
-                f"w**{self.valence} at w = {wf} is beyond the double range"
-            ) from exc
+            raise PreconditionError(f"w**{m} at w = {wf} is beyond the double range") from exc
 
     def derivative_majorant(self, r: float) -> LogMagnitude:
         """log of B = sum(j |c_j| r^(j-1)), a sup bound for |P'| on |z| = r."""
@@ -314,11 +306,7 @@ class PolynomialOperator:
     def __eq__(self, other):
         if not isinstance(other, PolynomialOperator):
             return NotImplemented
-        return (
-            self.exact == other.exact
-            and self.valence == other.valence
-            and self.coeffs == other.coeffs
-        )
+        return self.exact == other.exact and self._terms == other._terms
 
     def __repr__(self):
         body = " + ".join(f"{c}*z^{j}" for j, c in list(self.terms())[:4])
@@ -425,16 +413,18 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
 # marks the exact regime, decimal notation the floating one.
 
 
-def write_taylor(f: TaylorPolynomial, out: TextIO) -> None:
-    out.write(f"#taylor N={f.truncation}\n")
-    for j, c in f.terms():
+def _write_terms(header: str, terms, out: TextIO) -> None:
+    out.write(header + "\n")
+    for j, c in terms:
         out.write(f"{j},{format_scalar(c)}\n")
+
+
+def write_taylor(f: TaylorPolynomial, out: TextIO) -> None:
+    _write_terms(f"#taylor N={f.truncation}", f.terms(), out)
 
 
 def write_operator(op: PolynomialOperator, out: TextIO) -> None:
-    out.write(f"#operator m={op.valence} d={op.degree}\n")
-    for j, c in op.terms():
-        out.write(f"{j},{format_scalar(c)}\n")
+    _write_terms(f"#operator m={op.valence} d={op.degree}", op.terms(), out)
 
 
 def _parse_body(lines) -> list:
@@ -455,25 +445,31 @@ def _parse_body(lines) -> list:
     return entries
 
 
+def _header_ints(header: str, *names: str) -> list:
+    """The required integer fields name=<int> of a header line."""
+    fields = dict(token.partition("=")[::2] for token in header.split()[1:])
+    try:
+        return [int(fields[name]) for name in names]
+    except (KeyError, ValueError):
+        raise ValueError(f"header {header!r} needs integer fields {', '.join(names)}") from None
+
+
 def read_coefficients(source: TextIO):
     """Parse a coefficient file into a TaylorPolynomial or PolynomialOperator."""
     lines = source.read().splitlines()
-    header = next(
-        (
-            l.strip()
-            for l in lines
-            if l.strip().startswith("#taylor") or l.strip().startswith("#operator")
-        ),
-        "",
-    )
+    stripped = (l.strip() for l in lines)
+    header = next((l for l in stripped if l.startswith(("#taylor", "#operator"))), "")
     if header.startswith("#taylor"):
-        n = int(header.split("N=")[1])
+        (n,) = _header_ints(header, "N")
         entries = sorted(_parse_body(lines))
         for j, _ in entries:
             if not 0 <= j <= n:
                 raise ValueError(f"coefficient index {j} is outside 0..N={n}")
         return TaylorPolynomial._raw(*_coerce_terms(entries), max(n, -1))
     if header.startswith("#operator"):
-        entries = _parse_body(lines)
-        return PolynomialOperator(entries)
+        m, d = _header_ints(header, "m", "d")
+        op = PolynomialOperator(_parse_body(lines))
+        if (op.valence, op.degree) != (m, d):
+            raise ValueError(f"{header!r} does not match the body (m={op.valence} d={op.degree})")
+        return op
     raise ValueError("missing #taylor or #operator header")

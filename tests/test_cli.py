@@ -100,6 +100,7 @@ class TestExitCodes:
             "#operator m=0 d=0\n0,1,0\n",  # constant operator
             "#operator m=1 d=2\n1,1,0\n1,2,0\n2,1,0\n",  # repeated index
             "#operator m=1 d=1\n1,1/0,0\n",  # zero denominator
+            "#operator m=7 d=9\n3,1,0\n4,2,0\n",  # header disagrees with the body
         ],
     )
     def test_malformed_table_is_config_error(self, tmp_path, capsys, body):

@@ -333,6 +333,14 @@ class TestCircleMin:
         with pytest.raises(PreconditionError):
             circle_min(PolynomialOperator({0: QComplex(1), 1: QComplex(1)}), 1.0, 32)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, 0.0, -1.0])
+    def test_radius_must_be_positive_and_finite(self, r):
+        p = PolynomialOperator({0: QComplex(1), 1: QComplex(1)})
+        with pytest.raises(PreconditionError):
+            circle_min(p, r, 64)
+        with pytest.raises(PreconditionError):
+            check_property_R(make_family("F1"), r, (1, 2), 64)
+
 
 class TestUnicityExponent:
     def test_sqrt_points(self):

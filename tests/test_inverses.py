@@ -35,16 +35,21 @@ def random_exact(rng, span=9):
     return QComplex(re, im)
 
 
+def _shifted(op):
+    """a_j = c_{j+m} for j = 0..d-m."""
+    return tuple(op.coefficient(j) for j in range(op.valence, op.degree + 1))
+
+
 class TestShiftedCoeffs:
     def test_monomial(self):
-        assert tuple(PolynomialOperator({5: QComplex(1)}).coeffs) == (QComplex(1),)
+        assert _shifted(PolynomialOperator({5: QComplex(1)})) == (QComplex(1),)
 
     def test_f1_at_3(self):
-        got = tuple(make_family("F1").op(3).coeffs)
+        got = _shifted(make_family("F1").op(3))
         assert got == (QComplex(Fraction(1, 27)), QComplex(1))
 
     def test_f3_at_1(self):
-        got = tuple(make_family("F3").op(1).coeffs)
+        got = _shifted(make_family("F3").op(1))
         assert got == (QComplex(-1), QComplex(1))
 
 

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.scalars import LogMagnitude, QComplex, format_scalar, is_exact, scale_by_int
 from hyperdiff.series import (
@@ -300,6 +300,94 @@ class TestDenseReferenceModel:
             assert repr(poly.majorant_norm(2.0).log) == repr(model.majorant(2.0).log)
 
 
+class DenseOperator:
+    """Reference model: the dense row c_m..c_d, the regime's zero in the gaps."""
+
+    def __init__(self, coeffs_by_degree):
+        items = [(j, c) for j, c in sorted(dict(coeffs_by_degree).items()) if c]
+        if not items or items[0][0] < 0 or items[-1][0] < 1:
+            raise ValueError("not a nonconstant operator")
+        self.exact = all(is_exact(c) for _, c in items)
+        self.valence, self.degree = items[0][0], items[-1][0]
+        self.row = [QComplex(0) if self.exact else 0j] * (self.degree - self.valence + 1)
+        for j, c in items:
+            self.row[j - self.valence] = QComplex.coerce(c) if self.exact else complex(c)
+
+    def __eq__(self, other):
+        return (self.exact, self.valence, self.row) == (other.exact, other.valence, other.row)
+
+    def coefficient(self, j):
+        if self.valence <= j <= self.degree:
+            return self.row[j - self.valence]
+        return QComplex(0) if self.exact else 0j
+
+    def terms(self):
+        return [(self.valence + i, c) for i, c in enumerate(self.row) if c]
+
+    def to_float(self):
+        return DenseOperator({j: complex(c) for j, c in self.terms()})
+
+    def value_at(self, w):
+        exact = self.exact and is_exact(w)
+        x, acc = (QComplex.coerce(w), QComplex(0)) if exact else (complex(w), 0j)
+        for c in reversed(self.row):
+            acc = acc * x + (c if exact else complex(c))
+        return acc * x**self.valence
+
+    def written(self):
+        rows = [f"{j},{format_scalar(c)}\n" for j, c in self.terms()]
+        return f"#operator m={self.valence} d={self.degree}\n" + "".join(rows)
+
+
+def _same_operator(op, model):
+    assert (op.exact, op.valence, op.degree) == (model.exact, model.valence, model.degree)
+    assert [(j, format_scalar(c)) for j, c in op.terms()] == [
+        (j, format_scalar(c)) for j, c in model.terms()
+    ]
+    for j in range(-1, model.degree + 2):
+        assert format_scalar(op.coefficient(j)) == format_scalar(model.coefficient(j))
+
+
+op_scalars = exact_scalars | float_scalars | st.sampled_from([0, 0.0, -0.0, 3, Fraction(-1, 3)])
+op_inputs = st.dictionaries(st.integers(0, 6), op_scalars, min_size=1, max_size=5)
+
+
+class TestDenseOperatorModel:
+    @settings(max_examples=200, deadline=None)
+    @given(op_inputs, op_inputs, exact_scalars | float_parts | float_scalars)
+    @example({0: 0.0, 3: QComplex(1)}, {1: -0.0, 2: complex(-0.0, 1.5)}, 0.1)
+    def test_operator_matches_the_model_bit_for_bit(self, raw, raw_other, w):
+        def built(cls, coeffs):
+            try:
+                return cls(coeffs)
+            except ValueError:
+                return None
+
+        model, model_other = built(DenseOperator, raw), built(DenseOperator, raw_other)
+        op, other = built(PolynomialOperator, raw), built(PolynomialOperator, raw_other)
+        assert (op is None, other is None) == (model is None, model_other is None)
+        if model is None or model_other is None:
+            return
+        from_pairs = PolynomialOperator(list(reversed(list(raw.items()))))
+        for got in (op, from_pairs):
+            _same_operator(got, model)
+        assert from_pairs == op
+        assert (op == other) == (model == model_other)
+        _same_operator(op.to_float(), model.to_float())
+        buf = io.StringIO()
+        write_operator(op, buf)
+        assert buf.getvalue() == model.written()
+        buf.seek(0)
+        back = read_coefficients(buf)
+        assert back == op
+        _same_operator(back, model)
+        assert format_scalar(op.value_at(w)) == format_scalar(model.value_at(w))
+
+    def test_zero_float_coefficient_leaves_the_operator_exact(self):
+        op = PolynomialOperator({0: 0.0, 3: QComplex(1)})
+        assert op.exact and (op.valence, op.degree) == (3, 3)
+
+
 class TestCoefficientFiles:
     def test_taylor_round_trip_exact(self):
         f = TaylorPolynomial.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-7, 2))])
@@ -328,6 +416,22 @@ class TestCoefficientFiles:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_coefficients(io.StringIO("0,1,0\n"))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "#operator m=7 d=9\n3,1,0\n4,2,0\n",  # the body has m=3 d=4
+            "#operator m=3 d=9\n3,1,0\n4,2,0\n",
+            "#operator m=3\n3,1,0\n4,2,0\n",
+            "#operator m=3 d=four\n3,1,0\n4,2,0\n",
+            "#operator\n3,1,0\n4,2,0\n",
+            "#taylor\n0,1,0\n",
+            "#taylor M=2\n0,1,0\n",
+        ],
+    )
+    def test_header_must_state_the_body(self, text):
+        with pytest.raises(ValueError):
+            read_coefficients(io.StringIO(text))
 
     def test_truncation_degree_preserved(self):
         buf = io.StringIO("#taylor N=9\n2,1/2,0\n")
