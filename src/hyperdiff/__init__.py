@@ -23,7 +23,6 @@ from .families import (
     check_property_Q,
     check_property_R,
     circle_min,
-    density_demo,
     make_family,
     positive_rational,
     unicity_exponent,
@@ -33,7 +32,6 @@ from .inverses import (
     RightInverse,
     build_f_nk,
     cramer_with_cofactors,
-    exp_inverse,
     fnk_decay,
     inverse_for_polynomial,
     solve_monic_system,
@@ -47,7 +45,6 @@ from .lacunary import (
 )
 from .scalars import LogMagnitude, QComplex
 from .series import (
-    ExponentialCombo,
     PolynomialOperator,
     TaylorPolynomial,
     apply_operator,
@@ -82,7 +79,6 @@ __all__ = [
     "check_property_Q",
     "check_property_R",
     "circle_min",
-    "density_demo",
     "make_family",
     "positive_rational",
     "unicity_exponent",
@@ -92,7 +88,6 @@ __all__ = [
     "RightInverse",
     "build_f_nk",
     "cramer_with_cofactors",
-    "exp_inverse",
     "fnk_decay",
     "inverse_for_polynomial",
     "solve_monic_system",
@@ -103,7 +98,6 @@ __all__ = [
     "verify_ineq_ak",
     "LogMagnitude",
     "QComplex",
-    "ExponentialCombo",
     "PolynomialOperator",
     "TaylorPolynomial",
     "apply_operator",

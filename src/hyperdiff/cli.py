@@ -100,9 +100,12 @@ def _p_point(token: str):
     except (ValueError, ZeroDivisionError):
         pass
     try:
-        return complex(token.replace("i", "j"))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse sample point {token!r}") from exc
+        z = complex(token.replace("i", "j"))
+        if math.isfinite(z.real) and math.isfinite(z.imag):
+            return z
+    except ValueError:
+        pass
+    raise ConfigError(f"cannot parse sample point {token!r} as a finite number")
 
 
 def _p_points(text: str) -> tuple:
@@ -344,9 +347,11 @@ def _write(path: Path, writer) -> None:
 
 def _cmd_check_properties(cfg: Dict) -> int:
     seq = _family_from(cfg)
+    props = cfg["props"].upper()
+    if not props or set(props) - set("PQR"):
+        raise ConfigError(f"props must be letters from P, Q and R, got {cfg['props']!r}")
     out = _outdir(cfg)
     n_range = (cfg["n_min"], cfg["n_max"])
-    props = cfg["props"].upper()
     produced = []
     if "P" in props:
         rep = check_property_P(
@@ -377,7 +382,7 @@ def _cmd_check_properties(cfg: Dict) -> int:
 _POINT_GENERATORS = {
     "sqrt": lambda n: n**0.5,
     "linear": lambda n: float(n),
-    "pow2": lambda n: 2.0**n if n < 1060 else float("inf"),
+    "pow2": lambda n: 2.0**n if n < 1024 else math.inf,
 }
 
 
@@ -386,10 +391,11 @@ def _cmd_unicity(cfg: Dict) -> int:
     if spec.startswith("file:"):
         path = spec[len("file:") :]
         try:
-            moduli = [float(tok) for tok in Path(path).read_text().split()]
-        except OSError as exc:
+            source = [float(tok) for tok in Path(path).read_text().split()]
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read point file: {exc}") from exc
-        source = moduli
+        if not all(0 <= x < math.inf for x in source):
+            raise ConfigError("point file moduli must be finite and nonnegative")
     elif spec in _POINT_GENERATORS:
         source = _POINT_GENERATORS[spec]
     else:

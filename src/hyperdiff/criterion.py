@@ -235,6 +235,8 @@ def verify_hypotheses(
         raise PreconditionError(f"exponential truncation degree must be >= 0, got {cfg.trunc}")
     if cfg.n_lo > cfg.n_hi:
         raise PreconditionError(f"empty index range: n_lo={cfg.n_lo} exceeds n_hi={cfg.n_hi}")
+    if not cfg.r > 0:
+        raise PreconditionError(f"radius r must be positive, got {cfg.r}")
     _check_unbounded_valence(seq, cfg.n_lo, cfg.n_hi)
     items = {"i": _hypothesis_i(seq, cfg)}
     if route == "Q":

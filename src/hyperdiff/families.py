@@ -27,13 +27,7 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, TextIO
 
 from .errors import ConfigError, PreconditionError
 from .scalars import LN2, LogMagnitude, NEG_INF, QComplex, fmt_log, is_exact, to_complex
-from .series import (
-    ExponentialCombo,
-    PolynomialOperator,
-    TaylorPolynomial,
-    _majorant_log,
-    exp_truncate,
-)
+from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
 
@@ -775,64 +769,3 @@ def _make_counter(points: PointSource) -> Callable[[float], int]:
 
     return counter
 
-
-# -- density of exponentials -----------------------------------------------------
-
-
-@dataclass
-class DensityFit:
-    """Least-squares fit report; ill-conditioning is reported, never swallowed."""
-
-    residual_max: float
-    condition: float
-    ill_conditioned: bool
-    grid_size: int
-    m_terms: int
-
-
-def density_demo(
-    u_samples: Sequence,
-    target: TaylorPolynomial,
-    r: float,
-    m_terms: int,
-) -> Tuple[ExponentialCombo, DensityFit]:
-    """Numeric witness that exponentials e_w, w from the sample set, span densely.
-
-    Fits the target on a fixed deterministic grid of the disk |z| <= r (the
-    centre plus 16 angles on each of 4 rings) by a combination of degree-40
-    truncated exponentials over the first m_terms frequencies. The max residual
-    on the grid is nonincreasing in m_terms for a fixed grid; a condition number
-    above 1e12 is reported as ill-conditioned.
-    """
-    import numpy as np
-
-    if m_terms < 1 or m_terms > len(u_samples):
-        raise PreconditionError("need 1 <= m_terms <= len(u_samples)")
-    if r <= 0:
-        raise PreconditionError("radius must be positive")
-    freqs = [to_complex(w) for w in u_samples[:m_terms]]
-    grid: List[complex] = [0j]
-    for ring in range(1, 5):
-        rad = r * ring / 4
-        for t in range(16):
-            grid.append(rad * cmath.exp(2j * math.pi * t / 16))
-    basis = []
-    for w in freqs:
-        poly, _ = exp_truncate(w, 40, r)
-        fpoly = poly.to_float()
-        basis.append([fpoly.evaluate(z) for z in grid])
-    a = np.array(basis, dtype=complex).T
-    ft = target.to_float()
-    b = np.array([ft.evaluate(z) for z in grid], dtype=complex)
-    weights, _, _, sv = np.linalg.lstsq(a, b, rcond=None)
-    condition = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    resid = float(np.max(np.abs(a @ weights - b)))
-    combo = ExponentialCombo(list(zip((complex(w) for w in weights), freqs)))
-    fit = DensityFit(
-        residual_max=resid,
-        condition=condition,
-        ill_conditioned=condition > 1e12,
-        grid_size=len(grid),
-        m_terms=m_terms,
-    )
-    return combo, fit

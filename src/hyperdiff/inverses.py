@@ -1,4 +1,4 @@
-"""Right inverses for polynomial differential operators, both proof routes.
+"""Right inverses for polynomial differential operators.
 
 Polynomial route: for P with valence m and shifted coefficients a_j = c_{j+m},
 solve the upper-triangular system
@@ -12,8 +12,6 @@ whose determinant is a_0^{k+1}; then antidifferentiate m times,
 which satisfies P(D) f_k = z^k exactly. Back-substitution is the production
 solver; a Cramer/cofactor route (capped at k <= 8) is kept as an independent
 cross-check oracle, and returns the cofactor table Phi_{j,s,k} with its solution.
-
-Exponential route: S(e_w) = e_w / P(w), with the zero combination at roots.
 """
 
 from __future__ import annotations
@@ -36,26 +34,7 @@ from .scalars import (
     log_lt,
     to_complex,
 )
-from .series import (
-    ExponentialCombo,
-    PolynomialOperator,
-    TaylorPolynomial,
-    apply_operator,
-    write_taylor,
-)
-
-
-# -- exponential route ---------------------------------------------------------
-
-
-def exp_inverse(op: PolynomialOperator, w) -> ExponentialCombo:
-    """e_w / P(w), or the zero combination when P(w) = 0 (a value, not an error)."""
-    val = op.value_at(w)
-    if not val:
-        return ExponentialCombo(())
-    if isinstance(val, QComplex):
-        return ExponentialCombo([(QC_ONE / val, QComplex.coerce(w))])
-    return ExponentialCombo([(1.0 / val, to_complex(w))])
+from .series import PolynomialOperator, TaylorPolynomial, apply_operator, write_taylor
 
 
 # -- polynomial route ----------------------------------------------------------

@@ -313,23 +313,6 @@ class PolynomialOperator:
         return f"PolynomialOperator({body}; m={self.valence}, d={self.degree})"
 
 
-class ExponentialCombo:
-    """A finite combination sum(weight_t * e^(w_t z)) with distinct frequencies."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Iterable[Tuple[CoeffLike, CoeffLike]] = ()):
-        items = list(terms)
-        freqs = [to_complex(w) for _, w in items]
-        if len(set(freqs)) != len(freqs):
-            raise ValueError("exponential combo frequencies must be pairwise distinct")
-        self.terms = tuple(items)
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(a for a, _ in self.terms)
-
-
 # -- operations ---------------------------------------------------------------
 
 

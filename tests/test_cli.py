@@ -129,6 +129,58 @@ class TestExitCodes:
         )
         assert rc == 4
 
+    @pytest.mark.parametrize("token", ["nan", "nan+1i", "1e400+0i", "inf", "-2,1+nani"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check-properties", "--family", "F1", "--props", "P"),
+            ("verify-criterion", "--family", "F4", "--route", "P"),
+        ],
+    )
+    def test_non_finite_sample_point_is_config_error(self, tmp_path, capsys, argv, token):
+        rc = run(*argv, f"--u-samples={token}", "--n-max", "5", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigError: cannot parse sample point")
+        assert not (tmp_path / "out").exists()
+
+    def test_exact_sample_tokens_stay_exact(self):
+        (parse,) = [key.parse for key in COMMANDS["check-properties"] if key.name == "u_samples"]
+        assert parse("1e400,-5/2") == (QComplex(Fraction(10) ** 400), QComplex(Fraction(-5, 2)))
+        assert parse("1+2i") == (1 + 2j,)
+
+    @pytest.mark.parametrize("props", ["", "X", "PX", "P Q", "S"])
+    def test_unknown_property_letter_is_config_error(self, tmp_path, capsys, props):
+        rc = run("check-properties", "--family", "F4", f"--props={props}", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigError: props must be letters from P, Q and R")
+        assert not (tmp_path / "out").exists()
+
+    def test_lower_case_props_accepted(self, tmp_path, capsys):
+        rc = run("check-properties", "--family", "F4", "--props", "qr", "--n-max", "8", "--out", str(tmp_path))
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["property (Q)", "property (R)"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["property_Q.csv", "property_R.csv"]
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_nonpositive_criterion_radius_is_precondition_error(self, tmp_path, capsys, r):
+        rc = run("verify-criterion", "--family", "F4", "--n-max", "5", f"--r={r}", "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("PreconditionError: radius r must be positive")
+
+    def test_pow2_points_past_double_range(self, tmp_path, capsys):
+        assert run("unicity", "--points", "pow2", "--r-max", "1e300", "--out", str(tmp_path)) == 0
+        assert capsys.readouterr().out.startswith("chi estimate: ")
+
+    @pytest.mark.parametrize("bad", ["abc", "nan", "-3", "inf", "1/2"])
+    def test_bad_point_file_token_is_config_error(self, tmp_path, capsys, bad):
+        points = tmp_path / "points.txt"
+        points.write_text(" ".join(str(k) for k in range(1, 14)) + f" {bad}\n")
+        rc = run("unicity", f"--points=file:{points}", "--r-max", "100", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigError: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestConfigFile:
     def test_command_from_config(self, tmp_path, capsys):
@@ -487,7 +539,7 @@ def test_fuzzed_configs_exit_with_a_typed_code(case):
 
 
 def test_numpy_stays_unimported(python_child, tmp_path):
-    """Importing hyperdiff and sweeping properties never loads numpy (only density_demo needs it)."""
+    """Nothing in hyperdiff imports numpy: importing it and sweeping properties leaves it unloaded."""
     proc = python_child(
         "import sys\n"
         "import hyperdiff\n"

@@ -102,6 +102,13 @@ class TestPreconditions:
         with pytest.raises(PreconditionError):
             verify_hypotheses(seq, "Q", CriterionConfig(n_lo=1, n_hi=50))
 
+    @pytest.mark.parametrize("route", ["P", "Q"])
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan")])
+    def test_radius_must_be_positive(self, route, r):
+        cfg = CriterionConfig(n_hi=5, r=r, u_samples=(QComplex(-2),))
+        with pytest.raises(PreconditionError, match="radius r must be positive"):
+            verify_hypotheses(make_family("F4"), route, cfg)
+
 
 class TestJsonReport:
     def test_one_record_per_row_plus_summary(self):

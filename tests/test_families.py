@@ -12,7 +12,6 @@ from hyperdiff.families import (
     check_property_Q,
     check_property_R,
     circle_min,
-    density_demo,
     make_family,
     positive_rational,
     unicity_exponent,
@@ -372,33 +371,6 @@ class TestUnicityExponent:
     def test_too_few_points(self):
         with pytest.raises(PreconditionError):
             unicity_exponent([1.0, 2.0, 3.0], 1e3)
-
-
-class TestDensityDemo:
-    def test_zero_target(self):
-        combo, fit = density_demo([-1.0, -1.1], TaylorPolynomial.zero(), 1.0, 2)
-        assert fit.residual_max <= 1e-12
-
-    def test_identity_target_monotone_residuals(self):
-        samples = [-1.0 - k / 10 for k in range(8)]
-        target = TaylorPolynomial.monomial(1)
-        resids = []
-        for m_terms in (2, 4, 6, 8):
-            _, fit = density_demo(samples, target, 1.0, m_terms)
-            resids.append(fit.residual_max)
-        assert all(b <= a + 1e-10 for a, b in zip(resids, resids[1:]))
-        # frozen from the build-time least-squares oracle on this fixed grid
-        assert resids[-1] < 2e-3
-
-    def test_conditioning_reported(self):
-        samples = [-1.0 - k / 10 for k in range(8)]
-        _, fit = density_demo(samples, TaylorPolynomial.monomial(1), 1.0, 8)
-        assert fit.condition > 1.0
-        assert fit.ill_conditioned == (fit.condition > 1e12)
-
-    def test_m_terms_cap(self):
-        with pytest.raises(PreconditionError):
-            density_demo([-1.0], TaylorPolynomial.zero(), 1.0, 2)
 
 
 class TestGrowthRule:

@@ -10,7 +10,6 @@ from hyperdiff.families import make_family
 from hyperdiff.inverses import (
     build_f_nk,
     cramer_with_cofactors,
-    exp_inverse,
     fnk_decay,
     fnk_norm_log,
     inverse_for_polynomial,
@@ -24,7 +23,6 @@ from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
     apply_operator,
-    exp_truncate,
     read_coefficients,
 )
 
@@ -204,36 +202,6 @@ class TestBuildF:
         assert "route=polynomial" in text and "n=6" in text
         buf.seek(0)
         assert read_coefficients(buf) == inv.f
-
-
-class TestExpInverse:
-    def test_root_frequency_gives_zero_combo(self):
-        assert exp_inverse(PolynomialOperator({2: QComplex(1)}), QComplex(0)).is_zero
-
-    def test_simple_scale(self):
-        combo = exp_inverse(PolynomialOperator({2: QComplex(1)}), QComplex(2))
-        weight, freq = combo.terms[0]
-        assert weight == QComplex(Fraction(1, 4)) and freq == QComplex(2)
-
-    def test_f3_scale_from_enumeration(self):
-        combo = exp_inverse(make_family("F3").op(2), QComplex(-2))
-        expected = QComplex(1) / QComplex((Fraction(-2) ** 2) * (Fraction(-2) - Fraction(1, 2)) ** 2)
-        assert combo.terms[0][0] == expected
-
-    def test_identity_up_to_truncation_tail(self):
-        # applying P to the scaled truncation returns the truncation up to a
-        # defect bounded by the reported eigen defect over |P(w)|
-        from hyperdiff.series import eigen_defect_bound
-
-        p = make_family("F3").op(2)
-        w = QComplex(-2)
-        scale = exp_inverse(p, w).terms[0][0]
-        for n in (40, 80):
-            trunc, _ = exp_truncate(w, n, 1.0)
-            image = apply_operator(p, trunc.scale(scale))
-            defect = (image - trunc).majorant_norm(1.0)
-            bound = eigen_defect_bound(p, w, n, 1.0) * LogMagnitude.of(scale)
-            assert defect.log <= bound.log + 1e-9
 
 
 class TestRatioSolve:

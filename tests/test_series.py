@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.scalars import LogMagnitude, QComplex, format_scalar, is_exact, scale_by_int
 from hyperdiff.series import (
-    ExponentialCombo,
     PolynomialOperator,
     TaylorPolynomial,
     apply_operator,
@@ -205,12 +204,6 @@ class TestEigenConsistency:
         p = PolynomialOperator({2: QComplex(1), 3: QComplex(Fraction(-1, 4))})
         bounds = [eigen_defect_bound(p, QComplex(-2), n, 1.0).log for n in (20, 40, 80)]
         assert bounds[0] > bounds[1] > bounds[2]
-
-
-class TestExponentialCombo:
-    def test_distinct_frequencies_enforced(self):
-        with pytest.raises(ValueError):
-            ExponentialCombo([(1.0, 2.0), (3.0, 2.0)])
 
 
 class Dense:
