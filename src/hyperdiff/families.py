@@ -23,10 +23,10 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, LogMagnitude, NEG_INF, QComplex, fmt_log, is_exact, to_complex
+from .scalars import LN2, LogMagnitude, NEG_INF, fmt_log, is_exact, to_complex
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -49,48 +49,95 @@ def positive_rational(n: int) -> Fraction:
 # -- operator sequences --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Shape:
+    """P_n(z) = c_n z^n (z - rho_n)^mu_n, each field a function of n.
+
+    ``c`` is the exact (on a float family, float) c_n, read only to build the
+    operator. ``root`` is the exact rho_n and ``float_root`` its double; a
+    multiplicity ``mult`` of 0 (the default) has no root.
+    """
+
+    c: Callable[[int], Union[Fraction, float]]
+    log_c: Callable[[int], float]
+    mult: Callable[[int], int] = lambda n: 0
+    root: Optional[Callable[[int], Fraction]] = None
+    log_root: Optional[Callable[[int], float]] = None
+    float_root: Optional[Callable[[int], float]] = None
+
+    def op(self, n: int) -> PolynomialOperator:
+        # binomial expansion c z^n sum C(mu, i) (-rho)^(mu-i) z^i, i from mu down,
+        # skipping the factors that are 1 (c = 1, C(mu, i) = 1, the first power)
+        c, mu = self.c(n), self.mult(n)
+        coeffs = {n + mu: c}
+        if mu:
+            neg = -self.root(n)
+            power = neg
+            for i in range(mu - 1, -1, -1):
+                b = math.comb(mu, i)
+                term = power if b == 1 else b * power
+                coeffs[n + i] = term if c == 1 else c * term
+                if i:
+                    power = power * neg
+        return PolynomialOperator(coeffs)
+
+    def items(self, n: int) -> Iterator[Tuple[int, LogMagnitude]]:
+        """(n + i, log|c_n| + log C(mu, i) + (mu - i) log|rho_n|) in exponent order; lazy,
+        so log_coeff(n, n + i) computes i + 1 items, not mu + 1."""
+        lc, mu = self.log_c(n), self.mult(n)
+        log_root = self.log_root(n) if mu else 0.0
+        lg_mu = math.lgamma(mu + 1)
+        for i in range(mu + 1):
+            log_comb = lg_mu - math.lgamma(i + 1) - math.lgamma(mu - i + 1)
+            yield n + i, LogMagnitude(lc + log_comb + (mu - i) * log_root)
+
+    def abs_sum(self, n: int) -> LogMagnitude:
+        """A_n = |c_n| (1 + |rho_n|)^mu_n."""
+        mu = self.mult(n)
+        return LogMagnitude(self.log_c(n) + (mu * math.log1p(abs(self.float_root(n))) if mu else 0.0))
+
+    def abs_at(self, n: int, z: Union[Fraction, complex]) -> LogMagnitude:
+        """|c_n| |z|^n |z - rho_n|^mu_n; exact rho_n at a Fraction z, its double otherwise."""
+        mag = LogMagnitude(self.log_c(n)) * LogMagnitude.of(z) ** n
+        mu = self.mult(n)
+        if mu:
+            rho = self.root(n) if isinstance(z, Fraction) else self.float_root(n)
+            mag = mag * LogMagnitude.of(z - rho) ** mu
+        return mag
+
+
 class OperatorSequence:
     """An indexed family n -> P_n with metadata and log-domain escorts.
 
-    ``coeff_log_items(n)`` lists (exponent, LogMagnitude) pairs for |c_{j,n}|
-    without materializing the operator, so sweeps stay overflow/underflow free
-    even where the coefficients leave the double range. A family's
-    ``coeff_items_fn`` may be lazy (F3 yields its items in exponent order), so
-    ``log_coeff`` reads only up to the exponent it asks for; A_n is the sum of
-    the items unless ``coeff_abs_log_fn`` gives its closed form.
-    ``abs_log_fn(n, z)`` is the family's one closed form for |P_n(z)|: it is
-    passed a ``Fraction`` on exact families and a ``complex`` otherwise.
-    ``nondecreasing_valence`` declares n -> m(n) monotone, which lets
-    ``select_indices`` gallop instead of scanning every index.
+    F1..F4 pass a ``shape``, which gives valence n, degree n + mu_n, A_n and
+    |P_n(z)| in closed form and yields the (exponent, LogMagnitude) items of
+    |c_{j,n}| lazily, so sweeps stay overflow/underflow free and ``log_coeff``
+    reads only up to the exponent it asks for. F5 tables pass ``build``, and
+    each of these is read from the built operator. Valence n is
+    nondecreasing, so ``select_indices`` gallops on exactly the shaped families.
     """
 
     def __init__(
         self,
         tag: str,
         label: str,
-        build: Callable[[int], PolynomialOperator],
+        build: Optional[Callable[[int], PolynomialOperator]] = None,
         *,
-        valence_fn: Optional[Callable[[int], int]] = None,
-        degree_fn: Optional[Callable[[int], int]] = None,
-        coeff_items_fn: Optional[Callable[[int], Iterable[Tuple[int, LogMagnitude]]]] = None,
-        coeff_abs_log_fn: Optional[Callable[[int], float]] = None,
-        abs_log_fn: Optional[Callable[[int, Union[Fraction, complex]], LogMagnitude]] = None,
+        shape: Optional[Shape] = None,
         exact: bool,
-        nondecreasing_valence: bool = False,
         max_n: Optional[int] = None,
     ):
         self.tag = tag
         self.label = label
+        self.shape = shape
         self.exact = exact
-        self.nondecreasing_valence = nondecreasing_valence
         self.max_n = max_n
-        self._build = build
-        self._valence_fn = valence_fn
-        self._degree_fn = degree_fn
-        self._coeff_items_fn = coeff_items_fn
-        self._coeff_abs_log_fn = coeff_abs_log_fn
-        self._abs_log_fn = abs_log_fn
+        self._build = build if shape is None else shape.op
         self._cache: dict[int, PolynomialOperator] = {}
+
+    @property
+    def nondecreasing_valence(self) -> bool:
+        return self.shape is not None
 
     def _check_index(self, n: int) -> None:
         if n < 1:
@@ -102,34 +149,21 @@ class OperatorSequence:
         self._check_index(n)
         got = self._cache.get(n)
         if got is None:
-            got = self._build(n)
-            # families without metadata functions take it from the built operator
-            m = got.valence if self._valence_fn is None else self._valence_fn(n)
-            d = got.degree if self._degree_fn is None else self._degree_fn(n)
-            if (got.valence, got.degree) != (m, d):
-                raise PreconditionError(
-                    f"{self.label}: metadata (m={m}, d={d}) "
-                    f"disagrees with built coefficients (m={got.valence}, d={got.degree}) at n={n}"
-                )
-            self._cache[n] = got
+            got = self._cache[n] = self._build(n)
         return got
 
     def valence(self, n: int) -> int:
-        if self._valence_fn is None:
-            return self.op(n).valence
         self._check_index(n)
-        return self._valence_fn(n)
+        return n if self.shape is not None else self.op(n).valence
 
     def degree(self, n: int) -> int:
-        if self._degree_fn is None:
-            return self.op(n).degree
         self._check_index(n)
-        return self._degree_fn(n)
+        return n + self.shape.mult(n) if self.shape is not None else self.op(n).degree
 
     def _log_items(self, n: int) -> Iterable[Tuple[int, LogMagnitude]]:
         self._check_index(n)
-        if self._coeff_items_fn is not None:
-            return self._coeff_items_fn(n)
+        if self.shape is not None:
+            return self.shape.items(n)
         return ((j, LogMagnitude.of(c)) for j, c in self.op(n).terms())
 
     def coeff_log_items(self, n: int) -> List[Tuple[int, LogMagnitude]]:
@@ -143,26 +177,26 @@ class OperatorSequence:
         return LogMagnitude.zero()
 
     def coeff_abs_log_sum(self, n: int) -> LogMagnitude:
-        """log of A_n = sum |c_{j,n}|; closed form when the family provides one."""
+        """log of A_n = sum |c_{j,n}|; closed form on a shaped family."""
         self._check_index(n)
-        if self._coeff_abs_log_fn is not None:
-            return LogMagnitude(self._coeff_abs_log_fn(n))
+        if self.shape is not None:
+            return self.shape.abs_sum(n)
         return LogMagnitude.sum(mag for _, mag in self._log_items(n))
 
     def log_abs_at(self, n: int, z) -> LogMagnitude:
-        """|P_n(z)| as a LogMagnitude, using the family's closed form if any.
+        """|P_n(z)| as a LogMagnitude, in the shape's closed form if any.
 
         Exact rational points on exact families evaluate in exact arithmetic,
         which is what makes near-root witnesses detectable below 2^-n.
         """
         self._check_index(n)
         if is_exact(z) and self.exact:
-            if self._abs_log_fn is not None and isinstance(z, (int, Fraction)):
-                return self._abs_log_fn(n, Fraction(z))
+            if self.shape is not None and isinstance(z, (int, Fraction)):
+                return self.shape.abs_at(n, Fraction(z))
             return LogMagnitude.of(self.op(n).value_at(z))
         zf = to_complex(z)
-        if self._abs_log_fn is not None:
-            return self._abs_log_fn(n, zf)
+        if self.shape is not None:
+            return self.shape.abs_at(n, zf)
         return LogMagnitude.of(self.op(n).to_float().value_at(zf))
 
     def __repr__(self):
@@ -179,188 +213,80 @@ def _parse_rational(value) -> Fraction:
 
 
 def _f1() -> OperatorSequence:
-    # P_n = z^n / n^n + z^(n+1)
-    def build(n: int) -> PolynomialOperator:
-        return PolynomialOperator({n: QComplex(Fraction(1, n**n)), n + 1: QComplex(1)})
-
-    def items(n: int):
-        return [(n, LogMagnitude(-n * math.log(n))), (n + 1, LogMagnitude.one())]
-
-    def abs_log(n: int, z) -> LogMagnitude:
-        # |z|^n * |z + n^-n|; in floats the shift underflows harmlessly for large n
-        if isinstance(z, Fraction):
-            shift = Fraction(1, n**n)
-        else:
-            shift = math.exp(-n * math.log(n)) if n * math.log(n) < 700 else 0.0
-        return LogMagnitude.of(z) ** n * LogMagnitude.of(z + shift)
-
-    def abs_sum(n: int) -> float:
-        # A = 1 + n^-n
-        t = -n * math.log(n) if n > 1 else 0.0
-        return math.log1p(math.exp(t)) if t > -700 else 0.0
-
-    return OperatorSequence(
-        "F1",
-        "F1: z^n/n^n + z^(n+1)",
-        build,
-        valence_fn=lambda n: n,
-        degree_fn=lambda n: n + 1,
-        coeff_items_fn=items,
-        coeff_abs_log_fn=abs_sum,
-        abs_log_fn=abs_log,
-        exact=True,
-        nondecreasing_valence=True,
-    )
+    # P_n = z^n (z + n^-n) = z^n/n^n + z^(n+1); in floats the root underflows harmlessly for large n.
+    # 1 / Fraction(n**n) copies n**n by a multiplication, where Fraction(1, n**n) divides it by
+    # their gcd 1: the division is what makes the exact root slow to build for large n
+    shape = Shape(c=lambda n: 1, log_c=lambda n: 0.0, mult=lambda n: 1,
+                  root=lambda n: -(1 / Fraction(n**n)), log_root=lambda n: -n * math.log(n),
+                  float_root=lambda n: -(math.exp(-n * math.log(n)) if n * math.log(n) < 700 else 0.0))
+    return OperatorSequence("F1", "F1: z^n/n^n + z^(n+1)", shape=shape, exact=True)
 
 
 def _f2(c_mode: str = "paper", log_base: str = "e") -> OperatorSequence:
-    # P_n = c_n z^n (1 + z); paper coefficients c_n = n^(-n/log(n+1)), unit ones c_n = 1
+    # P_n = c_n z^n (z + 1); paper coefficients c_n = n^(-n/log(n+1)), unit ones c_n = 1
     if c_mode not in ("paper", "unit"):
         raise ConfigError(f"F2 c_mode must be 'paper' or 'unit', got {c_mode!r}")
     try:
         ln_base = 1.0 if log_base == "e" else math.log(float(log_base))
     except ValueError:  # not a number, or not positive
         ln_base = math.nan
-    if not ln_base > 0:
-        raise ConfigError(f"F2 log_base must be e or a number above 1, got {log_base!r}")
+    if not 0 < ln_base < math.inf:
+        raise ConfigError(f"F2 log_base must be e or a finite number above 1, got {log_base!r}")
     unit = c_mode == "unit"
 
     def log_c(n: int) -> float:
         # ln c_n = -n * ln(n) * ln(base) / ln(n+1)
         return -n * math.log(n) * ln_base / math.log(n + 1) if n > 1 and not unit else 0.0
 
-    def build(n: int) -> PolynomialOperator:
+    def c(n: int):
         if unit:
-            return PolynomialOperator({n: QComplex(1), n + 1: QComplex(1)})
-        c = math.exp(log_c(n))
-        if c == 0.0:
+            return 1
+        value = math.exp(log_c(n))
+        if value == 0.0:
             raise PreconditionError(
                 f"F2 coefficient underflows double precision at n={n}; "
                 "use the log-domain escorts for sweeps this deep"
             )
-        return PolynomialOperator({n: complex(c), n + 1: complex(c)})
+        return value
 
-    def items(n: int):
-        lc = LogMagnitude(log_c(n))
-        return [(n, lc), (n + 1, lc)]
-
-    def abs_log(n: int, z) -> LogMagnitude:
-        return LogMagnitude(log_c(n)) * LogMagnitude.of(z) ** n * LogMagnitude.of(1 + z)
-
-    return OperatorSequence(
-        "F2",
-        "F2(unit): z^n (1 + z)" if unit else "F2: n^(-n/log(n+1)) z^n (1 + z)",
-        build,
-        valence_fn=lambda n: n,
-        degree_fn=lambda n: n + 1,
-        coeff_items_fn=items,
-        abs_log_fn=abs_log,
-        exact=unit,
-        nondecreasing_valence=True,
-    )
+    shape = Shape(c=c, log_c=log_c, mult=lambda n: 1, root=lambda n: -1,
+                  log_root=lambda n: 0.0, float_root=lambda n: -1.0)
+    label = "F2(unit): z^n (1 + z)" if unit else "F2: n^(-n/log(n+1)) z^n (1 + z)"
+    return OperatorSequence("F2", label, shape=shape, exact=unit)
 
 
 def _f3() -> OperatorSequence:
     # P_n = z^n (z - q_n)^n over the diagonal enumeration of positive rationals
-    def build(n: int) -> PolynomialOperator:
-        q = positive_rational(n)
-        coeffs = {}
-        for i in range(n + 1):
-            coeffs[n + i] = QComplex(math.comb(n, i) * (-q) ** (n - i))
-        return PolynomialOperator(coeffs)
-
-    def abs_log(n: int, z) -> LogMagnitude:
-        return (LogMagnitude.of(z) * LogMagnitude.of(z - positive_rational(n))) ** n
-
-    def items(n: int):
-        # |c_{n+i}| = C(n, i) q^(n-i), via lgamma so huge n stays cheap; lazy,
-        # so log_coeff(n, n + i) computes i + 1 items, not n + 1
-        log_q = LogMagnitude.of(positive_rational(n)).log
-        lg_n = math.lgamma(n + 1)
-        for i in range(n + 1):
-            log_comb = lg_n - math.lgamma(i + 1) - math.lgamma(n - i + 1)
-            yield n + i, LogMagnitude(log_comb + (n - i) * log_q)
-
-    def abs_sum(n: int) -> float:
-        # A = (1 + q_n)^n
-        return n * math.log1p(float(positive_rational(n)))
-
-    return OperatorSequence(
-        "F3",
-        "F3: z^n (z - q_n)^n",
-        build,
-        valence_fn=lambda n: n,
-        degree_fn=lambda n: 2 * n,
-        coeff_items_fn=items,
-        coeff_abs_log_fn=abs_sum,
-        abs_log_fn=abs_log,
-        exact=True,
-        nondecreasing_valence=True,
-    )
+    shape = Shape(c=lambda n: 1, log_c=lambda n: 0.0, mult=lambda n: n, root=positive_rational,
+                  log_root=lambda n: LogMagnitude.of(positive_rational(n)).log,
+                  float_root=lambda n: float(positive_rational(n)))
+    return OperatorSequence("F3", "F3: z^n (z - q_n)^n", shape=shape, exact=True)
 
 
 def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
+    # P_n = c_n z^n with c_n = c, or c 2^(-n^3) under the pow2cubic decay
     c = _parse_rational(c)
     if c == 0:
         raise ConfigError("F4 constant c must be nonzero")
     if decay not in (None, "pow2cubic"):
         raise ConfigError("F4 decay must be omitted or 'pow2cubic'")
-
+    log_abs_c = LogMagnitude.of(c).log
     if decay is None:
-        def coeff(n: int) -> Fraction:
-            return c
-
-        def log_coeff(n: int) -> float:
-            return LogMagnitude.of(c).log
-
+        shape = Shape(c=lambda n: c, log_c=lambda n: log_abs_c)
         label = f"F4: {c} z^n"
     else:
-        def coeff(n: int) -> Fraction:
-            return c * Fraction(1, 2 ** (n**3))
-
-        def log_coeff(n: int) -> float:
-            return LogMagnitude.of(c).log - (n**3) * LN2
-
+        shape = Shape(c=lambda n: c * Fraction(1, 2 ** (n**3)),
+                      log_c=lambda n: log_abs_c - (n**3) * LN2)
         label = f"F4: {c} 2^(-n^3) z^n"
-
-    def build(n: int) -> PolynomialOperator:
-        return PolynomialOperator({n: QComplex(coeff(n))})
-
-    def items(n: int):
-        return [(n, LogMagnitude(log_coeff(n)))]
-
-    def abs_log(n: int, z) -> LogMagnitude:
-        return LogMagnitude(log_coeff(n)) * LogMagnitude.of(z) ** n
-
-    return OperatorSequence(
-        "F4",
-        label,
-        build,
-        valence_fn=lambda n: n,
-        degree_fn=lambda n: n,
-        coeff_items_fn=items,
-        abs_log_fn=abs_log,
-        exact=True,
-        nondecreasing_valence=True,
-    )
+    return OperatorSequence("F4", label, shape=shape, exact=True)
 
 
 def _f5(ops=None) -> OperatorSequence:
     if not ops:
         raise ConfigError("F5 needs an explicit operator table under params['ops']")
     table: List[PolynomialOperator] = list(ops)
-    exact = all(op.exact for op in table)
-
-    def build(n: int) -> PolynomialOperator:
-        return table[n - 1]
-
-    return OperatorSequence(
-        "F5",
-        f"F5: explicit table of {len(table)} operators",
-        build,
-        exact=exact,
-        max_n=len(table),
-    )
+    return OperatorSequence("F5", f"F5: explicit table of {len(table)} operators", lambda n: table[n - 1],
+                            exact=all(op.exact for op in table), max_n=len(table))
 
 
 # tag -> (builder, the parameters it reads)
@@ -674,7 +600,7 @@ def check_property_R(
 def _as_rational(r: float) -> Optional[Fraction]:
     """The radius as an exact rational when it plainly is one, else None."""
     fr = Fraction(r).limit_denominator(10**6)
-    return fr if abs(float(fr) - r) < 1e-12 else None
+    return fr if float(fr) == r else None
 
 
 # -- unicity exponent ------------------------------------------------------------
@@ -763,6 +689,8 @@ def _make_counter(points: PointSource) -> Callable[[float], int]:
 
         return counter
     moduli = sorted(float(p) for p in points)
+    if not all(0 <= p < math.inf for p in moduli):
+        raise PreconditionError("point moduli must be finite and nonnegative")
 
     def counter(r: float) -> int:
         return bisect.bisect_right(moduli, r)

@@ -111,9 +111,9 @@ def select_indices(
     valence m satisfies the recursion target  max(log A, 0) + d < m*log2/log m
     (strictly, with a relative guard band).
 
-    When the sequence declares nondecreasing valence (F1..F4), each least index
-    is found by galloping: probe last + 1, + 2, + 4, ... (clamped at ``n_cap``),
-    then bisect. Every conjunct of the test only turns from false to true as m
+    When the sequence has a shape (F1..F4), its valence n is nondecreasing, so
+    each least index is found by galloping: probe last + 1, + 2, + 4, ...
+    (clamped at ``n_cap``), then bisect. Every conjunct of the test only turns from false to true as m
     grows (m*log2/log m increases for m >= 3), so this picks exactly the index
     the linear scan would. Other sequences (F5 tables) are scanned linearly.
     """

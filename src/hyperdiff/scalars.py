@@ -66,8 +66,10 @@ class QComplex:
     def coerce(cls, value) -> "QComplex":
         if isinstance(value, QComplex):
             return value
-        if isinstance(value, (int, Fraction)):
-            return cls(value)
+        if isinstance(value, Fraction):
+            return _real(value)
+        if isinstance(value, int):
+            return _real(Fraction(value))
         raise TypeError(f"cannot coerce {type(value).__name__} to QComplex exactly")
 
     def __bool__(self):

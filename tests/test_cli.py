@@ -182,6 +182,16 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("base, props", [("inf", "Q"), ("1e400", "PQ")])
+    def test_infinite_f2_log_base_is_config_error(self, tmp_path, capsys, base, props):
+        # log(base) = inf made c_n = 0 for every n > 1, and (Q) read "refutes"
+        rc = run("check-properties", "--family", "F2", "--log-base", base, "--props", props,
+                 "--n-max", "10", "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ConfigError: F2 log_base must be e or a finite number")
+        assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_command_from_config(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hyperdiff.errors import ConfigError, PreconditionError
 from hyperdiff.families import (
     GrowthRule,
+    _as_rational,
     _circle_scan,
     check_property_P,
     check_property_Q,
@@ -81,6 +82,11 @@ class TestMakeFamily:
         with pytest.raises(ConfigError):
             make_family("F5", {"ops": [PolynomialOperator({1: QComplex(1)})], "c": "2"})
 
+    @pytest.mark.parametrize("base", ["inf", "1e400", "nan", "1", "0.5"])
+    def test_f2_log_base_must_be_finite_above_one(self, base):
+        with pytest.raises(ConfigError):
+            make_family("F2", {"log_base": base})
+
     def test_f4_decay_regime(self):
         seq = make_family("F4", {"decay": "pow2cubic"})
         assert seq.op(2).coefficient(2) == QComplex(Fraction(1, 2**8))
@@ -154,9 +160,52 @@ class TestClosedForms:
                     assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, z)
 
 
+_SHAPED = [
+    ("F1", {}),
+    ("F2", {}),
+    ("F2", {"c_mode": "unit"}),
+    ("F2", {"log_base": "2"}),
+    ("F3", {}),
+    ("F4", {}),
+    ("F4", {"c": "7/2"}),
+    ("F4", {"decay": "pow2cubic"}),
+]
+
+
+class TestShapes:
+    """Each built-in shape c_n z^n (z - rho_n)^mu_n against the operator it builds."""
+
+    @pytest.mark.parametrize("tag, params", _SHAPED)
+    def test_shape_agrees_with_built_operator(self, tag, params):
+        seq = make_family(tag, params)
+        points = [Fraction(1, 2), Fraction(-5, 2), Fraction(3), 1.5j, -2 + 0.5j, -0.5 - 1j]
+        for n in (1, 2, 3, 7, 9 if "decay" in params else 20):  # 2^-(n^3) stays a nonzero double
+            op = seq.op(n)
+            assert (seq.valence(n), seq.degree(n)) == (op.valence, op.degree)
+            items = seq.coeff_log_items(n)
+            assert [j for j, _ in items] == [j for j, _ in op.terms()]
+            for j, mag in items:
+                want = LogMagnitude.of(op.coefficient(j))
+                assert mag.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, j)
+            want = LogMagnitude.sum(LogMagnitude.of(c) for _, c in op.terms())
+            assert seq.coeff_abs_log_sum(n).log == pytest.approx(want.log, rel=1e-12, abs=1e-12)
+            for z in points:
+                got, want = seq.log_abs_at(n, z), LogMagnitude.of(op.value_at(z))
+                assert got.log == pytest.approx(want.log, rel=1e-9, abs=1e-9), (n, z)
+
+    @pytest.mark.parametrize("tag, params", [fam for fam in _SHAPED if fam[0] in ("F2", "F4")])
+    def test_closed_form_sum_keeps_the_item_sum_bits(self, tag, params):
+        # on F2 and F4 the closed form A_n is bit for bit the log-sum-exp of the
+        # items, so basis.csv logA_k does not depend on which one is used
+        seq = make_family(tag, params)
+        for n in range(1, 300):
+            want = LogMagnitude.sum(mag for _, mag in seq.coeff_log_items(n))
+            assert seq.coeff_abs_log_sum(n).log == want.log, n
+
+
 def _counting_items(seq):
-    """Wrap the family's item function; returns how many items each call yielded."""
-    inner, calls = seq._coeff_items_fn, []
+    """Wrap the shape's item generator; returns how many items each call yielded."""
+    inner, calls = seq.shape.items, []
 
     def items(n):
         calls.append(0)
@@ -164,7 +213,7 @@ def _counting_items(seq):
             calls[-1] += 1
             yield item
 
-    seq._coeff_items_fn = items
+    object.__setattr__(seq.shape, "items", items)  # the shape is a frozen dataclass
     return calls
 
 
@@ -306,6 +355,17 @@ class TestPropertyR:
         assert rep.verdict == "inconclusive"
 
 
+    def test_exact_sample_only_at_the_radius_itself(self):
+        # 1e-13 and 0.5 + 1e-13 are not 0 and 1/2: the exact sample at z = r must
+        # not move to a nearby rational (0 is the centre, where |P_n| vanishes)
+        assert _as_rational(1e-13) is None and _as_rational(0.5 + 1e-13) is None
+        assert _as_rational(0.5) == Fraction(1, 2) and _as_rational(2.0) == 2
+        rep = check_property_R(make_family("F4"), 1e-13, (1, 12))
+        for n, upper in zip(range(1, 13), rep.tracks["upper_log"]):
+            assert upper == pytest.approx(n * math.log(1e-13), rel=1e-12)
+        assert rep.verdict == "refutes"
+
+
 class TestCircleMin:
     def test_monomial_exact(self):
         for n in (1, 5, 64):
@@ -371,6 +431,14 @@ class TestUnicityExponent:
     def test_too_few_points(self):
         with pytest.raises(PreconditionError):
             unicity_exponent([1.0, 2.0, 3.0], 1e3)
+
+    @pytest.mark.parametrize("bad", [[math.nan], [-5.0] * 20, [math.inf]])
+    def test_list_moduli_must_be_finite_and_nonnegative(self, bad):
+        # a NaN among 1..13 moved chi from 1.0 to 1.0414; 20 copies of -5 to 1.4771
+        good = [float(k) for k in range(1, 14)]
+        assert unicity_exponent(good, 100).chi == 1.0
+        with pytest.raises(PreconditionError):
+            unicity_exponent(bad + good, 100)
 
 
 class TestGrowthRule:
