@@ -24,7 +24,7 @@ from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
-from .scalars import LogMagnitude, QComplex
+from .scalars import LogMagnitude, QComplex, log_margin
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
 from .synthesis import _mag_json, _residual
 
@@ -150,7 +150,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
                 exact_everywhere = False
                 inv = build_f_nk(op, k, verify=False)
                 d_log = _residual(op, inv.f, TaylorPolynomial.monomial(k, 1.0 + 0j), max(cfg.r, 1.0)).log
-                ok = d_log < -9 * math.log(10)
+                ok = log_margin(d_log, -9 * math.log(10)) > 0
                 rows.append({"n": n, "k": k, "identity": "float", "defect_log": d_log})
                 if not ok:
                     verdict = "refutes"
@@ -176,7 +176,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             bound = eigen_defect_bound(op, w, cfg.trunc, 1.0)
             trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
             defect = _residual(op, trunc, trunc.scale(val), 1.0)
-            ok = defect.log <= bound.log + 1e-9 * max(1.0, abs(bound.log))
+            ok = log_margin(defect.log, bound.log) >= 0
             rows.append(
                 {
                     "n": n,
@@ -206,11 +206,9 @@ def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvi
         }
         for row in rep.rows
     ]
-    ok = rep.measured_nonincreasing and all(
-        row.measured.log <= row.bound.log + 1e-9 for row in rep.rows
-    )
+    # decay_report has already raised on any row whose measured norm exceeds its bound
     return HypothesisEvidence(
-        verdict="supports" if ok else "inconclusive",
+        verdict="supports" if rep.measured_nonincreasing else "inconclusive",
         rows=rows,
         notes={"indices": basis.indices, "decay_base": q, "radius": r_iv},
     )

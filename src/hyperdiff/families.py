@@ -526,7 +526,12 @@ def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude
 def _circle_scan(
     op: PolynomialOperator, r: float, m_samples: int
 ) -> Tuple[LogMagnitude, LogMagnitude]:
-    """Returns (certified lower bound, sampled upper bound) for the circle min."""
+    """Returns (certified lower bound, upper bound) for the circle min.
+
+    The upper bound is the sampled minimum plus the same floating-evaluation
+    guard that the lower bound subtracts, so rounding residue at a sample
+    beside a root cannot pass for a small value.
+    """
     terms = list(op.terms())
     if len(terms) == 1:
         j, c = terms[0]
@@ -545,9 +550,10 @@ def _circle_scan(
         val = abs(acc)
         if val < sampled:
             sampled = val
-    upper = LogMagnitude.of(sampled) * r_m if math.isfinite(sampled) else LogMagnitude(math.inf)
     b = (op.derivative_majorant(r) / r_m).value()
     guard = 8.0 * 2.0**-52 * (op.degree + 1) * (_majorant_log(terms, r) / r_m).value()
+    upper_val = sampled + guard
+    upper = LogMagnitude.of(upper_val) * r_m if math.isfinite(upper_val) else LogMagnitude(math.inf)
     if not (math.isfinite(sampled) and math.isfinite(b) and math.isfinite(guard)):
         return LogMagnitude.zero(), upper
     lower_val = sampled - (math.pi * r / m_samples) * b - guard
@@ -565,9 +571,9 @@ def check_property_R(
     """Evidence for min{|P_n(z)| : |z| = r} -> +infinity.
 
     supports reads the certified lower-bound track through the growth rule;
-    refutes reads the sampled upper-bound track (which includes an exact
-    evaluation at the real point z = r whenever the family can do it exactly)
-    through the vanishing-witness and floor rules.
+    refutes reads the upper-bound track (the guarded sampled minimum, and
+    exact evaluations at the real points z = r and z = -r whenever r is
+    rational) through the vanishing-witness and floor rules.
     """
     _check_circle(r, samples_per_circle)
     rule = rule or GrowthRule()
@@ -576,15 +582,11 @@ def check_property_R(
     lower_track: List[float] = []
     upper_track: List[float] = []
     r_rational = _as_rational(r)
+    exact_points = () if r_rational is None else (r_rational, -r_rational)
     for n in ns:
-        op = seq.op(n)
-        low, up = _circle_scan(op, r, samples_per_circle)
-        if r_rational is not None:
-            exact_sample = seq.log_abs_at(n, r_rational)
-            if exact_sample.log < up.log:
-                up = exact_sample
+        low, up = _circle_scan(seq.op(n), r, samples_per_circle)
         lower_track.append(low.log)
-        upper_track.append(up.log)
+        upper_track.append(min([up.log] + [seq.log_abs_at(n, z).log for z in exact_points]))
     rows, verdict, finals, bad = _sweep(rule, ns, {"upper": upper_track}, {"lower": lower_track})
     return EvidenceReport(
         prop="R",

@@ -31,7 +31,7 @@ from .scalars import (
     divide_by_int,
     falling_factorial,
     is_exact,
-    log_lt,
+    log_margin,
     to_complex,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator, write_taylor
@@ -338,11 +338,9 @@ def stirling_threshold_ok(seq: OperatorSequence, n: int, k: int, r: float) -> bo
     log_c = seq.log_coeff(n, m).log
     log_fact = math.lgamma(m + 1)
     target = math.log(2 * r)
-    for j in range(1, k + 1):
-        lhs = ((k + 1 - j) * log_c + log_fact) / m
-        if not log_lt(target, lhs):
-            return False
-    return True
+    return all(
+        log_margin(target, ((k + 1 - j) * log_c + log_fact) / m) > 0 for j in range(1, k + 1)
+    )
 
 
 def fnk_decay(

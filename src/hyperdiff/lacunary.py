@@ -22,7 +22,7 @@ from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
-from .scalars import LN2, LogMagnitude, fmt_log, log_lt
+from .scalars import LN2, LogMagnitude, fmt_log, log_margin
 from .series import TaylorPolynomial, apply_operator
 
 
@@ -109,7 +109,7 @@ def select_indices(
     Leading indices are skipped until the valence reaches 3; each subsequent
     index is the least one whose valence exceeds the previous degree and whose
     valence m satisfies the recursion target  max(log A, 0) + d < m*log2/log m
-    (strictly, with a relative guard band).
+    beyond rounding (``log_margin`` > 0).
 
     When the sequence has a shape (F1..F4), its valence n is nondecreasing, so
     each least index is found by galloping: probe last + 1, + 2, + 4, ...
@@ -145,7 +145,7 @@ def select_indices(
 
         def admissible(n: int) -> bool:
             m = seq.valence(n)
-            return m > last.degree and m >= 3 and log_lt(target, m * LN2 / math.log(m))
+            return m > last.degree and m >= 3 and log_margin(target, m * LN2 / math.log(m)) > 0
 
         chosen = least(last.n + 1, admissible)
         if chosen is None:
@@ -178,16 +178,8 @@ def verify_ineq_ak(basis: LacunaryBasis) -> IneqAudit:
             ek, ej = entries[a], entries[b]
             lhs = ek.log_a + ek.degree * math.log(ej.valence)
             rhs = ej.valence * LN2
-            pairs.append(
-                IneqPair(
-                    k=ek.k,
-                    j=ej.k,
-                    lhs_log=lhs,
-                    rhs_log=rhs,
-                    margin=rhs - lhs,
-                    ok=log_lt(lhs, rhs),
-                )
-            )
+            margin = log_margin(lhs, rhs)
+            pairs.append(IneqPair(ek.k, ej.k, lhs_log=lhs, rhs_log=rhs, margin=margin, ok=margin > 0))
     return IneqAudit(pairs=tuple(pairs), all_ok=all(p.ok for p in pairs))
 
 
@@ -324,7 +316,7 @@ def decay_report(
             for i, (m, a) in enumerate(zip(exponents, coeffs))
             if a is not None and i >= k - 1
         )
-        if measured.log > bound.log + 1e-9 * max(1.0, abs(bound.log)):
+        if not log_margin(measured.log, bound.log) >= 0:
             raise InvariantViolation(
                 f"tail decay bound fails at step {k}: measured log {measured.log:.6g} "
                 f"> bound log {bound.log:.6g}"

@@ -21,18 +21,32 @@ from .errors import PreconditionError
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
 
-# Relative guard band for log-domain strict inequalities; avoids spurious
-# passes when both sides agree to rounding error.
-GUARD = 1e-12
+# Rounding slack of ``log_margin``, relative to max(1, |lhs|, |rhs|). Error
+# model: each side is a log computed with at most 2^20 roundings of relative
+# size u = 2^-53 on operands no larger than that scale, and at most one
+# log-sum-exp (``LogMagnitude.sum``) of K <= 2^20 terms, whose float sum adds
+# a relative error of at most (K - 1)u (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., section 4.2) and so an absolute (K - 1)u to
+# the log; a log-sum-exp passes its terms' log errors through unamplified.
+# Both sides together err by at most 2 * (2^20 + 2^20) * u = 2^-31 < SLACK.
+SLACK = 2.0**-30
 
 
-def log_lt(lhs: float, rhs: float) -> bool:
-    """Strict ``lhs < rhs`` for log-domain floats with a relative guard band."""
-    if lhs == NEG_INF:
-        return rhs > NEG_INF
-    if rhs == NEG_INF:
-        return False
-    return lhs < rhs - GUARD * max(1.0, abs(lhs), abs(rhs))
+def log_margin(lhs: float, rhs: float) -> float:
+    """rhs - lhs for the inequality lhs < rhs between two logs, 0.0 within rounding.
+
+    The margin reads 0.0 when |rhs - lhs| <= SLACK * max(1, |lhs|, |rhs|), so a
+    tie within rounding decides nothing; two equal sides (two exact zeros,
+    -inf, included) also give 0.0. One infinite side gives +-inf and a NaN side
+    NaN. Read it as ``> 0`` (the inequality holds beyond rounding) or ``>= 0``
+    (it is not violated beyond rounding); NaN fails both.
+    """
+    if lhs == rhs:
+        return 0.0
+    margin = rhs - lhs
+    if abs(margin) <= SLACK * max(1.0, abs(lhs), abs(rhs)) < math.inf:
+        return 0.0
+    return margin
 
 
 def log_fraction(fr: Fraction) -> float:
@@ -231,8 +245,9 @@ def divide_by_int(value: Scalar, divisor: int) -> Scalar:
 class LogMagnitude:
     """A nonnegative magnitude stored as its natural logarithm.
 
-    ``log == -inf`` encodes an exact zero, which keeps multiplication
-    (log addition) and comparison total without special cases leaking out.
+    ``log == -inf`` encodes an exact zero, which keeps multiplication (log
+    addition) total without special cases leaking out. Two magnitudes are
+    ordered through ``log_margin`` on their logs, never by a bare comparison.
     """
 
     __slots__ = ("log",)
@@ -335,18 +350,6 @@ class LogMagnitude:
 
     # -- comparisons -------------------------------------------------------
 
-    def __lt__(self, other):
-        return self.log < _as_log(other)
-
-    def __le__(self, other):
-        return self.log <= _as_log(other)
-
-    def __gt__(self, other):
-        return self.log > _as_log(other)
-
-    def __ge__(self, other):
-        return self.log >= _as_log(other)
-
     def __eq__(self, other):
         if isinstance(other, LogMagnitude):
             return self.log == other.log
@@ -363,12 +366,6 @@ def fmt_log(value: Union[float, "LogMagnitude"]) -> str:
     """Text form of a log-domain value: "-inf" for an exact zero, else repr of the log."""
     log = value.log if isinstance(value, LogMagnitude) else value
     return "-inf" if log == NEG_INF else repr(log)
-
-
-def _as_log(other) -> float:
-    if isinstance(other, LogMagnitude):
-        return other.log
-    raise TypeError("LogMagnitude compares only with LogMagnitude")
 
 
 # -- scalar text format ------------------------------------------------------
@@ -405,7 +402,10 @@ def parse_real(token: str):
         raise ValueError(f"bad numeric token {token!r}")
     if token.lstrip("+-").replace(".", "").replace("e", "").replace("E", "") == "":
         raise ValueError(f"bad numeric token {token!r}")
-    return float(token)
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"numeric token {token!r} is not a finite double")
+    return value
 
 
 def format_scalar(value: Scalar) -> str:

@@ -35,7 +35,7 @@ from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
-from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_fraction
+from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_fraction, log_margin
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 
@@ -211,14 +211,14 @@ def _build_schedule(
                 h = inverse_for_polynomial(seq.op(n), target)
                 h_norm = h.majorant_norm(r_s)
                 # a float inverse that underflows to zero cannot reach a nonzero target
-                if h.is_zero or not h_norm.log < e_log:
+                if h.is_zero or not log_margin(h_norm.log, e_log) > 0:
                     fail["self_norm"] += 1
                     continue
             cross_logs: List[float] = []
             ok = True
             for prior in reversed(steps):
                 c = apply_operator(seq.op(prior.n), h).majorant_norm(prior.radius)
-                if not c.log < e_log:
+                if not log_margin(c.log, e_log) > 0:
                     ok = False
                     break
                 cross_logs.append(c.log)
@@ -284,8 +284,8 @@ def _residual_table(
         tail = sum((s.eps for s in own[pos:]), Fraction(0))
         budget_log = log_fraction(tail) if tail else -math.inf
         cert_log = (1 - pos) * LN2
-        within = residual.is_zero or residual.log <= budget_log + 1e-9
-        certified = residual.is_zero or residual.log <= cert_log + 1e-9
+        within = log_margin(residual.log, budget_log) >= 0
+        certified = log_margin(residual.log, cert_log) > 0
         if not certified:
             raise InvariantViolation(
                 f"residual certificate failed at step {pos}: log residual "
@@ -444,10 +444,7 @@ def augment(
             lam = Fraction(lam)
             direct = _residual(op, second.vector + x0.scale(lam), y, step.radius)
             bound = v_res + LogMagnitude.of(lam) * base_orbit
-            ok = (
-                (direct.is_zero or direct.log <= bound.log + 1e-9)
-                and (bound.is_zero or bound.log <= stated_log + 1e-9)
-            )
+            ok = log_margin(direct.log, bound.log) >= 0 and log_margin(bound.log, stated_log) > 0
             if not ok:
                 raise InvariantViolation(
                     f"augmentation bound failed at step {pos}, lambda {lam}: "
@@ -558,7 +555,7 @@ def joint_family(
         direct = _residual(seq.op(step.n), combined, y, step.radius)
         abs_sum = sum(abs(c) for c in combo)
         tolerance_log = log_fraction(abs_sum) - global_step * LN2
-        ok = direct.is_zero or direct.log <= tolerance_log + 1e-9
+        ok = log_margin(direct.log, tolerance_log) > 0
         if not ok:
             raise InvariantViolation(
                 f"combination bound failed at global step {global_step}: "

@@ -23,7 +23,7 @@ from hyperdiff.families import (
 )
 from hyperdiff.inverses import build_f_nk, cramer_with_cofactors, solve_monic_system
 from hyperdiff.lacunary import decay_report, m0_member, select_indices, verify_ineq_ak
-from hyperdiff.scalars import LN2, LogMagnitude, QComplex, log_lt
+from hyperdiff.scalars import LN2, LogMagnitude, QComplex, log_margin
 from hyperdiff.series import (
     TaylorPolynomial,
     apply_operator,
@@ -88,7 +88,7 @@ def test_criterion_03_index_selection_audit():
         target = max(prev.log_a, 0.0) + prev.degree
         for n in range(prev.n + 1, cur.n):
             m = seq.valence(n)
-            admissible = m > prev.degree and m >= 3 and log_lt(target, m * LN2 / math.log(m))
+            admissible = m > prev.degree and m >= 3 and log_margin(target, m * LN2 / math.log(m)) > 0
             assert not admissible, (prev.n, n)
     audit = verify_ineq_ak(basis)
     assert audit.all_ok

@@ -113,6 +113,17 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"ConfigError: {table}: ")
 
+    def test_non_finite_table_value_is_config_error(self, tmp_path, capsys):
+        # 1e999 overflows a double; read as inf it would reach property_P.csv
+        table = tmp_path / "table.coeffs"
+        table.write_text("#operator m=1 d=2\n1,1e999,0\n2,1.0,0\n")
+        out = tmp_path / "out"
+        rc = run("check-properties", "--family", "F5", "--table", str(table), "--props", "P",
+                 "--n-max", "1", "--out", str(out))
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"ConfigError: {table}: ")
+        assert not (out / "property_P.csv").exists()
+
     def test_cap_exhaustion(self, tmp_path):
         rc = run(
             "build-m0",

@@ -328,6 +328,14 @@ class TestPropertyR:
         rep = check_property_R(make_family("F2"), 1.0, (2, 100), 256)
         assert rep.verdict == "refutes"
 
+    def test_f2_unit_witnesses_are_exact_roots(self):
+        # the root z = -1 lies on the unit circle: the exact sample there reads -inf, and
+        # the guarded sampled minimum cannot pass rounding residue off as a vanishing value
+        rep = check_property_R(make_family("F2", {"c_mode": "unit"}), 1.0, (1, 80), 256)
+        hits = rep.witness["vanishing"]
+        assert rep.verdict == "refutes" and hits
+        assert all(log_val == -math.inf for _, log_val in hits)
+
     def test_f4_unit_inconclusive_at_unit_circle(self):
         rep = check_property_R(make_family("F4"), 1.0, (1, 60), 256)
         assert rep.verdict in ("inconclusive", "refutes")

@@ -20,7 +20,7 @@ from hyperdiff.lacunary import (
     write_basis_csv,
     write_decay_csv,
 )
-from hyperdiff.scalars import LN2, QComplex, log_lt
+from hyperdiff.scalars import LN2, QComplex, log_margin
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
 
@@ -56,7 +56,7 @@ class TestSelectIndices:
             m = cur.n - 1
             target = max(prev.log_a, 0.0) + prev.degree
             admissible = (
-                m > prev.degree and m >= 3 and log_lt(target, m * LN2 / math.log(m))
+                m > prev.degree and m >= 3 and log_margin(target, m * LN2 / math.log(m)) > 0
             )
             assert not admissible
 
@@ -93,7 +93,7 @@ def linear_select(seq, count, n_start, n_cap):
         n = chosen[-1] + 1
         while n <= n_cap:
             m = seq.valence(n)
-            if m > degree and m >= 3 and log_lt(target, m * LN2 / math.log(m)):
+            if m > degree and m >= 3 and log_margin(target, m * LN2 / math.log(m)) > 0:
                 break
             n += 1
         else:

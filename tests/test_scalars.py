@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperdiff.scalars import (
+    SLACK,
     LogMagnitude,
     QComplex,
     falling_factorial,
     format_scalar,
-    log_lt,
+    log_margin,
     parse_real,
     parse_scalar,
     scale_by_int,
@@ -178,13 +179,35 @@ class TestFallingFactorial:
         assert falling_factorial(300, 300) == math.factorial(300)
 
 
-class TestGuardedCompare:
-    def test_strict_inequality_with_guard(self):
-        assert log_lt(1.0, 2.0)
-        assert not log_lt(2.0, 2.0)
-        assert not log_lt(2.0, 2.0 + 1e-15)  # inside the guard band
-        assert log_lt(float("-inf"), 0.0)
-        assert not log_lt(0.0, float("-inf"))
+class TestLogMargin:
+    def test_margin_is_rhs_minus_lhs_beyond_rounding(self):
+        assert log_margin(1.0, 2.0) == 1.0
+        assert log_margin(2.0, 1.0) == -1.0
+
+    def test_tie_is_zero(self):
+        assert log_margin(2.0, 2.0) == 0.0
+        assert log_margin(2.0, 2.0 + 1e-15) == 0.0  # equal up to rounding
+
+    def test_slack_edge(self):
+        # the slack is relative to max(1, |lhs|, |rhs|)
+        for scale in (1.0, 1e3):
+            inside, outside = 0.5 * SLACK * scale, 2.0 * SLACK * scale
+            assert log_margin(scale, scale + inside) == 0.0
+            assert log_margin(scale, scale + outside) > 0
+            assert log_margin(scale + outside, scale) < 0
+
+    def test_two_exact_zeros(self):
+        assert log_margin(float("-inf"), float("-inf")) == 0.0
+
+    def test_one_infinite_side(self):
+        assert log_margin(float("-inf"), 0.0) == math.inf
+        assert log_margin(0.0, float("-inf")) == -math.inf
+        assert log_margin(-1e300, float("inf")) == math.inf
+
+    def test_nan_reads_neither_way(self):
+        for lhs, rhs in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
+            margin = log_margin(lhs, rhs)
+            assert not margin > 0 and not margin >= 0
 
 
 class TestScalarText:
@@ -192,6 +215,11 @@ class TestScalarText:
         assert parse_real("3/4") == Fraction(3, 4)
         assert parse_real("-12") == Fraction(-12)
         assert isinstance(parse_real("0.5"), float)
+
+    @pytest.mark.parametrize("token", ["1e999", "-1e999", "1.5e400"])
+    def test_decimal_overflow_rejected(self, token):
+        with pytest.raises(ValueError):
+            parse_real(token)
 
     def test_scalar_round_trip_exact(self):
         v = QComplex(Fraction(-3, 7), Fraction(22, 5))

@@ -10,7 +10,7 @@ from hyperdiff.errors import CapExhausted, PreconditionError
 from hyperdiff.families import make_family
 from hyperdiff.inverses import inverse_for_polynomial
 from hyperdiff.scalars import LN2, QComplex, log_fraction
-from hyperdiff.series import TaylorPolynomial, apply_operator
+from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
     _build_schedule,
     augment,
@@ -98,6 +98,14 @@ class TestSynthesize:
     def test_single_step_exact(self):
         trace = synthesize(make_family("F4"), [TaylorPolynomial([1])])
         assert trace.residuals[0].residual.is_zero
+
+    def test_tie_with_eps_is_not_below_it(self):
+        # under P_1 = z the correction of 1/3 + z/3 is z/3 + z^2/6, whose majorant at
+        # r = 1 is exactly eps_1 = 1/2 (its float log is 1 ulp low): a tie, not a pass
+        ops = [PolynomialOperator({1: QComplex(1)}), PolynomialOperator({2: QComplex(1)})]
+        third = QComplex(Fraction(1, 3))
+        trace = synthesize(make_family("F5", {"ops": ops}), [TaylorPolynomial([third, third])])
+        assert trace.indices == (2,)
 
     def test_determinism_byte_for_byte(self):
         targets = enumerate_targets(6)
