@@ -105,6 +105,11 @@ class Shape:
             mag = mag * LogMagnitude.of(z - rho) ** mu
         return mag
 
+    def circle_min(self, n: int, r: float) -> LogMagnitude:
+        """min |P_n| on |z| = r, that is |c_n| r^n |r - |rho_n||^mu_n, at its point z = r sgn(rho_n)."""
+        z = Fraction(r)
+        return self.abs_at(n, -z if self.mult(n) and self.root(n) < 0 else z)
+
 
 class OperatorSequence:
     """An indexed family n -> P_n with metadata and log-domain escorts.
@@ -510,48 +515,38 @@ def _check_circle(r: float, samples: int) -> None:
 
 
 def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude:
-    """Certified lower bound for min |P| on the circle |z| = r.
-
-    Samples m_samples equispaced points and subtracts both the derivative arc
-    correction (pi r / M) * sup|P'| and a floating-evaluation guard, so the
-    result is a valid lower bound even under heavy cancellation (where it
-    degrades gracefully to zero). Single-term operators have constant modulus
-    on circles and are returned exactly.
-    """
+    """Certified lower bound for min |P| on |z| = r: the least of m_samples equispaced samples
+    less the arc correction (pi r / M) sup|(P/z^m)'| and a floating-evaluation guard, or zero
+    where they eat it (heavy cancellation). A monomial's arc correction is zero."""
     _check_circle(r, m_samples)
     lower, _ = _circle_scan(op, r, m_samples)
     return lower
 
 
-def _circle_scan(
-    op: PolynomialOperator, r: float, m_samples: int
-) -> Tuple[LogMagnitude, LogMagnitude]:
-    """Returns (certified lower bound, upper bound) for the circle min.
-
-    The upper bound is the sampled minimum plus the same floating-evaluation
-    guard that the lower bound subtracts, so rounding residue at a sample
-    beside a root cannot pass for a small value.
-    """
-    terms = list(op.terms())
-    if len(terms) == 1:
-        j, c = terms[0]
-        exact = LogMagnitude(LogMagnitude.of(c).log + j * math.log(r))
-        return exact, exact
+def _circle_samples(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[list, float]:
+    """(z, |H(z)|) in floats at m_samples equispaced points z of |z| = r, where H = P/z^m,
+    and the guard that bounds |float |H(z)| - exact |H(z)|| at each of these points z."""
     fop = op.to_float()
     coeffs = [fop.coefficient(j) for j in range(fop.degree, fop.valence - 1, -1)]
-    # |P(z)| = r^m |H(z)| on |z| = r: scan H, scale the corrections by r^-m; no float overflows
-    r_m = LogMagnitude(fop.valence * math.log(r))
-    sampled = math.inf
+    samples = []
     for t in range(m_samples):
         z = r * cmath.exp(2j * math.pi * t / m_samples)
         acc = 0j
         for c in coeffs:
             acc = acc * z + c
-        val = abs(acc)
-        if val < sampled:
-            sampled = val
-    b = (op.derivative_majorant(r) / r_m).value()
-    guard = 8.0 * 2.0**-52 * (op.degree + 1) * (_majorant_log(terms, r) / r_m).value()
+        samples.append((z, abs(acc)))
+    r_m = LogMagnitude(op.valence * math.log(r))
+    return samples, 8.0 * 2.0**-52 * (op.degree + 1) * (_majorant_log(op.terms(), r) / r_m).value()
+
+
+def _circle_scan(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[LogMagnitude, LogMagnitude]:
+    """(certified lower bound, upper bound) for min |P| on |z| = r. |P| = r^m |H| there, so the
+    scan samples H and scales by r^m in the log domain: no float overflows. The upper bound adds
+    the guard the lower bound subtracts, so rounding residue beside a root is no small value."""
+    samples, guard = _circle_samples(op, r, m_samples)
+    sampled = min(val for _, val in samples)
+    r_m = LogMagnitude(op.valence * math.log(r))
+    b = (op.derivative_majorant(r) / r_m).value()  # sup |H'| on |z| = r
     upper_val = sampled + guard
     upper = LogMagnitude.of(upper_val) * r_m if math.isfinite(upper_val) else LogMagnitude(math.inf)
     if not (math.isfinite(sampled) and math.isfinite(b) and math.isfinite(guard)):
@@ -571,9 +566,11 @@ def check_property_R(
     """Evidence for min{|P_n(z)| : |z| = r} -> +infinity.
 
     supports reads the certified lower-bound track through the growth rule;
-    refutes reads the upper-bound track (the guarded sampled minimum, and
-    exact evaluations at the real points z = r and z = -r whenever r is
-    rational) through the vanishing-witness and floor rules.
+    refutes reads the upper-bound track through the vanishing-witness and
+    floor rules. On a shaped family (F1..F4) both tracks are the exact minimum
+    ``Shape.circle_min``. On a table (F5) the lower track is the circle scan's
+    certified bound and the upper track the least of its guarded sampled
+    minimum and the exact values at z = r and z = -r (a float r is a rational).
     """
     _check_circle(r, samples_per_circle)
     rule = rule or GrowthRule()
@@ -581,12 +578,16 @@ def check_property_R(
     ns = list(range(lo, hi + 1))
     lower_track: List[float] = []
     upper_track: List[float] = []
-    r_rational = _as_rational(r)
-    exact_points = () if r_rational is None else (r_rational, -r_rational)
+    fr = Fraction(r)
     for n in ns:
-        low, up = _circle_scan(seq.op(n), r, samples_per_circle)
-        lower_track.append(low.log)
-        upper_track.append(min([up.log] + [seq.log_abs_at(n, z).log for z in exact_points]))
+        seq._check_index(n)
+        if seq.shape is not None:
+            low = up = seq.shape.circle_min(n, r).log
+        else:
+            scan_low, scan_up = _circle_scan(seq.op(n), r, samples_per_circle)
+            low, up = scan_low.log, min(scan_up.log, seq.log_abs_at(n, fr).log, seq.log_abs_at(n, -fr).log)
+        lower_track.append(low)
+        upper_track.append(up)
     rows, verdict, finals, bad = _sweep(rule, ns, {"upper": upper_track}, {"lower": lower_track})
     return EvidenceReport(
         prop="R",
@@ -597,12 +598,6 @@ def check_property_R(
         witness=None if bad is None else finals[bad][1],
         notes={"rule": rule, "samples_per_circle": samples_per_circle},
     )
-
-
-def _as_rational(r: float) -> Optional[Fraction]:
-    """The radius as an exact rational when it plainly is one, else None."""
-    fr = Fraction(r).limit_denominator(10**6)
-    return fr if float(fr) == r else None
 
 
 # -- unicity exponent ------------------------------------------------------------

@@ -16,6 +16,7 @@ cross-check oracle, and returns the cofactor table Phi_{j,s,k} with its solution
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -263,6 +264,8 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
+    if not op.exact and not all(map(cmath.isfinite, b)):
+        raise PreconditionError(f"float right inverse leaves the double range: a_0 = {op.coefficient(m):.6g}")
     pairs = []
     for s, b_s in enumerate(b):
         if not b_s:

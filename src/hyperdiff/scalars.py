@@ -50,10 +50,12 @@ def log_margin(lhs: float, rhs: float) -> float:
 
 
 def log_fraction(fr: Fraction) -> float:
-    """Natural log of a positive rational, safe for huge numerators/denominators."""
-    if fr <= 0:
+    """Natural log of a positive rational p/q, safe for huge p and q; log1p((p - q)/q) within
+    2^-20 of 1, where log(p) - log(q) would lose 20 or more bits to cancellation."""
+    p, q = fr.numerator, fr.denominator
+    if p <= 0:
         raise ValueError("log_fraction needs a positive rational")
-    return math.log(fr.numerator) - math.log(fr.denominator)
+    return math.log1p((p - q) / q) if abs(p - q) << 20 < q else math.log(p) - math.log(q)
 
 
 def falling_factorial(m: int, s: int) -> int:

@@ -288,14 +288,14 @@ class PolynomialOperator:
             raise PreconditionError(f"w**{m} at w = {wf} is beyond the double range") from exc
 
     def derivative_majorant(self, r: float) -> LogMagnitude:
-        """log of B = sum(j |c_j| r^(j-1)), a sup bound for |P'| on |z| = r."""
+        """log of B = sum((j - m) |c_j| r^(j-1)); B / r^m bounds |H'| on |z| = r, H = P/z^m."""
         if r <= 0:
             raise ValueError("radius must be positive")
-        log_r = math.log(r)
+        m, log_r = self.valence, math.log(r)
         return LogMagnitude.sum(
-            LogMagnitude(LogMagnitude.of(c).log + math.log(j) + (j - 1) * log_r)
+            LogMagnitude(LogMagnitude.of(c).log + math.log(j - m) + (j - 1) * log_r)
             for j, c in self.terms()
-            if j >= 1
+            if j > m
         )
 
     def to_float(self) -> "PolynomialOperator":

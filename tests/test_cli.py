@@ -86,12 +86,20 @@ class TestExitCodes:
     def test_f2_greedy_step_with_underflowing_inverse(self, tmp_path, capsys):
         # a float inverse that underflows to zero is rejected, not admitted as
         # a correction that misses its target, so the scan runs on into the
-        # index where F2's coefficients leave the double range
+        # index n = 710 where F2's float inverse 1/a_0 leaves the double range
         rc = run("augment", "--family", "F2", "--out", str(tmp_path))
         assert rc == 3
         assert capsys.readouterr().err.startswith(
-            "PreconditionError: F2 coefficient underflows double precision at n=746"
+            "PreconditionError: float right inverse leaves the double range: a_0 = 5.21204e-309+0j\n"
         )
+
+    @pytest.mark.parametrize("n, k", [(710, 0), (708, 5)])
+    def test_f2_float_inverse_past_the_double_range(self, tmp_path, capsys, n, k):
+        # 1/a_0 overflows at n = 710, b_5 at n = 708: a typed failure, not a NaN inverse
+        rc = run("build-inverse", "--family", "F2", "--n", str(n), "--k", str(k), "--out", str(tmp_path))
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("PreconditionError: float right inverse leaves the double range")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(
         "body",

@@ -2,12 +2,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.errors import ConfigError, PreconditionError
 from hyperdiff.families import (
     GrowthRule,
-    _as_rational,
+    _circle_samples,
     _circle_scan,
     check_property_P,
     check_property_Q,
@@ -18,7 +18,7 @@ from hyperdiff.families import (
     unicity_exponent,
 )
 from hyperdiff.lacunary import decay_report, m0_member, select_indices
-from hyperdiff.scalars import LN2, LogMagnitude, QComplex
+from hyperdiff.scalars import LN2, LogMagnitude, QComplex, log_margin
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
 
@@ -309,11 +309,9 @@ class TestPropertyR:
     def test_f1_supports_at_r_2(self):
         rep = check_property_R(make_family("F1"), 2.0, (1, 40), 256)
         assert rep.verdict == "supports"
-        # certified lower bound tracks r^n (2 - n^-n) up to the sampling
-        # correction (pi r / M) sup|P'|, which at M=256 eats about half of it
-        lower = rep.tracks["lower_log"]
-        assert lower[-1] >= 40 * math.log(2) + math.log(0.5)
-        assert lower[-1] <= 40 * math.log(2) + math.log(2.0)
+        # both tracks are the exact minimum |P_40(-2)| = 2^40 (2 - 40^-40)
+        exact = math.log(2**40 * (2 - Fraction(1, 40**40)))
+        assert rep.tracks["lower_log"][-1] == rep.tracks["upper_log"][-1] == pytest.approx(exact, rel=1e-15)
 
     def test_f3_refutes_with_near_root_witnesses(self):
         for r in (1.0, 2.0, 3.0):
@@ -329,8 +327,7 @@ class TestPropertyR:
         assert rep.verdict == "refutes"
 
     def test_f2_unit_witnesses_are_exact_roots(self):
-        # the root z = -1 lies on the unit circle: the exact sample there reads -inf, and
-        # the guarded sampled minimum cannot pass rounding residue off as a vanishing value
+        # the root z = -1 lies on the unit circle: the exact minimum there reads -inf
         rep = check_property_R(make_family("F2", {"c_mode": "unit"}), 1.0, (1, 80), 256)
         hits = rep.witness["vanishing"]
         assert rep.verdict == "refutes" and hits
@@ -341,37 +338,62 @@ class TestPropertyR:
         assert rep.verdict in ("inconclusive", "refutes")
 
     def test_collapsed_lower_bound_never_refutes(self):
-        # the certified lower track reads -inf once the arc correction eats the
-        # sampled minimum; that is a weak bound, not a witness of small values
-        f1 = check_property_R(make_family("F1"), 2.0, (1, 120), 256)
-        lower = f1.tracks["lower_log"]
-        assert all(v == -math.inf for v in lower[80:]) and lower[79] > -math.inf
+        # P_n = z^(n+8) (z - 129/64) has its root 1/64 outside |z| = 2, nearer than the arc
+        # correction pi r / M = 0.0245: the scan's certified lower track reads -inf, which
+        # is a weak bound, not a witness of small values
+        table = [PolynomialOperator({n + 8: QComplex(Fraction(-129, 64)), n + 9: QComplex(1)})
+                 for n in range(1, 121)]
+        rep = check_property_R(make_family("F5", {"ops": table}), 2.0, (1, 120), 256)
+        lower = rep.tracks["lower_log"]
+        assert all(v == -math.inf for v in lower)
         assert GrowthRule().classify(list(range(1, 121)), lower)[0] == "refutes"
-        assert all(verdict != "refutes" for _, _, verdict in f1.rows)
-        assert f1.verdict == "inconclusive" and f1.witness is None
-        unit = check_property_R(make_family("F2", {"c_mode": "unit"}), 2.0, (1, 80), 256)
-        assert unit.tracks["lower_log"][-1] == -math.inf
-        assert unit.verdict != "refutes"
+        assert all(verdict != "refutes" for _, _, verdict in rep.rows)
+        assert rep.verdict == "inconclusive" and rep.witness is None
 
-    def test_f1_past_double_range(self):
-        # |z^m| = 2^m leaves the double range at m = 1024; the scan factors it out
-        ns = range(1015, 1101)
-        rep = check_property_R(make_family("F1"), 2.0, (ns[0], ns[-1]), 256)
-        for n, upper in zip(ns, rep.tracks["upper_log"]):
-            # |P_n| on |z| = 2 is 2^n |z + n^-n|, about 2^(n+1)
-            assert upper == pytest.approx((n + 1) * LN2, rel=1e-12)
-        assert rep.verdict == "inconclusive"
-
+    def test_scan_past_double_range(self):
+        # |z^m| = 2^m leaves the double range at m = 1024; the scan factors it out.
+        # P_n = z^(1014+n) (z + 1/3) has min |P_n| = 2^(1014+n) 5/3 on |z| = 2, at z = -2
+        ns = range(1, 87)
+        table = [PolynomialOperator({1014 + n: QComplex(Fraction(1, 3)), 1015 + n: QComplex(1)}) for n in ns]
+        rep = check_property_R(make_family("F5", {"ops": table}), 2.0, (1, 86), 256)
+        for n, lower, upper in zip(ns, rep.tracks["lower_log"], rep.tracks["upper_log"]):
+            exact = (1014 + n) * LN2 + math.log(5 / 3)
+            assert upper == pytest.approx(exact, rel=1e-12)
+            # the arc correction (pi r / M) sup|H'| = 0.0245 is 1.5% of 5/3
+            assert exact + math.log(0.98) < lower < upper
+        assert rep.verdict == "supports"
 
     def test_exact_sample_only_at_the_radius_itself(self):
-        # 1e-13 and 0.5 + 1e-13 are not 0 and 1/2: the exact sample at z = r must
-        # not move to a nearby rational (0 is the centre, where |P_n| vanishes)
-        assert _as_rational(1e-13) is None and _as_rational(0.5 + 1e-13) is None
-        assert _as_rational(0.5) == Fraction(1, 2) and _as_rational(2.0) == 2
+        # 1e-13 is not 0: the exact minimum at z = r must not move to a nearby
+        # rational (0 is the centre, where |P_n| vanishes)
         rep = check_property_R(make_family("F4"), 1e-13, (1, 12))
         for n, upper in zip(range(1, 13), rep.tracks["upper_log"]):
             assert upper == pytest.approx(n * math.log(1e-13), rel=1e-12)
         assert rep.verdict == "refutes"
+
+    @pytest.mark.parametrize("tag, params", _SHAPED)
+    def test_closed_form_is_the_least_on_rational_circle_points(self, tag, params):
+        # z = r((1 - t^2) + 2ti)/(1 + t^2) lies exactly on |z| = r for every rational t
+        seq = make_family(tag, params)
+        for r in (0.3, 1.0, 2.0, 2.5):
+            fr = Fraction(r)
+            for n in (1, 2, 5, 9 if "decay" in params else 24):
+                closed = seq.shape.circle_min(n, r).log
+                negative = seq.shape.mult(n) and seq.shape.root(n) < 0
+                assert log_margin(closed, seq.log_abs_at(n, -fr if negative else fr).log) == 0.0
+                for t in map(Fraction, (0, "1/5", "1/2", 1, "-7/3", 10**6)):
+                    z = _circle_point(fr, t)
+                    assert log_margin(closed, seq.log_abs_at(n, z).log) >= 0, (r, n, t)
+
+    def test_f3_past_the_double_range_refutes(self):
+        # F3's coefficients leave the double range near n = 300; its exact minimum does not
+        rep = check_property_R(make_family("F3"), 2.0, (1, 400))
+        assert rep.verdict == "refutes" and len(rep.witness["vanishing"]) >= 2
+
+    def test_f1_supports_far_out(self):
+        rep = check_property_R(make_family("F1"), 2.0, (1, 2000))
+        assert rep.verdict == "supports"
+        assert rep.tracks["lower_log"][-1] == pytest.approx(2001 * LN2, rel=1e-15)
 
 
 class TestCircleMin:
@@ -407,6 +429,62 @@ class TestCircleMin:
             circle_min(p, r, 64)
         with pytest.raises(PreconditionError):
             check_property_R(make_family("F1"), r, (1, 2), 64)
+
+
+def _circle_point(r: Fraction, t: Fraction, scale: Fraction = Fraction(1)) -> QComplex:
+    """scale times the point r((1 - t^2) + 2ti)/(1 + t^2), which lies exactly on |z| = r."""
+    return QComplex(scale * r * (1 - t * t) / (1 + t * t), scale * r * 2 * t / (1 + t * t))
+
+
+_ratios = st.fractions(min_value=-9, max_value=9, max_denominator=10**6)
+
+
+@st.composite
+def _scanned_tables(draw):
+    """(op, r) with H = P/z^m a scaled product of factors z - rho, each rho on or near |z| = r
+    (so the expanded coefficients cancel beside it), plus a few dense rational terms."""
+    r = draw(st.sampled_from([0.3, 0.5, 1.0, 2.0, 2.5]))
+    coeffs = [QComplex(draw(_ratios.filter(bool)))]
+    for _ in range(draw(st.integers(1, 5))):
+        # rho = (1 + delta) times a point of the circle, delta 0 or within 2^-50..2^-4
+        delta = draw(st.sampled_from([0, 1, -1])) * Fraction(1, 2 ** draw(st.integers(4, 50)))
+        rho = _circle_point(Fraction(r), draw(_ratios), 1 + delta)
+        coeffs = [a - rho * b for a, b in zip([QComplex(0)] + coeffs, coeffs + [QComplex(0)])]
+    for j in draw(st.lists(st.integers(0, len(coeffs) - 2), max_size=3)):  # the leading term stays
+        coeffs[j] = coeffs[j] + QComplex(draw(_ratios), draw(_ratios))
+    m = draw(st.integers(0, 3))
+    return PolynomialOperator({m + j: c for j, c in enumerate(coeffs)}), r
+
+
+class TestScanOracle:
+    """Every float sample of the circle scan against H = P/z^m evaluated exactly at the
+    same point: a finite double is a dyadic rational, so the sample point is exact."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_scanned_tables())
+    # dense coefficients on which the rounding error reaches 0.112 of the guard at |z| = 2
+    @example((PolynomialOperator({
+        0: QComplex(Fraction(-922408, 492027), Fraction(48499, 133138)),
+        1: QComplex(Fraction(-689989, 10509), Fraction(106508, 171211)),
+    }), 2.0))
+    def test_float_samples_within_the_guard(self, table):
+        op, r = table
+        m_samples = 64
+        samples, guard = _circle_samples(op, r, m_samples)
+        assert len(samples) == m_samples
+        g, rr = Fraction(guard), Fraction(r) ** 2
+        # the arc correction (pi r / M) sup|H'| bounds the change of H over the chord
+        # 2 r sin(pi / 2M) to the nearest sample; the rest is slack for the float point
+        slack = Fraction(math.pi / m_samples - 2 * math.sin(math.pi / (2 * m_samples)))
+        for z, val in samples:
+            zq = QComplex(Fraction(z.real), Fraction(z.imag))
+            assert abs(zq.abs_squared() / rr - 1) <= slack, z
+            exact = QComplex(0)
+            for j in range(op.degree, op.valence - 1, -1):
+                exact = exact * zq + op.coefficient(j)
+            h2, v = exact.abs_squared(), Fraction(val)
+            assert h2 <= (v + g) ** 2, (z, val, guard)
+            assert v <= g or (v - g) ** 2 <= h2, (z, val, guard)
 
 
 class TestUnicityExponent:

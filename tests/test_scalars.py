@@ -10,6 +10,7 @@ from hyperdiff.scalars import (
     QComplex,
     falling_factorial,
     format_scalar,
+    log_fraction,
     log_margin,
     parse_real,
     parse_scalar,
@@ -145,6 +146,16 @@ class TestLogMagnitude:
     def test_of_complex_parts(self):
         assert LogMagnitude.of(QComplex(0, Fraction(-7))).log == pytest.approx(math.log(7))
         assert LogMagnitude.of(QComplex(3, 4)).log == pytest.approx(math.log(5))
+
+    def test_log_fraction_keeps_the_digits_next_to_1(self):
+        # log p - log q rounds log(1 - 14^-14) to 0.0; |P_14(-1)| of F1 is 1 - 14^-14
+        got = log_fraction(1 - Fraction(1, 14**14))
+        assert abs(got + 14.0**-14) <= 1e-12 * 14.0**-14
+        for fr in (Fraction(1, 2), Fraction(2, 3), Fraction(1001, 1000), Fraction(3, 2), Fraction(7, 3)):
+            assert log_fraction(fr) == pytest.approx(math.log(fr.numerator / fr.denominator), rel=1e-15)
+        assert log_fraction(Fraction(10**400 + 1, 10**400)) == 0.0  # 10^-400 underflows, no error
+        with pytest.raises(ValueError):
+            log_fraction(Fraction(0))
 
     def test_sum_empty_and_overflow_free(self):
         assert LogMagnitude.sum([]).is_zero

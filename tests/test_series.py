@@ -122,6 +122,15 @@ class TestEvaluate:
         assert f.evaluate(QComplex(1, 1)) == QComplex(3, 4)
 
 
+class TestDerivativeMajorant:
+    def test_valence_shifted_sum(self):
+        # P = z^2 H with H = 3 - 2z + z^2: B / r^m = 2 + 2r = 6 bounds |H'| = |2z - 2| on |z| = 2
+        op = PolynomialOperator({2: QComplex(3), 3: QComplex(-2), 4: QComplex(1)})
+        assert (op.derivative_majorant(2.0) / LogMagnitude(2 * math.log(2.0))).value() == pytest.approx(6.0)
+        # a monomial has constant modulus on circles: its arc correction is zero
+        assert PolynomialOperator({5: QComplex(7)}).derivative_majorant(2.0).is_zero
+
+
 class TestMajorant:
     def test_unit_monomial(self):
         assert TaylorPolynomial.monomial(7).majorant_norm(1.0).log == pytest.approx(0.0)
