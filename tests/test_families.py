@@ -363,6 +363,16 @@ class TestPropertyR:
             assert exact + math.log(0.98) < lower < upper
         assert rep.verdict == "supports"
 
+    def test_f1_past_double_range(self):
+        # |z^n| = 2^n leaves the double range at n = 1024; the exact minimum
+        # |P_n(-2)| = 2^n (2 - n^-n), about 2^(n+1), stays in the log domain
+        ns = range(1015, 1101)
+        rep = check_property_R(make_family("F1"), 2.0, (ns[0], ns[-1]), 256)
+        for n, lower, upper in zip(ns, rep.tracks["lower_log"], rep.tracks["upper_log"]):
+            assert upper == pytest.approx((n + 1) * LN2, rel=1e-12)
+            assert lower == upper
+        assert rep.verdict == "supports"
+
     def test_exact_sample_only_at_the_radius_itself(self):
         # 1e-13 is not 0: the exact minimum at z = r must not move to a nearby
         # rational (0 is the centre, where |P_n| vanishes)
