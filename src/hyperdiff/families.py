@@ -536,7 +536,8 @@ def _circle_samples(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[l
             acc = acc * z + c
         samples.append((z, abs(acc)))
     r_m = LogMagnitude(op.valence * math.log(r))
-    return samples, 8.0 * 2.0**-52 * (op.degree + 1) * (_majorant_log(op.terms(), r) / r_m).value()
+    h_terms = op.degree - op.valence + 1  # H has degree d - m
+    return samples, 8.0 * 2.0**-52 * h_terms * (_majorant_log(op.terms(), r) / r_m).value()
 
 
 def _circle_scan(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[LogMagnitude, LogMagnitude]:

@@ -324,6 +324,9 @@ def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitud
     if seq.exact:
         return build_f_nk(op, k, verify=False).f.majorant_norm(r)
     b_tilde, log_a0 = solve_ratio_normalized([op.coefficient(m + j) for j in range(k + 1)], k)
+    # the ratios stay in range only while the shifted coefficients are not huge against a_0
+    if not all(map(cmath.isfinite, b_tilde)):
+        raise PreconditionError(f"float right inverse leaves the double range: a_0 = {op.coefficient(m):.6g}")
     terms = []
     for s, bt in enumerate(b_tilde):
         mag = abs(bt)

@@ -49,6 +49,26 @@ def _majorant_log(terms: Iterable[Tuple[int, Scalar]], r: float) -> LogMagnitude
     return LogMagnitude.sum(LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in terms)
 
 
+def _exact_horner(terms: dict, w: QComplex, m: int) -> QComplex:
+    """sum(c_j w^(j-m)) over exact terms {j: c_j}, j >= m: with c_j = X_j / D, D common, and
+    w = u / q, Horner sums S = sum(X_j u^(j-m) q^(d-j)) in ints; S / (D q^(d-m)) reduces once."""
+    den = 1
+    for d in (f.denominator for c in terms.values() for f in (c.re, c.im)):
+        if d != 1 and den % d:  # den % 1 and den // 1 cost the length of a huge den
+            den = den // math.gcd(den, d) * d
+    q = math.lcm(w.re.denominator, w.im.denominator)
+    ur, ui, sr, si, qk = (w.re * q).numerator, (w.im * q).numerator, 0, 0, 1  # qk = q^(d-j)
+    for j in range(next(reversed(terms)), m - 1, -1):
+        sr, si = sr * ur - si * ui, sr * ui + si * ur
+        if (c := terms.get(j)) is not None:
+            (xr, br), (xi, bi) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+            sr += xr * qk * (den if br == 1 else den // br)
+            si += xi * qk * (den if bi == 1 else den // bi)
+        qk *= q
+    scale = den * (qk // q)
+    return QComplex(Fraction(sr, scale), Fraction(si, scale) if si else 0)
+
+
 class TaylorPolynomial:
     """A truncated entire function sum(a_j z^j, j=0..N) with explicit N.
 
@@ -208,20 +228,18 @@ class TaylorPolynomial:
         return TaylorPolynomial._raw(terms, self.exact, self.truncation - order)
 
     def evaluate(self, z: CoeffLike) -> Scalar:
-        """Horner evaluation; exact when both the series and the point are exact.
+        """Horner evaluation; exact, in one integer pass, when the series and the point are.
 
-        The loop runs over every degree N..0 and adds a zero in each gap; in
-        the float regime those additions fix the sign of a zero part.
+        The float loop runs over every degree N..0 and adds a zero in each gap;
+        those additions fix the sign of a zero part.
         """
         if self.is_zero:
             return QC_ZERO if (self.exact and is_exact(z)) else 0j
         if self.exact and is_exact(z):
-            poly, x, zero = self, QComplex.coerce(z), QC_ZERO
-        else:
-            poly, x, zero = self.to_float(), to_complex(z), 0j
-        acc = zero
+            return _exact_horner(self._terms, QComplex.coerce(z), 0)
+        poly, x, acc = self.to_float(), to_complex(z), 0j
         for j in range(poly.truncation, -1, -1):
-            acc = acc * x + poly._terms.get(j, zero)
+            acc = acc * x + poly._terms.get(j, 0j)
         return acc
 
     def majorant_norm(self, r: float) -> LogMagnitude:
@@ -269,18 +287,15 @@ class PolynomialOperator:
         return self._terms.items()
 
     def value_at(self, w: CoeffLike) -> Scalar:
-        """P(w) by Horner over the degrees d..m; the eigenvalue of P(D) on e_w."""
+        """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) by Horner over d..m,
+        exact in one integer pass over the common denominator (``_exact_horner``), else float."""
         m, terms = self.valence, self._terms
-        degrees = range(self.degree, m - 1, -1)
         if self.exact and is_exact(w):
             wq = QComplex.coerce(w)
-            acc = QC_ZERO
-            for j in degrees:
-                acc = acc * wq + terms.get(j, QC_ZERO)
-            return acc * wq**m
+            return _exact_horner(terms, wq, m) * wq**m
         wf = to_complex(w)
         acc = 0j
-        for j in degrees:
+        for j in range(self.degree, m - 1, -1):
             acc = acc * wf + to_complex(terms.get(j, 0j))
         try:
             return acc * wf**m

@@ -477,6 +477,11 @@ class TestScanOracle:
         0: QComplex(Fraction(-922408, 492027), Fraction(48499, 133138)),
         1: QComplex(Fraction(-689989, 10509), Fraction(106508, 171211)),
     }), 2.0))
+    # the same H at valence 1000, where a factor d + 1 would overstate H's d - m + 1 terms 501 times
+    @example((PolynomialOperator({
+        1000: QComplex(Fraction(-922408, 492027), Fraction(48499, 133138)),
+        1001: QComplex(Fraction(-689989, 10509), Fraction(106508, 171211)),
+    }), 2.0))
     def test_float_samples_within_the_guard(self, table):
         op, r = table
         m_samples = 64

@@ -253,6 +253,13 @@ class TestFnkDecay:
         with pytest.raises(PreconditionError):
             fnk_decay(make_family("F4"), 0, 1.0, (1, 10))
 
+    def test_ratio_solve_past_the_double_range_is_a_precondition_error(self):
+        # P_m = 1e-130 z^m + z^(m+1): the ratio solve's b~_0 takes a_1/a_0 * b~_1 = 1e130 * 6e260,
+        # past the double range, so b~_0 is NaN and so would be every norm of the sweep
+        table = [PolynomialOperator({m: 1e-130, m + 1: 1.0}) for m in range(1, 9)]
+        with pytest.raises(PreconditionError, match="leaves the double range"):
+            fnk_decay(make_family("F5", {"ops": table}), 3, 2.0, (2, 8))
+
     def test_exact_and_ratio_routes_agree_on_unit_f2(self):
         exact_seq = make_family("F2", {"c_mode": "unit"})
         for n in (3, 8, 15):

@@ -390,6 +390,47 @@ class TestDenseOperatorModel:
         assert op.exact and (op.valence, op.degree) == (3, 3)
 
 
+tall_rationals = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+tall_scalars = st.builds(QComplex, tall_rationals, tall_rationals.filter(bool))
+exact_points = (
+    st.just(QComplex(0))
+    | st.builds(QComplex, tall_rationals | rationals)
+    | st.builds(QComplex, st.just(0), tall_rationals | rationals)
+    | st.builds(QComplex, tall_rationals | rationals, tall_rationals | rationals)
+)
+
+
+@st.composite
+def tall_exact_operators(draw):
+    """({j: c_j}, None) with valence m, degree d <= 40, gaps, and rational parts of height up
+    to 2^64; or, with a drawn point rho, (z - rho) times such a polynomial, and rho."""
+    with_root = draw(st.booleans())
+    m = draw(st.integers(0, 20))
+    d = draw(st.integers(max(m, 1), 40 - with_root))
+    raw = draw(st.dictionaries(st.integers(m, d), tall_scalars | st.just(QComplex(0)), max_size=6))
+    raw.update({m: draw(tall_scalars), d: draw(tall_scalars)})
+    if not with_root:
+        return raw, None
+    rho, q = draw(exact_points), [raw.get(j, QComplex(0)) for j in range(m, d + 1)]
+    row = [a - rho * b for a, b in zip([QComplex(0)] + q, q + [QComplex(0)])]
+    return {m + i: c for i, c in enumerate(row)}, rho
+
+
+class TestExactValueAt:
+    @settings(max_examples=150, deadline=None)
+    @given(tall_exact_operators(), exact_points)
+    def test_integer_pass_equals_the_model_horner(self, drawn, w):
+        # DenseOperator.value_at is the QComplex Horner that reduces a Fraction at every step
+        raw, rho = drawn
+        model, op, points = DenseOperator(raw), PolynomialOperator(raw), [w] if rho is None else [w, rho]
+        poly = TaylorPolynomial.from_pairs(list(op.terms()))
+        for z in points:
+            want = model.value_at(z)
+            assert op.value_at(z) == want and poly.evaluate(z) == want
+        if rho is not None:
+            assert op.value_at(rho) == QComplex(0)
+
+
 class TestCoefficientFiles:
     def test_taylor_round_trip_exact(self):
         f = TaylorPolynomial.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-7, 2))])
