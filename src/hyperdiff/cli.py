@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from .criterion import CriterionConfig, verify_hypotheses, write_criterion_jsonl
-from .errors import ConfigError, HyperdiffError, PreconditionError
+from .errors import ConfigError, HyperdiffError
 from .families import (
     GrowthRule,
     OperatorSequence,
@@ -36,7 +36,7 @@ from .lacunary import (
     write_basis_csv,
     write_decay_csv,
 )
-from .scalars import QComplex, fmt_log
+from .scalars import QComplex, fmt_log, to_qcomplex
 from .series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -102,7 +102,7 @@ def _p_point(token: str):
     try:
         z = complex(token.replace("i", "j"))
         if math.isfinite(z.real) and math.isfinite(z.imag):
-            return z
+            return to_qcomplex(z)
     except ValueError:
         pass
     raise ConfigError(f"cannot parse sample point {token!r} as a finite number")
@@ -198,7 +198,6 @@ COMMANDS: Dict[str, List[Key]] = {
     + [
         Key("n", _p_int, None, "sequence index"),
         Key("k", _p_int, None, "target degree (z^k)"),
-        Key("mode", _p_str, "auto", "scalar regime: auto | exact | float"),
         OUT_KEY,
     ],
     "verify-criterion": FAMILY_KEYS
@@ -435,22 +434,11 @@ def _cmd_build_inverse(cfg: Dict) -> int:
     seq = _family_from(cfg)
     if cfg["n"] is None or cfg["k"] is None:
         raise ConfigError("build-inverse needs n=<index> and k=<degree>")
-    mode = cfg["mode"]
-    if mode not in ("auto", "exact", "float"):
-        raise ConfigError("mode must be auto, exact, or float")
-    if mode == "exact" and not seq.exact:
-        raise PreconditionError(f"{seq.label} has floating coefficients; exact mode impossible")
     out = _outdir(cfg)
-    op = seq.op(cfg["n"])
-    if mode == "float":
-        op = op.to_float()
-    inv = build_f_nk(op, cfg["k"], verify=op.exact)
+    inv = build_f_nk(seq.op(cfg["n"]), cfg["k"])
     path = out / f"inverse_n{cfg['n']}_k{cfg['k']}.coeffs"
     _write(path, lambda h: write_right_inverse(inv, h, n=cfg["n"]))
-    if op.exact:
-        print("identity: exact")
-    else:
-        print("identity: floating (verified in the decay sweeps, not exactly)")
+    print("identity: exact")
     print(f"wrote {path}")
     return 0
 

@@ -138,27 +138,12 @@ def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
 
 def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
-    verdict = "supports"
-    exact_everywhere = True
     for n in _sample_indices(cfg.n_lo, cfg.n_hi, SWEEP_POINTS):
         op = seq.op(n)
         for k in range(0, cfg.k_max + 1):
-            if op.exact:
-                build_f_nk(op, k, verify=True)  # raises on failure
-                rows.append({"n": n, "k": k, "identity": "exact"})
-            else:
-                exact_everywhere = False
-                inv = build_f_nk(op, k, verify=False)
-                d_log = _residual(op, inv.f, TaylorPolynomial.monomial(k, 1.0 + 0j), max(cfg.r, 1.0)).log
-                ok = log_margin(d_log, -9 * math.log(10)) > 0
-                rows.append({"n": n, "k": k, "identity": "float", "defect_log": d_log})
-                if not ok:
-                    verdict = "refutes"
-    return HypothesisEvidence(
-        verdict=verdict if rows else "inconclusive",
-        rows=rows,
-        notes={"exact": exact_everywhere},
-    )
+            build_f_nk(op, k, verify=True)  # raises on failure
+            rows.append({"n": n, "k": k, "identity": "exact"})
+    return HypothesisEvidence(verdict="supports" if rows else "inconclusive", rows=rows)
 
 
 def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:

@@ -21,12 +21,13 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, LogMagnitude, NEG_INF, fmt_log, is_exact, to_complex
+from .scalars import LN2, LogMagnitude, NEG_INF, fmt_log, to_complex, to_qcomplex
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -53,12 +54,12 @@ def positive_rational(n: int) -> Fraction:
 class Shape:
     """P_n(z) = c_n z^n (z - rho_n)^mu_n, each field a function of n.
 
-    ``c`` is the exact (on a float family, float) c_n, read only to build the
-    operator. ``root`` is the exact rho_n and ``float_root`` its double; a
-    multiplicity ``mult`` of 0 (the default) has no root.
+    ``c`` is the exact c_n, read only to build the operator. ``root`` is the
+    exact rho_n and ``float_root`` its double; a multiplicity ``mult`` of 0
+    (the default) has no root.
     """
 
-    c: Callable[[int], Union[Fraction, float]]
+    c: Callable[[int], Fraction]
     log_c: Callable[[int], float]
     mult: Callable[[int], int] = lambda n: 0
     root: Optional[Callable[[int], Fraction]] = None
@@ -97,7 +98,8 @@ class Shape:
         return LogMagnitude(self.log_c(n) + (mu * math.log1p(abs(self.float_root(n))) if mu else 0.0))
 
     def abs_at(self, n: int, z: Union[Fraction, complex]) -> LogMagnitude:
-        """|c_n| |z|^n |z - rho_n|^mu_n; exact rho_n at a Fraction z, its double otherwise."""
+        """|c_n| |z|^n |z - rho_n|^mu_n; exact rho_n at a Fraction z, its double at a non-real
+        complex z, where the value is a float estimate."""
         mag = LogMagnitude(self.log_c(n)) * LogMagnitude.of(z) ** n
         mu = self.mult(n)
         if mu:
@@ -129,13 +131,11 @@ class OperatorSequence:
         build: Optional[Callable[[int], PolynomialOperator]] = None,
         *,
         shape: Optional[Shape] = None,
-        exact: bool,
         max_n: Optional[int] = None,
     ):
         self.tag = tag
         self.label = label
         self.shape = shape
-        self.exact = exact
         self.max_n = max_n
         self._build = build if shape is None else shape.op
         self._cache: dict[int, PolynomialOperator] = {}
@@ -189,20 +189,20 @@ class OperatorSequence:
         return LogMagnitude.sum(mag for _, mag in self._log_items(n))
 
     def log_abs_at(self, n: int, z) -> LogMagnitude:
-        """|P_n(z)| as a LogMagnitude, in the shape's closed form if any.
+        """|P_n(z)| as a LogMagnitude.
 
-        Exact rational points on exact families evaluate in exact arithmetic,
-        which is what makes near-root witnesses detectable below 2^-n.
+        A shaped family reads its closed form at an int or Fraction z, exactly,
+        and at a non-real z in floats. Every other point (a QComplex on the real
+        axis, any point of a table) evaluates the operator exactly, which is
+        what makes near-root witnesses detectable below 2^-n.
         """
         self._check_index(n)
-        if is_exact(z) and self.exact:
-            if self.shape is not None and isinstance(z, (int, Fraction)):
-                return self.shape.abs_at(n, Fraction(z))
-            return LogMagnitude.of(self.op(n).value_at(z))
-        zf = to_complex(z)
-        if self.shape is not None:
-            return self.shape.abs_at(n, zf)
-        return LogMagnitude.of(self.op(n).to_float().value_at(zf))
+        if self.shape is not None and isinstance(z, (int, Fraction)):
+            return self.shape.abs_at(n, Fraction(z))
+        z = to_qcomplex(z)
+        if self.shape is not None and z.im:
+            return self.shape.abs_at(n, to_complex(z))
+        return LogMagnitude.of(self.op(n).value_at(z))
 
     def __repr__(self):
         return f"OperatorSequence({self.label})"
@@ -224,7 +224,7 @@ def _f1() -> OperatorSequence:
     shape = Shape(c=lambda n: 1, log_c=lambda n: 0.0, mult=lambda n: 1,
                   root=lambda n: -(1 / Fraction(n**n)), log_root=lambda n: -n * math.log(n),
                   float_root=lambda n: -(math.exp(-n * math.log(n)) if n * math.log(n) < 700 else 0.0))
-    return OperatorSequence("F1", "F1: z^n/n^n + z^(n+1)", shape=shape, exact=True)
+    return OperatorSequence("F1", "F1: z^n/n^n + z^(n+1)", shape=shape)
 
 
 def _f2(c_mode: str = "paper", log_base: str = "e") -> OperatorSequence:
@@ -244,20 +244,21 @@ def _f2(c_mode: str = "paper", log_base: str = "e") -> OperatorSequence:
         return -n * math.log(n) * ln_base / math.log(n + 1) if n > 1 and not unit else 0.0
 
     def c(n: int):
+        # exp(log c_n) as its exact dyadic value while that double is normal; below, the
+        # same 53-bit mantissa over a wider power of two, so c_n never underflows
         if unit:
             return 1
-        value = math.exp(log_c(n))
-        if value == 0.0:
-            raise PreconditionError(
-                f"F2 coefficient underflows double precision at n={n}; "
-                "use the log-domain escorts for sweeps this deep"
-            )
-        return value
+        lc = log_c(n)
+        value = math.exp(lc)
+        if value >= sys.float_info.min:
+            return Fraction(value)
+        e = math.ceil(-lc / LN2)
+        return Fraction(math.exp(lc + e * LN2)) / 2**e
 
     shape = Shape(c=c, log_c=log_c, mult=lambda n: 1, root=lambda n: -1,
                   log_root=lambda n: 0.0, float_root=lambda n: -1.0)
     label = "F2(unit): z^n (1 + z)" if unit else "F2: n^(-n/log(n+1)) z^n (1 + z)"
-    return OperatorSequence("F2", label, shape=shape, exact=unit)
+    return OperatorSequence("F2", label, shape=shape)
 
 
 def _f3() -> OperatorSequence:
@@ -265,7 +266,7 @@ def _f3() -> OperatorSequence:
     shape = Shape(c=lambda n: 1, log_c=lambda n: 0.0, mult=lambda n: n, root=positive_rational,
                   log_root=lambda n: LogMagnitude.of(positive_rational(n)).log,
                   float_root=lambda n: float(positive_rational(n)))
-    return OperatorSequence("F3", "F3: z^n (z - q_n)^n", shape=shape, exact=True)
+    return OperatorSequence("F3", "F3: z^n (z - q_n)^n", shape=shape)
 
 
 def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
@@ -283,7 +284,7 @@ def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
         shape = Shape(c=lambda n: c * Fraction(1, 2 ** (n**3)),
                       log_c=lambda n: log_abs_c - (n**3) * LN2)
         label = f"F4: {c} 2^(-n^3) z^n"
-    return OperatorSequence("F4", label, shape=shape, exact=True)
+    return OperatorSequence("F4", label, shape=shape)
 
 
 def _f5(ops=None) -> OperatorSequence:
@@ -291,7 +292,7 @@ def _f5(ops=None) -> OperatorSequence:
         raise ConfigError("F5 needs an explicit operator table under params['ops']")
     table: List[PolynomialOperator] = list(ops)
     return OperatorSequence("F5", f"F5: explicit table of {len(table)} operators", lambda n: table[n - 1],
-                            exact=all(op.exact for op in table), max_n=len(table))
+                            max_n=len(table))
 
 
 # tag -> (builder, the parameters it reads)
@@ -526,8 +527,7 @@ def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude
 def _circle_samples(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[list, float]:
     """(z, |H(z)|) in floats at m_samples equispaced points z of |z| = r, where H = P/z^m,
     and the guard that bounds |float |H(z)| - exact |H(z)|| at each of these points z."""
-    fop = op.to_float()
-    coeffs = [fop.coefficient(j) for j in range(fop.degree, fop.valence - 1, -1)]
+    coeffs = op.to_float()
     samples = []
     for t in range(m_samples):
         z = r * cmath.exp(2j * math.pi * t / m_samples)

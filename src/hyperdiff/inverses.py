@@ -9,14 +9,15 @@ whose determinant is a_0^{k+1}; then antidifferentiate m times,
 
     f_k(z) = sum(b_s z^{s+m} / ((s+1)(s+2)...(s+m)), s=0..k),
 
-which satisfies P(D) f_k = z^k exactly. Back-substitution is the production
+which satisfies P(D) f_k = z^k exactly. Every solve is exact: a float
+coefficient enters as its exact dyadic value, so the identity is checked with
+rational equality for every operator. Back-substitution is the production
 solver; a Cramer/cofactor route (capped at k <= 8) is kept as an independent
 cross-check oracle, and returns the cofactor table Phi_{j,s,k} with its solution.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, TextIO, Tuple
@@ -28,12 +29,11 @@ from .scalars import (
     QComplex,
     QC_ONE,
     QC_ZERO,
-    Scalar,
     divide_by_int,
     falling_factorial,
     is_exact,
     log_margin,
-    to_complex,
+    to_qcomplex,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator, write_taylor
 
@@ -41,32 +41,27 @@ from .series import PolynomialOperator, TaylorPolynomial, apply_operator, write_
 # -- polynomial route ----------------------------------------------------------
 
 
-def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
-    """Unique solution b_0..b_k by back-substitution from s = k downward.
+def solve_monic_system(a: Sequence, k: int) -> Tuple[QComplex, ...]:
+    """Unique solution b_0..b_k by back-substitution from s = k downward, exactly.
 
-    Exact inputs give exact output. The system matrix is upper triangular with
-    determinant a_0^(k+1).
+    The system matrix is upper triangular with determinant a_0^(k+1).
     """
     if k < 0:
         raise PreconditionError("k must be >= 0")
     if not a:
         raise PreconditionError("empty coefficient list")
-    if all(is_exact(v) for v in a):
-        coerce, zero, one = QComplex.coerce, QC_ZERO, QC_ONE
-    else:
-        coerce, zero, one = to_complex, 0j, 1.0
-    aa = [coerce(v) for v in a]
+    aa = [to_qcomplex(v) for v in a]
     if not aa[0]:
         raise PreconditionError("a_0 must be nonzero (operator valence coefficient)")
-    inv_a0 = one / aa[0]
+    inv_a0 = QC_ONE / aa[0]
 
-    def coeff(i: int):
-        return aa[i] if i < len(aa) else zero
+    def coeff(i: int) -> QComplex:
+        return aa[i] if i < len(aa) else QC_ZERO
 
-    b: List = [zero] * (k + 1)
+    b: List[QComplex] = [QC_ZERO] * (k + 1)
     b[k] = inv_a0
     for s in range(k - 1, -1, -1):
-        acc = zero
+        acc = QC_ZERO
         for j in range(s + 1, k + 1):
             a_js = coeff(j - s)
             if not a_js:
@@ -74,22 +69,6 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[Scalar, ...]:
             acc = acc + a_js * b[j] * falling_factorial(j, j - s)
         b[s] = -(inv_a0 * acc)
     return tuple(b)
-
-
-def solve_ratio_normalized(a: Sequence[complex], k: int) -> Tuple[Tuple[complex, ...], float]:
-    """Floating solve in ratio form: returns (b_tilde, log|a_0|) with b = b_tilde / a_0.
-
-    Normalizing by a_0 keeps the triangular solve inside double range for
-    families whose shifted coefficients are bounded while a_0 is tiny; the
-    caller reassembles log|b_s| = log|b_tilde_s| - log|a_0|.
-    """
-    aa = [to_complex(v) for v in a]
-    if aa[0] == 0:
-        raise PreconditionError("a_0 must be nonzero")
-    log_a0 = math.log(abs(aa[0]))
-    ratios = [v / aa[0] for v in aa]
-    b_tilde = solve_monic_system(ratios, k)
-    return b_tilde, log_a0
 
 
 # -- Cramer cross-check ----------------------------------------------------------
@@ -182,7 +161,7 @@ class CofactorTable:
     phi: Tuple[Tuple[QComplex, ...], ...]
 
 
-def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[Scalar, ...], CofactorTable]:
+def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[QComplex, ...], CofactorTable]:
     """Exact cofactor-expansion solve (oracle route, k <= 8): b_0..b_k and its cofactor table."""
     if k < 0:
         raise PreconditionError("k must be >= 0")
@@ -254,18 +233,13 @@ class RightInverse:
 
 
 def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightInverse:
-    """Antidifferentiated solution with P(D) f = z^k; verified on construction.
-
-    Exact operators verify the identity with exact rational equality; floating
-    operators skip the hard check (decay sweeps audit them in the log domain).
-    """
+    """Antidifferentiated solution with P(D) f = z^k; verify checks the identity with exact
+    rational equality."""
     if k < 0:
         raise PreconditionError("k must be >= 0")
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
-    if not op.exact and not all(map(cmath.isfinite, b)):
-        raise PreconditionError(f"float right inverse leaves the double range: a_0 = {op.coefficient(m):.6g}")
     pairs = []
     for s, b_s in enumerate(b):
         if not b_s:
@@ -273,7 +247,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
         den = falling_factorial(s + m, m)  # (s+1)(s+2)...(s+m)
         pairs.append((s + m, divide_by_int(b_s, den)))
     f = TaylorPolynomial.from_pairs(pairs)
-    if verify and op.exact:
+    if verify:
         image = apply_operator(op, f)
         if image != TaylorPolynomial.monomial(k, QC_ONE):
             raise InvariantViolation(
@@ -284,7 +258,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
 
 def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> TaylorPolynomial:
     """Linear extension: sum(y_k f_{n,k}); P(D) applied to it returns y exactly."""
-    result = TaylorPolynomial.zero(exact=y.exact and op.exact)
+    result = TaylorPolynomial.zero()
     for k, y_k in y.terms():
         inv = build_f_nk(op, k, verify=False)
         result = result + inv.f.scale(y_k)
@@ -312,30 +286,8 @@ class FnkDecayReport:
 
 
 def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitude:
-    """Majorant norm of f_{n,k} on |z| <= r, computed without under/overflow.
-
-    Exact families materialize f exactly; floating families go through the
-    ratio-normalized triangular solve and stay in the log domain throughout
-    (raw b_s overflow doubles once 1/|a_0|^{k+1} leaves range).
-    """
-    m = seq.valence(n)
-    log_r = math.log(r)
-    op = seq.op(n)
-    if seq.exact:
-        return build_f_nk(op, k, verify=False).f.majorant_norm(r)
-    b_tilde, log_a0 = solve_ratio_normalized([op.coefficient(m + j) for j in range(k + 1)], k)
-    # the ratios stay in range only while the shifted coefficients are not huge against a_0
-    if not all(map(cmath.isfinite, b_tilde)):
-        raise PreconditionError(f"float right inverse leaves the double range: a_0 = {op.coefficient(m):.6g}")
-    terms = []
-    for s, bt in enumerate(b_tilde):
-        mag = abs(bt)
-        if mag == 0.0:
-            continue
-        log_b = math.log(mag) - log_a0
-        log_den = math.lgamma(s + m + 1) - math.lgamma(s + 1)
-        terms.append(LogMagnitude(log_b + (s + m) * log_r - log_den))
-    return LogMagnitude.sum(terms)
+    """Majorant norm of f_{n,k} on |z| <= r, from the exact f_{n,k}, in the log domain."""
+    return build_f_nk(seq.op(n), k, verify=False).f.majorant_norm(r)
 
 
 def stirling_threshold_ok(seq: OperatorSequence, n: int, k: int, r: float) -> bool:

@@ -256,9 +256,7 @@ def decay_report(
             max(abs(e.log_a), abs(basis.seq.log_coeff(e.n, e.valence).log)) > 10**6 * LN2
             for e in basis.entries
         )
-        # floating families also prefer the log path: materializing deep
-        # operators would underflow their coefficients for nothing
-        method = "log" if (collision_free and (heavy or not basis.seq.exact)) else "exact"
+        method = "log" if (collision_free and heavy) else "exact"
     if method == "log" and not collision_free:
         method = "exact"
     if method not in ("exact", "log"):

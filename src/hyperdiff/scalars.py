@@ -1,15 +1,19 @@
 """Scalar ground types: exact rational complex numbers and log-domain magnitudes.
 
-Two scalar regimes coexist throughout the package. ``QComplex`` carries exact
-rational real/imaginary parts and supports equality-level algebra (right-inverse
-identities, annihilation checks). Plain ``complex`` is the floating regime used
-for growth/decay sweeps. Nonnegative sizes that would overflow any native type
-(2**m, m!, A_k * m**d, ...) travel as ``LogMagnitude``: a natural logarithm with
--inf encoding an exact zero, so products and comparisons never overflow.
+Every coefficient and every point of the series kernel is a ``QComplex``, with
+exact rational real/imaginary parts, so identities hold with equality
+(right-inverse identities, annihilation checks). A double that comes from
+outside (a library float coefficient, a non-real CLI point, a decimal in a
+table) enters through ``to_qcomplex`` as its exact dyadic value. Nonnegative
+sizes that would overflow any native type (2**m, m!, A_k * m**d, ...) travel
+as ``LogMagnitude``: a natural logarithm with -inf encoding an exact zero, so
+products and comparisons never overflow. Floats stay only where a value is a
+measured estimate: log magnitudes, and the samples of the F5 circle scan.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from decimal import Decimal
@@ -66,10 +70,11 @@ def falling_factorial(m: int, s: int) -> int:
 class QComplex:
     """Complex number with exact rational real and imaginary parts.
 
-    Arithmetic stays exact; mixing with floats is rejected so the exact and
-    floating regimes cannot silently contaminate each other. When both operands
-    of +, -, * or / are real (zero imaginary part), the result comes from a
-    single ``Fraction`` operation on the real parts.
+    Arithmetic stays exact; a bare float operand is rejected, so a rounded
+    value cannot slip into an identity (``to_qcomplex`` converts one on
+    purpose). When both operands of +, -, * or / are real (zero imaginary
+    part), the result comes from a single ``Fraction`` operation on the real
+    parts.
     """
 
     __slots__ = ("re", "im")
@@ -194,54 +199,37 @@ def _real(re: Fraction) -> QComplex:
 QC_ZERO = QComplex(0, 0)
 QC_ONE = QComplex(1, 0)
 
-Scalar = Union[QComplex, complex]
-
 
 def is_exact(value) -> bool:
     return isinstance(value, (QComplex, int, Fraction))
+
+
+def to_qcomplex(value) -> QComplex:
+    """value as a QComplex: an exact value as it is, a double or complex double as its exact
+    dyadic value. The one door from floats into the exact regime; a NaN or infinite part raises."""
+    if isinstance(value, (float, complex)):
+        value = complex(value)
+        if not cmath.isfinite(value):
+            raise PreconditionError(f"{value!r} is not a finite number")
+        return QComplex(Fraction(value.real), Fraction(value.imag))
+    return QComplex.coerce(value)
 
 
 def to_complex(value) -> complex:
     try:
         return complex(value)
     except OverflowError as exc:
-        raise PreconditionError("an exact value beyond the double range entered the floating regime") from exc
+        raise PreconditionError("an exact value beyond the double range entered a float sample") from exc
 
 
-def scale_by_int(value: Scalar, factor: int) -> Scalar:
-    """value * factor for a possibly huge positive integer factor.
-
-    Exact scalars multiply exactly. Floating scalars route through the log
-    domain once the factor no longer fits a double, so a tiny coefficient times
-    a huge falling factorial still lands on the representable product instead
-    of overflowing at the intermediate step.
-    """
-    if isinstance(value, QComplex):
-        return value * factor
-    if factor.bit_length() <= 53:
-        return value * factor
-    mag = abs(value)
-    if mag == 0.0:
-        return 0j
-    total = math.log(mag) + math.log(factor)
-    if total > 709.0:
-        return complex("inf") * (1 if value.real >= 0 else -1)
-    return (value / mag) * math.exp(total)
+def scale_by_int(value: QComplex, factor: int) -> QComplex:
+    """value * factor, exactly, for a possibly huge positive integer factor."""
+    return value * factor
 
 
-def divide_by_int(value: Scalar, divisor: int) -> Scalar:
-    """value / divisor for a possibly huge positive integer divisor."""
-    if isinstance(value, QComplex):
-        return value * QComplex(Fraction(1, divisor))
-    if divisor.bit_length() <= 53:
-        return value / divisor
-    mag = abs(value)
-    if mag == 0.0:
-        return 0j
-    total = math.log(mag) - math.log(divisor)
-    if total < -745.0:
-        return 0j
-    return (value / mag) * math.exp(total)
+def divide_by_int(value: QComplex, divisor: int) -> QComplex:
+    """value / divisor, exactly, for a possibly huge positive integer divisor."""
+    return value * QComplex(Fraction(1, divisor))
 
 
 class LogMagnitude:
@@ -372,27 +360,22 @@ def fmt_log(value: Union[float, "LogMagnitude"]) -> str:
 
 # -- scalar text format ------------------------------------------------------
 #
-# Coefficient files carry one `index,re,im` line per entry. Exact values use
-# rational notation (`p/q` or a bare integer); floating values use the shortest
-# round-tripping decimal produced by repr(). The two never mix in one file.
+# Coefficient files carry one `index,re,im` line per entry, written in rational
+# notation (`p/q` or a bare integer). A decimal token on input is read as the
+# nearest double, which then enters as its exact dyadic value.
 # Integers of any length go through Decimal, which the interpreter's limit on
 # int/str conversion (4300 digits by default) does not apply to.
 
 _RATIONAL = re.compile(r"([+-]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
 
 
-def format_real(value) -> str:
-    if isinstance(value, (int, Fraction)):
-        value = Fraction(value)
-        num = str(Decimal(value.numerator))
-        return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
-    if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite value {value!r}")
-    return repr(float(value))
+def format_real(value: Fraction) -> str:
+    num = str(Decimal(value.numerator))
+    return num if value.denominator == 1 else f"{num}/{Decimal(value.denominator)}"
 
 
-def parse_real(token: str):
-    """Parse a real token: Fraction for rational notation, float for decimals."""
+def parse_real(token: str) -> Fraction:
+    """Parse a real token: rational notation exactly, a decimal as its double's exact value."""
     token = token.strip()
     if not token:
         raise ValueError("empty numeric token")
@@ -407,19 +390,12 @@ def parse_real(token: str):
     value = float(token)
     if not math.isfinite(value):
         raise ValueError(f"numeric token {token!r} is not a finite double")
-    return value
+    return to_qcomplex(value).re
 
 
-def format_scalar(value: Scalar) -> str:
-    if isinstance(value, QComplex):
-        return f"{format_real(value.re)},{format_real(value.im)}"
-    c = complex(value)
-    return f"{format_real(c.real)},{format_real(c.imag)}"
+def format_scalar(value: QComplex) -> str:
+    return f"{format_real(value.re)},{format_real(value.im)}"
 
 
-def parse_scalar(re_token: str, im_token: str) -> Scalar:
-    re_val = parse_real(re_token)
-    im_val = parse_real(im_token)
-    if isinstance(re_val, Fraction) and isinstance(im_val, Fraction):
-        return QComplex(re_val, im_val)
-    return complex(float(re_val), float(im_val))
+def parse_scalar(re_token: str, im_token: str) -> QComplex:
+    return QComplex(parse_real(re_token), parse_real(im_token))

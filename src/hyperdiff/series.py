@@ -3,47 +3,40 @@
 Every "entire function" handled here is a truncated Taylor polynomial with an
 explicit truncation degree, stored as its nonzero terms: the paper's right
 inverses and lacunary members occupy a few degrees far above zero. Operations
-that drop tails report a majorant bound for what was dropped. Coefficients live
-in one of two regimes (exact rational complex or double complex) and never mix
-inside a single object.
+that drop tails report a majorant bound for what was dropped. Every
+coefficient is an exact rational complex number (``QComplex``); a float given
+as a coefficient or a point enters as its exact dyadic value, so each
+operation has one exact kernel path.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, TextIO, Tuple, Union
+from typing import Iterable, List, TextIO, Tuple, Union
 
-from .errors import PreconditionError
 from .scalars import (
     LogMagnitude,
     QComplex,
     QC_ONE,
     QC_ZERO,
-    Scalar,
     falling_factorial,
     format_scalar,
-    is_exact,
     parse_scalar,
     scale_by_int,
     to_complex,
+    to_qcomplex,
 )
 
 CoeffLike = Union[QComplex, complex, float, int, Fraction]
 
 
-def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> Tuple[dict, bool]:
-    """Normalize (j, a_j) pairs, distinct j in increasing order, to one regime.
-
-    Returns ({j: a_j} without the zero coefficients, exact).
-    """
-    items = list(items)
-    exact = all(is_exact(c) for _, c in items)
-    coerce = QComplex.coerce if exact else to_complex
-    return {j: v for j, c in items if (v := coerce(c))}, exact
+def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> dict:
+    """{j: a_j} as QComplex from (j, a_j) pairs, distinct j in increasing order, without the zeros."""
+    return {j: v for j, c in items if (v := to_qcomplex(c))}
 
 
-def _majorant_log(terms: Iterable[Tuple[int, Scalar]], r: float) -> LogMagnitude:
+def _majorant_log(terms: Iterable[Tuple[int, QComplex]], r: float) -> LogMagnitude:
     """sum(|c_j| r^j) over (j, c_j) pairs, in the log domain."""
     log_r = math.log(r)
     return LogMagnitude.sum(LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in terms)
@@ -74,37 +67,36 @@ class TaylorPolynomial:
 
     Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
     truncation degree N. Construction preserves N even when the top
-    coefficients are zero; the exact zero has N = -1, the floating one N = 0.
-    Equality compares values and ignores N.
+    coefficients are zero; the zero polynomial has N = -1. Equality compares
+    values and ignores N.
     """
 
-    __slots__ = ("_terms", "exact", "truncation")
+    __slots__ = ("_terms", "truncation")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         raw = list(coeffs)
-        self._terms, self.exact = _coerce_terms(enumerate(raw))
+        self._terms = _coerce_terms(enumerate(raw))
         self.truncation = len(raw) - 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict, exact: bool, truncation: int) -> "TaylorPolynomial":
+    def _raw(cls, terms: dict, truncation: int) -> "TaylorPolynomial":
         """Internal constructor for callers that already guarantee invariants."""
         obj = object.__new__(cls)
         obj._terms = terms
-        obj.exact = exact
         obj.truncation = truncation
         return obj
 
     @classmethod
-    def zero(cls, exact: bool = True) -> "TaylorPolynomial":
-        return cls._raw({}, exact, -1 if exact else 0)
+    def zero(cls) -> "TaylorPolynomial":
+        return cls._raw({}, -1)
 
     @classmethod
     def monomial(cls, degree: int, coeff: CoeffLike = 1) -> "TaylorPolynomial":
         if degree < 0:
             raise ValueError("monomial degree must be >= 0")
-        return cls._raw(*_coerce_terms([(degree, coeff)]), degree)
+        return cls._raw(_coerce_terms([(degree, coeff)]), degree)
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[int, CoeffLike]]) -> "TaylorPolynomial":
@@ -114,13 +106,11 @@ class TaylorPolynomial:
             return cls.zero()
         if any(j < 0 for j, _ in items):
             raise ValueError("negative exponent")
-        exact = all(is_exact(c) for _, c in items)
-        zero: CoeffLike = QC_ZERO if exact else 0j
         out: dict = {}
         for j, c in items:
-            out[j] = out.get(j, zero) + (QComplex.coerce(c) if exact else to_complex(c))
+            out[j] = out.get(j, QC_ZERO) + to_qcomplex(c)
         terms = {j: out[j] for j in sorted(out) if out[j]}
-        return cls._raw(terms, exact, max(out))
+        return cls._raw(terms, max(out))
 
     # -- structure ---------------------------------------------------------
 
@@ -140,14 +130,12 @@ class TaylorPolynomial:
         """The (j, a_j) pairs with a_j nonzero, in increasing j."""
         return self._terms.items()
 
-    def coefficient(self, j: int) -> Scalar:
-        return self._terms.get(j, QC_ZERO if self.exact else 0j)
+    def coefficient(self, j: int) -> QComplex:
+        return self._terms.get(j, QC_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
-        if self.exact != other.exact:
-            return self.is_zero and other.is_zero
         return self._terms == other._terms
 
     def __hash__(self):
@@ -167,80 +155,53 @@ class TaylorPolynomial:
     def __add__(self, other: "TaylorPolynomial") -> "TaylorPolynomial":
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
-        a, b = self, other
-        if a.exact != b.exact:
-            a, b = a.to_float(), b.to_float()
-        if b.truncation > a.truncation:
-            a, b = b, a
+        a, b = (self, other) if self.truncation >= other.truncation else (other, self)
         out = dict(a._terms)
-        zero = QC_ZERO if a.exact else 0j
         for j, c in b._terms.items():
-            # zero + c also for a lone c: 0j + c turns a -0.0 part into 0.0
-            s = out.get(j, zero) + c
+            s = out.get(j, QC_ZERO) + c
             if s:
                 out[j] = s
             else:
                 del out[j]
-        return TaylorPolynomial._raw(dict(sorted(out.items())), a.exact, a.truncation)
+        return TaylorPolynomial._raw(dict(sorted(out.items())), a.truncation)
 
     def __neg__(self) -> "TaylorPolynomial":
-        return self.scale(-1 if self.exact else -1.0)
+        return self.scale(-1)
 
     def __sub__(self, other: "TaylorPolynomial") -> "TaylorPolynomial":
         return self + (-other)
 
     def scale(self, factor: CoeffLike) -> "TaylorPolynomial":
-        if self.exact and is_exact(factor):
-            f = QComplex.coerce(factor)
-            terms = {j: c * f for j, c in self._terms.items()} if f else {}
-            return TaylorPolynomial._raw(terms, True, self.truncation)
-        f = to_complex(factor)
-        me = self.to_float()
-        terms = {j: v for j, c in me._terms.items() if (v := c * f)}
-        return TaylorPolynomial._raw(terms, False, me.truncation)
-
-    def to_float(self) -> "TaylorPolynomial":
-        if not self.exact:
-            return self
-        terms = {j: v for j, c in self._terms.items() if (v := to_complex(c))}
-        return TaylorPolynomial._raw(terms, False, max(0, self.truncation))
+        f = to_qcomplex(factor)
+        terms = {j: c * f for j, c in self._terms.items()} if f else {}
+        return TaylorPolynomial._raw(terms, self.truncation)
 
     # -- analysis ----------------------------------------------------------
 
     def differentiate(self, order: int = 1) -> "TaylorPolynomial":
         """Exact coefficient shift a_i -> a_{i+order} * (i+order)!/i!.
 
-        The falling factorial is taken as an exact integer, so no intermediate
-        overflow occurs in either regime even for orders in the tens of
-        thousands.
+        The falling factorial is taken as an exact integer, so orders in the
+        tens of thousands cost only its length.
         """
         if order < 0:
             raise ValueError("derivative order must be >= 0")
         if order == 0:
             return self
         if self.truncation < order:
-            return TaylorPolynomial.zero(exact=self.exact)
+            return TaylorPolynomial.zero()
         terms = {
-            i - order: v
+            i - order: scale_by_int(c, falling_factorial(i, order))
             for i, c in self._terms.items()
-            if i >= order and (v := scale_by_int(c, falling_factorial(i, order)))
+            if i >= order
         }
-        return TaylorPolynomial._raw(terms, self.exact, self.truncation - order)
+        return TaylorPolynomial._raw(terms, self.truncation - order)
 
-    def evaluate(self, z: CoeffLike) -> Scalar:
-        """Horner evaluation; exact, in one integer pass, when the series and the point are.
-
-        The float loop runs over every degree N..0 and adds a zero in each gap;
-        those additions fix the sign of a zero part.
-        """
+    def evaluate(self, z: CoeffLike) -> QComplex:
+        """Horner evaluation, exact, in one integer pass over the common denominator."""
         if self.is_zero:
-            return QC_ZERO if (self.exact and is_exact(z)) else 0j
-        if self.exact and is_exact(z):
-            return _exact_horner(self._terms, QComplex.coerce(z), 0)
-        poly, x, acc = self.to_float(), to_complex(z), 0j
-        for j in range(poly.truncation, -1, -1):
-            acc = acc * x + poly._terms.get(j, 0j)
-        return acc
+            return QC_ZERO
+        return _exact_horner(self._terms, to_qcomplex(z), 0)
 
     def majorant_norm(self, r: float) -> LogMagnitude:
         """Coefficient majorant sum(|a_j| r^j) in the log domain.
@@ -259,11 +220,11 @@ class PolynomialOperator:
     is the least exponent with nonzero coefficient, the degree d the greatest.
     """
 
-    __slots__ = ("_terms", "exact")
+    __slots__ = ("_terms",)
 
     def __init__(self, coeffs_by_degree):
         items = sorted((j, c) for j, c in dict(coeffs_by_degree).items() if c)
-        self._terms, self.exact = _coerce_terms(items)
+        self._terms = _coerce_terms(items)
         if not self._terms:
             raise ValueError("operator polynomial has no nonzero coefficients")
         if self.valence < 0:
@@ -279,28 +240,18 @@ class PolynomialOperator:
     def degree(self) -> int:
         return next(reversed(self._terms))
 
-    def coefficient(self, j: int) -> Scalar:
-        return self._terms.get(j, QC_ZERO if self.exact else 0j)
+    def coefficient(self, j: int) -> QComplex:
+        return self._terms.get(j, QC_ZERO)
 
     def terms(self):
         """The (j, c_j) pairs with c_j nonzero, in increasing j."""
         return self._terms.items()
 
-    def value_at(self, w: CoeffLike) -> Scalar:
+    def value_at(self, w: CoeffLike) -> QComplex:
         """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) by Horner over d..m,
-        exact in one integer pass over the common denominator (``_exact_horner``), else float."""
-        m, terms = self.valence, self._terms
-        if self.exact and is_exact(w):
-            wq = QComplex.coerce(w)
-            return _exact_horner(terms, wq, m) * wq**m
-        wf = to_complex(w)
-        acc = 0j
-        for j in range(self.degree, m - 1, -1):
-            acc = acc * wf + to_complex(terms.get(j, 0j))
-        try:
-            return acc * wf**m
-        except OverflowError as exc:  # complex ** raises where float arithmetic gives inf
-            raise PreconditionError(f"w**{m} at w = {wf} is beyond the double range") from exc
+        exactly, in one integer pass over the common denominator (``_exact_horner``)."""
+        wq = to_qcomplex(w)
+        return _exact_horner(self._terms, wq, self.valence) * wq**self.valence
 
     def derivative_majorant(self, r: float) -> LogMagnitude:
         """log of B = sum((j - m) |c_j| r^(j-1)); B / r^m bounds |H'| on |z| = r, H = P/z^m."""
@@ -313,15 +264,15 @@ class PolynomialOperator:
             if j > m
         )
 
-    def to_float(self) -> "PolynomialOperator":
-        if not self.exact:
-            return self
-        return PolynomialOperator({j: to_complex(c) for j, c in self.terms()})
+    def to_float(self) -> List[complex]:
+        """The coefficients c_d..c_m of H = P/z^m as doubles, highest first: what the
+        circle scan samples. A coefficient beyond the double range raises."""
+        return [to_complex(self.coefficient(j)) for j in range(self.degree, self.valence - 1, -1)]
 
     def __eq__(self, other):
         if not isinstance(other, PolynomialOperator):
             return NotImplemented
-        return self.exact == other.exact and self._terms == other._terms
+        return self._terms == other._terms
 
     def __repr__(self):
         body = " + ".join(f"{c}*z^{j}" for j, c in list(self.terms())[:4])
@@ -332,12 +283,8 @@ class PolynomialOperator:
 
 
 def apply_operator(op: PolynomialOperator, f: TaylorPolynomial) -> TaylorPolynomial:
-    """P(D) f = sum(c_j f^(j)), linear in f, exact in the exact regime."""
-    if op.exact and not f.exact:
-        op = op.to_float()
-    elif f.exact and not op.exact:
-        f = f.to_float()
-    result = TaylorPolynomial.zero(exact=f.exact)
+    """P(D) f = sum(c_j f^(j)), linear in f, exact."""
+    result = TaylorPolynomial.zero()
     for j, c in op.terms():
         result = result + f.differentiate(j).scale(c)
     return result
@@ -353,20 +300,12 @@ def exp_truncate(w: CoeffLike, n: int, r: float) -> Tuple[TaylorPolynomial, LogM
         raise ValueError("truncation degree must be >= 0")
     if r <= 0:
         raise ValueError("radius must be positive")
-    if is_exact(w):
-        wq = QComplex.coerce(w)
-        coeffs = [QC_ONE]
-        for j in range(1, n + 1):
-            coeffs.append(coeffs[-1] * wq * QComplex(Fraction(1, j)))
-        poly = TaylorPolynomial(coeffs)
-        x = LogMagnitude.of(wq).value() * r
-    else:
-        wf = to_complex(w)
-        coeffs_f = [1 + 0j]
-        for j in range(1, n + 1):
-            coeffs_f.append(coeffs_f[-1] * wf / j)
-        poly = TaylorPolynomial(coeffs_f)
-        x = abs(wf) * r
+    wq = to_qcomplex(w)
+    coeffs = [QC_ONE]
+    for j in range(1, n + 1):
+        coeffs.append(coeffs[-1] * wq * QComplex(Fraction(1, j)))
+    poly = TaylorPolynomial(coeffs)
+    x = LogMagnitude.of(wq).value() * r
     if x == 0.0:
         return poly, LogMagnitude.zero()
     log_x = math.log(x)
@@ -387,7 +326,7 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    mag_w = LogMagnitude.of(QComplex.coerce(w) if is_exact(w) else to_complex(w))
+    mag_w = LogMagnitude.of(to_qcomplex(w))
     x_log = (mag_w * LogMagnitude(math.log(r))).log if not mag_w.is_zero else None
     if x_log is None:
         return LogMagnitude.zero()
@@ -407,8 +346,8 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
 # -- coefficient files --------------------------------------------------------
 #
 # Format: a header line `#taylor N=<degree>` or `#operator m=<valence> d=<degree>`
-# followed by one `index,re,im` line per stored coefficient. Rational notation
-# marks the exact regime, decimal notation the floating one.
+# followed by one `index,re,im` line per stored coefficient, in rational
+# notation (see ``scalars.parse_real`` for a decimal token).
 
 
 def _write_terms(header: str, terms, out: TextIO) -> None:
@@ -463,7 +402,7 @@ def read_coefficients(source: TextIO):
         for j, _ in entries:
             if not 0 <= j <= n:
                 raise ValueError(f"coefficient index {j} is outside 0..N={n}")
-        return TaylorPolynomial._raw(*_coerce_terms(entries), max(n, -1))
+        return TaylorPolynomial._raw(_coerce_terms(entries), max(n, -1))
     if header.startswith("#operator"):
         m, d = _header_ints(header, "m", "d")
         op = PolynomialOperator(_parse_body(lines))

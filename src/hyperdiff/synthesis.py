@@ -205,13 +205,12 @@ def _build_schedule(
                 fail["annihilation"] += 1
                 continue
             if target.is_zero:
-                h = TaylorPolynomial.zero(exact=seq.exact)
+                h = TaylorPolynomial.zero()
                 h_norm = LogMagnitude.zero()
             else:
                 h = inverse_for_polynomial(seq.op(n), target)
                 h_norm = h.majorant_norm(r_s)
-                # a float inverse that underflows to zero cannot reach a nonzero target
-                if h.is_zero or not log_margin(h_norm.log, e_log) > 0:
+                if not log_margin(h_norm.log, e_log) > 0:
                     fail["self_norm"] += 1
                     continue
             cross_logs: List[float] = []
@@ -257,8 +256,8 @@ def _build_schedule(
     return steps
 
 
-def _trace_vector(seq: OperatorSequence, steps: Sequence[SynthesisStep], trace_id: int) -> TaylorPolynomial:
-    vec = TaylorPolynomial.zero(exact=seq.exact)
+def _trace_vector(steps: Sequence[SynthesisStep], trace_id: int) -> TaylorPolynomial:
+    vec = TaylorPolynomial.zero()
     for step in steps:
         if step.trace == trace_id:
             vec = vec + step.correction
@@ -324,7 +323,7 @@ def synthesize(
         raise PreconditionError("need at least one target")
     schedule = [(0, t) for t in targets]
     steps = _build_schedule(seq, schedule, n_cap, index_pool)
-    vector = _trace_vector(seq, steps, 0)
+    vector = _trace_vector(steps, 0)
     residuals = _residual_table(seq, steps, 0, vector)
     return SynthesisTrace(seq=seq, steps=tuple(steps), vector=vector, residuals=residuals)
 
@@ -524,13 +523,13 @@ def joint_family(
     for combo in combos:
         designated = next(i for i, c in enumerate(combo) if c)
         for t_idx, y in enumerate(targets):
-            scaled = y.scale(QComplex(1) / QComplex(combo[designated])) if y.exact else y.scale(1.0 / complex(combo[designated]))
+            scaled = y.scale(QComplex(1) / QComplex(combo[designated]))
             schedule.append((designated, scaled))
             combo_slots.append((len(schedule), combo, t_idx))
     steps = _build_schedule(seq, schedule, n_cap)
     traces = []
     for tid in range(trace_count):
-        vector = _trace_vector(seq, steps, tid)
+        vector = _trace_vector(steps, tid)
         own = tuple(s for s in steps if s.trace == tid)
         residuals = _residual_table(seq, steps, tid, vector)
         traces.append(
@@ -547,7 +546,7 @@ def joint_family(
     for global_step, combo, t_idx in combo_slots:
         step = by_global[global_step]
         y = targets[t_idx]
-        combined = TaylorPolynomial.zero(exact=seq.exact)
+        combined = TaylorPolynomial.zero()
         for tid, coeff in enumerate(combo):
             if not coeff:
                 continue

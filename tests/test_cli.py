@@ -9,9 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.cli import COMMANDS, main, read_operator_table
+from hyperdiff.families import make_family
 from hyperdiff.scalars import QComplex
 from hyperdiff.series import (
     PolynomialOperator,
+    TaylorPolynomial,
+    apply_operator,
     read_coefficients,
     write_operator,
 )
@@ -84,22 +87,24 @@ class TestExitCodes:
         assert err.startswith("PreconditionError:") and "Traceback" not in err
 
     def test_f2_greedy_step_with_underflowing_inverse(self, tmp_path, capsys):
-        # a float inverse that underflows to zero is rejected, not admitted as
-        # a correction that misses its target, so the scan runs on into the
-        # index n = 710 where F2's float inverse 1/a_0 leaves the double range
+        # the F2 inverses for the target 1 at n = 219..709 underflow in doubles, and
+        # a_0 is subnormal at n = 710; F2's exact dyadic coefficients carry the
+        # default scan through those indices to certified bounds
         rc = run("augment", "--family", "F2", "--out", str(tmp_path))
-        assert rc == 3
-        assert capsys.readouterr().err.startswith(
-            "PreconditionError: float right inverse leaves the double range: a_0 = 5.21204e-309+0j\n"
-        )
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "all augmentation bounds hold: True" in out.splitlines()
 
     @pytest.mark.parametrize("n, k", [(710, 0), (708, 5)])
     def test_f2_float_inverse_past_the_double_range(self, tmp_path, capsys, n, k):
-        # 1/a_0 overflows at n = 710, b_5 at n = 708: a typed failure, not a NaN inverse
+        # in doubles 1/a_0 overflows at n = 710 and b_5 at n = 708; the exact inverse
+        # has no range, and its identity is checked with rational equality
         rc = run("build-inverse", "--family", "F2", "--n", str(n), "--k", str(k), "--out", str(tmp_path))
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("PreconditionError: float right inverse leaves the double range")
-        assert not list(tmp_path.iterdir())
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[0] == "identity: exact"
+        with open(tmp_path / f"inverse_n{n}_k{k}.coeffs") as handle:
+            f = read_coefficients(handle)
+        assert apply_operator(make_family("F2").op(n), f) == TaylorPolynomial.monomial(k)
 
     @pytest.mark.parametrize(
         "body",
@@ -165,7 +170,8 @@ class TestExitCodes:
     def test_exact_sample_tokens_stay_exact(self):
         (parse,) = [key.parse for key in COMMANDS["check-properties"] if key.name == "u_samples"]
         assert parse("1e400,-5/2") == (QComplex(Fraction(10) ** 400), QComplex(Fraction(-5, 2)))
-        assert parse("1+2i") == (1 + 2j,)
+        # a non-real token is read as complex doubles, which enter as their exact dyadic values
+        assert parse("1+2i,0.1-3i") == (QComplex(1, 2), QComplex(Fraction(0.1), -3))
 
     @pytest.mark.parametrize("props", ["", "X", "PX", "P Q", "S"])
     def test_unknown_property_letter_is_config_error(self, tmp_path, capsys, props):
@@ -437,20 +443,6 @@ class TestErrorCodes:
         assert CapExhausted("x").exit_code == 4
         assert InvariantViolation("x").exit_code == 5
 
-    def test_exact_mode_on_float_family_rejected(self, tmp_path):
-        rc = main(
-            ["build-inverse", "--family", "F2", "--n", "4", "--k", "1",
-             "--mode", "exact", "--out", str(tmp_path)]
-        )
-        assert rc == 3
-
-    def test_float_mode_coerces(self, tmp_path, capsys):
-        rc = main(
-            ["build-inverse", "--family", "F4", "--n", "4", "--k", "1",
-             "--mode", "float", "--out", str(tmp_path)]
-        )
-        assert rc == 0
-        assert "floating" in capsys.readouterr().out
 
 
 # -- fuzzing the command boundary ----------------------------------------------------
@@ -494,7 +486,6 @@ _VALUES = {
     "decay_base": _ints(-1, 5),
     "n": _ints(-1, 12),
     "k": _ints(-1, 6),
-    "mode": _pick("auto", "exact", "float", "fast"),
     "route": _pick("P", "Q", "q", "R"),
     "basis_size": _ints(-1, 3),
     "trunc": _ints(-1, 20),

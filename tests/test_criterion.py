@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from hyperdiff.cli import COMMANDS
 from hyperdiff.criterion import (
     CriterionConfig,
     verify_hypotheses,
@@ -41,6 +42,24 @@ def report():
     )
 
 
+@pytest.mark.parametrize(
+    "family, route, n_max, u_samples",
+    [
+        ("F2", "Q", 400, "-2,-3,-5"),  # a float inverse's defect reached e^0.69 at n = 400, k = 1
+        ("F2", "P", 40, "-2,-3,-5"),  # float defects e^-35 against certified bounds e^-142
+        ("F4", "P", 30, "-2+1i,3j"),  # non-real points once pushed an exact family into floats
+    ],
+)
+def test_exact_identities_are_never_refuted(family, route, n_max, u_samples):
+    (parse,) = [key.parse for key in COMMANDS["verify-criterion"] if key.name == "u_samples"]
+    cfg = CriterionConfig(n_hi=n_max, u_samples=parse(u_samples))
+    ev = verify_hypotheses(make_family(family), route, cfg).items["iii"]
+    assert ev.verdict == "supports"
+    assert ev.rows
+    for row in ev.rows:
+        assert row["identity"] == "exact" if route == "Q" else row["within_bound"], row
+
+
 class TestQRoute:
 
     def test_all_four_support(self, report):
@@ -56,7 +75,7 @@ class TestQRoute:
         assert report.items["i"].notes["crossings"][5] == 6
 
     def test_identity_exact_everywhere(self, report):
-        assert report.items["iii"].notes["exact"]
+        assert report.items["iii"].rows
         assert all(row["identity"] == "exact" for row in report.items["iii"].rows)
 
     def test_monotone_in_range_for_exact_hypotheses(self):
@@ -132,5 +151,6 @@ class TestFloatFamilyQRoute:
         assert rep.items["i"].verdict == "supports"
         assert rep.items["ii"].verdict == "supports"
         assert rep.items["iii"].verdict == "supports"
-        assert not rep.items["iii"].notes["exact"]
+        # F2's coefficients are exact dyadic rationals, so its identities are exact too
+        assert all(row["identity"] == "exact" for row in rep.items["iii"].rows)
         assert rep.items["iv"].verdict == "supports"

@@ -118,6 +118,27 @@ class TestMakeFamily:
                         LogMagnitude.of(c).log, rel=1e-12, abs=1e-12
                     )
 
+    @pytest.mark.parametrize("params", [{}, {"c_mode": "unit"}, {"log_base": "2"}])
+    def test_f2_coefficients_are_the_doubles_while_normal(self, params):
+        # where exp(log c_n) is a normal double, c_n is that double's exact value, the
+        # operator F2 always had (the paper's c_709 = 1.4e-308 is already subnormal)
+        shape = make_family("F2", params).shape
+        normal = [n for n in range(1, 710) if math.exp(shape.log_c(n)) >= 2.0**-1022]
+        assert len(normal) >= 708
+        for n in normal:
+            assert shape.c(n) == Fraction(math.exp(shape.log_c(n)))
+
+    @pytest.mark.parametrize("params", [{}, {"log_base": "2"}])
+    @pytest.mark.parametrize("n", [709, 710, 2000, 10**5])
+    def test_f2_deep_coefficients_agree_with_the_escort(self, params, n):
+        # past the double range c_n keeps a 53-bit mantissa, so the log escort that (Q),
+        # the index selection and (R) read stays the log of the operator's coefficient
+        seq = make_family("F2", params)
+        c = seq.op(n).coefficient(n)
+        assert c and c.re.numerator.bit_length() <= 53 and c.re.denominator & (c.re.denominator - 1) == 0
+        assert log_margin(LogMagnitude.of(c).log, seq.shape.log_c(n)) == 0.0
+        assert seq.log_coeff(n, n) == LogMagnitude(seq.shape.log_c(n))
+
     def test_f5_table(self):
         ops = [PolynomialOperator({n: QComplex(1)}) for n in range(3, 9)]
         seq = make_family("F5", {"ops": ops})
@@ -152,9 +173,9 @@ class TestClosedForms:
                 assert got.is_zero == want.is_zero, (n, x)
                 if not want.is_zero:
                     assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, x)
-            fop = op.to_float()
+            # complex doubles: exact Horner on the real axis, the closed form in floats off it
             for z in (0j, -1 + 0j, -3 + 0j, 1.5j, -2 + 0.5j, -0.5 - 1j):
-                got, want = seq.log_abs_at(n, z), LogMagnitude.of(fop.value_at(z))
+                got, want = seq.log_abs_at(n, z), LogMagnitude.of(op.value_at(z))
                 assert got.is_zero == want.is_zero, (n, z)
                 if not want.is_zero:
                     assert got.log == pytest.approx(want.log, rel=1e-12, abs=1e-12), (n, z)

@@ -14,7 +14,6 @@ from hyperdiff.inverses import (
     fnk_norm_log,
     inverse_for_polynomial,
     solve_monic_system,
-    solve_ratio_normalized,
     stirling_threshold_ok,
     write_right_inverse,
 )
@@ -91,6 +90,15 @@ class TestSolveMonicSystem:
                         math.factorial(j) // math.factorial(s)
                     )
                 assert acc == QComplex(0), s
+
+    def test_survives_tiny_leading_coefficient(self):
+        # b_3 = 1/a_0 ~ e^299 and b_0 ~ e^1197 would leave the double range; the float
+        # coefficients enter as their exact dyadic values and the solve stays exact
+        a = [1e-130, 1.0]
+        b = solve_monic_system(a, 3)
+        assert b[3] == QComplex(1 / Fraction(1e-130))
+        assert LogMagnitude.of(b[3]).log == pytest.approx(-math.log(1e-130), rel=1e-12)
+        assert LogMagnitude.of(b[0]).log == pytest.approx(-4 * math.log(1e-130) + math.log(6), rel=1e-12)
 
     def test_triangularity(self):
         # b_s depends only on a_0..a_{k-s}
@@ -204,27 +212,6 @@ class TestBuildF:
         assert read_coefficients(buf) == inv.f
 
 
-class TestRatioSolve:
-    def test_matches_direct_solve_in_range(self):
-        a = [complex(0.25), complex(1.0), complex(-0.5)]
-        b_direct = solve_monic_system(a, 2)
-        b_tilde, log_a0 = solve_ratio_normalized(a, 2)
-        for s in range(3):
-            expected = abs(b_direct[s])
-            if expected == 0:
-                assert abs(b_tilde[s]) == 0
-            else:
-                got = math.exp(math.log(abs(b_tilde[s])) - log_a0)
-                assert got == pytest.approx(expected, rel=1e-12)
-
-    def test_survives_tiny_leading_coefficient(self):
-        # raw b_k would be ~ e^600, far out of double range
-        a = [complex(1e-130), complex(1.0)]
-        b_tilde, log_a0 = solve_ratio_normalized(a, 3)
-        log_b3 = math.log(abs(b_tilde[3])) - log_a0
-        assert log_b3 == pytest.approx(-math.log(1e-130), rel=1e-12)
-
-
 class TestFnkDecay:
     def test_f4_closed_form_norms(self):
         rep = fnk_decay(make_family("F4"), 0, 2.0, (1, 30))
@@ -235,6 +222,7 @@ class TestFnkDecay:
         assert rep.verdict == "supports"
 
     def test_f2_float_route_thresholds_and_decay(self):
+        # F2's paper coefficients: doubles up to n = 709, the same mantissas below
         seq = make_family("F2")
         rep = fnk_decay(seq, 1, 2.0, (2, 200))
         assert rep.verdict == "supports"
@@ -253,22 +241,23 @@ class TestFnkDecay:
         with pytest.raises(PreconditionError):
             fnk_decay(make_family("F4"), 0, 1.0, (1, 10))
 
-    def test_ratio_solve_past_the_double_range_is_a_precondition_error(self):
-        # P_m = 1e-130 z^m + z^(m+1): the ratio solve's b~_0 takes a_1/a_0 * b~_1 = 1e130 * 6e260,
-        # past the double range, so b~_0 is NaN and so would be every norm of the sweep
+    def test_tiny_leading_coefficient_table_is_exact(self):
+        # P_m = 1e-130 z^m + z^(m+1): a float solve leaves the double range at b_0 (1e130 * 6e260);
+        # the exact solve does not, so every norm of the sweep is finite
         table = [PolynomialOperator({m: 1e-130, m + 1: 1.0}) for m in range(1, 9)]
-        with pytest.raises(PreconditionError, match="leaves the double range"):
-            fnk_decay(make_family("F5", {"ops": table}), 3, 2.0, (2, 8))
+        rep = fnk_decay(make_family("F5", {"ops": table}), 3, 2.0, (2, 8))
+        assert all(math.isfinite(row.norm.log) for row in rep.rows)
+        inv = build_f_nk(table[1], 3)  # verified with rational equality on construction
+        assert rep.rows[0].norm.log == inv.f.majorant_norm(2.0).log
 
     def test_exact_and_ratio_routes_agree_on_unit_f2(self):
-        exact_seq = make_family("F2", {"c_mode": "unit"})
-        for n in (3, 8, 15):
-            for k in (0, 1, 2):
-                exact_norm = fnk_norm_log(exact_seq, n, k, 2.0)
-                inv = build_f_nk(exact_seq.op(n), k)
-                assert exact_norm.log == pytest.approx(
-                    inv.f.majorant_norm(2.0).log, rel=1e-12
-                )
+        # one route now: the norm is the exact inverse's majorant, for F2 with either c_mode
+        for params in ({"c_mode": "unit"}, {}):
+            seq = make_family("F2", params)
+            for n in (3, 8, 15, 710):
+                for k in (0, 1, 2):
+                    inv = build_f_nk(seq.op(n), k)
+                    assert fnk_norm_log(seq, n, k, 2.0).log == inv.f.majorant_norm(2.0).log
 
     def test_stirling_marker_matches_hand_computation(self):
         seq = make_family("F4")

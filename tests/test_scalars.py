@@ -15,7 +15,9 @@ from hyperdiff.scalars import (
     parse_real,
     parse_scalar,
     scale_by_int,
+    to_qcomplex,
 )
+from hyperdiff.errors import PreconditionError
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -225,7 +227,9 @@ class TestScalarText:
     def test_rational_round_trip(self):
         assert parse_real("3/4") == Fraction(3, 4)
         assert parse_real("-12") == Fraction(-12)
-        assert isinstance(parse_real("0.5"), float)
+        # a decimal is read as the nearest double, then as that double's exact value
+        assert parse_real("0.5") == Fraction(1, 2)
+        assert parse_real("0.1") == Fraction(0.1) != Fraction(1, 10)
 
     @pytest.mark.parametrize("token", ["1e999", "-1e999", "1.5e400"])
     def test_decimal_overflow_rejected(self, token):
@@ -238,19 +242,43 @@ class TestScalarText:
         assert parse_scalar(re, im) == v
 
     def test_scalar_round_trip_float(self):
-        v = complex(0.1, -2.5e-17)
+        # decimals in, the exact dyadic values out, in rational notation
+        v = parse_scalar("0.1", "-2.5e-17")
+        assert v == to_qcomplex(complex(0.1, -2.5e-17))
         re, im = format_scalar(v).split(",")
+        assert "." not in re + im
         assert parse_scalar(re, im) == v
 
     def test_scale_by_int_huge(self):
-        # factor far beyond 2^53 but with a representable product
-        big = math.factorial(200)
-        out = scale_by_int(complex(1e-300), big)
-        expected = math.exp(math.log(1e-300) + math.log(big))
-        assert abs(out) == pytest.approx(expected, rel=1e-9)
-
-    def test_scale_by_int_true_overflow_is_inf(self):
-        assert abs(scale_by_int(complex(1e-300), math.factorial(400))) == math.inf
+        # a product past the double range in both directions stays exact
+        tiny = to_qcomplex(1e-300)
+        for big in (math.factorial(200), math.factorial(400)):
+            out = scale_by_int(tiny, big)
+            assert out == QComplex(Fraction(1e-300) * big)
+            assert LogMagnitude.of(out).log == pytest.approx(math.log(1e-300) + math.log(big), rel=1e-12)
 
     def test_scale_by_int_exact(self):
         assert scale_by_int(QComplex(Fraction(1, 3)), 6) == QComplex(2)
+
+
+class TestBoundaryConversion:
+    def test_a_double_enters_as_its_exact_dyadic_value(self):
+        assert to_qcomplex(0.1) == Fraction(0.1)
+        assert to_qcomplex(0.1).re == Fraction(3602879701896397, 2**55)
+        assert to_qcomplex(complex(-0.5, 2.0)) == QComplex(Fraction(-1, 2), 2)
+        q = QComplex(Fraction(1, 3))
+        assert to_qcomplex(q) is q
+        assert to_qcomplex(7) == QComplex(7)
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, complex(1, math.nan), complex(math.inf, 0)]
+    )
+    def test_non_finite_double_is_a_typed_error(self, value):
+        with pytest.raises(PreconditionError, match="not a finite number"):
+            to_qcomplex(value)
+
+    def test_arithmetic_still_rejects_a_bare_float(self):
+        with pytest.raises(TypeError):
+            QComplex(1) + 0.5
+        with pytest.raises(TypeError):
+            QComplex(1) * 0.5

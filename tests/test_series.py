@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hyperdiff.scalars import LogMagnitude, QComplex, format_scalar, is_exact, scale_by_int
+from hyperdiff.scalars import LogMagnitude, QComplex, format_scalar, to_qcomplex
 from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -39,19 +39,22 @@ class TestDifferentiate:
         assert e3.differentiate(2) == TaylorPolynomial([1, 1])
 
     def test_big_order_no_overflow_in_float_mode(self):
-        # falling factorial far beyond 2^53, product still representable
-        f = TaylorPolynomial.from_pairs([(250, 1e-300)]).to_float()
+        # a float coefficient times a falling factorial far beyond 2^53: the
+        # coefficient enters as its dyadic value and the product is exact
+        f = TaylorPolynomial.from_pairs([(250, 1e-300)])
         out = f.differentiate(150)
         coeff = out.coefficient(100)
+        assert coeff == QComplex(Fraction(1e-300) * math.perm(250, 150))
         expected_log = math.log(1e-300) + math.lgamma(251) - math.lgamma(101)
-        assert math.log(abs(coeff)) == pytest.approx(expected_log, rel=1e-9)
+        assert LogMagnitude.of(coeff).log == pytest.approx(expected_log, rel=1e-9)
 
 
 class TestEquality:
     def test_equal_polynomials_hash_equal(self):
-        # the exact and the floating zero compare equal, so a set holds one of them
-        assert TaylorPolynomial.zero(True) == TaylorPolynomial.zero(False)
-        assert len({TaylorPolynomial.zero(True), TaylorPolynomial.zero(False)}) == 1
+        # equality ignores the truncation degree, so a set holds one of each value
+        assert TaylorPolynomial.zero() == TaylorPolynomial([0, 0.0])
+        assert len({TaylorPolynomial.zero(), TaylorPolynomial([0, 0.0])}) == 1
+        assert len({TaylorPolynomial([1, 0.5]), TaylorPolynomial([1, Fraction(1, 2), 0])}) == 1
 
 
 class TestApplyOperator:
@@ -152,7 +155,7 @@ class TestMajorant:
         angle = 2 * math.pi * ((salt * 37) % 100) / 100.0
         z = complex(r * math.cos(angle), r * math.sin(angle)) * ((salt % 4 + 1) / 4.0)
         bound = f.majorant_norm(r)
-        val = abs(f.to_float().evaluate(z))
+        val = abs(f.evaluate(z))
         if val > 0:
             assert math.log(val) <= bound.log + 1e-9
 
@@ -216,53 +219,30 @@ class TestEigenConsistency:
 
 
 class Dense:
-    """Reference model: a coefficient in every slot 0..N, the regime's zero in the gaps."""
+    """Reference model: a coefficient in every slot 0..N, zero in the gaps."""
 
-    def __init__(self, cs, exact):
-        self.exact = exact
-        self.zero = QComplex(0) if exact else 0j
-        self.cs = [c if c else self.zero for c in cs]
-
-    @classmethod
-    def of(cls, raw):
-        exact = all(is_exact(c) for c in raw)
-        return cls([QComplex.coerce(c) if exact else complex(c) for c in raw], exact)
-
-    def to_float(self):
-        return Dense([complex(c) for c in self.cs] or [0j], False) if self.exact else self
+    def __init__(self, cs):
+        self.cs = [to_qcomplex(c) for c in cs]
 
     def add(self, other):
-        a, b = (self, other) if self.exact == other.exact else (self.to_float(), other.to_float())
-        if len(b.cs) > len(a.cs):
-            a, b = b, a
+        a, b = (self, other) if len(self.cs) >= len(other.cs) else (other, self)
         out = list(a.cs)
         for j, c in enumerate(b.cs):
-            if c:
-                out[j] = out[j] + c
-        return Dense(out, a.exact)
+            out[j] = out[j] + c
+        return Dense(out)
 
     def sub(self, other):
-        return self.add(other.scale(-1 if other.exact else -1.0))
+        return self.add(other.scale(-1))
 
     def scale(self, f):
-        if self.exact and is_exact(f):
-            return Dense([c * QComplex.coerce(f) for c in self.cs], True)
-        return Dense([c * complex(f) for c in self.to_float().cs], False)
+        return Dense([c * to_qcomplex(f) for c in self.cs])
 
     def differentiate(self, k):
-        if k == 0:
-            return self
-        n = len(self.cs) - k
-        if n <= 0:
-            return Dense([] if self.exact else [0j], self.exact)
-        return Dense([scale_by_int(self.cs[i + k], math.perm(i + k, k)) for i in range(n)], self.exact)
+        return Dense([self.cs[i + k] * math.perm(i + k, k) for i in range(max(len(self.cs) - k, 0))])
 
     def evaluate(self, z):
-        exact = self.exact and is_exact(z)
-        x, acc, cs = (QComplex.coerce(z), QComplex(0), self.cs) if exact else (complex(z), 0j, self.to_float().cs)
-        if not any(cs):
-            return acc
-        for c in reversed(cs):
+        x, acc = to_qcomplex(z), QComplex(0)
+        for c in reversed(self.cs):
             acc = acc * x + c
         return acc
 
@@ -275,7 +255,8 @@ class Dense:
 float_parts = st.sampled_from([0.0, -0.0, 1.5, -2.25, 0.1, 7.0, 1e-300, -3e-200])
 float_scalars = st.builds(complex, float_parts, float_parts)
 exact_scalars = st.builds(QComplex, rationals, rationals) | st.just(QComplex(0))
-dense_lists = st.lists(exact_scalars, max_size=6) | st.lists(float_scalars, min_size=1, max_size=6)
+# a float coefficient enters as its exact dyadic value, so lists may mix the two
+dense_lists = st.lists(exact_scalars | float_scalars, max_size=6)
 
 
 class TestDenseReferenceModel:
@@ -283,7 +264,7 @@ class TestDenseReferenceModel:
     @given(dense_lists, dense_lists, exact_scalars | float_scalars, st.integers(0, 4),
            exact_scalars | float_scalars)
     def test_operations_match_the_model_bit_for_bit(self, a, b, factor, order, z):
-        p, q, mp, mq = TaylorPolynomial(a), TaylorPolynomial(b), Dense.of(a), Dense.of(b)
+        p, q, mp, mq = TaylorPolynomial(a), TaylorPolynomial(b), Dense(a), Dense(b)
         cases = [
             (p + q, mp.add(mq)),
             (p - q, mp.sub(mq)),
@@ -291,10 +272,9 @@ class TestDenseReferenceModel:
             ((p + q) - q, mp.add(mq).sub(mq)),
             (p.scale(factor), mp.scale(factor)),
             (p.differentiate(order), mp.differentiate(order)),
-            (p.to_float(), mp.to_float()),
         ]
         for poly, model in cases:
-            assert (poly.exact, poly.truncation) == (model.exact, len(model.cs) - 1)
+            assert poly.truncation == len(model.cs) - 1
             assert [(j, format_scalar(c)) for j, c in poly.terms()] == [
                 (j, format_scalar(c)) for j, c in enumerate(model.cs) if c
             ]
@@ -303,37 +283,36 @@ class TestDenseReferenceModel:
 
 
 class DenseOperator:
-    """Reference model: the dense row c_m..c_d, the regime's zero in the gaps."""
+    """Reference model: the dense row c_m..c_d, zero in the gaps."""
 
     def __init__(self, coeffs_by_degree):
-        items = [(j, c) for j, c in sorted(dict(coeffs_by_degree).items()) if c]
+        items = [(j, to_qcomplex(c)) for j, c in sorted(dict(coeffs_by_degree).items())]
+        items = [(j, c) for j, c in items if c]
         if not items or items[0][0] < 0 or items[-1][0] < 1:
             raise ValueError("not a nonconstant operator")
-        self.exact = all(is_exact(c) for _, c in items)
         self.valence, self.degree = items[0][0], items[-1][0]
-        self.row = [QComplex(0) if self.exact else 0j] * (self.degree - self.valence + 1)
+        self.row = [QComplex(0)] * (self.degree - self.valence + 1)
         for j, c in items:
-            self.row[j - self.valence] = QComplex.coerce(c) if self.exact else complex(c)
+            self.row[j - self.valence] = c
 
     def __eq__(self, other):
-        return (self.exact, self.valence, self.row) == (other.exact, other.valence, other.row)
+        return (self.valence, self.row) == (other.valence, other.row)
 
     def coefficient(self, j):
         if self.valence <= j <= self.degree:
             return self.row[j - self.valence]
-        return QComplex(0) if self.exact else 0j
+        return QComplex(0)
 
     def terms(self):
         return [(self.valence + i, c) for i, c in enumerate(self.row) if c]
 
     def to_float(self):
-        return DenseOperator({j: complex(c) for j, c in self.terms()})
+        return [complex(c) for c in reversed(self.row)]
 
     def value_at(self, w):
-        exact = self.exact and is_exact(w)
-        x, acc = (QComplex.coerce(w), QComplex(0)) if exact else (complex(w), 0j)
+        x, acc = to_qcomplex(w), QComplex(0)
         for c in reversed(self.row):
-            acc = acc * x + (c if exact else complex(c))
+            acc = acc * x + c
         return acc * x**self.valence
 
     def written(self):
@@ -342,7 +321,7 @@ class DenseOperator:
 
 
 def _same_operator(op, model):
-    assert (op.exact, op.valence, op.degree) == (model.exact, model.valence, model.degree)
+    assert (op.valence, op.degree) == (model.valence, model.degree)
     assert [(j, format_scalar(c)) for j, c in op.terms()] == [
         (j, format_scalar(c)) for j, c in model.terms()
     ]
@@ -375,7 +354,7 @@ class TestDenseOperatorModel:
             _same_operator(got, model)
         assert from_pairs == op
         assert (op == other) == (model == model_other)
-        _same_operator(op.to_float(), model.to_float())
+        assert op.to_float() == model.to_float()
         buf = io.StringIO()
         write_operator(op, buf)
         assert buf.getvalue() == model.written()
@@ -387,7 +366,10 @@ class TestDenseOperatorModel:
 
     def test_zero_float_coefficient_leaves_the_operator_exact(self):
         op = PolynomialOperator({0: 0.0, 3: QComplex(1)})
-        assert op.exact and (op.valence, op.degree) == (3, 3)
+        assert (op.valence, op.degree) == (3, 3)
+        # a nonzero float coefficient is kept as its exact dyadic value
+        op = PolynomialOperator({1: 0.1, 3: QComplex(1)})
+        assert op.coefficient(1) == QComplex(Fraction(0.1)) and op.coefficient(3) == QComplex(1)
 
 
 tall_rationals = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))

@@ -300,7 +300,7 @@ def _oldest_first(seq, targets, n_cap):
                 fail["annihilation"] += 1
                 continue
             if target.is_zero:
-                h = TaylorPolynomial.zero(exact=seq.exact)
+                h = TaylorPolynomial.zero()
             else:
                 h = inverse_for_polynomial(seq.op(n), target)
                 if not h.majorant_norm(float(s)).log < e_log:
