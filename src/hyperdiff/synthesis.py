@@ -7,7 +7,8 @@ eps_k) the engine picks the least admissible index n_k > n_{k-1} such that
       P_{n_k}(D) annihilates them exactly,
   (b) the correction h_k (the right inverse of y_k under P_{n_k}(D)) has
       majorant norm below eps_k on |z| <= r_k,
-  (c) every earlier operator maps h_k below eps_k on its own radius.
+  (c) every earlier operator maps h_k below eps_k on its own radius, tried
+      first on the image's top coefficient, which bounds its norm from below.
 
 The accumulated vector x_K = sum(h_k) then satisfies, for every i <= K,
 ||P_{n_i}(D) x_K - y_i|| on |z| <= r_i bounded by sum(eps_j, j > i): the
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
@@ -162,6 +163,16 @@ class SynthesisTrace:
         return tuple(s for s in self.steps if s.target.is_zero)
 
 
+def _top_image_logs(h: TaylorPolynomial, priors: Iterable[Tuple[int, float, float]]) -> Iterator[float]:
+    """Per (m, log|c_m|, log r), a floor for log ||P(D) h|| on |z| <= r, P of valence m: with
+    K = deg h, only c_m z^m acting on h_K z^K reaches z^(K-m), so c_m h_K K!/(K-m)! there cannot
+    cancel, and its term alone bounds the majorant from below. -inf when K < m."""
+    k = h.degree
+    log_top = LogMagnitude.of(h.coefficient(k)).log + math.lgamma(k + 1) if k >= 0 else 0.0
+    for m, log_c, log_r in priors:
+        yield log_c + log_top - math.lgamma(k - m + 1) + (k - m) * log_r if k >= m else -math.inf
+
+
 def _build_schedule(
     seq: OperatorSequence,
     schedule: Sequence[Tuple[int, TaylorPolynomial]],
@@ -173,17 +184,20 @@ def _build_schedule(
     Step s works on radius s with tolerance 2^-s: the residual certificates
     2^(1-i) rest on exactly this schedule.
 
-    The cross-norm test (c) runs over the earlier steps newest first. A
-    rejected candidate almost always fails at the newest step, which has the
-    largest radius and the nearest index, so testing it first spends one
-    exact operator application on a rejection instead of one per earlier
-    step. Admission is a conjunction of independent per-step tests, so the
-    order changes neither the chosen index nor the rejection tallies; the
-    admitted candidate's cross_norm_logs are stored in step order.
+    The cross-norm test (c) is tried first on the image's top coefficient
+    (``_top_image_logs``): a floor above eps_s beyond rounding for any earlier
+    step rejects the candidate without an operator application, and a tie or
+    a floor below goes on to the exact test. That runs over the earlier steps
+    newest first, since a rejection almost always fails at the newest step,
+    which has the largest radius and the nearest index. Admission is a
+    conjunction of independent per-step tests, and a floor never exceeds the
+    exact norm, so neither changes the chosen index or the rejection
+    tallies; the admitted candidate's cross_norm_logs are stored in step order.
     """
     if seq.max_n is not None:
         n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
     steps: List[SynthesisStep] = []
+    priors: List[Tuple[int, float, float]] = []  # (m, log|c_m|, log r) of each admitted step
     max_deg = -1
     n_prev = 0
     pool = sorted(index_pool) if index_pool is not None else None
@@ -213,6 +227,9 @@ def _build_schedule(
                 if not log_margin(h_norm.log, e_log) > 0:
                     fail["self_norm"] += 1
                     continue
+            if any(log_margin(floor, e_log) < 0 for floor in _top_image_logs(h, reversed(priors))):
+                fail["cross_norm"] += 1
+                continue
             cross_logs: List[float] = []
             ok = True
             for prior in reversed(steps):
@@ -250,6 +267,8 @@ def _build_schedule(
                 cross_norm_logs=tuple(cross_logs),
             )
         )
+        m = seq.valence(chosen)
+        priors.append((m, LogMagnitude.of(seq.op(chosen).coefficient(m)).log, math.log(r_s)))
         if not h.is_zero:
             max_deg = max(max_deg, h.degree)
         n_prev = chosen

@@ -3,16 +3,17 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperdiff.synthesis
 from hyperdiff.errors import CapExhausted, PreconditionError
 from hyperdiff.families import make_family
 from hyperdiff.inverses import inverse_for_polynomial
-from hyperdiff.scalars import LN2, QComplex, log_fraction
+from hyperdiff.scalars import LN2, LogMagnitude, QComplex, log_fraction, log_margin
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
     _build_schedule,
+    _top_image_logs,
     augment,
     enumerate_targets,
     joint_family,
@@ -285,11 +286,14 @@ def test_cross_norm_logs_follow_step_order(build):
 
 
 def _oldest_first(seq, targets, n_cap):
-    """Reference greedy loop: the cross-norm test runs over the earlier steps oldest first.
+    """Reference greedy loop: the cross-norm test runs over the earlier steps oldest first,
+    each by an exact operator application, with the library's comparator.
 
     Returns (n, correction, cross_norm_logs) per step, or raises CapExhausted as
     the library does.
     """
+    if seq.max_n is not None:
+        n_cap = min(n_cap, seq.max_n)
     steps = []
     max_deg, n_prev = -1, 0
     for s, target in enumerate(targets, start=1):
@@ -303,13 +307,13 @@ def _oldest_first(seq, targets, n_cap):
                 h = TaylorPolynomial.zero()
             else:
                 h = inverse_for_polynomial(seq.op(n), target)
-                if not h.majorant_norm(float(s)).log < e_log:
+                if not log_margin(h.majorant_norm(float(s)).log, e_log) > 0:
                     fail["self_norm"] += 1
                     continue
             logs = []
             for prior_step, (prior_n, _, _) in enumerate(steps, start=1):
                 c = apply_operator(seq.op(prior_n), h).majorant_norm(float(prior_step)).log
-                if not c < e_log:
+                if not log_margin(c, e_log) > 0:
                     break
                 logs.append(c)
             else:
@@ -328,10 +332,41 @@ def _oldest_first(seq, targets, n_cap):
     return steps
 
 
-_ORACLE_FAMILIES = {"F1": {}, "F2": {"c_mode": "unit"}, "F3": {}, "F4": {"c": "7/2"}}
+# An F5 table with gaps and valences that rise and fall. After a zero target
+# admitted at a high valence (n = 1), a later correction of lower degree is
+# annihilated by that step's operator, so its image floor is -inf; the large
+# c_m at n = 2 and n = 4 let low-degree corrections pass their own test, and
+# the table's end stops later steps with annihilation and cross-norm tallies.
+_F5_GAPS = [
+    PolynomialOperator({6: 1, 8: Fraction(1, 3)}),
+    PolynomialOperator({1: 64, 3: -1}),
+    PolynomialOperator({3: QComplex(0, 1), 6: Fraction(1, 5)}),
+    PolynomialOperator({2: 1000, 4: 1}),
+    PolynomialOperator({8: 1, 11: QComplex(Fraction(1, 2), 1)}),
+    PolynomialOperator({10: Fraction(1, 4), 13: 1}),
+    PolynomialOperator({5: 1, 9: QComplex(0, -2)}),
+    PolynomialOperator({13: 1, 14: Fraction(-1, 7), 17: 2}),
+    PolynomialOperator({4: 1, 7: 1}),
+    PolynomialOperator({16: 1, 20: Fraction(1, 9)}),
+    PolynomialOperator({7: QComplex(Fraction(2, 3), 1), 10: 1}),
+    PolynomialOperator({19: 1, 23: -1}),
+    PolynomialOperator({9: 1, 12: Fraction(1, 2)}),
+    PolynomialOperator({22: 1, 26: 1}),
+]
+
+_ORACLE_FAMILIES = {
+    "F1": ("F1", {}),
+    "F2-paper": ("F2", {}),
+    "F2-unit": ("F2", {"c_mode": "unit"}),
+    "F3": ("F3", {}),
+    "F4": ("F4", {"c": "7/2"}),
+    "F5-gaps": ("F5", {"ops": _F5_GAPS}),
+}
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+# the -inf floor, then a cap reached with cross-norm rejections
+@example(tag="F5-gaps", start=0, length=5, n_cap=40)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(
     tag=st.sampled_from(sorted(_ORACLE_FAMILIES)),
     start=st.integers(0, 10),
@@ -339,8 +374,9 @@ _ORACLE_FAMILIES = {"F1": {}, "F2": {"c_mode": "unit"}, "F3": {}, "F4": {"c": "7
     n_cap=st.integers(1, 40),
 )
 def test_newest_first_matches_oldest_first(tag, start, length, n_cap):
-    """Testing the newest earlier step first changes no chosen step and no cap-exhaustion report."""
-    seq = make_family(tag, _ORACLE_FAMILIES[tag])
+    """Neither the top-coefficient floor nor testing the newest earlier step first changes a
+    chosen step or a cap-exhaustion report."""
+    seq = make_family(*_ORACLE_FAMILIES[tag])
     targets = enumerate_targets(start + length)[start:]
     schedule = [(0, t) for t in targets]
     try:
@@ -355,7 +391,8 @@ def test_newest_first_matches_oldest_first(tag, start, length, n_cap):
 
 
 def test_rejections_cost_few_operator_applications(monkeypatch):
-    """A rejected candidate stops at the first failing earlier step, which is almost always the newest."""
+    """Every rejected candidate falls to its image's top coefficient, so operators are applied only
+    to admitted corrections (276 cross checks over 24 steps) and to the 24 residuals."""
     calls = 0
     apply = hyperdiff.synthesis.apply_operator
 
@@ -366,4 +403,48 @@ def test_rejections_cost_few_operator_applications(monkeypatch):
 
     monkeypatch.setattr(hyperdiff.synthesis, "apply_operator", counting)
     synthesize(make_family("F4"), enumerate_targets(24))
-    assert calls <= 2000
+    assert calls <= 300
+
+
+# -- the top-coefficient floor of an image ------------------------------------------
+
+_HEIGHT = 2**64
+_rationals = st.builds(Fraction, st.integers(-_HEIGHT, _HEIGHT), st.integers(1, _HEIGHT))
+_scalars = st.builds(QComplex, _rationals, _rationals)
+_nonzero = _scalars.filter(bool)
+
+
+@st.composite
+def _floor_cases(draw):
+    """(operator, h, r): valence 0-20, degree <= 40, sparse terms; deg h above or below the valence."""
+    m = draw(st.integers(0, 20))
+    d = draw(st.integers(max(m, 1), 40))
+    coeffs = draw(st.dictionaries(st.integers(m, d), _scalars, max_size=5))
+    coeffs[m], coeffs[d] = draw(_nonzero), draw(_nonzero)
+    below = m > 0 and draw(st.booleans())
+    k = draw(st.integers(0, m - 1) if below else st.integers(m, m + 40))
+    terms = draw(st.dictionaries(st.integers(0, k), _scalars, max_size=5))
+    terms[k] = draw(_nonzero)
+    r = draw(st.floats(0.25, 32.0))
+    return PolynomialOperator(coeffs), TaylorPolynomial.from_pairs(terms.items()), r
+
+
+# a monomial image, which the floor meets exactly, with a lowest term of h far above its top
+_MONOMIAL_IMAGE = (
+    PolynomialOperator({3: Fraction(1, 7)}),
+    TaylorPolynomial.from_pairs([(0, 2**60), (9, 5)]),
+    2.0,
+)
+
+
+@example(_MONOMIAL_IMAGE)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_floor_cases())
+def test_top_image_floor_never_exceeds_the_image_norm(case):
+    """The floor is never above log ||P(D) h|| beyond rounding, and it is -inf when deg h < m."""
+    op, h, r = case
+    m = op.valence
+    (floor,) = _top_image_logs(h, [(m, LogMagnitude.of(op.coefficient(m)).log, math.log(r))])
+    exact = apply_operator(op, h).majorant_norm(r).log
+    assert log_margin(floor, exact) >= 0
+    assert (floor == -math.inf) == (h.degree < m)
