@@ -31,7 +31,6 @@ from .criterion import CriterionConfig, CriterionReport, verify_hypotheses
 from .inverses import (
     RightInverse,
     build_f_nk,
-    cramer_with_cofactors,
     fnk_decay,
     inverse_for_polynomial,
     solve_monic_system,
@@ -87,7 +86,6 @@ __all__ = [
     "verify_hypotheses",
     "RightInverse",
     "build_f_nk",
-    "cramer_with_cofactors",
     "fnk_decay",
     "inverse_for_polynomial",
     "solve_monic_system",

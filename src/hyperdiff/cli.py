@@ -123,7 +123,12 @@ def _p_poly(text: str) -> TaylorPolynomial:
 
 
 def _p_polys(text: str) -> tuple:
-    return tuple(_p_poly(part) for part in text.split(";") if part.strip())
+    """Polynomial literals separated by ';', with an optional "polys:" prefix."""
+    return tuple(_p_poly(part) for part in text.removeprefix("polys:").split(";") if part.strip())
+
+
+def _p_targets(text: str):
+    return "diagonal" if text == "diagonal" else _p_polys(text)
 
 
 def _p_combos(text: str) -> tuple:
@@ -159,7 +164,7 @@ SEED_KEY = Key("seed", _p_int, 0, "seed for randomized batteries")
 
 # the single-trace construction shared by synthesize and perturb
 TRACE_KEYS = [
-    Key("targets", _p_str, "diagonal", "diagonal | polys:<a0,a1;...>"),
+    Key("targets", _p_targets, "diagonal", "diagonal | [polys:]<a0,a1;...>"),
     Key("count", _p_int, 8, "number of steps K"),
     Key("zero_recurrent", _p_bool, False, "interleave zero targets"),
     Key("n_cap", _p_int, 10**6, "candidate cap per step"),
@@ -318,16 +323,11 @@ def read_operator_table(path: str) -> List[PolynomialOperator]:
 
 def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:
     spec = cfg["targets"]
-    if isinstance(spec, tuple):
-        return list(spec)
     if spec == "diagonal":
         return enumerate_targets(cfg["count"], zero_recurrent=cfg.get("zero_recurrent", False))
-    if spec.startswith("polys:"):
-        polys = list(_p_polys(spec[len("polys:") :]))
-        if len(polys) < cfg["count"]:
-            raise ConfigError("fewer target literals than count")
-        return polys[: cfg["count"]]
-    raise ConfigError(f"unknown targets spec {spec!r}")
+    if len(spec) < cfg["count"]:
+        raise ConfigError("fewer target literals than count")
+    return list(spec[: cfg["count"]])
 
 
 def _outdir(cfg: Dict) -> Path:

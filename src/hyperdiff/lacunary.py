@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .scalars import LN2, LogMagnitude, fmt_log, log_margin
-from .series import TaylorPolynomial, apply_operator
+from .series import TaylorPolynomial
 
 
 @dataclass(frozen=True)
@@ -217,9 +217,7 @@ class DecayReport:
         return all(b <= a for a, b in zip(ms, ms[1:]))
 
 
-def decay_report(
-    basis: LacunaryBasis, f: TaylorPolynomial, r: float, *, method: str = "auto"
-) -> DecayReport:
+def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayReport:
     """Per-step decay audit for a lacunary member f.
 
     ``measured`` applies P_{n_k}(D) to the strict tail sum(a_j z^{m_j}, j > k),
@@ -229,12 +227,14 @@ def decay_report(
     and can exceed the bound by orders of magnitude. measured <= bound is
     asserted for every step.
 
-    ``method``: "exact" materializes every image polynomial; "log" computes the
-    same norms term-by-term in the log domain, valid (and bit-equal up to float
-    rounding) whenever consecutive valence gaps exceed every operator spread
-    d - m, so no two image terms share a degree; "auto" picks "log" only for
-    that collision-free case when the exact route would be expensive: long
-    operators, or coefficients of more than about 10^6 bits.
+    ``measured`` sums |a_j c_s| m_j!/(m_j-s)! r^(m_j-s) over tail terms j and
+    operator terms s in the log domain: the quantity the pairwise bound controls
+    term by term. It is the tail image's majorant norm when no two image blocks
+    [m_j - d_k, m_j - m_k] share a degree, as on every ``select_indices`` basis:
+    the recursion forces d_j < m_{j+1}/log2(m_{j+1}) with m_{j+1} >= 4, so
+    m_{j+1} - m_j > d_j > d_k - m_k for j > k. Blocks collide only in a hand-built
+    basis with some log A_j < 0 or no pairwise audit; ``measured`` is then the
+    triangle-inequality majorant, at least the norm, and measured <= bound holds.
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
@@ -248,53 +248,30 @@ def decay_report(
                 f"lacunary support {tuple(exponents)}"
             )
         coeffs[slot[j]] = c
-    collision_free = _collision_free(basis.entries)
-    if method == "auto":
-        # |log c| / log 2 (valence coefficient, coefficient sum) bounds the bit
-        # height of an exact coefficient from below
-        heavy = sum(e.degree - e.valence + 1 for e in basis.entries) > 20000 or any(
-            max(abs(e.log_a), abs(basis.seq.log_coeff(e.n, e.valence).log)) > 10**6 * LN2
-            for e in basis.entries
-        )
-        method = "log" if (collision_free and heavy) else "exact"
-    if method == "log" and not collision_free:
-        method = "exact"
-    if method not in ("exact", "log"):
-        raise PreconditionError("method must be 'exact', 'log', or 'auto'")
 
     log_2r = math.log(2 * r)
     log_r = math.log(r)
     rows: List[DecayRow] = []
     for entry in basis.entries:
         k = entry.k
-        if method == "exact":
-            op = basis.seq.op(entry.n)
-            tail_pairs = [
-                (m, a)
-                for i, (m, a) in enumerate(zip(exponents, coeffs))
-                if a is not None and i >= k
-            ]
-            tail = TaylorPolynomial.from_pairs(tail_pairs)
-            measured = apply_operator(op, tail).majorant_norm(r)
-        else:
-            tail = [
-                (m_j, LogMagnitude.of(a).log)
-                for m_j, a in zip(exponents[k:], coeffs[k:])
-                if a is not None
-            ]
-            # an empty strict tail (always the last entry) needs no coefficients
-            items = basis.seq.coeff_log_items(entry.n) if tail else []
-            measured = LogMagnitude.sum(
-                LogMagnitude(
-                    a_log
-                    + c_mag.log
-                    + math.lgamma(m_j + 1)
-                    - math.lgamma(m_j - s + 1)
-                    + (m_j - s) * log_r
-                )
-                for m_j, a_log in tail
-                for s, c_mag in items
+        tail = [
+            (m_j, LogMagnitude.of(a).log)
+            for m_j, a in zip(exponents[k:], coeffs[k:])
+            if a is not None
+        ]
+        # an empty strict tail (always the last entry) needs no coefficients
+        items = basis.seq.coeff_log_items(entry.n) if tail else []
+        measured = LogMagnitude.sum(
+            LogMagnitude(
+                a_log
+                + c_mag.log
+                + math.lgamma(m_j + 1)
+                - math.lgamma(m_j - s + 1)
+                + (m_j - s) * log_r
             )
+            for m_j, a_log in tail
+            for s, c_mag in items
+        )
         # The j = k image is the single constant a_k * c_{m_k} * m_k!, because the
         # operator's valence equals this exponent; its support (degree 0) is
         # disjoint from the tail image (degrees >= m_{k+1} - d_k > 0), so the
@@ -326,22 +303,6 @@ def decay_report(
 
 
 # -- serialization ---------------------------------------------------------------
-
-
-def _collision_free(entries: Sequence[BasisEntry]) -> bool:
-    """No two image terms of P_{n_k}(D) on the k-tail can share a degree.
-
-    The image of the j-th tail term occupies [m_j - d_k, m_j - m_k]; blocks for
-    consecutive j stay disjoint when the valence gap exceeds the step-k
-    operator spread d_k - m_k.
-    """
-    for idx, e in enumerate(entries):
-        spread = e.degree - e.valence
-        tail_vals = [x.valence for x in entries[idx + 1 :]]
-        for a, b in zip(tail_vals, tail_vals[1:]):
-            if b - a <= spread:
-                return False
-    return True
 
 
 def write_basis_csv(basis: LacunaryBasis, out: TextIO) -> None:

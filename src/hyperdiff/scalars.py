@@ -200,10 +200,6 @@ QC_ZERO = QComplex(0, 0)
 QC_ONE = QComplex(1, 0)
 
 
-def is_exact(value) -> bool:
-    return isinstance(value, (QComplex, int, Fraction))
-
-
 def to_qcomplex(value) -> QComplex:
     """value as a QComplex: an exact value as it is, a double or complex double as its exact
     dyadic value. The one door from floats into the exact regime; a NaN or infinite part raises."""

@@ -21,7 +21,7 @@ from hyperdiff.families import (
     make_family,
     unicity_exponent,
 )
-from hyperdiff.inverses import build_f_nk, cramer_with_cofactors, solve_monic_system
+from hyperdiff.inverses import build_f_nk, solve_monic_system
 from hyperdiff.lacunary import decay_report, m0_member, select_indices, verify_ineq_ak
 from hyperdiff.scalars import LN2, LogMagnitude, QComplex, log_margin
 from hyperdiff.series import (
@@ -31,6 +31,7 @@ from hyperdiff.series import (
     exp_truncate,
 )
 from hyperdiff.synthesis import augment, enumerate_targets, perturb, synthesize
+from oracles import cramer_with_cofactors
 
 
 def report(num: int, elapsed: float, limit: float, detail: str) -> None:

@@ -421,6 +421,17 @@ class TestCommands:
         assert (out / "joint.csv").exists()
         assert (out / "trace_0.jsonl").exists() and (out / "trace_1.jsonl").exists()
 
+    @pytest.mark.parametrize("command, size", [("synthesize", "--count=2"), ("joint", "--traces=2")])
+    def test_target_list_prefix_is_optional(self, tmp_path, capsys, command, size):
+        runs = []
+        for i, spelling in enumerate(("polys:1;0,1", "1;0,1")):
+            out = tmp_path / str(i)
+            assert run(command, "--family", "F4", size, f"--targets={spelling}", "--out", str(out)) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs.append((capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert run(command, "--family", "F4", size, "--targets=spiral", "--out", str(tmp_path / "s")) == 2
+
     def test_augment_outputs(self, tmp_path):
         out = tmp_path / "a"
         rc = run("augment", "--family", "F4", "--out", str(out))

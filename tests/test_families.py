@@ -283,7 +283,7 @@ class TestLazyEscorts:
         )
         for f, want in cases:
             calls.clear()
-            decay_report(basis, f, 1.0, method="log")
+            decay_report(basis, f, 1.0)
             assert sorted(calls) == want
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hyperdiff.cli import main
 from hyperdiff.errors import CapExhausted, InvariantViolation, PreconditionError
@@ -22,6 +22,7 @@ from hyperdiff.lacunary import (
 )
 from hyperdiff.scalars import LN2, QComplex, log_margin
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
+from oracles import collision_free, exact_tail_norms
 
 
 def brute_force_next_index(seq, last_n, last_degree, target, cap=10**6):
@@ -168,6 +169,67 @@ class TestGalloping:
         assert all(a < b for a, b in itertools.pairwise(values))
 
 
+@st.composite
+def growing_tables(draw):
+    """A short F5 table: the valence starts at 3..6 and each next one adds 1..2m,
+    operator spreads are 0..3, and coefficients are a/b with 0 < |a| <= 9, b <= 5."""
+    nonzero = st.integers(-9, 9).filter(bool)
+    ops, m = [], draw(st.integers(3, 6))
+    for _ in range(draw(st.integers(6, 12))):
+        ops.append(PolynomialOperator({
+            j: QComplex(Fraction(draw(nonzero), draw(st.integers(1, 5))))
+            for j in range(m, m + draw(st.integers(0, 3)) + 1)
+        }))
+        m += draw(st.integers(1, 2 * m))
+    return ops
+
+
+def selected_from_table(ops, count=3):
+    """The selected basis of an F5 table; a draw whose table runs out is discarded."""
+    try:
+        return select_indices(make_family("F5", {"ops": ops}), count, n_cap=len(ops))
+    except CapExhausted:
+        assume(False)
+
+
+class TestCollisionFree:
+    """No two image blocks of a selected basis share a degree, so the term-by-term
+    decay sum is the exact majorant norm (``decay_report`` rests on this)."""
+
+    def test_selected_bases_of_builtin_families(self):
+        for family in _MONOTONE_FAMILIES + (("F4", None),):
+            seq = make_family(*family)
+            for count in range(2, 7):
+                try:
+                    basis = select_indices(seq, count)
+                except CapExhausted:
+                    break
+                assert collision_free(basis.entries), (family, basis)
+            assert count >= 4, family
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(growing_tables())
+    def test_selected_bases_of_random_tables(self, ops):
+        assert collision_free(selected_from_table(ops).entries)
+
+    def test_hand_built_basis_can_collide(self):
+        # step 1 spreads over 5 degrees, wider than the tail gap 12 - 9
+        assert not collision_free(_colliding_basis().entries)
+
+
+def _colliding_basis():
+    """P_1 = 2^-100 (z^3 + ... + z^8), P_2 = 2^-100 z^9, P_3 = z^12: the tiny coefficients
+    keep every log A_k + d_k log m_j below m_j log 2, so the pairwise audit passes
+    although the step-1 image blocks overlap."""
+    tiny = QComplex(Fraction(1, 2**100))
+    ops = [
+        PolynomialOperator({j: tiny for j in range(3, 9)}),
+        PolynomialOperator({9: tiny}),
+        PolynomialOperator({12: QComplex(1)}),
+    ]
+    return LacunaryBasis.build(make_family("F5", {"ops": ops}), [1, 2, 3])
+
+
 class TestVerifyIneq:
     def test_selected_bases_pass_for_builtin_families(self):
         for tag, params, start in (
@@ -285,18 +347,33 @@ class TestDecayReport:
             decay_report(f4_basis, TaylorPolynomial.monomial(4), 1.0)
 
     def test_log_and_exact_methods_agree(self):
-        basis = select_indices(make_family("F4"), 4, n_start=3)
-        f = m0_member(basis, [QComplex(Fraction(1, 4**e.valence)) for e in basis.entries])
-        exact = decay_report(basis, f, 1.0, method="exact")
-        logd = decay_report(basis, f, 1.0, method="log")
-        for a, b in zip(exact.rows, logd.rows):
-            if a.measured.is_zero:
-                assert b.measured.is_zero
-            else:
-                assert a.measured.log == pytest.approx(b.measured.log, rel=1e-9)
+        # the exact oracle materializes every tail image; F3 at 4 entries
+        # (P_80917 has 80918 terms) would take it past a minute
+        for tag, count, n_start in (("F1", 4, 1), ("F2", 5, 1), ("F3", 3, 1), ("F4", 6, 3)):
+            basis = select_indices(make_family(tag), count, n_start=n_start)
+            f = m0_member(basis, [QComplex(Fraction(1, 4**e.valence)) for e in basis.entries])
+            _assert_matches_oracle(decay_report(basis, f, 1.0), exact_tail_norms(basis, f, 1.0))
 
-    def test_auto_route_follows_coefficient_height(self):
-        # P_535 = 2^(-535^3) z^535: the exact route would materialize a
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(growing_tables(), st.lists(st.fractions(-9, 9, max_denominator=9), min_size=3, max_size=3),
+           st.sampled_from([1.0, 2.0]))
+    def test_log_route_matches_exact_oracle_on_tables(self, ops, coefficients, r):
+        basis = selected_from_table(ops)
+        f = m0_member(basis, [QComplex(a) for a in coefficients])
+        _assert_matches_oracle(decay_report(basis, f, r), exact_tail_norms(basis, f, r))
+
+    def test_colliding_blocks_get_the_majorant(self):
+        # z^9 - z^12 under P_1(D): the images overlap on degrees 4..6 with opposite
+        # signs, so the exact norm is strictly below the term-by-term sum
+        basis = _colliding_basis()
+        f = m0_member(basis, [QComplex(0), QComplex(1), QComplex(-1)])
+        row = decay_report(basis, f, 1.0).rows[0]
+        exact = exact_tail_norms(basis, f, 1.0)[0]
+        assert log_margin(exact.log, row.measured.log) > 0
+        assert row.measured.log <= row.bound.log
+
+    def test_pow2cubic_basis_reads_logs_not_coefficients(self):
+        # P_535 = 2^(-535^3) z^535: materializing the image would build a
         # 153-million-bit coefficient; the log route reads its log
         basis = select_indices(make_family("F4", {"decay": "pow2cubic"}), 4)
         assert basis.indices[-1] == 535
@@ -334,6 +411,16 @@ class TestDecayReport:
         f = m0_member(basis, [QComplex(Fraction(1, 5**e.valence)) for e in basis.entries])
         rep = decay_report(basis, f, 1.0)
         assert all(r.measured.log <= r.bound.log + 1e-9 for r in rep.rows)
+
+
+def _assert_matches_oracle(report, oracle):
+    """Each measured log equals the exact oracle's within 1e-12 of max(1, |log|)."""
+    assert len(report.rows) == len(oracle)
+    for row, want in zip(report.rows, oracle):
+        if want.is_zero:
+            assert row.measured.is_zero, row
+        else:
+            assert abs(row.measured.log - want.log) <= 1e-12 * max(1.0, abs(want.log)), (row, want)
 
 
 class TestSerialization:
