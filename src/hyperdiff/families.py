@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -321,6 +322,12 @@ def make_family(tag: str, params: Optional[Mapping] = None) -> OperatorSequence:
 # -- growth rule and evidence reports -------------------------------------------
 
 
+# a prefix shorter than _MIN_LEN is inconclusive unless vanishing witnesses refute it; a longer
+# one whose last half sits below _FLOOR_LOG without net growth is refuted
+_MIN_LEN = 8
+_FLOOR_LOG = 0.0
+
+
 @dataclass(frozen=True)
 class GrowthRule:
     """Finite-sweep evidence rule for 'the statistic diverges'.
@@ -333,22 +340,15 @@ class GrowthRule:
     """
 
     threshold_log: float = 20.0
-    floor_log: float = 0.0
     vanish_hits: Optional[int] = 2
-    min_len: int = 8
 
     def __post_init__(self):
-        if self.min_len < 3 or (self.vanish_hits is not None and self.vanish_hits < 1):
-            raise ConfigError(f"growth rule needs min_len >= 3 and vanish_hits >= 1, got {self}")
+        if self.vanish_hits is not None and self.vanish_hits < 1:
+            raise ConfigError(f"growth rule needs vanish_hits >= 1, got {self}")
 
-    def classify(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[str, dict]:
-        """(verdict, evidence) for the whole track; an empty track is inconclusive."""
-        verdicts, info = self.running(ns, logs)
-        return (verdicts[-1] if verdicts else "inconclusive"), info
-
-    def running(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[List[str], dict]:
-        """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n log n) pass,
-        and the evidence for the whole track."""
+    def classify(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[List[str], dict]:
+        """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n log n) pass, the
+        last being the track's, and the evidence for the whole track."""
         range_min = _range_min(logs)
         verdicts: List[str] = []
         hits: List[Tuple[int, float]] = []
@@ -357,15 +357,15 @@ class GrowthRule:
         for L, (n, v) in enumerate(zip(ns, logs), 1):
             if self.vanish_hits is not None and v < -n * LN2:
                 hits.append((n, v))
-            if not v < self.floor_log:
+            if not v < _FLOOR_LOG:
                 high = L - 1
             h, q = L // 2, (L + L // 2) // 2  # last half logs[h:], its quartiles split at q
             if self.vanish_hits is not None and len(hits) >= self.vanish_hits:
                 verdict, info = "refutes", {"vanishing": hits}
-            elif L < self.min_len:
+            elif L < _MIN_LEN:
                 verdict, info = "inconclusive", {}
             elif high < h and v <= logs[h]:
-                decay = {"first": logs[h], "last": v, "floor": self.floor_log}
+                decay = {"first": logs[h], "last": v, "floor": _FLOOR_LOG}
                 verdict, info = "refutes", {"decay": decay}
             else:
                 first, q3, q4 = range_min(0, h), range_min(h, q), range_min(q, L)
@@ -396,12 +396,10 @@ class EvidenceReport:
     """Outcome of one property check over an index range."""
 
     prop: str
-    n_range: Tuple[int, int]
     verdict: str
     rows: List[Tuple[int, float, str]] = field(default_factory=list)
     tracks: dict = field(default_factory=dict)
     witness: Optional[dict] = None
-    notes: dict = field(default_factory=dict)
 
 
 def write_evidence_csv(report: EvidenceReport, out: TextIO) -> None:
@@ -420,18 +418,19 @@ def combine(verdicts: Iterable[str]) -> str:
 
 def _sweep(rule: GrowthRule, ns: List[int], refuting: Mapping, supporting: Mapping, gate=True):
     """Rows (n, min of the supporting tracks, running verdict), the last running verdict,
-    ``classify`` of each refuting track, and the first refuting key (the witness) or None.
+    the final (verdict, evidence) of each refuting track, and the first refuting key (the
+    witness) or None. Each track is classified once.
 
     Refuting tracks only refute and supporting tracks only support; a false gate blocks support.
     """
-    runs = {key: rule.running(ns, track)[0] for key, track in {**refuting, **supporting}.items()}
+    runs = {key: rule.classify(ns, track) for key, track in {**refuting, **supporting}.items()}
     rows = []
     for i, n in enumerate(ns):
         votes = [] if gate else ["inconclusive"]
-        votes += [runs[k][i] for k in refuting if runs[k][i] == "refutes"]
-        votes += [runs[k][i] if runs[k][i] != "refutes" else "inconclusive" for k in supporting]
+        votes += [runs[k][0][i] for k in refuting if runs[k][0][i] == "refutes"]
+        votes += [runs[k][0][i] if runs[k][0][i] != "refutes" else "inconclusive" for k in supporting]
         rows.append((n, min(track[i] for track in supporting.values()), combine(votes)))
-    finals = {key: rule.classify(ns, track) for key, track in refuting.items()}
+    finals = {key: (runs[key][0][-1] if ns else "inconclusive", runs[key][1]) for key in refuting}
     witness = next((key for key, (verdict, _) in finals.items() if verdict == "refutes"), None)
     return rows, (rows[-1][2] if rows else "inconclusive"), finals, witness
 
@@ -456,12 +455,10 @@ def check_property_P(
     rows, verdict, finals, bad = _sweep(rule, ns, tracks, tracks)
     return EvidenceReport(
         prop="P",
-        n_range=n_range,
         verdict=verdict,
         rows=rows,
         tracks={"samples": tracks, "per_sample_verdicts": {k: v for k, (v, _) in finals.items()}},
         witness=None if bad is None else {"sample": bad, **finals[bad][1]},
-        notes={"rule": rule},
     )
 
 
@@ -475,6 +472,7 @@ def check_property_Q(
 
     Growth statistic per k: m(n) |c_{m(n),n}|^{k/m(n)} in the log domain.
     Boundedness statistic per k: max_n |c_{k+m(n),n}| against the cap 100.
+    Each index is read once, its coefficients only up to the exponent m(n) + k_max.
     """
     bound_cap_log = math.log(100.0)
     if k_max < 1:
@@ -482,29 +480,23 @@ def check_property_Q(
     rule = rule or GrowthRule(threshold_log=1.0, vanish_hits=None)
     lo, hi = n_range
     ns = list(range(lo, hi + 1))
-    growth: dict[int, List[float]] = {}
-    bound: dict[int, float] = {}
-    for k in range(1, k_max + 1):
-        track = []
-        worst = NEG_INF
-        for n in ns:
-            m = seq.valence(n)
-            c_log = seq.log_coeff(n, m).log
-            track.append(math.log(m) + (k / m) * c_log)
-            shifted = seq.log_coeff(n, k + m).log
-            worst = max(worst, shifted)
-        growth[k] = track
-        bound[k] = worst
+    growth: dict[int, List[float]] = {k: [] for k in range(1, k_max + 1)}
+    bound: dict[int, float] = dict.fromkeys(growth, NEG_INF)
+    for n in ns:
+        m = seq.valence(n)
+        top = m + k_max
+        logs = {j: mag.log for j, mag in itertools.takewhile(lambda item: item[0] <= top, seq._log_items(n))}
+        for k, track in growth.items():
+            track.append(math.log(m) + (k / m) * logs[m])
+            bound[k] = max(bound[k], logs.get(k + m, NEG_INF))
     bounded_ok = all(v <= bound_cap_log for v in bound.values())
     rows, verdict, finals, bad = _sweep(rule, ns, growth, growth, gate=bounded_ok)
     return EvidenceReport(
         prop="Q",
-        n_range=n_range,
         verdict=verdict,
         rows=rows,
         tracks={"growth": growth, "shifted_bound_log": bound, "bound_cap_log": bound_cap_log},
         witness=None if bad is None else {"k": bad, "statistic_log": growth[bad], **finals[bad][1]},
-        notes={"rule": rule, "k_max": k_max},
     )
 
 
@@ -592,12 +584,10 @@ def check_property_R(
     rows, verdict, finals, bad = _sweep(rule, ns, {"upper": upper_track}, {"lower": lower_track})
     return EvidenceReport(
         prop="R",
-        n_range=n_range,
         verdict=verdict,
         rows=rows,
         tracks={"lower_log": lower_track, "upper_log": upper_track, "r": r},
         witness=None if bad is None else finals[bad][1],
-        notes={"rule": rule, "samples_per_circle": samples_per_circle},
     )
 
 
@@ -664,26 +654,25 @@ def unicity_exponent(
     )
 
 
+def gallop(lo: int, hi: int, ok: Callable[[int], bool]) -> Optional[int]:
+    """Least n in [lo, hi] with ok(n), or None, where ok turns from false to true at most once
+    as n grows: probe lo, lo + 1, lo + 3, lo + 7, ... (clamped at hi), then bisect the last gap."""
+    bad, probe = lo - 1, min(lo, hi)  # ok fails at bad
+    while probe > bad and not ok(probe):
+        bad, probe = probe, min(2 * probe - lo + 1, hi)
+    if probe <= bad:
+        return None
+    return bad + 1 + bisect.bisect_left(range(bad + 1, probe), True, key=ok)
+
+
 def _make_counter(points: PointSource) -> Callable[[float], int]:
     if callable(points):
-        gen = points
 
         def counter(r: float) -> int:
-            if gen(1) > r:
-                return 0
-            hi = 1
-            while gen(hi) <= r:
-                hi *= 2
-                if hi > 2**62:
-                    raise PreconditionError("point generator never exceeds r; moduli must be unbounded")
-            lo = hi // 2
-            while lo + 1 < hi:
-                mid = (lo + hi) // 2
-                if gen(mid) <= r:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
+            above = gallop(1, 2**62, lambda n: points(n) > r)
+            if above is None:
+                raise PreconditionError("point generator never exceeds r; moduli must be unbounded")
+            return above - 1
 
         return counter
     moduli = sorted(float(p) for p in points)

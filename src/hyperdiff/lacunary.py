@@ -15,13 +15,12 @@ in (k, j) order, so callers may parallelize them.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
-from .families import OperatorSequence
+from .families import OperatorSequence, gallop
 from .scalars import LN2, LogMagnitude, fmt_log, log_margin
 from .series import TaylorPolynomial
 
@@ -112,7 +111,7 @@ def select_indices(
     beyond rounding (``log_margin`` > 0).
 
     When the sequence has a shape (F1..F4), its valence n is nondecreasing, so
-    each least index is found by galloping: probe last + 1, + 2, + 4, ...
+    each least index is found by ``families.gallop``: probe last + 1, + 2, + 4, ...
     (clamped at ``n_cap``), then bisect. Every conjunct of the test only turns from false to true as m
     grows (m*log2/log m increases for m >= 3), so this picks exactly the index
     the linear scan would. Other sequences (F5 tables) are scanned linearly.
@@ -126,14 +125,9 @@ def select_indices(
 
     def least(lo: int, ok: Callable[[int], bool]) -> Optional[int]:
         """Least n in [lo, n_cap] with ok(n), or None."""
-        if not seq.nondecreasing_valence:
-            return next((n for n in range(lo, n_cap + 1) if ok(n)), None)
-        bad, probe = lo - 1, min(lo, n_cap)  # ok fails at bad; probe lo, lo + 1, lo + 3, ...
-        while probe > bad and not ok(probe):
-            bad, probe = probe, min(2 * probe - lo + 1, n_cap)
-        if probe <= bad:
-            return None
-        return bad + 1 + bisect.bisect_left(range(bad + 1, probe), True, key=ok)
+        if seq.nondecreasing_valence:
+            return gallop(lo, n_cap, ok)
+        return next((n for n in range(lo, n_cap + 1) if ok(n)), None)
 
     n = least(n_start, lambda n: seq.valence(n) >= 3)
     if n is None:

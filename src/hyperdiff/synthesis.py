@@ -443,6 +443,8 @@ def augment(
             )
     if not extra_targets:
         raise PreconditionError("need at least one extra target")
+    if not lambda_set:
+        raise PreconditionError("need at least one lambda")
     if len(extra_targets) > len(zero_steps):
         raise PreconditionError(
             f"{len(extra_targets)} extra targets need at least as many zero steps "
@@ -528,6 +530,8 @@ def joint_family(
         raise PreconditionError("need at least two traces")
     if not targets:
         raise PreconditionError("need at least one target")
+    if not combo_set:
+        raise PreconditionError("need at least one combination")
     combos = [tuple(Fraction(c) for c in combo) for combo in combo_set]
     for combo in combos:
         if len(combo) != trace_count:

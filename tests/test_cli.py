@@ -86,6 +86,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("PreconditionError:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("augment", "--family", "F4", "--base-count", "4", "--extra", "1", "--lambdas="),
+         ("joint", "--family", "F4", "--combos=")],
+        ids=["no-lambdas", "no-combos"],
+    )
+    def test_empty_certificate_set_is_precondition_error(self, tmp_path, capsys, argv):
+        # zero rows would print a vacuous "all ... bounds hold: True"
+        rc = run(*argv, "--out", str(tmp_path))
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("PreconditionError: need at least one") and "Traceback" not in captured.err
+        assert "hold" not in captured.out
+
     def test_f2_greedy_step_with_underflowing_inverse(self, tmp_path, capsys):
         # the F2 inverses for the target 1 at n = 219..709 underflow in doubles, and
         # a_0 is subnormal at n = 710; F2's exact dyadic coefficients carry the
@@ -507,9 +521,9 @@ _VALUES = {
     "g": _pick("0,0,0,1", "0", "1,2"),
     "base_count": _ints(-1, 6),
     "extra": _pick("1;0,1", "1", "0"),
-    "lambdas": _pick("-1,1,2", "0", "1/2"),
+    "lambdas": _pick("-1,1,2", "0", "1/2", ""),
     "traces": _ints(-1, 3),
-    "combos": _pick("1,0;0,1;1,1", "0,0", "1", "1,2,3"),
+    "combos": _pick("1,0;0,1;1,1", "0,0", "1", "1,2,3", ""),
 }
 
 

@@ -6,9 +6,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.errors import ConfigError, PreconditionError
 from hyperdiff.families import (
+    _FLOOR_LOG,
+    _MIN_LEN,
     GrowthRule,
     _circle_samples,
     _circle_scan,
+    _make_counter,
     check_property_P,
     check_property_Q,
     check_property_R,
@@ -325,6 +328,54 @@ class TestPropertyQ:
         # statistic is exactly m(n) = n
         assert rep.tracks["growth"][1][-1] == pytest.approx(math.log(60))
 
+    @pytest.mark.parametrize(
+        "tag, params, k_max, n_range",
+        [
+            ("F1", {}, 5, (1, 60)),
+            ("F2", {}, 3, (2, 80)),
+            ("F2", {"c_mode": "unit"}, 3, (1, 40)),
+            ("F3", {}, 4, (1, 40)),
+            ("F4", {"c": "7/2"}, 3, (1, 40)),
+            ("F4", {"decay": "pow2cubic"}, 2, (1, 30)),
+            ("F5", "gaps", 4, (1, 12)),
+            ("F1", {}, 2, (10, 5)),
+        ],
+    )
+    def test_tracks_match_one_log_coeff_read_per_k_and_n(self, tag, params, k_max, n_range):
+        # an F5 table with terms at m, m + 2 and m + 3 only: k = 1 lands on a missing exponent
+        if params == "gaps":
+            params = {"ops": [PolynomialOperator({m: QComplex(Fraction(1, m)), m + 2: QComplex(-m, 1),
+                                                  m + 3: QComplex(2)}) for m in range(1, 13)]}
+        seq = make_family(tag, params)
+        rep = check_property_Q(seq, k_max, n_range)
+        ns = range(n_range[0], n_range[1] + 1)
+        growth = {k: [] for k in range(1, k_max + 1)}
+        bound = {}
+        for k in growth:
+            for n in ns:
+                m = seq.valence(n)
+                growth[k].append(math.log(m) + (k / m) * seq.log_coeff(n, m).log)
+            bound[k] = max((seq.log_coeff(n, k + seq.valence(n)).log for n in ns), default=-math.inf)
+        assert rep.tracks["growth"] == growth
+        assert rep.tracks["shifted_bound_log"] == bound
+        if tag == "F5":
+            assert bound[1] == -math.inf and bound[2] > -math.inf
+
+
+def test_sweeps_classify_each_track_once(monkeypatch):
+    calls = []
+    classify = GrowthRule.classify
+    monkeypatch.setattr(GrowthRule, "classify", lambda rule, ns, logs: calls.append(1) or classify(rule, ns, logs))
+    seq = make_family("F1")
+    for check, tracks in (
+        (lambda: check_property_P(seq, [QComplex(-2), QComplex(-3), QComplex(Fraction(1, 2))], (1, 30)), 3),
+        (lambda: check_property_Q(seq, 4, (1, 30)), 4),
+        (lambda: check_property_R(seq, 2.0, (1, 30)), 2),
+    ):
+        calls.clear()
+        check()
+        assert len(calls) == tracks
+
 
 class TestPropertyR:
     def test_f1_supports_at_r_2(self):
@@ -367,7 +418,7 @@ class TestPropertyR:
         rep = check_property_R(make_family("F5", {"ops": table}), 2.0, (1, 120), 256)
         lower = rep.tracks["lower_log"]
         assert all(v == -math.inf for v in lower)
-        assert GrowthRule().classify(list(range(1, 121)), lower)[0] == "refutes"
+        assert GrowthRule().classify(list(range(1, 121)), lower)[0][-1] == "refutes"
         assert all(verdict != "refutes" for _, _, verdict in rep.rows)
         assert rep.verdict == "inconclusive" and rep.witness is None
 
@@ -554,6 +605,22 @@ class TestUnicityExponent:
         with pytest.raises(PreconditionError):
             unicity_exponent([1.0, 2.0, 3.0], 1e3)
 
+    @pytest.mark.parametrize(
+        "gen, moduli",
+        [(lambda n: float(n), [float(n) for n in range(1, 20001)]),
+         (lambda n: 2.0**n if n < 1024 else math.inf, [2.0**n for n in range(1, 1024)])],
+        ids=["linear", "pow2"],
+    )
+    def test_generator_counts_match_the_materialised_list(self, gen, moduli):
+        from_gen, from_list = _make_counter(gen), _make_counter(moduli)
+        for r in (0.5, 1.0, 1.5, 2.0, 7.0, 8.0, 1000.0, 1024.0, 12345.6, 16384.0, 20000.0, 1e300):
+            if r <= moduli[-1]:
+                assert from_gen(r) == from_list(r), r
+
+    def test_bounded_generator_rejected(self):
+        with pytest.raises(PreconditionError, match="never exceeds r"):
+            _make_counter(lambda n: 1.0)(5.0)
+
     @pytest.mark.parametrize("bad", [[math.nan], [-5.0] * 20, [math.inf]])
     def test_list_moduli_must_be_finite_and_nonnegative(self, bad):
         # a NaN among 1..13 moved chi from 1.0 to 1.0414; 20 copies of -5 to 1.4771
@@ -567,29 +634,38 @@ class TestGrowthRule:
     def test_supports_needs_threshold(self):
         ns = list(range(1, 41))
         logs = [0.1 * n for n in ns]
-        verdict, _ = GrowthRule(threshold_log=100.0).classify(ns, logs)
-        assert verdict == "inconclusive"
-        verdict, _ = GrowthRule(threshold_log=1.0).classify(ns, logs)
-        assert verdict == "supports"
+        verdicts, _ = GrowthRule(threshold_log=100.0).classify(ns, logs)
+        assert verdicts[-1] == "inconclusive"
+        verdicts, _ = GrowthRule(threshold_log=1.0).classify(ns, logs)
+        assert verdicts[-1] == "supports"
 
     def test_oscillating_but_growing_supports(self):
         ns = list(range(1, 41))
         logs = [2.0 * n + (10.0 if n % 7 == 0 else 0.0) for n in ns]
-        verdict, _ = GrowthRule(threshold_log=20.0).classify(ns, logs)
-        assert verdict == "supports"
+        verdicts, _ = GrowthRule(threshold_log=20.0).classify(ns, logs)
+        assert verdicts[-1] == "supports"
 
     def test_decay_refutes(self):
         ns = list(range(1, 41))
         logs = [-0.5 * n for n in ns]
-        verdict, info = GrowthRule(vanish_hits=None).classify(ns, logs)
-        assert verdict == "refutes" and "decay" in info
+        verdicts, info = GrowthRule(vanish_hits=None).classify(ns, logs)
+        assert verdicts[-1] == "refutes" and "decay" in info
 
     def test_short_sweep_inconclusive(self):
-        verdict, _ = GrowthRule().classify([1, 2, 3], [1.0, 2.0, 3.0])
-        assert verdict == "inconclusive"
+        verdicts, info = GrowthRule().classify([1, 2, 3], [1.0, 2.0, 3.0])
+        assert verdicts == ["inconclusive"] * 3 and info == {}
+
+    def test_track_needs_eight_values_and_a_last_half_at_log_0(self):
+        # seven values below the floor are too few to refute; the eighth refutes, and a
+        # last half that reaches log 0 escapes the floor refutation
+        ns = list(range(1, 9))
+        verdicts, info = GrowthRule(vanish_hits=None).classify(ns, [-1.0] * 8)
+        assert verdicts == ["inconclusive"] * 7 + ["refutes"] and "decay" in info
+        verdicts, _ = GrowthRule(vanish_hits=None).classify(ns, [-1.0] * 7 + [0.0])
+        assert verdicts[-1] == "inconclusive"
 
     def test_degenerate_rule_rejected(self):
-        for bad in ({"min_len": 2}, {"min_len": 1}, {"vanish_hits": 0}):
+        for bad in ({"vanish_hits": 0}, {"vanish_hits": -1}):
             with pytest.raises(ConfigError):
                 GrowthRule(**bad)
 
@@ -598,9 +674,7 @@ class TestGrowthRule:
         st.builds(
             GrowthRule,
             threshold_log=st.floats(-5.0, 30.0),
-            floor_log=st.floats(-5.0, 5.0),
             vanish_hits=st.none() | st.integers(1, 4),
-            min_len=st.integers(3, 12),
         ),
         st.integers(1, 40),
         st.lists(
@@ -612,10 +686,10 @@ class TestGrowthRule:
     )
     def test_running_matches_prefix_reclassification(self, rule, lo, logs):
         ns = list(range(lo, lo + len(logs)))
-        verdicts, _ = rule.running(ns, logs)
+        verdicts, info = rule.classify(ns, logs)
         expected = [_reclassify(rule, ns[:i], logs[:i])[0] for i in range(1, len(ns) + 1)]
         assert verdicts == expected
-        assert repr(rule.classify(ns, logs)) == repr(_reclassify(rule, ns, logs))
+        assert repr(info) == repr(_reclassify(rule, ns, logs)[1])
 
 
 def _reclassify(rule, ns, logs):
@@ -626,11 +700,11 @@ def _reclassify(rule, ns, logs):
         if len(hits) >= rule.vanish_hits:
             info["vanishing"] = hits
             return "refutes", info
-    if len(logs) < rule.min_len:
+    if len(logs) < _MIN_LEN:
         return "inconclusive", info
     half = list(logs[len(logs) // 2 :])
-    if all(v < rule.floor_log for v in half) and half[-1] <= half[0]:
-        info["decay"] = {"first": half[0], "last": half[-1], "floor": rule.floor_log}
+    if all(v < _FLOOR_LOG for v in half) and half[-1] <= half[0]:
+        info["decay"] = {"first": half[0], "last": half[-1], "floor": _FLOOR_LOG}
         return "refutes", info
     q3 = half[: len(half) // 2]
     q4 = half[len(half) // 2 :]

@@ -192,6 +192,11 @@ class TestAugment:
         with pytest.raises(PreconditionError):
             augment(seq, base, [TaylorPolynomial([1])] * 7, [Fraction(1)])
 
+    def test_empty_lambda_set_rejected(self, base):
+        # no lambda, no rows: "all bounds hold" would be vacuous
+        with pytest.raises(PreconditionError, match="at least one lambda"):
+            augment(make_family("F4"), base, [TaylorPolynomial([1])], [])
+
 
 class TestJointFamily:
     def test_unit_combos_reduce_to_traces(self):
@@ -234,6 +239,10 @@ class TestJointFamily:
     def test_needs_two_traces(self):
         with pytest.raises(PreconditionError):
             joint_family(make_family("F4"), 1, [TaylorPolynomial([1])], [[1]])
+
+    def test_empty_combo_set_rejected(self):
+        with pytest.raises(PreconditionError, match="at least one combination"):
+            joint_family(make_family("F4"), 2, [TaylorPolynomial([1])], [])
 
 
 class TestAugmentZeroTarget:
