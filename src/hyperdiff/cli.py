@@ -11,10 +11,9 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .criterion import CriterionConfig, verify_hypotheses, write_criterion_jsonl
 from .errors import ConfigError, HyperdiffError
@@ -142,8 +141,7 @@ def _p_ints(text: str) -> tuple:
 # -- key tables ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     name: str
     parse: Callable[[str], object]
     default: object

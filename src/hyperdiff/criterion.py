@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
@@ -32,8 +31,7 @@ from .synthesis import _mag_json, _residual
 SWEEP_POINTS = 12
 
 
-@dataclass
-class CriterionConfig:
+class CriterionConfig(NamedTuple):
     n_lo: int = 1
     n_hi: int = 40
     k_max: int = 3
@@ -45,15 +43,13 @@ class CriterionConfig:
     seed: int = 0
 
 
-@dataclass
-class HypothesisEvidence:
+class HypothesisEvidence(NamedTuple):
     verdict: str
-    rows: List[dict] = field(default_factory=list)
-    notes: dict = field(default_factory=dict)
+    rows: List[dict]
+    notes: dict
 
 
-@dataclass
-class CriterionReport:
+class CriterionReport(NamedTuple):
     route: str
     seq_label: str
     items: dict  # keys "i", "ii", "iii", "iv" -> HypothesisEvidence
@@ -122,7 +118,7 @@ def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
         rep = fnk_decay(seq, k, max(cfg.r, 1.5), (max(cfg.n_lo, 2), cfg.n_hi))
         final = rep.rows[-1].norm.log
         rows.append(dict(k=k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=final))
-    return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows)
+    return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows, notes={})
 
 
 def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -133,7 +129,7 @@ def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
         {"w": str(w), "p_growth_verdict": verdicts[str(w)], "final_log": tracks[str(w)][-1]}
         for w in cfg.u_samples
     ]
-    return HypothesisEvidence(verdict=rep.verdict, rows=rows)
+    return HypothesisEvidence(verdict=rep.verdict, rows=rows, notes={})
 
 
 def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -143,7 +139,7 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
         for k in range(0, cfg.k_max + 1):
             build_f_nk(op, k, verify=True)  # raises on failure
             rows.append({"n": n, "k": k, "identity": "exact"})
-    return HypothesisEvidence(verdict="supports" if rows else "inconclusive", rows=rows)
+    return HypothesisEvidence(verdict="supports" if rows else "inconclusive", rows=rows, notes={})
 
 
 def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -173,7 +169,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             )
             if not ok:
                 verdict = "refutes"
-    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows)
+    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows, notes={})
 
 
 def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:

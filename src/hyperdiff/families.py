@@ -23,9 +23,9 @@ import cmath
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple, Union
+from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple,
+                    Union)
 
 from .errors import ConfigError, PreconditionError
 from .scalars import LN2, LogMagnitude, NEG_INF, fmt_log, to_complex, to_qcomplex
@@ -51,8 +51,7 @@ def positive_rational(n: int) -> Fraction:
 # -- operator sequences --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """P_n(z) = c_n z^n (z - rho_n)^mu_n, each field a function of n.
 
     ``c`` is the exact c_n, read only to build the operator. ``root`` is the
@@ -328,8 +327,7 @@ _MIN_LEN = 8
 _FLOOR_LOG = 0.0
 
 
-@dataclass(frozen=True)
-class GrowthRule:
+class GrowthRule(NamedTuple("GrowthRule", [("threshold_log", float), ("vanish_hits", Optional[int])])):
     """Finite-sweep evidence rule for 'the statistic diverges'.
 
     supports: strictly increasing quartile minima over the last half, the
@@ -339,12 +337,13 @@ class GrowthRule:
     floor without net growth. Anything else is inconclusive.
     """
 
-    threshold_log: float = 20.0
-    vanish_hits: Optional[int] = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.vanish_hits is not None and self.vanish_hits < 1:
+    def __new__(cls, threshold_log: float = 20.0, vanish_hits: Optional[int] = 2):
+        self = super().__new__(cls, threshold_log, vanish_hits)
+        if vanish_hits is not None and vanish_hits < 1:
             raise ConfigError(f"growth rule needs vanish_hits >= 1, got {self}")
+        return self
 
     def classify(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[List[str], dict]:
         """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n log n) pass, the
@@ -391,14 +390,13 @@ def _range_min(values: Sequence[float]) -> Callable[[int, int], float]:
     return query
 
 
-@dataclass
-class EvidenceReport:
+class EvidenceReport(NamedTuple):
     """Outcome of one property check over an index range."""
 
     prop: str
     verdict: str
-    rows: List[Tuple[int, float, str]] = field(default_factory=list)
-    tracks: dict = field(default_factory=dict)
+    rows: List[Tuple[int, float, str]]
+    tracks: dict
     witness: Optional[dict] = None
 
 
@@ -594,8 +592,7 @@ def check_property_R(
 # -- unicity exponent ------------------------------------------------------------
 
 
-@dataclass
-class UnicityEstimate:
+class UnicityEstimate(NamedTuple):
     """Counting-function slopes and the resulting convergence-exponent estimate."""
 
     radii: List[float]

@@ -18,8 +18,7 @@ tests check it against an independent cofactor-expansion (Cramer) route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, TextIO, Tuple
+from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .families import OperatorSequence
@@ -72,8 +71,7 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[QComplex, ...]:
 # -- f_{n,k} construction --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RightInverse:
+class RightInverse(NamedTuple):
     """One solved polynomial-route instance: P(D) f = z^k for a fixed operator."""
 
     k: int
@@ -117,15 +115,13 @@ def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> Taylo
 # -- decay sweep -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FnkRow:
+class FnkRow(NamedTuple):
     n: int
     norm: LogMagnitude
     stirling_ok: bool
 
 
-@dataclass(frozen=True)
-class FnkDecayReport:
+class FnkDecayReport(NamedTuple):
     k: int
     radius: float
     rows: Tuple[FnkRow, ...]

@@ -16,8 +16,7 @@ in (k, j) order, so callers may parallelize them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence, gallop
@@ -25,8 +24,7 @@ from .scalars import LN2, LogMagnitude, fmt_log, log_margin
 from .series import TaylorPolynomial
 
 
-@dataclass(frozen=True)
-class BasisEntry:
+class BasisEntry(NamedTuple):
     k: int
     n: int
     valence: int
@@ -34,8 +32,7 @@ class BasisEntry:
     log_a: float
 
 
-@dataclass(frozen=True)
-class IneqPair:
+class IneqPair(NamedTuple):
     k: int
     j: int
     lhs_log: float
@@ -44,8 +41,7 @@ class IneqPair:
     ok: bool
 
 
-@dataclass(frozen=True)
-class IneqAudit:
+class IneqAudit(NamedTuple):
     pairs: Tuple[IneqPair, ...]
     all_ok: bool
 
@@ -190,8 +186,7 @@ def m0_member(basis: LacunaryBasis, coefficients: Sequence) -> TaylorPolynomial:
     return TaylorPolynomial.from_pairs(pairs)
 
 
-@dataclass(frozen=True)
-class DecayRow:
+class DecayRow(NamedTuple):
     k: int
     n: int
     measured: LogMagnitude  # norm of P_{n_k}(D) applied to the strict tail j > k
@@ -200,8 +195,7 @@ class DecayRow:
     full: LogMagnitude  # norm of P_{n_k}(D) applied to all of f
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(NamedTuple):
     rows: Tuple[DecayRow, ...]
     radius: float
 

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, List, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
@@ -122,8 +121,7 @@ def enumerate_targets(count: int, *, zero_recurrent: bool = False) -> List[Taylo
 # -- greedy engine -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynthesisStep:
+class SynthesisStep(NamedTuple):
     index: int  # 1-based position inside its trace
     global_index: int  # 1-based position in the build schedule
     trace: int
@@ -136,8 +134,7 @@ class SynthesisStep:
     cross_norm_logs: Tuple[float, ...]  # against all earlier global steps
 
 
-@dataclass(frozen=True)
-class ResidualRecord:
+class ResidualRecord(NamedTuple):
     index: int
     n: int
     radius: float
@@ -148,8 +145,7 @@ class ResidualRecord:
     certified: bool
 
 
-@dataclass(frozen=True)
-class SynthesisTrace:
+class SynthesisTrace(NamedTuple):
     seq: OperatorSequence
     steps: Tuple[SynthesisStep, ...]
     vector: TaylorPolynomial
@@ -350,8 +346,7 @@ def synthesize(
 # -- perturbation ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbRow:
+class PerturbRow(NamedTuple):
     index: int
     n: int
     annihilated: bool  # m(n_i) > deg g, so the residual is literally unchanged
@@ -360,8 +355,7 @@ class PerturbRow:
     exactly_equal: bool
 
 
-@dataclass(frozen=True)
-class PerturbReport:
+class PerturbReport(NamedTuple):
     rows: Tuple[PerturbRow, ...]
     any_annihilation: bool
 
@@ -395,8 +389,7 @@ def perturb(trace: SynthesisTrace, g: TaylorPolynomial) -> PerturbReport:
 # -- prescribed-vector augmentation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AugmentRow:
+class AugmentRow(NamedTuple):
     lam: Fraction
     step_index: int
     n: int
@@ -407,8 +400,7 @@ class AugmentRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class AugmentReport:
+class AugmentReport(NamedTuple):
     base_zero_indices: Tuple[int, ...]
     second_trace: SynthesisTrace
     rows: Tuple[AugmentRow, ...]
@@ -490,8 +482,7 @@ def augment(
 # -- joint families ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComboRow:
+class ComboRow(NamedTuple):
     combo: Tuple[Fraction, ...]
     target_index: int
     global_step: int
@@ -502,8 +493,7 @@ class ComboRow:
     ok: bool
 
 
-@dataclass(frozen=True)
-class JointReport:
+class JointReport(NamedTuple):
     traces: Tuple[SynthesisTrace, ...]
     combo_rows: Tuple[ComboRow, ...]
     supports_disjoint: bool
