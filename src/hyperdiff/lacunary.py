@@ -20,8 +20,8 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence, gallop
-from .scalars import LN2, LogMagnitude, fmt_log, log_margin
-from .series import TaylorPolynomial
+from .scalars import LN2, LogMagnitude, fmt_log, log_falling, log_margin
+from .series import TaylorPolynomial, _majorant_log
 
 
 class BasisEntry(NamedTuple):
@@ -55,7 +55,7 @@ class LacunaryBasis:
 
     __slots__ = ("seq", "entries")
 
-    def __init__(self, seq: OperatorSequence, entries: Sequence[BasisEntry], *, strict: bool = True):
+    def __init__(self, seq: OperatorSequence, entries: Sequence[BasisEntry]):
         entries = tuple(entries)
         if not entries:
             raise PreconditionError("a lacunary basis needs at least one entry")
@@ -69,18 +69,17 @@ class LacunaryBasis:
                 )
         self.seq = seq
         self.entries = entries
-        if strict:
-            audit = verify_ineq_ak(self)
-            if not audit.all_ok:
-                bad = audit.violations[0]
-                raise InvariantViolation(
-                    f"pairwise bound fails at (k={bad.k}, j={bad.j}): "
-                    f"log A + d*log m = {bad.lhs_log:.6g} >= m*log2 = {bad.rhs_log:.6g}"
-                )
+        audit = verify_ineq_ak(entries)
+        if not audit.all_ok:
+            bad = audit.violations[0]
+            raise InvariantViolation(
+                f"pairwise bound fails at (k={bad.k}, j={bad.j}): "
+                f"log A + d*log m = {bad.lhs_log:.6g} >= m*log2 = {bad.rhs_log:.6g}"
+            )
 
     @classmethod
-    def build(cls, seq: OperatorSequence, indices: Sequence[int], *, strict: bool = True) -> "LacunaryBasis":
-        return cls(seq, [_entry(seq, k, n) for k, n in enumerate(indices, start=1)], strict=strict)
+    def build(cls, seq: OperatorSequence, indices: Sequence[int]) -> "LacunaryBasis":
+        return cls(seq, [_entry(seq, k, n) for k, n in enumerate(indices, start=1)])
 
     @property
     def indices(self) -> Tuple[int, ...]:
@@ -146,7 +145,7 @@ def select_indices(
                 condition="recursion",
             )
         entries.append(_entry(seq, len(entries) + 1, chosen))
-    return LacunaryBasis(seq, entries, strict=True)
+    return LacunaryBasis(seq, entries)
 
 
 def _entry(seq: OperatorSequence, k: int, n: int) -> BasisEntry:
@@ -159,10 +158,9 @@ def _entry(seq: OperatorSequence, k: int, n: int) -> BasisEntry:
     )
 
 
-def verify_ineq_ak(basis: LacunaryBasis) -> IneqAudit:
-    """Audit  log A_k + d(n_k)·log m(n_j) < m(n_j)·log 2  for every pair k < j."""
+def verify_ineq_ak(entries: Sequence[BasisEntry]) -> IneqAudit:
+    """Audit  log A_k + d(n_k)·log m(n_j) < m(n_j)·log 2  for every pair k < j of basis entries."""
     pairs: List[IneqPair] = []
-    entries = basis.entries
     for a in range(len(entries)):
         for b in range(a + 1, len(entries)):
             ek, ej = entries[a], entries[b]
@@ -216,13 +214,14 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
     asserted for every step.
 
     ``measured`` sums |a_j c_s| m_j!/(m_j-s)! r^(m_j-s) over tail terms j and
-    operator terms s in the log domain: the quantity the pairwise bound controls
-    term by term. It is the tail image's majorant norm when no two image blocks
-    [m_j - d_k, m_j - m_k] share a degree, as on every ``select_indices`` basis:
-    the recursion forces d_j < m_{j+1}/log2(m_{j+1}) with m_{j+1} >= 4, so
-    m_{j+1} - m_j > d_j > d_k - m_k for j > k. Blocks collide only in a hand-built
-    basis with some log A_j < 0 or no pairwise audit; ``measured`` is then the
-    triangle-inequality majorant, at least the norm, and measured <= bound holds.
+    operator terms s in the log domain, each log m_j!/(m_j-s)! from ``log_falling``:
+    the quantity the pairwise bound controls term by term. It is the tail image's
+    majorant norm when no two image blocks [m_j - d_k, m_j - m_k] share a degree,
+    as on every ``select_indices`` basis: the recursion forces d_j < m_{j+1}/log2(m_{j+1})
+    with m_{j+1} >= 4, so m_{j+1} - m_j > d_j > d_k - m_k for j > k. Blocks collide
+    only in a hand-built basis with some log A_j < 0 or no pairwise audit; ``measured``
+    is then the triangle-inequality majorant, at least the norm, and measured <= bound
+    holds.
     """
     if r <= 0:
         raise PreconditionError("radius must be positive")
@@ -237,7 +236,6 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
             )
         coeffs[slot[j]] = c
 
-    log_2r = math.log(2 * r)
     log_r = math.log(r)
     rows: List[DecayRow] = []
     for entry in basis.entries:
@@ -250,13 +248,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
         # an empty strict tail (always the last entry) needs no coefficients
         items = basis.seq.coeff_log_items(entry.n) if tail else []
         measured = LogMagnitude.sum(
-            LogMagnitude(
-                a_log
-                + c_mag.log
-                + math.lgamma(m_j + 1)
-                - math.lgamma(m_j - s + 1)
-                + (m_j - s) * log_r
-            )
+            LogMagnitude(a_log + c_mag.log + log_falling(m_j, s) + (m_j - s) * log_r)
             for m_j, a_log in tail
             for s, c_mag in items
         )
@@ -274,10 +266,8 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
         else:
             diagonal = LogMagnitude.zero()
         full = diagonal + measured
-        bound = LogMagnitude.sum(
-            LogMagnitude(LogMagnitude.of(a).log + m * log_2r)
-            for i, (m, a) in enumerate(zip(exponents, coeffs))
-            if a is not None and i >= k - 1
+        bound = _majorant_log(
+            ((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), 2 * r
         )
         if not log_margin(measured.log, bound.log) >= 0:
             raise InvariantViolation(

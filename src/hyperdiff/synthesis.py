@@ -35,7 +35,7 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tex
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
-from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_fraction, log_margin
+from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_falling, log_fraction, log_margin
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 
@@ -162,11 +162,12 @@ class SynthesisTrace(NamedTuple):
 def _top_image_logs(h: TaylorPolynomial, priors: Iterable[Tuple[int, float, float]]) -> Iterator[float]:
     """Per (m, log|c_m|, log r), a floor for log ||P(D) h|| on |z| <= r, P of valence m: with
     K = deg h, only c_m z^m acting on h_K z^K reaches z^(K-m), so c_m h_K K!/(K-m)! there cannot
-    cancel, and its term alone bounds the majorant from below. -inf when K < m."""
+    cancel, and its term alone (K!/(K-m)! from ``log_falling``) bounds the majorant from below.
+    -inf when K < m."""
     k = h.degree
-    log_top = LogMagnitude.of(h.coefficient(k)).log + math.lgamma(k + 1) if k >= 0 else 0.0
+    log_top = LogMagnitude.of(h.coefficient(k)).log if k >= 0 else 0.0
     for m, log_c, log_r in priors:
-        yield log_c + log_top - math.lgamma(k - m + 1) + (k - m) * log_r if k >= m else -math.inf
+        yield log_c + log_top + log_falling(k, m) + (k - m) * log_r if k >= m else -math.inf
 
 
 def _build_schedule(

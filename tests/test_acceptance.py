@@ -91,7 +91,7 @@ def test_criterion_03_index_selection_audit():
             m = seq.valence(n)
             admissible = m > prev.degree and m >= 3 and log_margin(target, m * LN2 / math.log(m)) > 0
             assert not admissible, (prev.n, n)
-    audit = verify_ineq_ak(basis)
+    audit = verify_ineq_ak(basis.entries)
     assert audit.all_ok
     assert all(pair.margin > 0 for pair in audit.pairs)
     elapsed = time.monotonic() - start

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hyperdiff.scalars import (
     QComplex,
     falling_factorial,
     format_scalar,
+    log_falling,
     log_fraction,
     log_margin,
     parse_real,
@@ -164,6 +166,19 @@ class TestLogMagnitude:
         items = [LogMagnitude(1000.0), LogMagnitude(999.0)]
         assert LogMagnitude.sum(items).log == pytest.approx(1000.0 + math.log1p(math.exp(-1)))
 
+    def test_sum_is_correctly_rounded(self):
+        # a plain left-to-right float sum rounds 1 + 10 * 1e-16 to 1
+        logs = [0.0] + [math.log(1e-16)] * 10
+        want = math.log(math.fsum(math.exp(x) for x in logs))
+        assert want > 0.0
+        assert LogMagnitude.sum(LogMagnitude(x) for x in logs).log == want
+
+    def test_add_is_the_two_term_sum(self):
+        logs = [-math.inf, -800.0, math.log(1e-16), -1.0, 0.0, 0.1, 1.0, 700.0, 1e308, math.inf]
+        for a, b in itertools.product(logs, repeat=2):
+            x, y = LogMagnitude(a), LogMagnitude(b)
+            assert (x + y).log == LogMagnitude.sum((x, y)).log, (a, b)
+
 
 class TestFallingFactorial:
     @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
@@ -190,6 +205,16 @@ class TestFallingFactorial:
 
     def test_full_run_is_factorial(self):
         assert falling_factorial(300, 300) == math.factorial(300)
+
+
+class TestLogFalling:
+    def test_matches_the_exact_log(self):
+        # lgamma(m + 1) - lgamma(m - s + 1) alone is off by 6.9e-11 relative at s = 1, m = 343706
+        for m in (1, 2, 3, 44, 45, 46, 90, 91, 126, 535, 1316, 6813, 18688, 114492, 343706):
+            for s in sorted({0, 1, 3, m // 45, m}):
+                if s <= m:
+                    want = math.log(math.perm(m, s))
+                    assert abs(log_falling(m, s) - want) <= 1e-14 * want, (m, s)
 
 
 class TestLogMargin:
