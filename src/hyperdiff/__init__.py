@@ -42,7 +42,7 @@ from .lacunary import (
     select_indices,
     verify_ineq_ak,
 )
-from .scalars import LogMagnitude, QComplex
+from .scalars import QComplex
 from .series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -94,7 +94,6 @@ __all__ = [
     "m0_member",
     "select_indices",
     "verify_ineq_ak",
-    "LogMagnitude",
     "QComplex",
     "PolynomialOperator",
     "TaylorPolynomial",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 from .criterion import CriterionConfig, verify_hypotheses, write_criterion_jsonl
-from .errors import ConfigError, HyperdiffError
+from .errors import ConfigError, HyperdiffError, PreconditionError
 from .families import (
     GrowthRule,
     OperatorSequence,
@@ -168,80 +168,6 @@ TRACE_KEYS = [
     Key("n_cap", _p_int, 10**6, "candidate cap per step"),
 ]
 
-COMMANDS: Dict[str, List[Key]] = {
-    "check-properties": FAMILY_KEYS
-    + [
-        Key("props", _p_str, "PQR", "subset of properties to check"),
-        Key("n_min", _p_int, 1, "first index"),
-        Key("n_max", _p_int, 40, "last index"),
-        Key("r", _p_float, 2.0, "circle radius for (R)"),
-        Key("samples", _p_int, 256, "circle sample count"),
-        Key("k_max", _p_int, 3, "largest k for (Q)"),
-        Key("u_samples", _p_points, _p_points("-2,-3,-5"), "sample points for (P)"),
-        Key("threshold_log", _p_float, 20.0, "growth threshold (log) for (P)/(R)"),
-        Key("q_threshold_log", _p_float, 1.0, "growth threshold (log) for (Q)"),
-        OUT_KEY,
-    ],
-    "unicity": [
-        Key("points", _p_str, "sqrt", "sqrt | linear | pow2 | file:<path>"),
-        Key("r_max", _p_float, 1e6, "largest radius"),
-        Key("margin", _p_float, 0.1, "required excess of chi over 1"),
-        OUT_KEY,
-    ],
-    "build-m0": FAMILY_KEYS
-    + [
-        Key("count", _p_int, 4, "basis size J"),
-        Key("n_start", _p_int, 1, "first candidate index"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
-        Key("decay_base", _p_int, 4, "member coefficients a_j = decay_base^-m_j"),
-        Key("r", _p_float, 1.0, "decay report radius"),
-        OUT_KEY,
-    ],
-    "build-inverse": FAMILY_KEYS
-    + [
-        Key("n", _p_int, None, "sequence index"),
-        Key("k", _p_int, None, "target degree (z^k)"),
-        OUT_KEY,
-    ],
-    "verify-criterion": FAMILY_KEYS
-    + [
-        Key("route", _p_str, "Q", "P or Q"),
-        Key("n_min", _p_int, 1, "first index"),
-        Key("n_max", _p_int, 40, "last index"),
-        Key("k_max", _p_int, 3, "largest target degree for the Q route"),
-        Key("u_samples", _p_points, _p_points("-2,-3,-5"), "P-route sample points"),
-        Key("r", _p_float, 2.0, "radius for norm sweeps"),
-        Key("basis_size", _p_int, 4, "lacunary basis size for hypothesis (iv)"),
-        Key("trunc", _p_int, 60, "exponential truncation degree"),
-        Key("degrees", _p_ints, (0, 1, 2, 3, 4, 5), "test polynomial degrees"),
-        SEED_KEY,
-        OUT_KEY,
-    ],
-    "synthesize": FAMILY_KEYS + TRACE_KEYS + [OUT_KEY],
-    "perturb": FAMILY_KEYS
-    + TRACE_KEYS
-    + [
-        Key("g", _p_poly, _p_poly("0,0,0,1"), "perturbation polynomial (coefficients)"),
-        OUT_KEY,
-    ],
-    "augment": FAMILY_KEYS
-    + [
-        Key("base_count", _p_int, 12, "steps in the zero-recurrent base trace"),
-        Key("extra", _p_polys, _p_polys("1;0,1"), "extra targets (poly literals)"),
-        Key("lambdas", _p_fractions, _p_fractions("-1,1,2"), "scalar multiples"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
-        OUT_KEY,
-    ],
-    "joint": FAMILY_KEYS
-    + [
-        Key("traces", _p_int, 2, "number of traces J"),
-        Key("targets", _p_polys, _p_polys("1"), "shared targets (poly literals)"),
-        Key("combos", _p_combos, _p_combos("1,0;0,1;1,1"), "combination vectors"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
-        OUT_KEY,
-    ],
-}
-
 
 # -- config assembly ----------------------------------------------------------------
 
@@ -264,7 +190,7 @@ def load_config_file(path: str) -> Dict[str, str]:
 
 
 def _resolve(command: str, flag_values: Dict[str, Optional[str]], file_values: Dict[str, str]) -> Dict:
-    keys = {k.name: k for k in COMMANDS[command]}
+    keys = {k.name: k for k in COMMANDS[command].keys}
     unknown = set(file_values) - set(keys) - {"command"}
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
@@ -285,9 +211,9 @@ def _family_from(cfg: Dict) -> OperatorSequence:
     if not tag:
         raise ConfigError("a family tag is required (family=F1..F5)")
     params: Dict = {
-        name: cfg[name]
-        for name in ("c", "decay", "c_mode", "log_base", "table")
-        if cfg.get(name) is not None
+        key.name: cfg[key.name]
+        for key in FAMILY_KEYS
+        if key.name != "family" and cfg.get(key.name) is not None
     }
     if tag.upper() == "F5":
         table = params.pop("table", None)
@@ -320,6 +246,8 @@ def read_operator_table(path: str) -> List[PolynomialOperator]:
 
 
 def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:
+    if cfg["count"] < 0:
+        raise PreconditionError("count must be >= 0")
     spec = cfg["targets"]
     if spec == "diagonal":
         return enumerate_targets(cfg["count"], zero_recurrent=cfg.get("zero_recurrent", False))
@@ -550,16 +478,79 @@ def _cmd_joint(cfg: Dict) -> int:
     return 0
 
 
-_DISPATCH = {
-    "check-properties": _cmd_check_properties,
-    "unicity": _cmd_unicity,
-    "build-m0": _cmd_build_m0,
-    "build-inverse": _cmd_build_inverse,
-    "verify-criterion": _cmd_verify_criterion,
-    "synthesize": _cmd_synthesize,
-    "perturb": _cmd_perturb,
-    "augment": _cmd_augment,
-    "joint": _cmd_joint,
+# -- command table ------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    run: Callable[[Dict], int]
+    keys: List[Key]
+
+
+# each command's handler and keys, in help order
+COMMANDS: Dict[str, Command] = {
+    "check-properties": Command(_cmd_check_properties, FAMILY_KEYS + [
+        Key("props", _p_str, "PQR", "subset of properties to check"),
+        Key("n_min", _p_int, 1, "first index"),
+        Key("n_max", _p_int, 40, "last index"),
+        Key("r", _p_float, 2.0, "circle radius for (R)"),
+        Key("samples", _p_int, 256, "circle sample count"),
+        Key("k_max", _p_int, 3, "largest k for (Q)"),
+        Key("u_samples", _p_points, _p_points("-2,-3,-5"), "sample points for (P)"),
+        Key("threshold_log", _p_float, 20.0, "growth threshold (log) for (P)/(R)"),
+        Key("q_threshold_log", _p_float, 1.0, "growth threshold (log) for (Q)"),
+        OUT_KEY,
+    ]),
+    "unicity": Command(_cmd_unicity, [
+        Key("points", _p_str, "sqrt", "sqrt | linear | pow2 | file:<path>"),
+        Key("r_max", _p_float, 1e6, "largest radius"),
+        Key("margin", _p_float, 0.1, "required excess of chi over 1"),
+        OUT_KEY,
+    ]),
+    "build-m0": Command(_cmd_build_m0, FAMILY_KEYS + [
+        Key("count", _p_int, 4, "basis size J"),
+        Key("n_start", _p_int, 1, "first candidate index"),
+        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        Key("decay_base", _p_int, 4, "member coefficients a_j = decay_base^-m_j"),
+        Key("r", _p_float, 1.0, "decay report radius"),
+        OUT_KEY,
+    ]),
+    "build-inverse": Command(_cmd_build_inverse, FAMILY_KEYS + [
+        Key("n", _p_int, None, "sequence index"),
+        Key("k", _p_int, None, "target degree (z^k)"),
+        OUT_KEY,
+    ]),
+    "verify-criterion": Command(_cmd_verify_criterion, FAMILY_KEYS + [
+        Key("route", _p_str, "Q", "P or Q"),
+        Key("n_min", _p_int, 1, "first index"),
+        Key("n_max", _p_int, 40, "last index"),
+        Key("k_max", _p_int, 3, "largest target degree for the Q route"),
+        Key("u_samples", _p_points, _p_points("-2,-3,-5"), "P-route sample points"),
+        Key("r", _p_float, 2.0, "radius for norm sweeps"),
+        Key("basis_size", _p_int, 4, "lacunary basis size for hypothesis (iv)"),
+        Key("trunc", _p_int, 60, "exponential truncation degree"),
+        Key("degrees", _p_ints, (0, 1, 2, 3, 4, 5), "test polynomial degrees"),
+        SEED_KEY,
+        OUT_KEY,
+    ]),
+    "synthesize": Command(_cmd_synthesize, FAMILY_KEYS + TRACE_KEYS + [OUT_KEY]),
+    "perturb": Command(_cmd_perturb, FAMILY_KEYS + TRACE_KEYS + [
+        Key("g", _p_poly, _p_poly("0,0,0,1"), "perturbation polynomial (coefficients)"),
+        OUT_KEY,
+    ]),
+    "augment": Command(_cmd_augment, FAMILY_KEYS + [
+        Key("base_count", _p_int, 12, "steps in the zero-recurrent base trace"),
+        Key("extra", _p_polys, _p_polys("1;0,1"), "extra targets (poly literals)"),
+        Key("lambdas", _p_fractions, _p_fractions("-1,1,2"), "scalar multiples"),
+        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        OUT_KEY,
+    ]),
+    "joint": Command(_cmd_joint, FAMILY_KEYS + [
+        Key("traces", _p_int, 2, "number of traces J"),
+        Key("targets", _p_polys, _p_polys("1"), "shared targets (poly literals)"),
+        Key("combos", _p_combos, _p_combos("1,0;0,1;1,1"), "combination vectors"),
+        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        OUT_KEY,
+    ]),
 }
 
 
@@ -569,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="checks and constructions for differential operator sequences",
     )
     sub = parser.add_subparsers(dest="command")
-    for command, keys in COMMANDS.items():
+    for command, (_, keys) in COMMANDS.items():
         p = sub.add_parser(command)
         p.add_argument("--config", default=None, help="key=value configuration file")
         for key in keys:
@@ -597,9 +588,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             raise ConfigError(
                 f"config file commands {file_values['command']!r} but {ns.command!r} requested"
             )
-        flag_values = {key.name: getattr(ns, key.name) for key in COMMANDS[ns.command]}
+        flag_values = {key.name: getattr(ns, key.name) for key in COMMANDS[ns.command].keys}
         cfg = _resolve(ns.command, flag_values, file_values)
-        return _DISPATCH[ns.command](cfg)
+        return COMMANDS[ns.command].run(cfg)
     except HyperdiffError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

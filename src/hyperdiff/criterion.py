@@ -23,9 +23,9 @@ from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
-from .scalars import LogMagnitude, QComplex, log_margin
+from .scalars import QComplex, log_margin
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
-from .synthesis import _mag_json, _residual
+from .synthesis import _residual
 
 # how many n values to spot-check for exact identities
 SWEEP_POINTS = 12
@@ -116,7 +116,7 @@ def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
     rows = []
     for k in range(0, cfg.k_max + 1):
         rep = fnk_decay(seq, k, max(cfg.r, 1.5), (max(cfg.n_lo, 2), cfg.n_hi))
-        final = rep.rows[-1].norm.log
+        final = rep.rows[-1].norm
         rows.append(dict(k=k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=final))
     return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows, notes={})
 
@@ -157,13 +157,13 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             bound = eigen_defect_bound(op, w, cfg.trunc, 1.0)
             trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
             defect = _residual(op, trunc, trunc.scale(val), 1.0)
-            ok = log_margin(defect.log, bound.log) >= 0
+            ok = log_margin(defect, bound) >= 0
             rows.append(
                 {
                     "n": n,
                     "w": str(w),
-                    "defect_log": defect.log,
-                    "bound_log": bound.log,
+                    "defect_log": defect,
+                    "bound_log": bound,
                     "within_bound": ok,
                 }
             )
@@ -182,8 +182,8 @@ def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvi
         {
             "k": row.k,
             "n": row.n,
-            "measured_log": row.measured.log,
-            "bound_log": row.bound.log,
+            "measured_log": row.measured,
+            "bound_log": row.bound,
         }
         for row in rep.rows
     ]
@@ -253,9 +253,7 @@ def write_criterion_jsonl(report: CriterionReport, out: TextIO) -> None:
 def _jsonable(row: dict) -> dict:
     out = {}
     for key, val in row.items():
-        if isinstance(val, LogMagnitude):
-            out[key] = _mag_json(val)
-        elif isinstance(val, float) and math.isinf(val):
+        if isinstance(val, float) and math.isinf(val):
             out[key] = "-inf" if val < 0 else "inf"
         elif isinstance(val, tuple):
             out[key] = list(val)

@@ -28,7 +28,7 @@ from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Opt
                     Union)
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, LogMagnitude, NEG_INF, fmt_log, to_complex, to_qcomplex
+from .scalars import LN2, NEG_INF, exp_log, fmt_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -82,7 +82,7 @@ class Shape(NamedTuple):
                     power = power * neg
         return PolynomialOperator(coeffs)
 
-    def items(self, n: int) -> Iterator[Tuple[int, LogMagnitude]]:
+    def items(self, n: int) -> Iterator[Tuple[int, float]]:
         """(n + i, log|c_n| + log C(mu, i) + (mu - i) log|rho_n|) in exponent order; lazy,
         so log_coeff(n, n + i) computes i + 1 items, not mu + 1."""
         lc, mu = self.log_c(n), self.mult(n)
@@ -90,25 +90,25 @@ class Shape(NamedTuple):
         lg_mu = math.lgamma(mu + 1)
         for i in range(mu + 1):
             log_comb = lg_mu - math.lgamma(i + 1) - math.lgamma(mu - i + 1)
-            yield n + i, LogMagnitude(lc + log_comb + (mu - i) * log_root)
+            yield n + i, lc + log_comb + (mu - i) * log_root
 
-    def abs_sum(self, n: int) -> LogMagnitude:
-        """A_n = |c_n| (1 + |rho_n|)^mu_n."""
+    def abs_sum(self, n: int) -> float:
+        """log A_n = log(|c_n| (1 + |rho_n|)^mu_n)."""
         mu = self.mult(n)
-        return LogMagnitude(self.log_c(n) + (mu * math.log1p(abs(self.float_root(n))) if mu else 0.0))
+        return self.log_c(n) + (mu * math.log1p(abs(self.float_root(n))) if mu else 0.0)
 
-    def abs_at(self, n: int, z: Union[Fraction, complex]) -> LogMagnitude:
-        """|c_n| |z|^n |z - rho_n|^mu_n; exact rho_n at a Fraction z, its double at a non-real
-        complex z, where the value is a float estimate."""
-        mag = LogMagnitude(self.log_c(n)) * LogMagnitude.of(z) ** n
+    def abs_at(self, n: int, z: Union[Fraction, complex]) -> float:
+        """log(|c_n| |z|^n |z - rho_n|^mu_n); exact rho_n at a Fraction z, its double at a
+        non-real complex z, where the value is a float estimate."""
+        mag = self.log_c(n) + log_abs(z) * n
         mu = self.mult(n)
         if mu:
             rho = self.root(n) if isinstance(z, Fraction) else self.float_root(n)
-            mag = mag * LogMagnitude.of(z - rho) ** mu
+            mag = mag + log_abs(z - rho) * mu
         return mag
 
-    def circle_min(self, n: int, r: float) -> LogMagnitude:
-        """min |P_n| on |z| = r, that is |c_n| r^n |r - |rho_n||^mu_n, at its point z = r sgn(rho_n)."""
+    def circle_min(self, n: int, r: float) -> float:
+        """log min |P_n| on |z| = r, that is |c_n| r^n |r - |rho_n||^mu_n, at z = r sgn(rho_n)."""
         z = Fraction(r)
         return self.abs_at(n, -z if self.mult(n) and self.root(n) < 0 else z)
 
@@ -117,8 +117,8 @@ class OperatorSequence:
     """An indexed family n -> P_n with metadata and log-domain escorts.
 
     F1..F4 pass a ``shape``, which gives valence n, degree n + mu_n, A_n and
-    |P_n(z)| in closed form and yields the (exponent, LogMagnitude) items of
-    |c_{j,n}| lazily, so sweeps stay overflow/underflow free and ``log_coeff``
+    |P_n(z)| in closed form and yields the (exponent, log |c_{j,n}|) items
+    lazily, so sweeps stay overflow/underflow free and ``log_coeff``
     reads only up to the exponent it asks for. F5 tables pass ``build``, and
     each of these is read from the built operator. Valence n is
     nondecreasing, so ``select_indices`` gallops on exactly the shaped families.
@@ -165,31 +165,31 @@ class OperatorSequence:
         self._check_index(n)
         return n + self.shape.mult(n) if self.shape is not None else self.op(n).degree
 
-    def _log_items(self, n: int) -> Iterable[Tuple[int, LogMagnitude]]:
+    def _log_items(self, n: int) -> Iterable[Tuple[int, float]]:
         self._check_index(n)
         if self.shape is not None:
             return self.shape.items(n)
-        return ((j, LogMagnitude.of(c)) for j, c in self.op(n).terms())
+        return ((j, log_abs(c)) for j, c in self.op(n).terms())
 
-    def coeff_log_items(self, n: int) -> List[Tuple[int, LogMagnitude]]:
+    def coeff_log_items(self, n: int) -> List[Tuple[int, float]]:
         return list(self._log_items(n))
 
-    def log_coeff(self, n: int, j: int) -> LogMagnitude:
+    def log_coeff(self, n: int, j: int) -> float:
         """log |c_{j,n}|, stopping at the first matching item."""
         for jj, mag in self._log_items(n):
             if jj == j:
                 return mag
-        return LogMagnitude.zero()
+        return NEG_INF
 
-    def coeff_abs_log_sum(self, n: int) -> LogMagnitude:
+    def coeff_abs_log_sum(self, n: int) -> float:
         """log of A_n = sum |c_{j,n}|; closed form on a shaped family."""
         self._check_index(n)
         if self.shape is not None:
             return self.shape.abs_sum(n)
-        return LogMagnitude.sum(mag for _, mag in self._log_items(n))
+        return log_sum(mag for _, mag in self._log_items(n))
 
-    def log_abs_at(self, n: int, z) -> LogMagnitude:
-        """|P_n(z)| as a LogMagnitude.
+    def log_abs_at(self, n: int, z) -> float:
+        """log |P_n(z)|.
 
         A shaped family reads its closed form at an int or Fraction z, exactly,
         and at a non-real z in floats. Every other point (a QComplex on the real
@@ -202,7 +202,7 @@ class OperatorSequence:
         z = to_qcomplex(z)
         if self.shape is not None and z.im:
             return self.shape.abs_at(n, to_complex(z))
-        return LogMagnitude.of(self.op(n).value_at(z))
+        return log_abs(self.op(n).value_at(z))
 
     def __repr__(self):
         return f"OperatorSequence({self.label})"
@@ -264,7 +264,7 @@ def _f2(c_mode: str = "paper", log_base: str = "e") -> OperatorSequence:
 def _f3() -> OperatorSequence:
     # P_n = z^n (z - q_n)^n over the diagonal enumeration of positive rationals
     shape = Shape(c=lambda n: 1, log_c=lambda n: 0.0, mult=lambda n: n, root=positive_rational,
-                  log_root=lambda n: LogMagnitude.of(positive_rational(n)).log,
+                  log_root=lambda n: log_fraction(positive_rational(n)),
                   float_root=lambda n: float(positive_rational(n)))
     return OperatorSequence("F3", "F3: z^n (z - q_n)^n", shape=shape)
 
@@ -276,7 +276,7 @@ def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
         raise ConfigError("F4 constant c must be nonzero")
     if decay not in (None, "pow2cubic"):
         raise ConfigError("F4 decay must be omitted or 'pow2cubic'")
-    log_abs_c = LogMagnitude.of(c).log
+    log_abs_c = log_abs(c)
     if decay is None:
         shape = Shape(c=lambda n: c, log_c=lambda n: log_abs_c)
         label = f"F4: {c} z^n"
@@ -449,7 +449,7 @@ def check_property_P(
     rule = rule or GrowthRule()
     lo, hi = n_range
     ns = list(range(lo, hi + 1))
-    tracks = {str(z): [seq.log_abs_at(n, z).log for n in ns] for z in u_samples}
+    tracks = {str(z): [seq.log_abs_at(n, z) for n in ns] for z in u_samples}
     rows, verdict, finals, bad = _sweep(rule, ns, tracks, tracks)
     return EvidenceReport(
         prop="P",
@@ -483,7 +483,7 @@ def check_property_Q(
     for n in ns:
         m = seq.valence(n)
         top = m + k_max
-        logs = {j: mag.log for j, mag in itertools.takewhile(lambda item: item[0] <= top, seq._log_items(n))}
+        logs = dict(itertools.takewhile(lambda item: item[0] <= top, seq._log_items(n)))
         for k, track in growth.items():
             track.append(math.log(m) + (k / m) * logs[m])
             bound[k] = max(bound[k], logs.get(k + m, NEG_INF))
@@ -505,8 +505,8 @@ def _check_circle(r: float, samples: int) -> None:
         raise PreconditionError("samples_per_circle must be >= 64")
 
 
-def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> LogMagnitude:
-    """Certified lower bound for min |P| on |z| = r: the least of m_samples equispaced samples
+def circle_min(op: PolynomialOperator, r: float, m_samples: int) -> float:
+    """log of a certified lower bound for min |P| on |z| = r: the least of m_samples equispaced samples
     less the arc correction (pi r / M) sup|(P/z^m)'| and a floating-evaluation guard, or zero
     where they eat it (heavy cancellation). A monomial's arc correction is zero."""
     _check_circle(r, m_samples)
@@ -525,26 +525,26 @@ def _circle_samples(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[l
         for c in coeffs:
             acc = acc * z + c
         samples.append((z, abs(acc)))
-    r_m = LogMagnitude(op.valence * math.log(r))
+    r_m = op.valence * math.log(r)
     h_terms = op.degree - op.valence + 1  # H has degree d - m
-    return samples, 8.0 * 2.0**-52 * h_terms * (_majorant_log(op.terms(), r) / r_m).value()
+    return samples, 8.0 * 2.0**-52 * h_terms * exp_log(_majorant_log(op.terms(), r) - r_m)
 
 
-def _circle_scan(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[LogMagnitude, LogMagnitude]:
-    """(certified lower bound, upper bound) for min |P| on |z| = r. |P| = r^m |H| there, so the
-    scan samples H and scales by r^m in the log domain: no float overflows. The upper bound adds
-    the guard the lower bound subtracts, so rounding residue beside a root is no small value."""
+def _circle_scan(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[float, float]:
+    """Logs of (certified lower bound, upper bound) for min |P| on |z| = r. |P| = r^m |H| there,
+    so the scan samples H and scales by r^m in the log domain: no float overflows. The upper bound
+    adds the guard the lower bound subtracts, so rounding residue beside a root is no small value."""
     samples, guard = _circle_samples(op, r, m_samples)
     sampled = min(val for _, val in samples)
-    r_m = LogMagnitude(op.valence * math.log(r))
-    b = (op.derivative_majorant(r) / r_m).value()  # sup |H'| on |z| = r
+    r_m = op.valence * math.log(r)
+    b = exp_log(op.derivative_majorant(r) - r_m)  # sup |H'| on |z| = r
     upper_val = sampled + guard
-    upper = LogMagnitude.of(upper_val) * r_m if math.isfinite(upper_val) else LogMagnitude(math.inf)
+    # the one log that can be +inf: it is only stored and compared, never added to
+    upper = log_abs(upper_val) + r_m if math.isfinite(upper_val) else math.inf
     if not (math.isfinite(sampled) and math.isfinite(b) and math.isfinite(guard)):
-        return LogMagnitude.zero(), upper
+        return NEG_INF, upper
     lower_val = sampled - (math.pi * r / m_samples) * b - guard
-    lower = LogMagnitude.of(lower_val) * r_m if lower_val > 0 else LogMagnitude.zero()
-    return lower, upper
+    return (math.log(lower_val) + r_m if lower_val > 0 else NEG_INF), upper
 
 
 def check_property_R(
@@ -573,10 +573,10 @@ def check_property_R(
     for n in ns:
         seq._check_index(n)
         if seq.shape is not None:
-            low = up = seq.shape.circle_min(n, r).log
+            low = up = seq.shape.circle_min(n, r)
         else:
-            scan_low, scan_up = _circle_scan(seq.op(n), r, samples_per_circle)
-            low, up = scan_low.log, min(scan_up.log, seq.log_abs_at(n, fr).log, seq.log_abs_at(n, -fr).log)
+            low, scan_up = _circle_scan(seq.op(n), r, samples_per_circle)
+            up = min(scan_up, seq.log_abs_at(n, fr), seq.log_abs_at(n, -fr))
         lower_track.append(low)
         upper_track.append(up)
     rows, verdict, finals, bad = _sweep(rule, ns, {"upper": upper_track}, {"lower": lower_track})

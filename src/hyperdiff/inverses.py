@@ -23,7 +23,6 @@ from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
 from .errors import InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .scalars import (
-    LogMagnitude,
     QComplex,
     QC_ONE,
     QC_ZERO,
@@ -117,7 +116,7 @@ def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> Taylo
 
 class FnkRow(NamedTuple):
     n: int
-    norm: LogMagnitude
+    norm: float  # log ||f_{n,k}||_r
     stirling_ok: bool
 
 
@@ -130,7 +129,7 @@ class FnkDecayReport(NamedTuple):
     notes: dict
 
 
-def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitude:
+def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> float:
     """Majorant norm of f_{n,k} on |z| <= r, from the exact f_{n,k}, in the log domain."""
     return build_f_nk(seq.op(n), k, verify=False).f.majorant_norm(r)
 
@@ -138,7 +137,7 @@ def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> LogMagnitud
 def stirling_threshold_ok(seq: OperatorSequence, n: int, k: int, r: float) -> bool:
     """( |c_m|^{k+1-j} m! )^{1/m} > 2r for every j = 1..k (vacuous at k = 0)."""
     m = seq.valence(n)
-    log_c = seq.log_coeff(n, m).log
+    log_c = seq.log_coeff(n, m)
     log_fact = math.lgamma(m + 1)
     target = math.log(2 * r)
     return all(
@@ -176,7 +175,7 @@ def fnk_decay(
     verdict = "inconclusive"
     notes: dict = {}
     if crossing is not None:
-        post = [row.norm.log for row in rows if row.n >= crossing]
+        post = [row.norm for row in rows if row.n >= crossing]
         if len(post) >= 4:
             half = len(post) // 2
             early, late = post[:half], post[half:]

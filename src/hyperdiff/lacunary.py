@@ -20,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence, gallop
-from .scalars import LN2, LogMagnitude, fmt_log, log_falling, log_margin
+from .scalars import LN2, NEG_INF, fmt_log, log_abs, log_falling, log_margin, log_sum
 from .series import TaylorPolynomial, _majorant_log
 
 
@@ -154,7 +154,7 @@ def _entry(seq: OperatorSequence, k: int, n: int) -> BasisEntry:
         n=n,
         valence=seq.valence(n),
         degree=seq.degree(n),
-        log_a=seq.coeff_abs_log_sum(n).log,
+        log_a=seq.coeff_abs_log_sum(n),
     )
 
 
@@ -187,10 +187,10 @@ def m0_member(basis: LacunaryBasis, coefficients: Sequence) -> TaylorPolynomial:
 class DecayRow(NamedTuple):
     k: int
     n: int
-    measured: LogMagnitude  # norm of P_{n_k}(D) applied to the strict tail j > k
-    bound: LogMagnitude  # sum over j >= k of |a_j| (2r)^{m(n_j)}
-    diagonal: LogMagnitude  # norm of P_{n_k}(D) applied to the j = k term alone
-    full: LogMagnitude  # norm of P_{n_k}(D) applied to all of f
+    measured: float  # log norm of P_{n_k}(D) applied to the strict tail j > k
+    bound: float  # log of the sum over j >= k of |a_j| (2r)^{m(n_j)}
+    diagonal: float  # log norm of P_{n_k}(D) applied to the j = k term alone
+    full: float  # log norm of P_{n_k}(D) applied to all of f
 
 
 class DecayReport(NamedTuple):
@@ -199,7 +199,7 @@ class DecayReport(NamedTuple):
 
     @property
     def measured_nonincreasing(self) -> bool:
-        ms = [row.measured.log for row in self.rows]
+        ms = [row.measured for row in self.rows]
         return all(b <= a for a, b in zip(ms, ms[1:]))
 
 
@@ -240,39 +240,30 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
     rows: List[DecayRow] = []
     for entry in basis.entries:
         k = entry.k
-        tail = [
-            (m_j, LogMagnitude.of(a).log)
-            for m_j, a in zip(exponents[k:], coeffs[k:])
-            if a is not None
-        ]
+        tail = [(m_j, log_abs(a)) for m_j, a in zip(exponents[k:], coeffs[k:]) if a is not None]
         # an empty strict tail (always the last entry) needs no coefficients
         items = basis.seq.coeff_log_items(entry.n) if tail else []
-        measured = LogMagnitude.sum(
-            LogMagnitude(a_log + c_mag.log + log_falling(m_j, s) + (m_j - s) * log_r)
+        measured = log_sum(
+            a_log + c_log + log_falling(m_j, s) + (m_j - s) * log_r
             for m_j, a_log in tail
-            for s, c_mag in items
+            for s, c_log in items
         )
         # The j = k image is the single constant a_k * c_{m_k} * m_k!, because the
         # operator's valence equals this exponent; its support (degree 0) is
         # disjoint from the tail image (degrees >= m_{k+1} - d_k > 0), so the
         # full-image norm is exactly diagonal + measured.
         diag_a = coeffs[k - 1]
+        diagonal = NEG_INF
         if diag_a is not None:
-            diagonal = LogMagnitude(
-                LogMagnitude.of(diag_a).log
-                + basis.seq.log_coeff(entry.n, entry.valence).log
-                + math.lgamma(entry.valence + 1)
-            )
-        else:
-            diagonal = LogMagnitude.zero()
-        full = diagonal + measured
+            log_c_m = basis.seq.log_coeff(entry.n, entry.valence)
+            diagonal = log_abs(diag_a) + log_c_m + math.lgamma(entry.valence + 1)
+        full = log_sum((diagonal, measured))
         bound = _majorant_log(
             ((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), 2 * r
         )
-        if not log_margin(measured.log, bound.log) >= 0:
+        if not log_margin(measured, bound) >= 0:
             raise InvariantViolation(
-                f"tail decay bound fails at step {k}: measured log {measured.log:.6g} "
-                f"> bound log {bound.log:.6g}"
+                f"tail decay bound fails at step {k}: measured log {measured:.6g} > bound log {bound:.6g}"
             )
         rows.append(
             DecayRow(k=k, n=entry.n, measured=measured, bound=bound, diagonal=diagonal, full=full)

@@ -6,9 +6,10 @@ exact rational real/imaginary parts, so identities hold with equality
 outside (a library float coefficient, a non-real CLI point, a decimal in a
 table) enters through ``to_qcomplex`` as its exact dyadic value. Nonnegative
 sizes that would overflow any native type (2**m, m!, A_k * m**d, ...) travel
-as ``LogMagnitude``: a natural logarithm with -inf encoding an exact zero, so
-products and comparisons never overflow. Floats stay only where a value is a
-measured estimate: log magnitudes, and the samples of the F5 circle scan.
+as their natural logarithm, a plain float with -inf for an exact zero: a product
+is a sum of logs, a sum is ``log_sum``, and comparisons never overflow. Floats
+stay only where a value is a measured estimate: log magnitudes, and the samples
+of the F5 circle scan.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import PreconditionError
 
@@ -28,7 +29,7 @@ NEG_INF = float("-inf")
 # Rounding slack of ``log_margin``, relative to max(1, |lhs|, |rhs|). Error
 # model: each side is a log computed with at most 2^20 roundings of relative
 # size u = 2^-53 on operands no larger than that scale, and at most one
-# log-sum-exp (``LogMagnitude.sum``) of K <= 2^20 terms, whose float sum is
+# log-sum-exp (``log_sum``) of K <= 2^20 terms, whose float sum is
 # ``math.fsum``, correctly rounded: a relative error of at most u, not (K - 1)u,
 # and so an absolute u to the log; a log-sum-exp passes its terms' log errors
 # through unamplified. Both sides together err by at most 2 * (2^20 + 1) * u
@@ -238,124 +239,43 @@ def divide_by_int(value: QComplex, divisor: int) -> QComplex:
     return value * QComplex(Fraction(1, divisor))
 
 
-class LogMagnitude:
-    """A nonnegative magnitude stored as its natural logarithm.
-
-    ``log == -inf`` encodes an exact zero, which keeps multiplication (log
-    addition) total without special cases leaking out. Two magnitudes are
-    ordered through ``log_margin`` on their logs, never by a bare comparison.
-    """
-
-    __slots__ = ("log",)
-
-    def __init__(self, log: float):
-        self.log = float(log)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LogMagnitude":
-        return cls(NEG_INF)
-
-    @classmethod
-    def one(cls) -> "LogMagnitude":
-        return cls(0.0)
-
-    @classmethod
-    def of(cls, value) -> "LogMagnitude":
-        """Magnitude |value| of any supported scalar, without overflow."""
-        if isinstance(value, LogMagnitude):
-            return value
-        if isinstance(value, QComplex):
-            # purely real/imaginary fast paths avoid squaring huge rationals
-            if not value.im:
-                return cls.of(value.re)
-            if not value.re:
-                return cls.of(value.im)
-            sq = value.abs_squared()
-            return cls(0.5 * log_fraction(sq))
-        if isinstance(value, Fraction):
-            if not value:
-                return cls.zero()
-            return cls(log_fraction(abs(value)))
-        if isinstance(value, int):
-            if not value:
-                return cls.zero()
-            return cls(math.log(abs(value)))
-        if isinstance(value, complex):
-            mag = abs(value)
-            return cls(math.log(mag)) if mag else cls.zero()
-        mag = abs(float(value))
-        return cls(math.log(mag)) if mag else cls.zero()
-
-    # -- predicates --------------------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == NEG_INF
-
-    def value(self) -> float:
-        """Collapse to a float; may round to 0.0 or inf outside double range."""
-        if self.is_zero:
-            return 0.0
-        try:
-            return math.exp(self.log)
-        except OverflowError:
-            return float("inf")
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __mul__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if self.is_zero or other.is_zero:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log + other.log)
-
-    def __truediv__(self, other: "LogMagnitude") -> "LogMagnitude":
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero LogMagnitude")
-        if self.is_zero:
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log - other.log)
-
-    def __add__(self, other: "LogMagnitude") -> "LogMagnitude":
-        return LogMagnitude.sum((self, other))
-
-    def __pow__(self, exponent: float) -> "LogMagnitude":
-        if self.is_zero:
-            if exponent == 0:
-                return LogMagnitude.one()
-            if exponent < 0:
-                raise ZeroDivisionError("negative power of zero magnitude")
-            return LogMagnitude.zero()
-        return LogMagnitude(self.log * exponent)
-
-    @staticmethod
-    def sum(items: Iterable["LogMagnitude"]) -> "LogMagnitude":
-        logs = [it.log for it in items if it.log != NEG_INF]
-        if not logs:
-            return LogMagnitude.zero()
-        hi = max(logs)
-        if hi == float("inf"):
-            return LogMagnitude(hi)
-        return LogMagnitude(hi + math.log(math.fsum(math.exp(l - hi) for l in logs)))
-
-    # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other):
-        if isinstance(other, LogMagnitude):
-            return self.log == other.log
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.log)
-
-    def __repr__(self):
-        return "LogMagnitude(zero)" if self.is_zero else f"LogMagnitude(log={self.log!r})"
+def log_abs(value) -> float:
+    """log |value| of any supported scalar, without overflow; -inf for an exact zero."""
+    if isinstance(value, QComplex):
+        # purely real/imaginary fast paths avoid squaring huge rationals
+        if not value.im:
+            return log_abs(value.re)
+        if not value.re:
+            return log_abs(value.im)
+        return 0.5 * log_fraction(value.abs_squared())
+    if isinstance(value, Fraction):
+        return log_fraction(abs(value)) if value else NEG_INF
+    mag = abs(value) if isinstance(value, (int, complex)) else abs(float(value))
+    return math.log(mag) if mag else NEG_INF
 
 
-def fmt_log(value: Union[float, "LogMagnitude"]) -> str:
-    """Text form of a log-domain value: "-inf" for an exact zero, else repr of the log."""
-    log = value.log if isinstance(value, LogMagnitude) else value
+def log_sum(logs: Iterable[float]) -> float:
+    """log(sum(exp(l))) over logs: -inf for no term or only -inf terms, inf if a term is inf.
+    The float sum is ``math.fsum``, correctly rounded on every Python version."""
+    logs = [l for l in logs if l != NEG_INF]
+    if not logs:
+        return NEG_INF
+    hi = max(logs)
+    if hi == math.inf:
+        return hi
+    return hi + math.log(math.fsum(math.exp(l - hi) for l in logs))
+
+
+def exp_log(log: float) -> float:
+    """The magnitude exp(log) as a float: 0.0 at -inf, inf past the double range."""
+    try:
+        return math.exp(log)
+    except OverflowError:
+        return math.inf
+
+
+def fmt_log(log: float) -> str:
+    """Text form of a log magnitude: "-inf" for an exact zero, else its repr."""
     return "-inf" if log == NEG_INF else repr(log)
 
 

@@ -16,12 +16,15 @@ from fractions import Fraction
 from typing import Iterable, List, TextIO, Tuple, Union
 
 from .scalars import (
-    LogMagnitude,
+    NEG_INF,
     QComplex,
     QC_ONE,
     QC_ZERO,
+    exp_log,
     falling_factorial,
     format_scalar,
+    log_abs,
+    log_sum,
     parse_scalar,
     scale_by_int,
     to_complex,
@@ -36,10 +39,10 @@ def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> dict:
     return {j: v for j, c in items if (v := to_qcomplex(c))}
 
 
-def _majorant_log(terms: Iterable[Tuple[int, QComplex]], r: float) -> LogMagnitude:
-    """sum(|c_j| r^j) over (j, c_j) pairs, in the log domain."""
+def _majorant_log(terms: Iterable[Tuple[int, QComplex]], r: float) -> float:
+    """log of sum(|c_j| r^j) over (j, c_j) pairs."""
     log_r = math.log(r)
-    return LogMagnitude.sum(LogMagnitude(LogMagnitude.of(c).log + j * log_r) for j, c in terms)
+    return log_sum(log_abs(c) + j * log_r for j, c in terms)
 
 
 def _exact_horner(terms: dict, w: QComplex, m: int) -> QComplex:
@@ -203,8 +206,8 @@ class TaylorPolynomial:
             return QC_ZERO
         return _exact_horner(self._terms, to_qcomplex(z), 0)
 
-    def majorant_norm(self, r: float) -> LogMagnitude:
-        """Coefficient majorant sum(|a_j| r^j) in the log domain.
+    def majorant_norm(self, r: float) -> float:
+        """log of the coefficient majorant sum(|a_j| r^j).
 
         Upper-bounds the sup of |f| on the closed disk of radius r.
         """
@@ -253,16 +256,12 @@ class PolynomialOperator:
         wq = to_qcomplex(w)
         return _exact_horner(self._terms, wq, self.valence) * wq**self.valence
 
-    def derivative_majorant(self, r: float) -> LogMagnitude:
+    def derivative_majorant(self, r: float) -> float:
         """log of B = sum((j - m) |c_j| r^(j-1)); B / r^m bounds |H'| on |z| = r, H = P/z^m."""
         if r <= 0:
             raise ValueError("radius must be positive")
         m, log_r = self.valence, math.log(r)
-        return LogMagnitude.sum(
-            LogMagnitude(LogMagnitude.of(c).log + math.log(j - m) + (j - 1) * log_r)
-            for j, c in self.terms()
-            if j > m
-        )
+        return log_sum(log_abs(c) + math.log(j - m) + (j - 1) * log_r for j, c in self.terms() if j > m)
 
     def to_float(self) -> List[complex]:
         """The coefficients c_d..c_m of H = P/z^m as doubles, highest first: what the
@@ -290,8 +289,8 @@ def apply_operator(op: PolynomialOperator, f: TaylorPolynomial) -> TaylorPolynom
     return result
 
 
-def exp_truncate(w: CoeffLike, n: int, r: float) -> Tuple[TaylorPolynomial, LogMagnitude]:
-    """Degree-n truncation of e^(wz) plus a majorant for the dropped tail.
+def exp_truncate(w: CoeffLike, n: int, r: float) -> Tuple[TaylorPolynomial, float]:
+    """Degree-n truncation of e^(wz) plus the log of a majorant for the dropped tail.
 
     The tail bound dominates sum(|w|^j r^j / j!, j > n); a geometric majorant
     of the remainder is used when |w| r < n + 2, else the crude bound e^(|w| r).
@@ -305,20 +304,15 @@ def exp_truncate(w: CoeffLike, n: int, r: float) -> Tuple[TaylorPolynomial, LogM
     for j in range(1, n + 1):
         coeffs.append(coeffs[-1] * wq * QComplex(Fraction(1, j)))
     poly = TaylorPolynomial(coeffs)
-    x = LogMagnitude.of(wq).value() * r
+    x = exp_log(log_abs(wq)) * r
     if x == 0.0:
-        return poly, LogMagnitude.zero()
-    log_x = math.log(x)
-    head = (n + 1) * log_x - math.lgamma(n + 2)
-    if x < n + 2:
-        tail = LogMagnitude(head - math.log1p(-x / (n + 2)))
-    else:
-        tail = LogMagnitude(x)
-    return poly, tail
+        return poly, NEG_INF
+    head = (n + 1) * math.log(x) - math.lgamma(n + 2)
+    return poly, (head - math.log1p(-x / (n + 2)) if x < n + 2 else x)
 
 
-def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -> LogMagnitude:
-    """Majorant bound for P(D)E_n - P(w)E_n where E_n truncates e_w at degree n.
+def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -> float:
+    """log of a majorant bound for P(D)E_n - P(w)E_n where E_n truncates e_w at degree n.
 
     Exact coefficient bookkeeping gives the defect coefficients as the dropped
     blocks of each shifted truncation; the bound is their coefficient majorant
@@ -326,21 +320,15 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
     """
     if r <= 0:
         raise ValueError("radius must be positive")
-    mag_w = LogMagnitude.of(to_qcomplex(w))
-    x_log = (mag_w * LogMagnitude(math.log(r))).log if not mag_w.is_zero else None
-    if x_log is None:
-        return LogMagnitude.zero()
+    log_w = log_abs(to_qcomplex(w))
+    if log_w == NEG_INF:
+        return NEG_INF
+    x_log = log_w + math.log(r)
     terms = []
     for s, c in op.terms():
-        lo = max(0, n - s + 1)
-        inner = LogMagnitude.sum(
-            LogMagnitude(i * x_log - math.lgamma(i + 1)) for i in range(lo, n + 1)
-        )
-        if inner.is_zero:
-            continue
-        base = LogMagnitude.of(c) * (mag_w**s)
-        terms.append(base * inner)
-    return LogMagnitude.sum(terms)
+        inner = log_sum(i * x_log - math.lgamma(i + 1) for i in range(max(0, n - s + 1), n + 1))
+        terms.append(log_abs(c) + log_w * s + inner)
+    return log_sum(terms)
 
 
 # -- coefficient files --------------------------------------------------------

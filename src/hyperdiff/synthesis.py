@@ -35,7 +35,9 @@ from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tex
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
-from .scalars import LN2, LogMagnitude, QComplex, fmt_log, format_scalar, log_falling, log_fraction, log_margin
+from .scalars import (
+    LN2, NEG_INF, QComplex, fmt_log, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
+)
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 
@@ -130,7 +132,7 @@ class SynthesisStep(NamedTuple):
     radius: float
     eps: Fraction
     correction: TaylorPolynomial
-    correction_norm: LogMagnitude
+    correction_norm: float  # log ||h_k|| on |z| <= r_k
     cross_norm_logs: Tuple[float, ...]  # against all earlier global steps
 
 
@@ -138,7 +140,7 @@ class ResidualRecord(NamedTuple):
     index: int
     n: int
     radius: float
-    residual: LogMagnitude
+    residual: float  # log ||P_{n_i}(D) x - y_i|| on |z| <= r_i
     budget_log: float  # log sum(eps_j, j > i) within the trace's schedule
     certificate_log: float  # log 2^(1-i)
     within_budget: bool
@@ -165,7 +167,7 @@ def _top_image_logs(h: TaylorPolynomial, priors: Iterable[Tuple[int, float, floa
     cancel, and its term alone (K!/(K-m)! from ``log_falling``) bounds the majorant from below.
     -inf when K < m."""
     k = h.degree
-    log_top = LogMagnitude.of(h.coefficient(k)).log if k >= 0 else 0.0
+    log_top = log_abs(h.coefficient(k)) if k >= 0 else 0.0
     for m, log_c, log_r in priors:
         yield log_c + log_top + log_falling(k, m) + (k - m) * log_r if k >= m else -math.inf
 
@@ -217,11 +219,11 @@ def _build_schedule(
                 continue
             if target.is_zero:
                 h = TaylorPolynomial.zero()
-                h_norm = LogMagnitude.zero()
+                h_norm = NEG_INF
             else:
                 h = inverse_for_polynomial(seq.op(n), target)
                 h_norm = h.majorant_norm(r_s)
-                if not log_margin(h_norm.log, e_log) > 0:
+                if not log_margin(h_norm, e_log) > 0:
                     fail["self_norm"] += 1
                     continue
             if any(log_margin(floor, e_log) < 0 for floor in _top_image_logs(h, reversed(priors))):
@@ -231,10 +233,10 @@ def _build_schedule(
             ok = True
             for prior in reversed(steps):
                 c = apply_operator(seq.op(prior.n), h).majorant_norm(prior.radius)
-                if not log_margin(c.log, e_log) > 0:
+                if not log_margin(c, e_log) > 0:
                     ok = False
                     break
-                cross_logs.append(c.log)
+                cross_logs.append(c)
             if not ok:
                 fail["cross_norm"] += 1
                 continue
@@ -265,46 +267,37 @@ def _build_schedule(
             )
         )
         m = seq.valence(chosen)
-        priors.append((m, LogMagnitude.of(seq.op(chosen).coefficient(m)).log, math.log(r_s)))
+        priors.append((m, log_abs(seq.op(chosen).coefficient(m)), math.log(r_s)))
         if not h.is_zero:
             max_deg = max(max_deg, h.degree)
         n_prev = chosen
     return steps
 
 
-def _trace_vector(steps: Sequence[SynthesisStep], trace_id: int) -> TaylorPolynomial:
-    vec = TaylorPolynomial.zero()
-    for step in steps:
-        if step.trace == trace_id:
-            vec = vec + step.correction
-    return vec
-
-
-def _residual(op: PolynomialOperator, x: TaylorPolynomial, y: TaylorPolynomial, r: float) -> LogMagnitude:
-    """||P(D) x - y|| on |z| <= r: the orbit residual every certificate rests on."""
+def _residual(op: PolynomialOperator, x: TaylorPolynomial, y: TaylorPolynomial, r: float) -> float:
+    """log ||P(D) x - y|| on |z| <= r: the orbit residual every certificate rests on."""
     return (apply_operator(op, x) - y).majorant_norm(r)
 
 
-def _residual_table(
-    seq: OperatorSequence,
-    steps: Sequence[SynthesisStep],
-    trace_id: int,
-    vector: TaylorPolynomial,
-) -> Tuple[ResidualRecord, ...]:
-    """Direct recomputation of every residual, independent of the bookkeeping."""
-    own = [s for s in steps if s.trace == trace_id]
+def _assemble(seq: OperatorSequence, steps: Sequence[SynthesisStep], trace_id: int) -> SynthesisTrace:
+    """The trace trace_id of a built schedule: its steps, the sum of their corrections, and every
+    residual recomputed directly on that sum, independent of the bookkeeping."""
+    own = tuple(s for s in steps if s.trace == trace_id)
+    vector = TaylorPolynomial.zero()
+    for step in own:
+        vector = vector + step.correction
     records = []
     for pos, step in enumerate(own, start=1):
         residual = _residual(seq.op(step.n), vector, step.target, step.radius)
         tail = sum((s.eps for s in own[pos:]), Fraction(0))
         budget_log = log_fraction(tail) if tail else -math.inf
         cert_log = (1 - pos) * LN2
-        within = log_margin(residual.log, budget_log) >= 0
-        certified = log_margin(residual.log, cert_log) > 0
+        within = log_margin(residual, budget_log) >= 0
+        certified = log_margin(residual, cert_log) > 0
         if not certified:
             raise InvariantViolation(
                 f"residual certificate failed at step {pos}: log residual "
-                f"{residual.log:.6g} exceeds log 2^{{1-{pos}}} = {cert_log:.6g}"
+                f"{residual:.6g} exceeds log 2^{{1-{pos}}} = {cert_log:.6g}"
             )
         records.append(
             ResidualRecord(
@@ -318,7 +311,7 @@ def _residual_table(
                 certified=certified,
             )
         )
-    return tuple(records)
+    return SynthesisTrace(seq=seq, steps=own, vector=vector, residuals=tuple(records))
 
 
 def synthesize(
@@ -338,10 +331,7 @@ def synthesize(
     if not targets:
         raise PreconditionError("need at least one target")
     schedule = [(0, t) for t in targets]
-    steps = _build_schedule(seq, schedule, n_cap, index_pool)
-    vector = _trace_vector(steps, 0)
-    residuals = _residual_table(seq, steps, 0, vector)
-    return SynthesisTrace(seq=seq, steps=tuple(steps), vector=vector, residuals=residuals)
+    return _assemble(seq, _build_schedule(seq, schedule, n_cap, index_pool), 0)
 
 
 # -- perturbation ------------------------------------------------------------------
@@ -351,8 +341,8 @@ class PerturbRow(NamedTuple):
     index: int
     n: int
     annihilated: bool  # m(n_i) > deg g, so the residual is literally unchanged
-    residual: LogMagnitude
-    base_residual: LogMagnitude
+    residual: float
+    base_residual: float
     exactly_equal: bool
 
 
@@ -369,7 +359,7 @@ def perturb(trace: SynthesisTrace, g: TaylorPolynomial) -> PerturbReport:
     for step, base in zip(trace.steps, trace.residuals):
         residual = _residual(seq.op(step.n), combined, step.target, step.radius)
         annihilated = seq.valence(step.n) > g.degree
-        equal = residual.log == base.residual.log
+        equal = residual == base.residual
         if annihilated and not equal:
             raise InvariantViolation(
                 f"annihilated step {step.index} changed its residual under perturbation"
@@ -395,8 +385,8 @@ class AugmentRow(NamedTuple):
     step_index: int
     n: int
     radius: float
-    direct: LogMagnitude  # ||P_n(D)(v + lam x0) - y|| recomputed on the sum
-    bound: LogMagnitude  # v residual + |lam| * base orbit norm
+    direct: float  # log ||P_n(D)(v + lam x0) - y|| recomputed on the sum
+    bound: float  # log(v residual + |lam| * base orbit norm)
     stated_log: float  # log 2^(2-i)
     ok: bool
 
@@ -456,12 +446,12 @@ def augment(
         for lam in lambda_set:
             lam = Fraction(lam)
             direct = _residual(op, second.vector + x0.scale(lam), y, step.radius)
-            bound = v_res + LogMagnitude.of(lam) * base_orbit
-            ok = log_margin(direct.log, bound.log) >= 0 and log_margin(bound.log, stated_log) > 0
+            bound = log_sum((v_res, log_abs(lam) + base_orbit))
+            ok = log_margin(direct, bound) >= 0 and log_margin(bound, stated_log) > 0
             if not ok:
                 raise InvariantViolation(
                     f"augmentation bound failed at step {pos}, lambda {lam}: "
-                    f"direct {direct.log:.6g}, bound {bound.log:.6g}, stated {stated_log:.6g}"
+                    f"direct {direct:.6g}, bound {bound:.6g}, stated {stated_log:.6g}"
                 )
             rows.append(
                 AugmentRow(
@@ -489,7 +479,7 @@ class ComboRow(NamedTuple):
     global_step: int
     n: int
     radius: float
-    direct: LogMagnitude
+    direct: float
     tolerance_log: float
     ok: bool
 
@@ -541,14 +531,7 @@ def joint_family(
             schedule.append((designated, scaled))
             combo_slots.append((len(schedule), combo, t_idx))
     steps = _build_schedule(seq, schedule, n_cap)
-    traces = []
-    for tid in range(trace_count):
-        vector = _trace_vector(steps, tid)
-        own = tuple(s for s in steps if s.trace == tid)
-        residuals = _residual_table(seq, steps, tid, vector)
-        traces.append(
-            SynthesisTrace(seq=seq, steps=own, vector=vector, residuals=residuals)
-        )
+    traces = [_assemble(seq, steps, tid) for tid in range(trace_count)]
     supports = []
     for step in steps:
         if not step.correction.is_zero:
@@ -568,11 +551,11 @@ def joint_family(
         direct = _residual(seq.op(step.n), combined, y, step.radius)
         abs_sum = sum(abs(c) for c in combo)
         tolerance_log = log_fraction(abs_sum) - global_step * LN2
-        ok = log_margin(direct.log, tolerance_log) > 0
+        ok = log_margin(direct, tolerance_log) > 0
         if not ok:
             raise InvariantViolation(
                 f"combination bound failed at global step {global_step}: "
-                f"direct {direct.log:.6g} > tolerance {tolerance_log:.6g}"
+                f"direct {direct:.6g} > tolerance {tolerance_log:.6g}"
             )
         combo_rows.append(
             ComboRow(
@@ -598,8 +581,8 @@ def _poly_json(poly: TaylorPolynomial) -> list:
     return [[j, format_scalar(c)] for j, c in poly.terms()]
 
 
-def _mag_json(mag: LogMagnitude):
-    return None if mag.is_zero else mag.log
+def _mag_json(log: float):
+    return None if log == NEG_INF else log
 
 
 def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from hyperdiff.errors import InvariantViolation, PreconditionError
-from hyperdiff.scalars import QC_ONE, QC_ZERO, LogMagnitude, QComplex
+from hyperdiff.scalars import QC_ONE, QC_ZERO, QComplex
 from hyperdiff.series import TaylorPolynomial, apply_operator
 
 # -- Cramer route ----------------------------------------------------------------
@@ -169,8 +169,8 @@ def cramer_with_cofactors(a: Sequence, k: int) -> Tuple[Tuple[QComplex, ...], Co
 # -- exact decay route -----------------------------------------------------------
 
 
-def exact_tail_norms(basis, f: TaylorPolynomial, r: float) -> List[LogMagnitude]:
-    """Per step k, the majorant norm of P_{n_k}(D) applied to the strict tail of f,
+def exact_tail_norms(basis, f: TaylorPolynomial, r: float) -> List[float]:
+    """Per step k, the log majorant norm of P_{n_k}(D) applied to the strict tail of f,
     from the materialized exact image (f must lie on the basis exponents)."""
     coeffs = dict(f.terms())
     norms = []

@@ -100,6 +100,17 @@ class TestExitCodes:
         assert captured.err.startswith("PreconditionError: need at least one") and "Traceback" not in captured.err
         assert "hold" not in captured.out
 
+    @pytest.mark.parametrize("command", ["synthesize", "perturb"])
+    @pytest.mark.parametrize("targets", ["polys:1;2;3", "diagonal"])
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one_is_precondition_error(self, tmp_path, capsys, command, targets, count):
+        # a negative count must not slice targets off the end of a literal list
+        rc = run(command, "--family", "F4", "--targets", targets, "--count", count, "--out", str(tmp_path))
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("PreconditionError: ") and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_f2_greedy_step_with_underflowing_inverse(self, tmp_path, capsys):
         # the F2 inverses for the target 1 at n = 219..709 underflow in doubles, and
         # a_0 is subnormal at n = 710; F2's exact dyadic coefficients carry the
@@ -182,7 +193,7 @@ class TestExitCodes:
         assert not (tmp_path / "out").exists()
 
     def test_exact_sample_tokens_stay_exact(self):
-        (parse,) = [key.parse for key in COMMANDS["check-properties"] if key.name == "u_samples"]
+        (parse,) = [key.parse for key in COMMANDS["check-properties"].keys if key.name == "u_samples"]
         assert parse("1e400,-5/2") == (QComplex(Fraction(10) ** 400), QComplex(Fraction(-5, 2)))
         # a non-real token is read as complex doubles, which enter as their exact dyadic values
         assert parse("1+2i,0.1-3i") == (QComplex(1, 2), QComplex(Fraction(0.1), -3))
@@ -537,7 +548,7 @@ def _cli_case(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     values = {}
     reads = ()
-    for key in COMMANDS[command]:
+    for key in COMMANDS[command].keys:
         # family is always set (and drawn first), and so is n_cap for the greedy
         # commands: their default cap of 10**6 candidates is a long linear search
         # by design; build-m0's galloping index search ends quickly at the default cap

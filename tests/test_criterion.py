@@ -51,7 +51,7 @@ def report():
     ],
 )
 def test_exact_identities_are_never_refuted(family, route, n_max, u_samples):
-    (parse,) = [key.parse for key in COMMANDS["verify-criterion"] if key.name == "u_samples"]
+    (parse,) = [key.parse for key in COMMANDS["verify-criterion"].keys if key.name == "u_samples"]
     cfg = CriterionConfig(n_hi=n_max, u_samples=parse(u_samples))
     ev = verify_hypotheses(make_family(family), route, cfg).items["iii"]
     assert ev.verdict == "supports"

@@ -16,7 +16,7 @@ from hyperdiff.inverses import (
     stirling_threshold_ok,
     write_right_inverse,
 )
-from hyperdiff.scalars import LogMagnitude, QComplex
+from hyperdiff.scalars import NEG_INF, QComplex, log_abs, log_sum
 from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -97,8 +97,8 @@ class TestSolveMonicSystem:
         a = [1e-130, 1.0]
         b = solve_monic_system(a, 3)
         assert b[3] == QComplex(1 / Fraction(1e-130))
-        assert LogMagnitude.of(b[3]).log == pytest.approx(-math.log(1e-130), rel=1e-12)
-        assert LogMagnitude.of(b[0]).log == pytest.approx(-4 * math.log(1e-130) + math.log(6), rel=1e-12)
+        assert log_abs(b[3]) == pytest.approx(-math.log(1e-130), rel=1e-12)
+        assert log_abs(b[0]) == pytest.approx(-4 * math.log(1e-130) + math.log(6), rel=1e-12)
 
     def test_triangularity(self):
         # b_s depends only on a_0..a_{k-s}
@@ -152,14 +152,11 @@ class TestCramerCrossCheck:
             if not a[0]:
                 a[0] = QComplex(1)
             b, table = cramer_with_cofactors(a, k)
-            c_log = max(LogMagnitude.of(v).log for row in table.phi for v in row)  # C = max |Phi_{j,s,k}|
-            inv_a0 = -LogMagnitude.of(a[0]).log
+            c_log = max(log_abs(v) for row in table.phi for v in row)  # C = max |Phi_{j,s,k}|
+            inv_a0 = -log_abs(a[0])
             for s, bs in enumerate(b):
-                lhs = LogMagnitude.of(bs)
-                rhs = LogMagnitude.sum(
-                    LogMagnitude(c_log + (k + 1 - j) * inv_a0) for j in range(0, k + 1)
-                )
-                assert lhs.log <= rhs.log + 1e-9
+                rhs = log_sum(c_log + (k + 1 - j) * inv_a0 for j in range(0, k + 1))
+                assert log_abs(bs) <= rhs + 1e-9
 
 
 class TestBuildF:
@@ -217,7 +214,7 @@ class TestFnkDecay:
     def test_f4_closed_form_norms(self):
         rep = fnk_decay(make_family("F4"), 0, 2.0, (1, 30))
         for row, n in zip(rep.rows, range(1, 31)):
-            assert row.norm.log == pytest.approx(
+            assert row.norm == pytest.approx(
                 n * math.log(2) - math.lgamma(n + 1), rel=1e-9
             )
         assert rep.verdict == "supports"
@@ -236,7 +233,7 @@ class TestFnkDecay:
     def test_norm_nonnegative_any_single_n(self):
         seq = make_family("F1")
         mag = fnk_norm_log(seq, 7, 3, 2.0)
-        assert not mag.is_zero
+        assert mag != NEG_INF
 
     def test_requires_r_above_one(self):
         with pytest.raises(PreconditionError):
@@ -247,9 +244,9 @@ class TestFnkDecay:
         # the exact solve does not, so every norm of the sweep is finite
         table = [PolynomialOperator({m: 1e-130, m + 1: 1.0}) for m in range(1, 9)]
         rep = fnk_decay(make_family("F5", {"ops": table}), 3, 2.0, (2, 8))
-        assert all(math.isfinite(row.norm.log) for row in rep.rows)
+        assert all(math.isfinite(row.norm) for row in rep.rows)
         inv = build_f_nk(table[1], 3)  # verified with rational equality on construction
-        assert rep.rows[0].norm.log == inv.f.majorant_norm(2.0).log
+        assert rep.rows[0].norm == inv.f.majorant_norm(2.0)
 
     def test_exact_and_ratio_routes_agree_on_unit_f2(self):
         # one route now: the norm is the exact inverse's majorant, for F2 with either c_mode
@@ -258,7 +255,7 @@ class TestFnkDecay:
             for n in (3, 8, 15, 710):
                 for k in (0, 1, 2):
                     inv = build_f_nk(seq.op(n), k)
-                    assert fnk_norm_log(seq, n, k, 2.0).log == inv.f.majorant_norm(2.0).log
+                    assert fnk_norm_log(seq, n, k, 2.0) == inv.f.majorant_norm(2.0)
 
     def test_stirling_marker_matches_hand_computation(self):
         seq = make_family("F4")

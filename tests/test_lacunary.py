@@ -21,7 +21,7 @@ from hyperdiff.lacunary import (
     write_basis_csv,
     write_decay_csv,
 )
-from hyperdiff.scalars import LN2, QComplex, log_margin
+from hyperdiff.scalars import LN2, NEG_INF, QComplex, log_margin
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 from oracles import collision_free, exact_tail_norms
 
@@ -91,7 +91,7 @@ def linear_select(seq, count, n_start, n_cap):
     chosen = [n]
     while len(chosen) < count:
         degree = seq.degree(chosen[-1])
-        target = max(seq.coeff_abs_log_sum(chosen[-1]).log, 0.0) + degree
+        target = max(seq.coeff_abs_log_sum(chosen[-1]), 0.0) + degree
         n = chosen[-1] + 1
         while n <= n_cap:
             m = seq.valence(n)
@@ -318,14 +318,14 @@ class TestDecayReport:
         rep = decay_report(f4_basis, f, 1.0)
         # at step 2 the operator valence exceeds the member degree: the image
         # is exactly zero, and the step-2 bound sum has no surviving terms
-        assert rep.rows[1].measured.is_zero and rep.rows[1].full.is_zero
-        assert rep.rows[1].bound.is_zero
+        assert rep.rows[1].measured == NEG_INF and rep.rows[1].full == NEG_INF
+        assert rep.rows[1].bound == NEG_INF
         # step 1 carries the single coefficient: bound (2r)^{m_1} = 2^3
-        assert rep.rows[0].bound.log == pytest.approx(3 * math.log(2))
+        assert rep.rows[0].bound == pytest.approx(3 * math.log(2))
 
     def test_zero_member(self, f4_basis):
         rep = decay_report(f4_basis, TaylorPolynomial.zero(), 1.0)
-        assert all(r.measured.is_zero and r.bound.is_zero and r.full.is_zero for r in rep.rows)
+        assert all(r.measured == NEG_INF and r.bound == NEG_INF and r.full == NEG_INF for r in rep.rows)
 
     def test_geometric_member_bounds(self, f4_basis):
         f = m0_member(f4_basis, [QComplex(Fraction(1, 4**e.valence)) for e in f4_basis.entries])
@@ -334,11 +334,11 @@ class TestDecayReport:
             expected = sum(
                 Fraction(1, 2 ** e.valence) for e in f4_basis.entries if e.k >= row.k
             )
-            assert row.bound.log == pytest.approx(
+            assert row.bound == pytest.approx(
                 math.log(expected.numerator) - math.log(expected.denominator), rel=1e-9
             )
-            assert row.measured.log <= row.bound.log + 1e-9
-        bounds = [r.bound.log for r in rep.rows]
+            assert row.measured <= row.bound + 1e-9
+        bounds = [r.bound for r in rep.rows]
         assert all(b < a for a, b in zip(bounds, bounds[1:]))
         assert rep.measured_nonincreasing
 
@@ -375,8 +375,8 @@ class TestDecayReport:
         f = m0_member(basis, [QComplex(0), QComplex(1), QComplex(-1)])
         row = decay_report(basis, f, 1.0).rows[0]
         exact = exact_tail_norms(basis, f, 1.0)[0]
-        assert log_margin(exact.log, row.measured.log) > 0
-        assert row.measured.log <= row.bound.log
+        assert log_margin(exact, row.measured) > 0
+        assert row.measured <= row.bound
 
     def test_pow2cubic_basis_reads_logs_not_coefficients(self):
         # P_535 = 2^(-535^3) z^535: materializing the image would build a
@@ -416,17 +416,17 @@ class TestDecayReport:
         basis = select_indices(seq, 4, n_start=3)
         f = m0_member(basis, [QComplex(Fraction(1, 5**e.valence)) for e in basis.entries])
         rep = decay_report(basis, f, 1.0)
-        assert all(r.measured.log <= r.bound.log + 1e-9 for r in rep.rows)
+        assert all(r.measured <= r.bound + 1e-9 for r in rep.rows)
 
 
 def _assert_matches_oracle(report, oracle, rel=1e-12):
     """Each measured log equals the exact oracle's within rel of max(1, |log|)."""
     assert len(report.rows) == len(oracle)
     for row, want in zip(report.rows, oracle):
-        if want.is_zero:
-            assert row.measured.is_zero, row
+        if want == NEG_INF:
+            assert row.measured == NEG_INF, row
         else:
-            assert abs(row.measured.log - want.log) <= rel * max(1.0, abs(want.log)), (row, want)
+            assert abs(row.measured - want) <= rel * max(1.0, abs(want)), (row, want)
 
 
 class TestSerialization:

@@ -6,14 +6,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hyperdiff.scalars import (
+    NEG_INF,
     SLACK,
-    LogMagnitude,
     QComplex,
+    exp_log,
     falling_factorial,
     format_scalar,
+    log_abs,
     log_falling,
     log_fraction,
     log_margin,
+    log_sum,
     parse_real,
     parse_scalar,
     scale_by_int,
@@ -125,31 +128,47 @@ class TestQComplexAgainstPartFormulas:
 
 
 class TestLogMagnitude:
+    """Log magnitudes are plain float logs: ``log_abs``, ``log_sum`` and ``exp_log``."""
+
     def test_zero_identity(self):
-        z = LogMagnitude.zero()
-        one = LogMagnitude.one()
-        assert z.is_zero and (z * one).is_zero
-        assert (z + one).log == 0.0
-        assert z.value() == 0.0
+        assert log_abs(0) == log_abs(Fraction(0)) == log_abs(QComplex(0)) == log_abs(0.0) == NEG_INF
+        assert log_abs(0) + log_abs(QComplex(7)) == NEG_INF  # a product with an exact zero is an exact zero
+        assert log_sum((NEG_INF, 0.0)) == 0.0
+        assert exp_log(NEG_INF) == 0.0
 
     def test_huge_products_no_overflow(self):
-        big = LogMagnitude.of(Fraction(2**100000))
-        bigger = big * big * big
-        assert math.isfinite(bigger.log)
-        assert bigger.log == pytest.approx(300000 * math.log(2))
+        big = log_abs(Fraction(2**100000))
+        bigger = big + big + big
+        assert math.isfinite(bigger)
+        assert bigger == pytest.approx(300000 * math.log(2))
+
+    def test_huge_complex_no_overflow(self):
+        # both parts nonzero: the squared modulus is a rational far past the double range
+        got = log_abs(QComplex(Fraction(3 * 2**100000), Fraction(4 * 2**100000)))
+        assert got == pytest.approx(100000 * math.log(2) + math.log(5))
+        assert log_abs(QComplex(0, -Fraction(1, 2**100000))) == pytest.approx(-100000 * math.log(2))
 
     @given(st.floats(min_value=-500, max_value=500), st.floats(min_value=-500, max_value=500))
     def test_add_is_log_sum(self, x, y):
-        got = LogMagnitude(x) + LogMagnitude(y)
-        assert got.value() == pytest.approx(math.exp(x) + math.exp(y), rel=1e-12)
+        assert exp_log(log_sum((x, y))) == pytest.approx(math.exp(x) + math.exp(y), rel=1e-12)
+
+    def test_exp_log_overflows_to_inf(self):
+        assert exp_log(1000.0) == math.inf
+        assert exp_log(math.inf) == math.inf
+        assert exp_log(math.log(3.0)) == pytest.approx(3.0)
 
     def test_of_exact_fraction_matches_float(self):
         fr = Fraction(355, 113)
-        assert LogMagnitude.of(fr).log == pytest.approx(math.log(355 / 113))
+        assert log_abs(fr) == pytest.approx(math.log(355 / 113))
 
     def test_of_complex_parts(self):
-        assert LogMagnitude.of(QComplex(0, Fraction(-7))).log == pytest.approx(math.log(7))
-        assert LogMagnitude.of(QComplex(3, 4)).log == pytest.approx(math.log(5))
+        assert log_abs(QComplex(0, Fraction(-7))) == pytest.approx(math.log(7))
+        assert log_abs(QComplex(3, 4)) == pytest.approx(math.log(5))
+
+    def test_of_native_scalars(self):
+        assert log_abs(-(10**400)) == pytest.approx(400 * math.log(10))
+        assert log_abs(-2.5) == math.log(2.5)
+        assert log_abs(3 + 4j) == pytest.approx(math.log(5))
 
     def test_log_fraction_keeps_the_digits_next_to_1(self):
         # log p - log q rounds log(1 - 14^-14) to 0.0; |P_14(-1)| of F1 is 1 - 14^-14
@@ -162,22 +181,28 @@ class TestLogMagnitude:
             log_fraction(Fraction(0))
 
     def test_sum_empty_and_overflow_free(self):
-        assert LogMagnitude.sum([]).is_zero
-        items = [LogMagnitude(1000.0), LogMagnitude(999.0)]
-        assert LogMagnitude.sum(items).log == pytest.approx(1000.0 + math.log1p(math.exp(-1)))
+        assert log_sum([]) == NEG_INF
+        assert log_sum([NEG_INF, NEG_INF]) == NEG_INF
+        assert log_sum([1000.0, 999.0]) == pytest.approx(1000.0 + math.log1p(math.exp(-1)))
 
     def test_sum_is_correctly_rounded(self):
         # a plain left-to-right float sum rounds 1 + 10 * 1e-16 to 1
         logs = [0.0] + [math.log(1e-16)] * 10
         want = math.log(math.fsum(math.exp(x) for x in logs))
         assert want > 0.0
-        assert LogMagnitude.sum(LogMagnitude(x) for x in logs).log == want
+        assert log_sum(iter(logs)) == want
 
     def test_add_is_the_two_term_sum(self):
         logs = [-math.inf, -800.0, math.log(1e-16), -1.0, 0.0, 0.1, 1.0, 700.0, 1e308, math.inf]
         for a, b in itertools.product(logs, repeat=2):
-            x, y = LogMagnitude(a), LogMagnitude(b)
-            assert (x + y).log == LogMagnitude.sum((x, y)).log, (a, b)
+            got = log_sum((a, b))
+            assert type(got) is float and got == log_sum((b, a)), (a, b)
+            if math.isinf(a) or math.isinf(b):
+                assert got == max(a, b), (a, b)  # -inf adds nothing, inf absorbs everything
+            else:
+                hi, lo = max(a, b), min(a, b)
+                want = hi + math.log1p(math.exp(lo - hi))
+                assert got == pytest.approx(want, rel=2**-50, abs=2**-50), (a, b)
 
 
 class TestFallingFactorial:
@@ -280,7 +305,7 @@ class TestScalarText:
         for big in (math.factorial(200), math.factorial(400)):
             out = scale_by_int(tiny, big)
             assert out == QComplex(Fraction(1e-300) * big)
-            assert LogMagnitude.of(out).log == pytest.approx(math.log(1e-300) + math.log(big), rel=1e-12)
+            assert log_abs(out) == pytest.approx(math.log(1e-300) + math.log(big), rel=1e-12)
 
     def test_scale_by_int_exact(self):
         assert scale_by_int(QComplex(Fraction(1, 3)), 6) == QComplex(2)
