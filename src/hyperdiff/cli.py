@@ -554,17 +554,12 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hyperdiff",
-        description="checks and constructions for differential operator sequences",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for command, (_, keys) in COMMANDS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", default=None, help="key=value configuration file")
-        for key in keys:
-            p.add_argument(f"--{key.name.replace('_', '-')}", dest=key.name, default=None, help=key.help)
+def _build_parser(command: str) -> argparse.ArgumentParser:
+    """The flags of one command; each call builds the requested command's parser only."""
+    parser = argparse.ArgumentParser(prog=f"hyperdiff {command}")
+    parser.add_argument("--config", default=None, help="key=value configuration file")
+    for key in COMMANDS[command].keys:
+        parser.add_argument(f"--{key.name.replace('_', '-')}", dest=key.name, default=None, help=key.help)
     return parser
 
 
@@ -579,18 +574,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not command:
                 raise ConfigError("config file names no command")
             argv = [command] + argv
-        parser = _build_parser()
-        ns = parser.parse_args(argv)
-        if ns.command is None:
+        if argv[:1] in (["-h"], ["--help"]):
+            print("usage: hyperdiff <command> [--config FILE] [--key VALUE ...]\n\nchecks and constructions "
+                  "for differential operator sequences\n\ncommands:\n  " + "\n  ".join(COMMANDS))
+            return 0
+        if not argv or argv[0].startswith("-"):
             raise ConfigError("no command given")
+        command = argv[0]
+        if command not in COMMANDS:
+            raise ConfigError(f"unknown command {command!r}; commands: {', '.join(COMMANDS)}")
+        ns = _build_parser(command).parse_args(argv[1:])
         file_values = load_config_file(ns.config) if ns.config else {}
-        if "command" in file_values and file_values["command"] != ns.command:
+        if "command" in file_values and file_values["command"] != command:
             raise ConfigError(
-                f"config file commands {file_values['command']!r} but {ns.command!r} requested"
+                f"config file commands {file_values['command']!r} but {command!r} requested"
             )
-        flag_values = {key.name: getattr(ns, key.name) for key in COMMANDS[ns.command].keys}
-        cfg = _resolve(ns.command, flag_values, file_values)
-        return COMMANDS[ns.command].run(cfg)
+        flag_values = {key.name: getattr(ns, key.name) for key in COMMANDS[command].keys}
+        return COMMANDS[command].run(_resolve(command, flag_values, file_values))
     except HyperdiffError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -23,7 +23,7 @@ from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
-from .scalars import QComplex, log_margin
+from .scalars import QComplex, json_log, log_margin
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
 from .synthesis import _residual
 
@@ -253,8 +253,8 @@ def write_criterion_jsonl(report: CriterionReport, out: TextIO) -> None:
 def _jsonable(row: dict) -> dict:
     out = {}
     for key, val in row.items():
-        if isinstance(val, float) and math.isinf(val):
-            out[key] = "-inf" if val < 0 else "inf"
+        if isinstance(val, float):
+            out[key] = json_log(val)
         elif isinstance(val, tuple):
             out[key] = list(val)
         else:

@@ -482,6 +482,8 @@ def check_property_Q(
     bound: dict[int, float] = dict.fromkeys(growth, NEG_INF)
     for n in ns:
         m = seq.valence(n)
+        if m < 1:  # the statistic m |c_m|^(k/m) needs m >= 1
+            raise PreconditionError(f"property (Q) needs valence >= 1, but P_{n} has valence {m}")
         top = m + k_max
         logs = dict(itertools.takewhile(lambda item: item[0] <= top, seq._log_items(n)))
         for k, track in growth.items():

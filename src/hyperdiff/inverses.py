@@ -86,13 +86,9 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
-    pairs = []
-    for s, b_s in enumerate(b):
-        if not b_s:
-            continue
-        den = falling_factorial(s + m, m)  # (s+1)(s+2)...(s+m)
-        pairs.append((s + m, divide_by_int(b_s, den)))
-    f = TaylorPolynomial.from_pairs(pairs)
+    # f_{s+m} = b_s / ((s+1)(s+2)...(s+m)), in increasing degree; b_k = 1/a_0 != 0, so N = k + m
+    terms = {s + m: divide_by_int(b_s, falling_factorial(s + m, m)) for s, b_s in enumerate(b) if b_s}
+    f = TaylorPolynomial._raw(terms, k + m)
     if verify:
         image = apply_operator(op, f)
         if image != TaylorPolynomial.monomial(k, QC_ONE):
@@ -104,11 +100,8 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
 
 def inverse_for_polynomial(op: PolynomialOperator, y: TaylorPolynomial) -> TaylorPolynomial:
     """Linear extension: sum(y_k f_{n,k}); P(D) applied to it returns y exactly."""
-    result = TaylorPolynomial.zero()
-    for k, y_k in y.terms():
-        inv = build_f_nk(op, k, verify=False)
-        result = result + inv.f.scale(y_k)
-    return result
+    terms = [build_f_nk(op, k, verify=False).f.scale(y_k) for k, y_k in y.terms()]
+    return sum(terms[1:], terms[0]) if terms else TaylorPolynomial.zero()
 
 
 # -- decay sweep -------------------------------------------------------------------

@@ -255,11 +255,11 @@ def log_abs(value) -> float:
 
 
 def log_sum(logs: Iterable[float]) -> float:
-    """log(sum(exp(l))) over logs: -inf for no term or only -inf terms, inf if a term is inf.
-    The float sum is ``math.fsum``, correctly rounded on every Python version."""
+    """log(sum(exp(l))) over logs, summed by ``math.fsum`` (correctly rounded on every Python):
+    -inf for no term or only -inf terms, inf if a term is inf, a lone term as it is (hi + log 1)."""
     logs = [l for l in logs if l != NEG_INF]
-    if not logs:
-        return NEG_INF
+    if len(logs) < 2:
+        return logs[0] if logs else NEG_INF
     hi = max(logs)
     if hi == math.inf:
         return hi
@@ -277,6 +277,12 @@ def exp_log(log: float) -> float:
 def fmt_log(log: float) -> str:
     """Text form of a log magnitude: "-inf" for an exact zero, else its repr."""
     return "-inf" if log == NEG_INF else repr(log)
+
+
+def json_log(log: float):
+    """JSON form of a log magnitude: an infinite log as its ``fmt_log`` text, "-inf" or "inf"
+    (``json.dumps`` would write the non-JSON token -Infinity), a finite one as the float."""
+    return fmt_log(log) if math.isinf(log) else log
 
 
 # -- scalar text format ------------------------------------------------------

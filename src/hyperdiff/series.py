@@ -282,9 +282,11 @@ class PolynomialOperator:
 
 
 def apply_operator(op: PolynomialOperator, f: TaylorPolynomial) -> TaylorPolynomial:
-    """P(D) f = sum(c_j f^(j)), linear in f, exact."""
+    """P(D) f = sum(c_j f^(j)), linear in f, exact; the terms j > N of P add f^(j) = 0."""
     result = TaylorPolynomial.zero()
     for j, c in op.terms():
+        if j > f.truncation:
+            break
         result = result + f.differentiate(j).scale(c)
     return result
 

@@ -36,7 +36,8 @@ from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
 from .scalars import (
-    LN2, NEG_INF, QComplex, fmt_log, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
+    LN2, NEG_INF, QComplex, fmt_log, format_scalar, json_log, log_abs, log_falling, log_fraction, log_margin,
+    log_sum,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
@@ -581,10 +582,6 @@ def _poly_json(poly: TaylorPolynomial) -> list:
     return [[j, format_scalar(c)] for j, c in poly.terms()]
 
 
-def _mag_json(log: float):
-    return None if log == NEG_INF else log
-
-
 def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:
     """One record per step, then one residual record per step, then a summary."""
     for step in trace.steps:
@@ -598,8 +595,8 @@ def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:
                     "eps": str(step.eps),
                     "target": _poly_json(step.target),
                     "correction": _poly_json(step.correction),
-                    "correction_norm_log": _mag_json(step.correction_norm),
-                    "cross_norm_logs": list(step.cross_norm_logs),
+                    "correction_norm_log": json_log(step.correction_norm),
+                    "cross_norm_logs": [json_log(l) for l in step.cross_norm_logs],
                 },
                 sort_keys=True,
             )
@@ -613,9 +610,9 @@ def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:
                     "step": rec.index,
                     "n": rec.n,
                     "radius": rec.radius,
-                    "residual_log": _mag_json(rec.residual),
-                    "budget_log": None if math.isinf(rec.budget_log) else rec.budget_log,
-                    "certificate_log": rec.certificate_log,
+                    "residual_log": json_log(rec.residual),
+                    "budget_log": json_log(rec.budget_log),
+                    "certificate_log": json_log(rec.certificate_log),
                     "within_budget": rec.within_budget,
                     "certified": rec.certified,
                 },

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -240,6 +241,96 @@ class TestExitCodes:
         assert rc == 2
         assert capsys.readouterr().err.startswith("ConfigError: F2 log_base must be e or a finite number")
         assert not (tmp_path / "out").exists()
+
+
+    def test_valence_zero_table_is_precondition_error(self, tmp_path, capsys):
+        # (Q) takes log m(n): an operator of valence 0 is named, not a math domain error
+        table = tmp_path / "t.coeffs"
+        table.write_text("#operator m=1 d=2\n1,1,0\n2,1,0\n#operator m=0 d=2\n0,-1,0\n2,1,0\n")
+        rc = run("check-properties", "--family", "F5", "--table", str(table), "--props", "Q",
+                 "--n-max", "2", "--out", str(tmp_path / "out"))
+        assert rc == 3
+        assert capsys.readouterr().err == "PreconditionError: property (Q) needs valence >= 1, but P_2 has valence 0\n"
+
+
+class TestFrontDoor:
+    @pytest.mark.parametrize("flag", ["--help", "-h"])
+    def test_help_lists_every_command(self, capsys, flag):
+        assert run(flag) == 0
+        listed = capsys.readouterr().out.split("commands:\n")[1].split()
+        assert listed == list(COMMANDS) and len(listed) == 9
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_command_help_lists_its_flags(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: hyperdiff {command} ")
+        flags = {tok.rstrip(",") for tok in out.split() if tok.startswith("--")}
+        assert flags == {"--help", "--config"} | {f"--{k.name.replace('_', '-')}" for k in COMMANDS[command].keys}
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("no-such-command",), "ConfigError: unknown command 'no-such-command'; commands: check-properties, "),
+            ((), "ConfigError: no command given\n"),
+            (("--out", "x", "synthesize"), "ConfigError: no command given\n"),
+        ],
+    )
+    def test_unknown_or_missing_command_is_config_error(self, capsys, argv, message):
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_unknown_command_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command=no-such-command\n")
+        assert run("--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("ConfigError: unknown command 'no-such-command'")
+
+    def test_one_parser_per_call(self, tmp_path, monkeypatch, capsys):
+        # only the requested command's flags are declared
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(
+            argparse.ArgumentParser, "__init__",
+            lambda self, *args, **kwargs: built.append(kwargs.get("prog")) or init(self, *args, **kwargs),
+        )
+        assert run("build-inverse", "--family", "F4", "--n", "6", "--k", "2", "--out", str(tmp_path)) == 0
+        assert built == ["hyperdiff build-inverse"]
+
+
+def _json_logs(path):
+    """Every value of a *_log or *_logs field of a JSON-lines file; a non-JSON constant raises."""
+    def reject(token):
+        raise ValueError(f"{path.name}: non-JSON constant {token}")
+
+    logs = []
+    for line in path.read_text().splitlines():
+        for key, val in json.loads(line, parse_constant=reject).items():
+            if key.endswith(("_log", "_logs")):
+                logs += val if isinstance(val, list) else [val]
+    return logs
+
+
+class TestJsonLogs:
+    def test_one_encoding_of_an_exact_zero(self, tmp_path, capsys):
+        """criterion.jsonl and the trace files spell an infinite log "-inf" or "inf", as the CSV files do."""
+        assert run("verify-criterion", "--family", "F4", "--route", "Q", "--n-max", "40",
+                   "--out", str(tmp_path / "crit")) == 0
+        assert run("synthesize", "--family", "F4", "--count", "8", "--out", str(tmp_path / "syn")) == 0
+        assert run("augment", "--family", "F4", "--base-count", "8", "--extra", "1",
+                   "--out", str(tmp_path / "aug")) == 0
+        files = sorted(tmp_path.rglob("*.jsonl"))
+        assert [p.name for p in files] == ["base_trace.jsonl", "second_trace.jsonl", "criterion.jsonl", "trace.jsonl"]
+        for path in files:
+            logs = _json_logs(path)
+            assert "-inf" in logs, path.name
+            assert all(type(v) is float or v in ("-inf", "inf") for v in logs), path.name
+        residuals = [json.loads(line) for line in (tmp_path / "syn" / "trace.jsonl").read_text().splitlines()]
+        assert residuals[-2]["budget_log"] == "-inf"  # the last step has no later eps_j
+        with open(tmp_path / "syn" / "residuals.csv") as handle:
+            assert handle.read().splitlines()[-1].split(",")[4] == "-inf"
 
 
 class TestConfigFile:

@@ -200,6 +200,35 @@ class TestBuildF:
         assert inverse_for_polynomial(p, TaylorPolynomial.zero()).is_zero
         assert inverse_for_polynomial(p, TaylorPolynomial.monomial(2)) == build_f_nk(p, 2).f
 
+    @pytest.mark.parametrize("family, ns", [("F4", (1, 2, 6, 11)), ("F3", (1, 2, 4)), ("F5", (1, 2))])
+    def test_truncation_is_k_plus_valence(self, family, ns):
+        # N = k + m, and the terms are b_s / ((s+1)...(s+m)) at s + m, as summed term by term
+        gaps = [
+            PolynomialOperator({1: QComplex(1), 4: QComplex(Fraction(-1, 2))}),
+            PolynomialOperator({2: QComplex(1), 3: QComplex(Fraction(1, 3)), 5: QComplex(2)}),
+        ]
+        seq = make_family(family, {"ops": gaps} if family == "F5" else {})
+        for n in ns:
+            op = seq.op(n)
+            m = op.valence
+            for k in range(5):
+                inv = build_f_nk(op, k)
+                b = solve_monic_system(_shifted(op)[: k + 1], k)
+                pairs = [(s + m, b_s * QComplex(Fraction(math.factorial(s), math.factorial(s + m))))
+                         for s, b_s in enumerate(b)]
+                assert inv.f == TaylorPolynomial.from_pairs(pairs)
+                assert inv.f.truncation == k + m
+                buf = io.StringIO()
+                write_right_inverse(inv, buf)
+                assert buf.getvalue().splitlines()[1] == f"#taylor N={k + m}"
+                assert apply_operator(op, inv.f).truncation == k
+
+    def test_inverse_for_polynomial_truncation(self):
+        p = PolynomialOperator({2: QComplex(1), 3: QComplex(Fraction(1, 3)), 5: QComplex(2)})
+        for y in (TaylorPolynomial([1, 0, 3]), TaylorPolynomial([0, 0, 0, 2]), TaylorPolynomial([5])):
+            assert inverse_for_polynomial(p, y).truncation == y.degree + p.valence
+        assert inverse_for_polynomial(p, TaylorPolynomial.zero()).truncation == -1
+
     def test_serialization_round_trip(self):
         inv = build_f_nk(make_family("F4").op(6), 2)
         buf = io.StringIO()

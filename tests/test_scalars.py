@@ -11,7 +11,9 @@ from hyperdiff.scalars import (
     QComplex,
     exp_log,
     falling_factorial,
+    fmt_log,
     format_scalar,
+    json_log,
     log_abs,
     log_falling,
     log_fraction,
@@ -191,6 +193,20 @@ class TestLogMagnitude:
         want = math.log(math.fsum(math.exp(x) for x in logs))
         assert want > 0.0
         assert log_sum(iter(logs)) == want
+
+    def test_lone_term_is_returned_as_it_is(self):
+        # hi + log(fsum([1.0])) is hi, so a one-term sum loses no bits
+        for x in (-800.0, math.log(1e-16), -1.0, 0.5, 700.0, 1e308, math.inf):
+            for logs in ([x], [NEG_INF, x, NEG_INF]):
+                assert log_sum(iter(logs)) == x
+            if math.isfinite(x):
+                assert x + math.log(math.fsum([1.0])) == x
+
+    def test_json_form_matches_the_text_form(self):
+        # one spelling of an infinite log in JSON and CSV output; json.dumps would write -Infinity
+        assert json_log(NEG_INF) == fmt_log(NEG_INF) == "-inf"
+        assert json_log(math.inf) == fmt_log(math.inf) == "inf"
+        assert json_log(-1.5) == -1.5 and type(json_log(-1.5)) is float
 
     def test_add_is_the_two_term_sum(self):
         logs = [-math.inf, -800.0, math.log(1e-16), -1.0, 0.0, 0.1, 1.0, 700.0, 1e308, math.inf]

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyperdiff.criterion import _battery
+from hyperdiff.families import make_family
 from hyperdiff.scalars import NEG_INF, QComplex, exp_log, format_scalar, log_abs, log_sum, to_qcomplex
 from hyperdiff.series import (
     PolynomialOperator,
@@ -80,6 +82,57 @@ class TestApplyOperator:
         lhs = apply_operator(p, f.scale(QComplex(alpha)) + g.scale(QComplex(beta)))
         rhs = apply_operator(p, f).scale(QComplex(alpha)) + apply_operator(p, g).scale(QComplex(beta))
         assert lhs == rhs
+
+
+def _written(f):
+    buf = io.StringIO()
+    write_taylor(f, buf)
+    return buf.getvalue()
+
+
+def _term_by_term(op, f):
+    """P(D) f summed over every term of P, also the terms above N, whose f^(j) is zero."""
+    out = TaylorPolynomial.zero()
+    for j, c in op.terms():
+        out = out + f.differentiate(j).scale(c)
+    return out
+
+
+# the F5 table with interior zero coefficients: P_1 = z - z^4/2, P_2 = z^2 + z^3/3 + 2 z^5
+GAPS = [
+    PolynomialOperator({1: QComplex(1), 4: QComplex(Fraction(-1, 2))}),
+    PolynomialOperator({2: QComplex(1), 3: QComplex(Fraction(1, 3)), 5: QComplex(2)}),
+]
+
+
+class TestApplyOperatorTruncation:
+    """Equality ignores N, so each case also compares N and the written #taylor header."""
+
+    def _check(self, op, f):
+        got, want = apply_operator(op, f), _term_by_term(op, f)
+        assert got == want
+        assert got.truncation == want.truncation == (f.truncation - op.valence if op.valence <= f.truncation else -1)
+        assert _written(got) == _written(want)
+
+    def test_dense_f3_operators_on_the_criterion_battery(self):
+        seq = make_family("F3")
+        cases = [(seq.op(n), g) for g in _battery((0, 1, 2, 3, 4, 5), 0) for n in (1, 2, 3, 5, 8)]
+        assert sum(op.degree > g.truncation for op, g in cases) > len(cases) // 2  # terms above N
+        assert any(op.valence > g.truncation for op, g in cases)  # P(D) g = 0: every term above N
+        for op, g in cases:
+            self._check(op, g)
+
+    def test_gap_table_with_zero_top_coefficients(self):
+        # N above the degree: the cut is at N, not at the last nonzero coefficient
+        for coeffs in ([1], [0, 2], [1, 0, 3, 0], [Fraction(1, 2), 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 7]):
+            f = TaylorPolynomial([QComplex(c) for c in coeffs])
+            for op in GAPS:
+                self._check(op, f)
+
+    def test_zero_polynomial(self):
+        for op in GAPS:
+            got = apply_operator(op, TaylorPolynomial.zero())
+            assert got.is_zero and got.truncation == -1
 
 
 class TestOperatorType:
