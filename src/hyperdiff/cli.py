@@ -35,7 +35,7 @@ from .lacunary import (
     write_basis_csv,
     write_decay_csv,
 )
-from .scalars import QComplex, fmt_log, to_qcomplex
+from .scalars import QComplex, to_qcomplex, write_csv
 from .series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -327,13 +327,8 @@ def _cmd_unicity(cfg: Dict) -> int:
         raise ConfigError(f"unknown point source {spec!r}")
     est = unicity_exponent(source, cfg["r_max"], margin=cfg["margin"])
     out = _outdir(cfg)
-
-    def writer(handle):
-        handle.write("radius,count,slope\n")
-        for rad, cnt, slope in zip(est.radii, est.counts, est.slopes):
-            handle.write(f"{rad!r},{cnt},{slope!r}\n")
-
-    _write(out / "unicity.csv", writer)
+    rows = zip(est.radii, est.counts, est.slopes)
+    _write(out / "unicity.csv", lambda h: write_csv(h, "radius,count,slope", rows))
     print(f"chi estimate: {est.chi!r} (unicity supported: {est.unicity_supported})")
     return 0
 
@@ -412,16 +407,9 @@ def _cmd_synthesize(cfg: Dict) -> int:
 def _cmd_perturb(cfg: Dict) -> int:
     out, trace = _synthesized(cfg)
     report = perturb(trace, cfg["g"])
-
-    def writer(handle):
-        handle.write("i,n_i,annihilated,residual_log,base_residual_log,exactly_equal\n")
-        for row in report.rows:
-            handle.write(
-                f"{row.index},{row.n},{row.annihilated},{fmt_log(row.residual)},"
-                f"{fmt_log(row.base_residual)},{row.exactly_equal}\n"
-            )
-
-    _write(out / "perturb.csv", writer)
+    # a PerturbRow's fields are the file's columns
+    header = "i,n_i,annihilated,residual_log,base_residual_log,exactly_equal"
+    _write(out / "perturb.csv", lambda h: write_csv(h, header, report.rows))
     if not report.any_annihilation:
         print("no annihilation step: the perturbation reaches every residual")
     unchanged = sum(1 for r in report.rows if r.exactly_equal)
@@ -437,17 +425,13 @@ def _cmd_augment(cfg: Dict) -> int:
     report = augment(seq, base, list(cfg["extra"]), list(cfg["lambdas"]), n_cap=cfg["n_cap"])
     _write(out / "base_trace.jsonl", lambda h: write_trace_jsonl(base, h))
     _write(out / "second_trace.jsonl", lambda h: write_trace_jsonl(report.second_trace, h))
-
-    def writer(handle):
-        handle.write("lambda,target,step,n,radius,direct_log,bound_log,stated_log,ok\n")
-        for row in report.rows:
-            # the target and step columns coincide: extra target i rides on step i
-            handle.write(
-                f"{row.lam},{row.step_index},{row.step_index},{row.n},{row.radius},"
-                f"{fmt_log(row.direct)},{fmt_log(row.bound)},{repr(row.stated_log)},{row.ok}\n"
-            )
-
-    _write(out / "augment.csv", writer)
+    # the target and step columns coincide: extra target i rides on step i
+    rows = [
+        (r.lam, r.step_index, r.step_index, r.n, r.radius, r.direct, r.bound, r.stated_log, r.ok)
+        for r in report.rows
+    ]
+    header = "lambda,target,step,n,radius,direct_log,bound_log,stated_log,ok"
+    _write(out / "augment.csv", lambda h: write_csv(h, header, rows))
     print(f"base zero-step indices: {report.base_zero_indices}")
     print(f"all augmentation bounds hold: {all(r.ok for r in report.rows)}")
     return 0
@@ -462,17 +446,10 @@ def _cmd_joint(cfg: Dict) -> int:
     )
     for idx, trace in enumerate(report.traces):
         _write(out / f"trace_{idx}.jsonl", lambda h, t=trace: write_trace_jsonl(t, h))
-
-    def writer(handle):
-        handle.write("combo,target,global_step,n,radius,direct_log,tolerance_log,ok\n")
-        for row in report.combo_rows:
-            combo = " ".join(str(c) for c in row.combo)
-            handle.write(
-                f"{combo},{row.target_index},{row.global_step},{row.n},{row.radius},"
-                f"{fmt_log(row.direct)},{repr(row.tolerance_log)},{row.ok}\n"
-            )
-
-    _write(out / "joint.csv", writer)
+    # a ComboRow's fields are the file's columns, the combination written space-separated
+    rows = [(" ".join(map(str, r.combo)), *r[1:]) for r in report.combo_rows]
+    header = "combo,target,global_step,n,radius,direct_log,tolerance_log,ok"
+    _write(out / "joint.csv", lambda h: write_csv(h, header, rows))
     print(f"supports disjoint: {report.supports_disjoint}")
     print(f"all combination bounds hold: {all(r.ok for r in report.combo_rows)}")
     return 0
@@ -554,9 +531,16 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose rejections (an unknown, abbreviated or value-less flag) are ConfigErrors."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser(command: str) -> argparse.ArgumentParser:
     """The flags of one command; each call builds the requested command's parser only."""
-    parser = argparse.ArgumentParser(prog=f"hyperdiff {command}")
+    parser = _Parser(prog=f"hyperdiff {command}", allow_abbrev=False)
     parser.add_argument("--config", default=None, help="key=value configuration file")
     for key in COMMANDS[command].keys:
         parser.add_argument(f"--{key.name.replace('_', '-')}", dest=key.name, default=None, help=key.help)

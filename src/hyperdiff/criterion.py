@@ -14,7 +14,6 @@ module; this one only certifies the hypotheses at desk scale.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
@@ -23,7 +22,7 @@ from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import build_f_nk, fnk_decay
 from .lacunary import decay_report, m0_member, select_indices
-from .scalars import QComplex, json_log, log_margin
+from .scalars import QComplex, log_margin, write_jsonl
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
 from .synthesis import _residual
 
@@ -230,33 +229,15 @@ def verify_hypotheses(
 
 def write_criterion_jsonl(report: CriterionReport, out: TextIO) -> None:
     """One JSON record per (hypothesis, row), plus a summary record."""
-    for key in ("i", "ii", "iii", "iv"):
-        ev = report.items[key]
-        for row in ev.rows:
-            record = {"hypothesis": key, "verdict": ev.verdict}
-            record.update(_jsonable(row))
-            out.write(json.dumps(record, sort_keys=True) + "\n")
-    out.write(
-        json.dumps(
-            {
-                "hypothesis": "overall",
-                "route": report.route,
-                "sequence": report.seq_label,
-                "verdict": report.overall,
-            },
-            sort_keys=True,
-        )
-        + "\n"
-    )
-
-
-def _jsonable(row: dict) -> dict:
-    out = {}
-    for key, val in row.items():
-        if isinstance(val, float):
-            out[key] = json_log(val)
-        elif isinstance(val, tuple):
-            out[key] = list(val)
-        else:
-            out[key] = val
-    return out
+    rows = [
+        {"hypothesis": key, "verdict": report.items[key].verdict, **row}
+        for key in ("i", "ii", "iii", "iv")
+        for row in report.items[key].rows
+    ]
+    summary = {
+        "hypothesis": "overall",
+        "route": report.route,
+        "sequence": report.seq_label,
+        "verdict": report.overall,
+    }
+    write_jsonl(out, rows + [summary])

@@ -28,7 +28,7 @@ from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Opt
                     Union)
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, NEG_INF, exp_log, fmt_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex
+from .scalars import LN2, NEG_INF, exp_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex, write_csv
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -165,18 +165,16 @@ class OperatorSequence:
         self._check_index(n)
         return n + self.shape.mult(n) if self.shape is not None else self.op(n).degree
 
-    def _log_items(self, n: int) -> Iterable[Tuple[int, float]]:
+    def log_items(self, n: int) -> Iterable[Tuple[int, float]]:
+        """(j, log |c_{j,n}|) for each stored coefficient of P_n, ascending in j, lazily."""
         self._check_index(n)
         if self.shape is not None:
             return self.shape.items(n)
         return ((j, log_abs(c)) for j, c in self.op(n).terms())
 
-    def coeff_log_items(self, n: int) -> List[Tuple[int, float]]:
-        return list(self._log_items(n))
-
     def log_coeff(self, n: int, j: int) -> float:
         """log |c_{j,n}|, stopping at the first matching item."""
-        for jj, mag in self._log_items(n):
+        for jj, mag in self.log_items(n):
             if jj == j:
                 return mag
         return NEG_INF
@@ -186,7 +184,7 @@ class OperatorSequence:
         self._check_index(n)
         if self.shape is not None:
             return self.shape.abs_sum(n)
-        return log_sum(mag for _, mag in self._log_items(n))
+        return log_sum(mag for _, mag in self.log_items(n))
 
     def log_abs_at(self, n: int, z) -> float:
         """log |P_n(z)|.
@@ -401,9 +399,7 @@ class EvidenceReport(NamedTuple):
 
 
 def write_evidence_csv(report: EvidenceReport, out: TextIO) -> None:
-    out.write("n,statistic_log,verdict_running\n")
-    for n, stat, running in report.rows:
-        out.write(f"{n},{fmt_log(stat)},{running}\n")
+    write_csv(out, "n,statistic_log,verdict_running", report.rows)
 
 
 def combine(verdicts: Iterable[str]) -> str:
@@ -485,7 +481,7 @@ def check_property_Q(
         if m < 1:  # the statistic m |c_m|^(k/m) needs m >= 1
             raise PreconditionError(f"property (Q) needs valence >= 1, but P_{n} has valence {m}")
         top = m + k_max
-        logs = dict(itertools.takewhile(lambda item: item[0] <= top, seq._log_items(n)))
+        logs = dict(itertools.takewhile(lambda item: item[0] <= top, seq.log_items(n)))
         for k, track in growth.items():
             track.append(math.log(m) + (k / m) * logs[m])
             bound[k] = max(bound[k], logs.get(k + m, NEG_INF))

@@ -187,8 +187,5 @@ def fnk_decay(
 
 def write_right_inverse(inv: RightInverse, out: TextIO, *, n: Optional[int] = None) -> None:
     """Coefficient file for f with a comment header noting (route, k, n)."""
-    tag = f"# route=polynomial k={inv.k}"
-    if n is not None:
-        tag += f" n={n}"
-    out.write(tag + "\n")
+    out.write(f"# route=polynomial k={inv.k}" + ("" if n is None else f" n={n}") + "\n")
     write_taylor(inv.f, out)

@@ -20,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence, gallop
-from .scalars import LN2, NEG_INF, fmt_log, log_abs, log_falling, log_margin, log_sum
+from .scalars import LN2, NEG_INF, log_abs, log_falling, log_margin, log_sum, write_csv
 from .series import TaylorPolynomial, _majorant_log
 
 
@@ -242,7 +242,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
         k = entry.k
         tail = [(m_j, log_abs(a)) for m_j, a in zip(exponents[k:], coeffs[k:]) if a is not None]
         # an empty strict tail (always the last entry) needs no coefficients
-        items = basis.seq.coeff_log_items(entry.n) if tail else []
+        items = list(basis.seq.log_items(entry.n)) if tail else []
         measured = log_sum(
             a_log + c_log + log_falling(m_j, s) + (m_j - s) * log_r
             for m_j, a_log in tail
@@ -275,12 +275,8 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
 
 
 def write_basis_csv(basis: LacunaryBasis, out: TextIO) -> None:
-    out.write("k,n_k,m(n_k),d(n_k),logA_k\n")
-    for e in basis.entries:
-        out.write(f"{e.k},{e.n},{e.valence},{e.degree},{repr(e.log_a)}\n")
+    write_csv(out, "k,n_k,m(n_k),d(n_k),logA_k", basis.entries)
 
 
 def write_decay_csv(report: DecayReport, out: TextIO) -> None:
-    out.write("k,measured_log,bound_log\n")
-    for row in report.rows:
-        out.write(f"{row.k},{fmt_log(row.measured)},{fmt_log(row.bound)}\n")
+    write_csv(out, "k,measured_log,bound_log", ((row.k, row.measured, row.bound) for row in report.rows))

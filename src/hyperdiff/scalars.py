@@ -15,11 +15,12 @@ of the F5 circle scan.
 from __future__ import annotations
 
 import cmath
+import json
 import math
 import re
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, TextIO
 
 from .errors import PreconditionError
 
@@ -274,15 +275,31 @@ def exp_log(log: float) -> float:
         return math.inf
 
 
-def fmt_log(log: float) -> str:
-    """Text form of a log magnitude: "-inf" for an exact zero, else its repr."""
-    return "-inf" if log == NEG_INF else repr(log)
+# -- result files ------------------------------------------------------------
 
 
-def json_log(log: float):
-    """JSON form of a log magnitude: an infinite log as its ``fmt_log`` text, "-inf" or "inf"
-    (``json.dumps`` would write the non-JSON token -Infinity), a finite one as the float."""
-    return fmt_log(log) if math.isinf(log) else log
+def write_csv(out: TextIO, header: str, rows: Iterable[Iterable]) -> None:
+    """The one text form of a result table: the header line, then each row's cells as str(cell)
+    joined by commas. A float cell is its shortest repr ("-inf" and "inf" included), a bool
+    True/False, a Fraction p/q."""
+    out.write(header + "\n")
+    out.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def write_jsonl(out: TextIO, records: Iterable[dict]) -> None:
+    """One JSON object per line, keys sorted, a tuple as a list, and an infinite float at any depth
+    as its CSV text "-inf" or "inf" (``json.dumps`` would write the non-JSON token -Infinity)."""
+    out.writelines(json.dumps(_json_value(record), sort_keys=True) + "\n" for record in records)
+
+
+def _json_value(value):
+    if isinstance(value, float):
+        return str(value) if math.isinf(value) else value
+    if isinstance(value, dict):
+        return {key: _json_value(val) for key, val in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(val) for val in value]
+    return value
 
 
 # -- scalar text format ------------------------------------------------------

@@ -28,6 +28,7 @@ from .scalars import (
     parse_scalar,
     scale_by_int,
     to_complex,
+    write_csv,
     to_qcomplex,
 )
 
@@ -340,18 +341,13 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
 # notation (see ``scalars.parse_real`` for a decimal token).
 
 
-def _write_terms(header: str, terms, out: TextIO) -> None:
-    out.write(header + "\n")
-    for j, c in terms:
-        out.write(f"{j},{format_scalar(c)}\n")
-
-
 def write_taylor(f: TaylorPolynomial, out: TextIO) -> None:
-    _write_terms(f"#taylor N={f.truncation}", f.terms(), out)
+    write_csv(out, f"#taylor N={f.truncation}", ((j, format_scalar(c)) for j, c in f.terms()))
 
 
 def write_operator(op: PolynomialOperator, out: TextIO) -> None:
-    _write_terms(f"#operator m={op.valence} d={op.degree}", op.terms(), out)
+    header = f"#operator m={op.valence} d={op.degree}"
+    write_csv(out, header, ((j, format_scalar(c)) for j, c in op.terms()))
 
 
 def _parse_body(lines) -> list:

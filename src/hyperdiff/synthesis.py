@@ -26,18 +26,17 @@ touches each step independently and may be parallelized by the caller.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
 from .scalars import (
-    LN2, NEG_INF, QComplex, fmt_log, format_scalar, json_log, log_abs, log_falling, log_fraction, log_margin,
-    log_sum,
+    LN2, NEG_INF, QComplex, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum, write_csv,
+    write_jsonl,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
@@ -584,60 +583,49 @@ def _poly_json(poly: TaylorPolynomial) -> list:
 
 def write_trace_jsonl(trace: SynthesisTrace, out: TextIO) -> None:
     """One record per step, then one residual record per step, then a summary."""
-    for step in trace.steps:
-        out.write(
-            json.dumps(
-                {
-                    "kind": "step",
-                    "step": step.index,
-                    "n": step.n,
-                    "radius": step.radius,
-                    "eps": str(step.eps),
-                    "target": _poly_json(step.target),
-                    "correction": _poly_json(step.correction),
-                    "correction_norm_log": json_log(step.correction_norm),
-                    "cross_norm_logs": [json_log(l) for l in step.cross_norm_logs],
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    for rec in trace.residuals:
-        out.write(
-            json.dumps(
-                {
-                    "kind": "residual",
-                    "step": rec.index,
-                    "n": rec.n,
-                    "radius": rec.radius,
-                    "residual_log": json_log(rec.residual),
-                    "budget_log": json_log(rec.budget_log),
-                    "certificate_log": json_log(rec.certificate_log),
-                    "within_budget": rec.within_budget,
-                    "certified": rec.certified,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
-    out.write(
-        json.dumps(
-            {
-                "kind": "summary",
-                "sequence": trace.seq.label,
-                "indices": list(trace.indices),
-                "vector_degree": trace.vector.degree,
-            },
-            sort_keys=True,
-        )
-        + "\n"
+    steps = (
+        {
+            "kind": "step",
+            "step": step.index,
+            "n": step.n,
+            "radius": step.radius,
+            "eps": str(step.eps),
+            "target": _poly_json(step.target),
+            "correction": _poly_json(step.correction),
+            "correction_norm_log": step.correction_norm,
+            "cross_norm_logs": step.cross_norm_logs,
+        }
+        for step in trace.steps
     )
+    residuals = (
+        {
+            "kind": "residual",
+            "step": rec.index,
+            "n": rec.n,
+            "radius": rec.radius,
+            "residual_log": rec.residual,
+            "budget_log": rec.budget_log,
+            "certificate_log": rec.certificate_log,
+            "within_budget": rec.within_budget,
+            "certified": rec.certified,
+        }
+        for rec in trace.residuals
+    )
+    summary = {
+        "kind": "summary",
+        "sequence": trace.seq.label,
+        "indices": trace.indices,
+        "vector_degree": trace.vector.degree,
+    }
+    write_jsonl(out, chain(steps, residuals, [summary]))
 
 
 def write_residual_csv(trace: SynthesisTrace, out: TextIO) -> None:
-    out.write("i,n_i,radius,residual_log,budget_log,certificate_log,certified\n")
-    for rec in trace.residuals:
-        out.write(
-            f"{rec.index},{rec.n},{rec.radius},{fmt_log(rec.residual)},{fmt_log(rec.budget_log)},"
-            f"{repr(rec.certificate_log)},{rec.certified}\n"
-        )
+    write_csv(
+        out,
+        "i,n_i,radius,residual_log,budget_log,certificate_log,certified",
+        (
+            (rec.index, rec.n, rec.radius, rec.residual, rec.budget_log, rec.certificate_log, rec.certified)
+            for rec in trace.residuals
+        ),
+    )

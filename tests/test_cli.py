@@ -288,6 +288,22 @@ class TestFrontDoor:
         assert run("--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("ConfigError: unknown command 'no-such-command'")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--bogus", "1"), "ConfigError: unrecognized arguments: --bogus 1\n"),
+            (("--family", "F4", "--count"), "ConfigError: argument --count: expected one argument\n"),
+            (("--fam", "F4"), "ConfigError: unrecognized arguments: --fam F4\n"),
+        ],
+        ids=["unknown", "no-value", "abbreviated"],
+    )
+    def test_bad_flag_is_config_error(self, tmp_path, capsys, argv, message):
+        # returned, not raised as argparse's SystemExit; a flag prefix is not read as the flag
+        assert run("synthesize", "--out", str(tmp_path / "out"), *argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message and captured.out == ""
+        assert not (tmp_path / "out").exists()
+
     def test_one_parser_per_call(self, tmp_path, monkeypatch, capsys):
         # only the requested command's flags are declared
         built = []
@@ -331,6 +347,62 @@ class TestJsonLogs:
         assert residuals[-2]["budget_log"] == "-inf"  # the last step has no later eps_j
         with open(tmp_path / "syn" / "residuals.csv") as handle:
             assert handle.read().splitlines()[-1].split(",")[4] == "-inf"
+
+
+# The exact text of four CSV files that the CLI builds row by row: a float is its repr
+# (as CPython computes it with glibc's libm), an exact zero -inf, a bool True/False, a lambda p/q.
+_GOLDEN = [
+    (
+        ("unicity", "--points", "sqrt", "--r-max", "20"),
+        "unicity.csv",
+        (
+            "radius,count,slope\n"
+            "2.0,4,2.0\n"
+            "2.667042864326648,7,1.9836585419229573\n"
+            "3.556558820077846,12,1.9584800365490644\n"
+            "4.74274741132331,22,1.9857442560721135\n"
+            "6.324555320336759,40,2.0\n"
+            "8.433930068571645,71,1.9991343232804115\n"
+            "11.246826503806982,126,1.9983925804045848\n"
+            "14.997884186649117,224,1.998459245937195\n"
+            "20.0,400,2.0\n"
+        ),
+    ),
+    (
+        ("perturb", "--family", "F4", "--count", "3"),
+        "perturb.csv",
+        (
+            "i,n_i,annihilated,residual_log,base_residual_log,exactly_equal\n"
+            "1,1,False,1.1013862238784056,-4.787488736533558,False\n"
+            "2,6,True,-2.4203681286504297,-2.4203681286504297,True\n"
+            "3,12,True,-inf,-inf,True\n"
+        ),
+    ),
+    (
+        ("augment", "--family", "F4", "--base-count", "4", "--extra", "1", "--lambdas=-1,1/2"),
+        "augment.csv",
+        (
+            "lambda,target,step,n,radius,direct_log,bound_log,stated_log,ok\n"
+            "-1,1,1,4,1.0,-6.579251212010101,-6.579251212010101,0.6931471805599453,True\n"
+            "1/2,1,1,4,1.0,-7.272398392570047,-7.272398392570047,0.6931471805599453,True\n"
+        ),
+    ),
+    (
+        ("joint", "--family", "F4", "--combos", "1,0;1,-1/2"),
+        "joint.csv",
+        (
+            "combo,target,global_step,n,radius,direct_log,tolerance_log,ok\n"
+            "1 0,0,3,12,3.0,-2.9143168820684817,-2.0794415416798357,True\n"
+            "1 -1/2,0,4,21,4.0,-inf,-2.3671236141316165,True\n"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, name, text", _GOLDEN, ids=[case[1] for case in _GOLDEN])
+def test_result_file_bytes(tmp_path, capsys, argv, name, text):
+    assert run(*argv, "--out", str(tmp_path)) == 0
+    assert (tmp_path / name).read_bytes() == text.encode()
 
 
 class TestConfigFile:
@@ -677,10 +749,7 @@ def test_fuzzed_configs_exit_with_a_typed_code(case):
         argv += [f"--{k.replace('_', '-')}={str(table) if v == 'TABLE' else v}" for k, v in values.items()]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            try:
-                rc = main(argv)
-            except SystemExit as exc:  # argparse rejections
-                rc = exc.code
+            rc = main(argv)
     assert rc in (0, 2, 3, 4, 5), (argv, rc)
     assert "Traceback" not in err.getvalue()
 

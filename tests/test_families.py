@@ -205,7 +205,7 @@ class TestShapes:
         for n in (1, 2, 3, 7, 9 if "decay" in params else 20):  # 2^-(n^3) stays a nonzero double
             op = seq.op(n)
             assert (seq.valence(n), seq.degree(n)) == (op.valence, op.degree)
-            items = seq.coeff_log_items(n)
+            items = list(seq.log_items(n))
             assert [j for j, _ in items] == [j for j, _ in op.terms()]
             for j, mag in items:
                 want = log_abs(op.coefficient(j))
@@ -222,7 +222,7 @@ class TestShapes:
         # items, so basis.csv logA_k does not depend on which one is used
         seq = make_family(tag, params)
         for n in range(1, 300):
-            want = log_sum(mag for _, mag in seq.coeff_log_items(n))
+            want = log_sum(mag for _, mag in seq.log_items(n))
             assert seq.coeff_abs_log_sum(n) == want, n
 
 
@@ -254,7 +254,7 @@ class TestLazyEscorts:
         ]
         for seq in fams:
             for n in (1, 2, 7, 19, 29):
-                listed = dict(seq.coeff_log_items(n))
+                listed = dict(seq.log_items(n))
                 for j in range(n - 1, 2 * n + 3):
                     got = seq.log_coeff(n, j)
                     if j in listed:
@@ -268,7 +268,7 @@ class TestLazyEscorts:
         seq.log_coeff(80_917, 80_917)
         seq.log_coeff(500, 503)
         assert calls == [1, 4]
-        assert len(seq.coeff_log_items(40)) == 41 and calls[-1] == 41
+        assert len(list(seq.log_items(40))) == 41 and calls[-1] == 41
 
     def test_decay_report_reads_items_only_for_nonempty_tails(self, monkeypatch):
         seq = make_family("F3")

@@ -1,4 +1,6 @@
+import io
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -11,9 +13,7 @@ from hyperdiff.scalars import (
     QComplex,
     exp_log,
     falling_factorial,
-    fmt_log,
     format_scalar,
-    json_log,
     log_abs,
     log_falling,
     log_fraction,
@@ -23,6 +23,8 @@ from hyperdiff.scalars import (
     parse_scalar,
     scale_by_int,
     to_qcomplex,
+    write_csv,
+    write_jsonl,
 )
 from hyperdiff.errors import PreconditionError
 
@@ -202,12 +204,6 @@ class TestLogMagnitude:
             if math.isfinite(x):
                 assert x + math.log(math.fsum([1.0])) == x
 
-    def test_json_form_matches_the_text_form(self):
-        # one spelling of an infinite log in JSON and CSV output; json.dumps would write -Infinity
-        assert json_log(NEG_INF) == fmt_log(NEG_INF) == "-inf"
-        assert json_log(math.inf) == fmt_log(math.inf) == "inf"
-        assert json_log(-1.5) == -1.5 and type(json_log(-1.5)) is float
-
     def test_add_is_the_two_term_sum(self):
         logs = [-math.inf, -800.0, math.log(1e-16), -1.0, 0.0, 0.1, 1.0, 700.0, 1e308, math.inf]
         for a, b in itertools.product(logs, repeat=2):
@@ -325,6 +321,72 @@ class TestScalarText:
 
     def test_scale_by_int_exact(self):
         assert scale_by_int(QComplex(Fraction(1, 3)), 6) == QComplex(2)
+
+
+def _strict_json(line):
+    """The object on one JSON-lines line; a non-JSON constant (NaN, Infinity, -Infinity) raises."""
+    def reject(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def _csv(rows, header="h"):
+    out = io.StringIO()
+    write_csv(out, header, rows)
+    return out.getvalue()
+
+
+def _jsonl(records):
+    out = io.StringIO()
+    write_jsonl(out, records)
+    return out.getvalue()
+
+
+class TestResultFiles:
+    def test_csv_spells_each_cell_kind_once(self):
+        row = (NEG_INF, math.inf, -1.5, 0.1, 1e300, True, False, 7, -12, Fraction(-2, 3), Fraction(4), "F4")
+        assert _csv([row], "a,b") == "a,b\n-inf,inf,-1.5,0.1,1e+300,True,False,7,-12,-2/3,4,F4\n"
+
+    def test_csv_writes_the_header_and_one_line_per_row(self):
+        assert _csv([], "k,n_k") == "k,n_k\n"
+        assert _csv(iter([(1, 2.0), [3, NEG_INF]]), "#taylor N=3") == "#taylor N=3\n1,2.0\n3,-inf\n"
+
+    def test_json_spells_an_infinite_log_as_the_csv_does(self):
+        text = _jsonl([{"lo": NEG_INF, "hi": math.inf, "mid": -1.5}])
+        assert text == '{"hi": "inf", "lo": "-inf", "mid": -1.5}\n'
+        record = _strict_json(text)
+        assert [record["lo"], record["hi"]] == _csv([(NEG_INF, math.inf)]).split()[1].split(",")
+        assert type(record["mid"]) is float
+
+    def test_jsonl_spells_each_value_kind(self):
+        records = [
+            {"flag": True, "count": 3, "eps": str(Fraction(1, 4)), "name": "F4"},
+            {"logs": [0.5, NEG_INF, [math.inf]], "notes": {"first": NEG_INF, "last": 2.0}},
+            {"indices": (1, 6, 12), "pair": (NEG_INF, 0.25)},
+        ]
+        text = _jsonl(iter(records))
+        assert text == (
+            '{"count": 3, "eps": "1/4", "flag": true, "name": "F4"}\n'
+            '{"logs": [0.5, "-inf", ["inf"]], "notes": {"first": "-inf", "last": 2.0}}\n'
+            '{"indices": [1, 6, 12], "pair": ["-inf", 0.25]}\n'
+        )
+        parsed = [_strict_json(line) for line in text.splitlines()]
+        assert parsed[0] == {"count": 3, "eps": "1/4", "flag": True, "name": "F4"}
+        assert parsed[2]["indices"] == [1, 6, 12]
+
+    def test_writers_leave_their_input_alone(self):
+        record = {"logs": [NEG_INF], "pair": (math.inf,)}
+        _jsonl([record])
+        assert record == {"logs": [NEG_INF], "pair": (math.inf,)}
+
+    @given(st.floats(allow_nan=False))
+    def test_every_float_has_one_spelling(self, x):
+        cell = _csv([(x,)]).splitlines()[1]
+        assert cell == repr(x) == str(x)
+        value = _strict_json(_jsonl([{"x": x}]))["x"]
+        assert value == (cell if math.isinf(x) else x)
+        assert float(cell) == x
 
 
 class TestBoundaryConversion:
