@@ -20,7 +20,7 @@ from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
-from .inverses import build_f_nk, fnk_decay
+from .inverses import _fnk_decays, build_f_nk
 from .lacunary import decay_report, m0_member, select_indices
 from .scalars import QComplex, log_margin, write_jsonl
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
@@ -93,30 +93,32 @@ def _check_unbounded_valence(seq: OperatorSequence, lo: int, hi: int) -> None:
 
 
 def _hypothesis_i(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
-    rows = []
+    battery = _battery(cfg.test_degrees, cfg.seed)
     ns = range(cfg.n_lo, cfg.n_hi + 1)
-    for g in _battery(cfg.test_degrees, cfg.seed):
-        crossing = next((n for n in ns if seq.valence(n) > g.degree), None)
-        ok = None if crossing is None else all(
-            apply_operator(seq.op(n), g).is_zero
-            for n in _sample_indices(crossing, cfg.n_hi, SWEEP_POINTS)
-        )
-        rows.append({"degree": g.degree, "crossing": crossing, "exact_zero": ok})
+    firsts = [next((n for n in ns if seq.valence(n) > g.degree), None) for g in battery]
+    checks = [set() if c is None else set(_sample_indices(c, cfg.n_hi, SWEEP_POINTS)) for c in firsts]
+    exact = [None if c is None else True for c in firsts]
+    for n in sorted(set().union(*checks)):  # n-major, so each P_n is built once
+        op = seq.op(n)
+        for i, g in enumerate(battery):
+            if exact[i] and n in checks[i]:
+                exact[i] = apply_operator(op, g).is_zero
+    rows = [{"degree": g.degree, "crossing": c, "exact_zero": ok} for g, c, ok in zip(battery, firsts, exact)]
     verdicts = {None: "inconclusive", True: "supports", False: "refutes"}
     crossings = {row["degree"]: row["crossing"] for row in rows if row["crossing"] is not None}
     return HypothesisEvidence(
-        verdict=combine(verdicts[row["exact_zero"]] for row in rows),
+        verdict=combine(verdicts[ok] for ok in exact),
         rows=rows,
         notes={"crossings": crossings},
     )
 
 
 def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
-    rows = []
-    for k in range(0, cfg.k_max + 1):
-        rep = fnk_decay(seq, k, max(cfg.r, 1.5), (max(cfg.n_lo, 2), cfg.n_hi))
-        final = rep.rows[-1].norm
-        rows.append(dict(k=k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=final))
+    reports = _fnk_decays(seq, range(cfg.k_max + 1), max(cfg.r, 1.5), (max(cfg.n_lo, 2), cfg.n_hi))
+    rows = [
+        dict(k=rep.k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=rep.rows[-1].norm)
+        for rep in reports
+    ]
     return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows, notes={})
 
 

@@ -28,7 +28,8 @@ from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Opt
                     Union)
 
 from .errors import ConfigError, PreconditionError
-from .scalars import LN2, NEG_INF, exp_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex, write_csv
+from .scalars import (LN2, NEG_INF, QComplex, exp_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex,
+                      write_csv)
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -67,20 +68,17 @@ class Shape(NamedTuple):
     float_root: Optional[Callable[[int], float]] = None
 
     def op(self, n: int) -> PolynomialOperator:
-        # binomial expansion c z^n sum C(mu, i) (-rho)^(mu-i) z^i, i from mu down,
-        # skipping the factors that are 1 (c = 1, C(mu, i) = 1, the first power)
+        # one integer pass from z^(n+mu) down: with c = a/b and -rho = p/q, the coefficient at
+        # z^(n+i) is a C(mu, i) p^k / (b q^k), k = mu - i, reduced once by its Fraction
         c, mu = self.c(n), self.mult(n)
-        coeffs = {n + mu: c}
+        terms = [(n + mu, QComplex.coerce(c))]
         if mu:
-            neg = -self.root(n)
-            power = neg
+            (a, b), (p, q) = c.as_integer_ratio(), (-self.root(n)).as_integer_ratio()
+            comb, pk, qk = 1, 1, 1  # C(mu, i), p^k, q^k
             for i in range(mu - 1, -1, -1):
-                b = math.comb(mu, i)
-                term = power if b == 1 else b * power
-                coeffs[n + i] = term if c == 1 else c * term
-                if i:
-                    power = power * neg
-        return PolynomialOperator(coeffs)
+                comb, pk, qk = comb * (i + 1) // (mu - i), pk * p, qk * q
+                terms.append((n + i, QComplex.coerce(Fraction(a * comb * pk, b * qk))))
+        return PolynomialOperator._raw(dict(reversed(terms)))
 
     def items(self, n: int) -> Iterator[Tuple[int, float]]:
         """(n + i, log|c_n| + log C(mu, i) + (mu - i) log|rho_n|) in exponent order; lazy,
@@ -122,6 +120,10 @@ class OperatorSequence:
     reads only up to the exponent it asks for. F5 tables pass ``build``, and
     each of these is read from the built operator. Valence n is
     nondecreasing, so ``select_indices`` gallops on exactly the shaped families.
+
+    ``op`` keeps only the operator it built last, so a sweep or scan holds one
+    exact operator at a time however far n runs: a loop that reads P_n more than
+    once visits n in its outer loop, or holds the operator itself.
     """
 
     def __init__(
@@ -138,7 +140,7 @@ class OperatorSequence:
         self.shape = shape
         self.max_n = max_n
         self._build = build if shape is None else shape.op
-        self._cache: dict[int, PolynomialOperator] = {}
+        self._last: Tuple[int, Optional[PolynomialOperator]] = (0, None)  # (n, P_n) built last
 
     @property
     def nondecreasing_valence(self) -> bool:
@@ -152,10 +154,9 @@ class OperatorSequence:
 
     def op(self, n: int) -> PolynomialOperator:
         self._check_index(n)
-        got = self._cache.get(n)
-        if got is None:
-            got = self._cache[n] = self._build(n)
-        return got
+        if self._last[0] != n:
+            self._last = (n, self._build(n))
+        return self._last[1]
 
     def valence(self, n: int) -> int:
         self._check_index(n)
@@ -438,14 +439,20 @@ def check_property_P(
     """Evidence for |P_n(z)| -> +infinity at every sample point z.
 
     supports requires every sample to pass the growth rule; refutes requires
-    an explicit witness sample with vanishing or floor-bounded values.
+    an explicit witness sample with vanishing or floor-bounded values. Samples
+    that print alike share one track. The sweep evaluates every sample at n
+    before it moves on, so each P_n is built at most once and dropped after.
     """
     if not u_samples:
         raise PreconditionError("property (P) check needs a nonempty sample set")
     rule = rule or GrowthRule()
     lo, hi = n_range
     ns = list(range(lo, hi + 1))
-    tracks = {str(z): [seq.log_abs_at(n, z) for n in ns] for z in u_samples}
+    points = {str(z): z for z in u_samples}
+    tracks: dict[str, List[float]] = {key: [] for key in points}
+    for n in ns:
+        for key, z in points.items():
+            tracks[key].append(seq.log_abs_at(n, z))
     rows, verdict, finals, bad = _sweep(rule, ns, tracks, tracks)
     return EvidenceReport(
         prop="P",

@@ -18,7 +18,7 @@ tests check it against an independent cofactor-expansion (Cramer) route.
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple, Optional, Sequence, TextIO, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import InvariantViolation, PreconditionError
 from .families import OperatorSequence
@@ -130,6 +130,8 @@ def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> float:
 def stirling_threshold_ok(seq: OperatorSequence, n: int, k: int, r: float) -> bool:
     """( |c_m|^{k+1-j} m! )^{1/m} > 2r for every j = 1..k (vacuous at k = 0)."""
     m = seq.valence(n)
+    if k and m < 1:  # the m-th root needs m >= 1
+        raise PreconditionError(f"the Stirling threshold needs valence >= 1, but P_{n} has valence {m}")
     log_c = seq.log_coeff(n, m)
     log_fact = math.lgamma(m + 1)
     target = math.log(2 * r)
@@ -147,39 +149,44 @@ def fnk_decay(
     rest of the sweep and the norms beyond it to shrink (final below first,
     late maxima below early maxima).
     """
+    return _fnk_decays(seq, (k,), r, n_range)[0]
+
+
+def _fnk_decays(
+    seq: OperatorSequence, ks: Iterable[int], r: float, n_range: Tuple[int, int]
+) -> List[FnkDecayReport]:
+    """``fnk_decay`` for each k in ks, in one pass over n, so each P_n is built once for all k."""
     if r <= 1:
         raise PreconditionError("decay sweep requires r > 1")
     lo, hi = n_range
     ns = list(range(lo, hi + 1))
-    rows: List[FnkRow] = []
+    tracks: dict[int, List[FnkRow]] = {k: [] for k in ks}
     for n in ns:
-        rows.append(
-            FnkRow(
-                n=n,
-                norm=fnk_norm_log(seq, n, k, r),
-                stirling_ok=stirling_threshold_ok(seq, n, k, r),
-            )
+        for k, rows in tracks.items():
+            rows.append(FnkRow(n=n, norm=fnk_norm_log(seq, n, k, r), stirling_ok=stirling_threshold_ok(seq, n, k, r)))
+    reports = []
+    for k, rows in tracks.items():
+        crossing = None
+        for i in range(len(rows)):
+            if all(row.stirling_ok for row in rows[i:]):
+                crossing = ns[i]
+                break
+        verdict = "inconclusive"
+        notes: dict = {}
+        if crossing is not None:
+            post = [row.norm for row in rows if row.n >= crossing]
+            if len(post) >= 4:
+                half = len(post) // 2
+                early, late = post[:half], post[half:]
+                if post[-1] < post[0] and max(late) < max(early):
+                    verdict = "supports"
+                elif post[-1] > post[0] and min(late) > max(early):
+                    verdict = "refutes"
+                notes["post_crossing"] = {"first": post[0], "last": post[-1]}
+        reports.append(
+            FnkDecayReport(k=k, radius=r, rows=tuple(rows), crossing=crossing, verdict=verdict, notes=notes)
         )
-    crossing = None
-    for i in range(len(rows)):
-        if all(row.stirling_ok for row in rows[i:]):
-            crossing = ns[i]
-            break
-    verdict = "inconclusive"
-    notes: dict = {}
-    if crossing is not None:
-        post = [row.norm for row in rows if row.n >= crossing]
-        if len(post) >= 4:
-            half = len(post) // 2
-            early, late = post[:half], post[half:]
-            if post[-1] < post[0] and max(late) < max(early):
-                verdict = "supports"
-            elif post[-1] > post[0] and min(late) > max(early):
-                verdict = "refutes"
-            notes["post_crossing"] = {"first": post[0], "last": post[-1]}
-    return FnkDecayReport(
-        k=k, radius=r, rows=tuple(rows), crossing=crossing, verdict=verdict, notes=notes
-    )
+    return reports
 
 
 # -- serialization -----------------------------------------------------------------

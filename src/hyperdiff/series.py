@@ -236,6 +236,13 @@ class PolynomialOperator:
         if self.degree < 1:
             raise ValueError("operator polynomial must be nonconstant (degree >= 1)")
 
+    @classmethod
+    def _raw(cls, terms: dict) -> "PolynomialOperator":
+        """Internal constructor for callers that already guarantee invariants."""
+        obj = object.__new__(cls)
+        obj._terms = terms
+        return obj
+
     @property
     def valence(self) -> int:
         return next(iter(self._terms))

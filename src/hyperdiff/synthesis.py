@@ -196,6 +196,7 @@ def _build_schedule(
     if seq.max_n is not None:
         n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
     steps: List[SynthesisStep] = []
+    ops: List[PolynomialOperator] = []  # the operator of each admitted step, which test (c) applies
     priors: List[Tuple[int, float, float]] = []  # (m, log|c_m|, log r) of each admitted step
     max_deg = -1
     n_prev = 0
@@ -231,8 +232,8 @@ def _build_schedule(
                 continue
             cross_logs: List[float] = []
             ok = True
-            for prior in reversed(steps):
-                c = apply_operator(seq.op(prior.n), h).majorant_norm(prior.radius)
+            for prior, prior_op in zip(reversed(steps), reversed(ops)):
+                c = apply_operator(prior_op, h).majorant_norm(prior.radius)
                 if not log_margin(c, e_log) > 0:
                     ok = False
                     break
@@ -266,8 +267,9 @@ def _build_schedule(
                 cross_norm_logs=tuple(cross_logs),
             )
         )
-        m = seq.valence(chosen)
-        priors.append((m, log_abs(seq.op(chosen).coefficient(m)), math.log(r_s)))
+        ops.append(seq.op(chosen))  # already built, unless the target is zero
+        m = ops[-1].valence
+        priors.append((m, log_abs(ops[-1].coefficient(m)), math.log(r_s)))
         if not h.is_zero:
             max_deg = max(max_deg, h.degree)
         n_prev = chosen

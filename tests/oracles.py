@@ -6,6 +6,8 @@
   takes its majorant norm; ``lacunary.decay_report`` (a term-by-term log sum)
   must agree on a collision-free basis and dominate it otherwise.
 - ``collision_free`` is the fact the single decay route rests on.
+- ``shape_op_by_fractions`` expands c z^n (z - rho)^mu binomially in
+  ``Fraction`` arithmetic; ``Shape.op`` (one integer pass) must agree.
 """
 
 import math
@@ -14,7 +16,7 @@ from typing import List, Sequence, Tuple
 
 from hyperdiff.errors import InvariantViolation, PreconditionError
 from hyperdiff.scalars import QC_ONE, QC_ZERO, QComplex
-from hyperdiff.series import TaylorPolynomial, apply_operator
+from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 # -- Cramer route ----------------------------------------------------------------
 #
@@ -195,3 +197,19 @@ def collision_free(entries) -> bool:
             if b - a <= spread:
                 return False
     return True
+
+
+# -- shaped operators -------------------------------------------------------------
+
+
+def shape_op_by_fractions(shape, n: int) -> PolynomialOperator:
+    """c z^n sum C(mu, i) (-rho)^(mu-i) z^i, i from mu down, one Fraction product per term."""
+    c, mu = shape.c(n), shape.mult(n)
+    coeffs = {n + mu: c}
+    if mu:
+        neg = -shape.root(n)
+        power = neg
+        for i in range(mu - 1, -1, -1):
+            coeffs[n + i] = c * math.comb(mu, i) * power
+            power = power * neg
+    return PolynomialOperator(coeffs)

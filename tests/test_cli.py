@@ -252,6 +252,18 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == "PreconditionError: property (Q) needs valence >= 1, but P_2 has valence 0\n"
 
+    def test_valence_zero_table_in_the_criterion_is_precondition_error(self, tmp_path, capsys):
+        # the Q route's Stirling threshold takes an m(n)-th root: valence 0 is named, not a division by zero
+        table = tmp_path / "t.coeffs"
+        table.write_text("#operator m=1 d=2\n1,1,0\n2,1,0\n#operator m=0 d=2\n0,-1,0\n2,1,0\n"
+                         "#operator m=2 d=3\n2,1,0\n3,1,0\n#operator m=3 d=4\n3,1,0\n4,1,0\n")
+        rc = run("verify-criterion", "--family", "F5", "--table", str(table), "--route", "Q",
+                 "--n-max", "4", "--out", str(tmp_path / "out"))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "PreconditionError: the Stirling threshold needs valence >= 1, but P_2 has valence 0\n"
+        )
+
 
 class TestFrontDoor:
     @pytest.mark.parametrize("flag", ["--help", "-h"])

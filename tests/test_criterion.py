@@ -1,16 +1,19 @@
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
 from hyperdiff.cli import COMMANDS
 from hyperdiff.criterion import (
     CriterionConfig,
+    _hypothesis_ii_q,
     verify_hypotheses,
     write_criterion_jsonl,
 )
 from hyperdiff.errors import PreconditionError
 from hyperdiff.families import make_family
+from hyperdiff.inverses import build_f_nk, fnk_decay
 from hyperdiff.scalars import QComplex
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 
@@ -112,6 +115,27 @@ class TestPRoute:
     def test_unknown_route(self):
         with pytest.raises(PreconditionError):
             verify_hypotheses(make_family("F4"), "X", CriterionConfig())
+
+
+def _table_family():
+    # P_n = z^n + z^(n+1)/n: valence n, so the Q route applies
+    ops = [PolynomialOperator({n: QComplex(1), n + 1: QComplex(Fraction(1, n))}) for n in range(1, 25)]
+    return make_family("F5", {"ops": ops})
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: make_family("F3"), lambda: make_family("F4"), _table_family], ids=["F3", "F4", "F5"]
+)
+def test_one_pass_decay_matches_per_k_sweeps(make):
+    # (ii) sweeps n once for every k; each k swept on its own, on a fresh sequence, reports the same
+    rows = _hypothesis_ii_q(make(), CriterionConfig(n_hi=24, k_max=3)).rows
+    want = []
+    for k in range(4):
+        rep = fnk_decay(make(), k, 2.0, (2, 24))
+        norms = [build_f_nk(make().op(n), k, verify=False).f.majorant_norm(2.0) for n in range(2, 25)]
+        assert [row.norm for row in rep.rows] == norms
+        want.append(dict(k=k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=rep.rows[-1].norm))
+    assert rows == want
 
 
 class TestPreconditions:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,8 @@ from hyperdiff.families import (
 from hyperdiff.lacunary import decay_report, m0_member, select_indices
 from hyperdiff.scalars import LN2, NEG_INF, QComplex, exp_log, log_abs, log_margin, log_sum
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
+
+from oracles import shape_op_by_fractions
 
 
 class TestRationalEnumeration:
@@ -216,6 +219,21 @@ class TestShapes:
                 got, want = seq.log_abs_at(n, z), log_abs(op.value_at(z))
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9), (n, z)
 
+    @pytest.mark.parametrize("tag, params, ns", [
+        ("F1", {}, range(1, 300)),
+        ("F2", {}, [*range(1, 80), 709, 710, 711, 1000]),
+        ("F2", {"c_mode": "unit"}, range(1, 300)),
+        ("F3", {}, range(1, 201)),
+        ("F4", {}, range(1, 100)),
+        ("F4", {"c": "-7/2"}, range(1, 100)),
+        ("F4", {"decay": "pow2cubic"}, range(1, 31)),
+    ])
+    def test_integer_builder_matches_the_fraction_expansion(self, tag, params, ns):
+        # the same coefficients, in the same increasing order, as the binomial expansion
+        seq = make_family(tag, params)
+        for n in ns:
+            assert list(seq.op(n).terms()) == list(shape_op_by_fractions(seq.shape, n).terms()), n
+
     @pytest.mark.parametrize("tag, params", [fam for fam in _SHAPED if fam[0] in ("F2", "F4")])
     def test_closed_form_sum_keeps_the_item_sum_bits(self, tag, params):
         # on F2 and F4 the closed form A_n is bit for bit the log-sum-exp of the
@@ -306,6 +324,18 @@ class TestPropertyP:
     def test_empty_samples_rejected(self):
         with pytest.raises(PreconditionError):
             check_property_P(make_family("F1"), [], (1, 10))
+
+    def test_f3_sweep_holds_one_operator_at_a_time(self):
+        # each exact P_n is dropped once its samples are read, so the peak is one operator,
+        # not the 250 operators of the sweep (about 8 MB together)
+        tracemalloc.start()
+        try:
+            rep = check_property_P(make_family("F3"), [QComplex(-3)], (1, 250))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert rep.verdict == "supports"
 
 
 class TestPropertyQ:

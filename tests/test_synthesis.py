@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -124,6 +125,38 @@ class TestSynthesize:
         with pytest.raises(CapExhausted) as err:
             synthesize(make_family("F4"), [TaylorPolynomial([1])] * 3, n_cap=4)
         assert err.value.step is not None
+
+    def test_capped_scan_retains_no_rejected_operator(self):
+        # 1,499 candidates are rejected on their self norm; their operators (about 2 MB together)
+        # are dropped, so the peak is one operator and one inverse
+        targets = [TaylorPolynomial.zero(), TaylorPolynomial([QComplex(Fraction(1, 2))])]
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExhausted) as err:
+                synthesize(make_family("F1"), targets, n_cap=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.condition == "self_norm"
+        assert peak < 2**19
+
+    def test_pow2cubic_scan_runs_in_bounded_memory(self, python_child, tmp_path):
+        # each rejected candidate's operator carries a 2^(n^3) denominator: holding them all took
+        # about 50 MB here. The child caps its own address space, so a regression fails instead
+        # of exhausting the host
+        proc = python_child(
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+            "from hyperdiff.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            # peak RSS of this program alone (ru_maxrss keeps the parent's peak across exec)
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+            "sys.exit(rc)\n",
+            "synthesize", "--family", "F4", "--decay", "pow2cubic", "--count", "3", "--n-cap", "160",
+            "--out", str(tmp_path),
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert int(proc.stdout.split()[-1]) < 35 * 1024  # VmHWM is in kB
 
 
 class TestPerturb:
