@@ -23,6 +23,7 @@ import cmath
 import itertools
 import math
 import sys
+from collections import deque
 from fractions import Fraction
 from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, TextIO, Tuple,
                     Union)
@@ -56,8 +57,8 @@ class Shape(NamedTuple):
     """P_n(z) = c_n z^n (z - rho_n)^mu_n, each field a function of n.
 
     ``c`` is the exact c_n, read only to build the operator. ``root`` is the
-    exact rho_n and ``float_root`` its double; a multiplicity ``mult`` of 0
-    (the default) has no root.
+    exact rho_n and ``float_root`` its double, whose sign stays where it underflows;
+    a multiplicity ``mult`` of 0 (the default) has no root.
     """
 
     c: Callable[[int], Fraction]
@@ -96,10 +97,16 @@ class Shape(NamedTuple):
         return self.log_c(n) + (mu * math.log1p(abs(self.float_root(n))) if mu else 0.0)
 
     def abs_at(self, n: int, z: Union[Fraction, complex]) -> float:
-        """log(|c_n| |z|^n |z - rho_n|^mu_n); exact rho_n at a Fraction z, its double at a
-        non-real complex z, where the value is a float estimate."""
-        mag = self.log_c(n) + log_abs(z) * n
-        mu = self.mult(n)
+        """log(|c_n| |z|^n |z - rho_n|^mu_n); exact rho_n at a Fraction z, its double at a non-real complex z
+        (a float estimate). Where |log|z| - log|rho_n|| > 64 ln 2 the smaller of |z|, |rho_n| is t < 2^-64 times
+        the larger, so log|z - rho_n| is the larger log within |log(1 +- t)| <= t/(1 - t) < 2^-63: the value
+        within mu_n 2^-63, under an ulp from mu_n 2^-10 up. Only elsewhere does a Fraction z build rho_n."""
+        lz, mu = log_abs(z), self.mult(n)
+        mag = self.log_c(n) + lz * n
+        if mu and isinstance(z, Fraction) and abs(lz - self.log_root(n)) > 64 * LN2:
+            far = mag + max(lz, self.log_root(n)) * mu
+            if abs(far) >= mu * 2**-10:  # not near |P_n(z)| = 1, where the sign of the log can matter
+                return far
         if mu:
             rho = self.root(n) if isinstance(z, Fraction) else self.float_root(n)
             mag = mag + log_abs(z - rho) * mu
@@ -108,7 +115,7 @@ class Shape(NamedTuple):
     def circle_min(self, n: int, r: float) -> float:
         """log min |P_n| on |z| = r, that is |c_n| r^n |r - |rho_n||^mu_n, at z = r sgn(rho_n)."""
         z = Fraction(r)
-        return self.abs_at(n, -z if self.mult(n) and self.root(n) < 0 else z)
+        return self.abs_at(n, -z if self.mult(n) and math.copysign(1.0, self.float_root(n)) < 0 else z)
 
 
 class OperatorSequence:
@@ -345,9 +352,9 @@ class GrowthRule(NamedTuple("GrowthRule", [("threshold_log", float), ("vanish_hi
         return self
 
     def classify(self, ns: Sequence[int], logs: Sequence[float]) -> Tuple[List[str], dict]:
-        """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n log n) pass, the
-        last being the track's, and the evidence for the whole track."""
-        range_min = _range_min(logs)
+        """The verdict on each prefix ns[:L], logs[:L] (L >= 1) in one O(n) pass, the last
+        being the track's, and the evidence for the whole track."""
+        first_min, q3_min, q4_min = _window_min(logs), _window_min(logs), _window_min(logs)
         verdicts: List[str] = []
         hits: List[Tuple[int, float]] = []
         high = -1  # last index whose value is not below the floor
@@ -366,7 +373,7 @@ class GrowthRule(NamedTuple("GrowthRule", [("threshold_log", float), ("vanish_hi
                 decay = {"first": logs[h], "last": v, "floor": _FLOOR_LOG}
                 verdict, info = "refutes", {"decay": decay}
             else:
-                first, q3, q4 = range_min(0, h), range_min(h, q), range_min(q, L)
+                first, q3, q4 = first_min(0, h), q3_min(h, q), q4_min(q, L)
                 if q4 > q3 and min(q3, q4) > first and v > self.threshold_log:
                     verdict, info = "supports", {"quartile_minima": (first, q3, q4)}
                 else:
@@ -375,16 +382,22 @@ class GrowthRule(NamedTuple("GrowthRule", [("threshold_log", float), ("vanish_hi
         return verdicts, info
 
 
-def _range_min(values: Sequence[float]) -> Callable[[int, int], float]:
-    """O(1) queries min(values[a:b]), a < b, over a sparse table built in O(n log n)."""
-    table = [list(values)]
-    while 2 ** len(table) <= len(values):
-        prev, width = table[-1], 2 ** (len(table) - 1)
-        table.append([min(prev[i], prev[i + width]) for i in range(len(prev) - width)])
+def _window_min(values: Sequence[float]) -> Callable[[int, int], float]:
+    """min(values[a:b]), a < b, for windows whose ends never move left, in O(1) amortized. The deque holds the
+    window's suffix minima in order; the value leaving at a is its head exactly when the two are equal."""
+    window, start, end = deque(), 0, 0  # the suffix minima of values[start:end], the window asked for last
 
     def query(a: int, b: int) -> float:
-        k = (b - a).bit_length() - 1
-        return min(table[k][a], table[k][b - 2**k])
+        nonlocal start, end
+        for v in values[end:b]:
+            while window and window[-1] > v:  # a tie stays, so the head is min()'s choice (0.0 or -0.0)
+                window.pop()
+            window.append(v)
+        for v in values[start:a]:
+            if window[0] == v:
+                window.popleft()
+        start, end = a, b
+        return window[0]
 
     return query
 

@@ -8,14 +8,20 @@
 - ``collision_free`` is the fact the single decay route rests on.
 - ``shape_op_by_fractions`` expands c z^n (z - rho)^mu binomially in
   ``Fraction`` arithmetic; ``Shape.op`` (one integer pass) must agree.
+- ``shape_abs_at_exact`` subtracts the exact root at every rational z and takes
+  the log of |z - rho_n| in 60-digit decimals; ``Shape.abs_at``, which reads
+  that log as the larger of two logs outside a band, must agree to within its
+  stated bound.
 """
 
+import decimal
 import math
+from fractions import Fraction
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from hyperdiff.errors import InvariantViolation, PreconditionError
-from hyperdiff.scalars import QC_ONE, QC_ZERO, QComplex
+from hyperdiff.scalars import QC_ONE, QC_ZERO, QComplex, log_abs
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 
 # -- Cramer route ----------------------------------------------------------------
@@ -213,3 +219,25 @@ def shape_op_by_fractions(shape, n: int) -> PolynomialOperator:
             coeffs[n + i] = c * math.comb(mu, i) * power
             power = power * neg
     return PolynomialOperator(coeffs)
+
+
+def log_rational(x: Fraction) -> float:
+    """log|x| through 60-digit decimals; near 1 through the series of log(1 + e), |e| < 1e-9."""
+    if not x:
+        return -math.inf
+    p, q = abs(x.numerator), x.denominator
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        e = decimal.Decimal(p - q) / q
+        if abs(e) < decimal.Decimal("1e-9"):
+            return float(e - e**2 / 2 + e**3 / 3 - e**4 / 4 + e**5 / 5)
+        return float((decimal.Decimal(p) / q).ln())
+
+
+def shape_abs_at_exact(shape, n: int, z: Fraction) -> float:
+    """log(|c_n| |z|^n |z - rho_n|^mu_n) with z - rho_n exact, summed as ``Shape.abs_at`` sums. The
+    |z|^n term goes through the library's ``log_abs``, as in ``Shape.abs_at``, so only the
+    |z - rho_n| term can differ."""
+    mag = shape.log_c(n) + log_abs(z) * n
+    mu = shape.mult(n)
+    return mag + log_rational(z - shape.root(n)) * mu if mu else mag

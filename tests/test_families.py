@@ -26,7 +26,7 @@ from hyperdiff.lacunary import decay_report, m0_member, select_indices
 from hyperdiff.scalars import LN2, NEG_INF, QComplex, exp_log, log_abs, log_margin, log_sum
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial
 
-from oracles import shape_op_by_fractions
+from oracles import shape_abs_at_exact, shape_op_by_fractions
 
 
 class TestRationalEnumeration:
@@ -242,6 +242,104 @@ class TestShapes:
         for n in range(1, 300):
             want = log_sum(mag for _, mag in seq.log_items(n))
             assert seq.coeff_abs_log_sum(n) == want, n
+
+
+_BAND_FAMILIES = [
+    ("F1", {}, (1, 2, 5, 16, 17, 60, 145, 300, 2000)),  # rho_145 underflows to -0.0
+    ("F2", {}, (2, 40, 400)),
+    ("F2", {"c_mode": "unit"}, (1, 40, 400)),
+    ("F3", {}, (1, 2, 7, 50, 300)),
+    ("F4", {"c": "-7/2"}, (1, 50)),
+]
+
+
+def _band_samples(rho: Fraction):
+    """(z, where) with z = +-rho 2^k (1 + e): inside (|k| <= 63), at the edge (|k| = 64) and outside
+    (|k| >= 65) the band |log|z| - log|rho|| <= 64 ln 2; z = rho, a point 2^-100 from it, z = 0, and
+    +-1, +-2 and 3/7."""
+    yield rho, "in"
+    yield rho * (1 + Fraction(1, 2**100)), "in"
+    yield Fraction(0), "out"
+    for z in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2), Fraction(3, 7)):
+        yield z, "any"
+    for k in (-300, -65, -64, -63, -10, 0, 10, 63, 64, 65, 300):
+        where = "in" if abs(k) <= 63 else "edge" if abs(k) == 64 else "out"
+        for e in (Fraction(0), Fraction(1, 2**40), Fraction(-1, 2**40)):
+            yield rho * Fraction(2) ** k * (1 + e), where
+            yield -rho * Fraction(2) ** k * (1 + e), where
+
+
+def _counting_roots(shape):
+    """The shape with a root that records each index it is built for, and that record."""
+    built = []
+    return shape._replace(root=lambda n: built.append(n) or shape.root(n)), built
+
+
+class TestBandRule:
+    """Outside |log|z| - log|rho_n|| <= 64 ln 2, Shape.abs_at reads log|z - rho_n| as the larger log."""
+
+    @pytest.mark.parametrize("tag, params, ns", _BAND_FAMILIES)
+    def test_abs_at_is_within_its_bound_of_the_exact_subtraction(self, tag, params, ns):
+        shape = make_family(tag, params).shape
+        counted, built = _counting_roots(shape)
+        read = 0
+        for n in ns:
+            mu = shape.mult(n)
+            rho = Fraction(shape.root(n)) if mu else Fraction(1)
+            for z, where in _band_samples(rho):
+                built.clear()
+                got = counted.abs_at(n, z)
+                exact = shape.log_c(n) + log_abs(z) * n + (log_abs(z - rho) * mu if mu else 0.0)
+                if mu and z == rho or not z:
+                    assert got == exact == NEG_INF, (n, z)
+                if built or not mu:
+                    # the exact route is the subtraction itself, bit for bit; inside the band it is the only
+                    # route, and outside it is taken only where the log is within mu 2^-10 of 0
+                    assert got == exact, (n, z)
+                    assert not mu or where != "out" or abs(exact) < mu * 2**-10, (n, z)
+                    continue
+                assert where != "in", (n, z)
+                read += 1
+                want = shape_abs_at_exact(shape, n, z)
+                if want != NEG_INF:
+                    assert abs(got - want) <= mu * 2**-62 + 4 * math.ulp(want), (n, z, got, want)
+        assert read > 0 or tag == "F4"
+
+    @pytest.mark.parametrize("tag, params, ns", _BAND_FAMILIES)
+    def test_circle_min_is_abs_at_at_r_sgn_rho(self, tag, params, ns):
+        shape = make_family(tag, params).shape
+        counted, built = _counting_roots(shape)
+        either = 0
+        for n in ns:
+            if shape.mult(n):  # circle_min reads the sign of rho_n from its double, also where that underflows
+                assert math.copysign(1.0, shape.float_root(n)) == (1.0 if shape.root(n) > 0 else -1.0), n
+            for r in (1e-300, 1e-20, 0.5, 1.0, 2.0, 1e20, 1e308):
+                z = Fraction(r)
+                at = -z if shape.mult(n) and shape.root(n) < 0 else z
+                got = shape.circle_min(n, r)
+                assert got == shape.abs_at(n, at), (n, r)
+                built.clear()
+                other = counted.abs_at(n, -at)
+                if not built:  # outside the band either sign reads the same log
+                    assert other == got, (n, r)
+                    either += 1
+        assert either > 0
+
+    def test_f1_sweep_builds_the_root_only_inside_the_band(self):
+        # at r = 2, |log 2 + n log n| <= 64 ln 2 holds for n <= 15 only; each of those builds rho_n once
+        seq = make_family("F1")
+        seq.shape, built = _counting_roots(seq.shape)
+        rep = check_property_R(seq, 2.0, (1, 2000))
+        assert rep.verdict == "supports"
+        assert built == list(range(1, 16))
+
+    def test_f1_unit_circle_keeps_the_exact_log(self):
+        # min |P_n| on |z| = 1 is 1 - n^-n: outside the band from n = 17, but its log -n^-n is within
+        # mu 2^-10 of 0, so the root is subtracted exactly and the log stays below the floor 0
+        shape = make_family("F1").shape
+        for n in range(14, 60):
+            got = shape.circle_min(n, 1.0)
+            assert got < 0 and got == pytest.approx(-float(Fraction(1, n**n)), rel=1e-12), n
 
 
 def _counting_items(monkeypatch):
@@ -718,6 +816,44 @@ class TestGrowthRule:
         verdicts, info = rule.classify(ns, logs)
         expected = [_reclassify(rule, ns[:i], logs[:i])[0] for i in range(1, len(ns) + 1)]
         assert verdicts == expected
+        assert repr(info) == repr(_reclassify(rule, ns, logs)[1])
+
+    def test_classify_peaks_under_1_mb_on_2_15_values(self):
+        # a growing track keeps every value a suffix minimum of its window, the deques' worst case;
+        # the sparse table of range minima it replaced peaked at 3.97 MB here
+        rule, ns = GrowthRule(), list(range(1, 2**15 + 1))
+        logs = [0.01 * n + (1.0 if n % 7 == 0 else 0.0) for n in ns]
+        tracemalloc.start()
+        try:
+            verdicts, info = rule.classify(ns, logs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert verdicts[-1] == "supports" and repr(info) == repr(_reclassify(rule, ns, logs)[1])
+
+    @pytest.mark.parametrize("logs, minima", [
+        ([-1.0] * 8 + [-0.0, 0.0, 0.5, 0.0] + [1.0, 2.0, 3.0, 4.0], "(-1.0, -0.0, 1.0)"),
+        ([-1.0] * 8 + [0.0, -0.0, 0.5, -0.0] + [1.0, 2.0, 3.0, 4.0], "(-1.0, 0.0, 1.0)"),
+        ([0.5, 0.0, -0.0, 0.5, 0.5, 0.5, 0.5, 0.5] + [1.0, 1.5, 1.2, 1.1] + [2.0, 3.0, 4.0, 5.0], "(0.0, 1.0, 2.0)"),
+    ])
+    def test_zero_ties_read_as_min_reads_them(self, logs, minima):
+        # 16 values: first half logs[:8], quartiles logs[8:12] and logs[12:]; a window whose minimum is
+        # a tie of 0.0 and -0.0 reports the first of them, as min() over the slice does
+        rule, ns = GrowthRule(threshold_log=1.0), list(range(10, 26))
+        verdicts, info = rule.classify(ns, logs)
+        assert verdicts[-1] == "supports"
+        assert repr(info) == repr(_reclassify(rule, ns, logs)[1]) == f"{{'quartile_minima': {minima}}}"
+
+    def test_windows_that_skip_past_their_last_end(self):
+        # the floor refutation holds for L = 10..20, so no window is read there; at L = 21 the
+        # quartile window starts at 10, past the end 6 it was read to at L = 9
+        ns = list(range(10, 31))
+        logs = [-1.0] * 4 + [0.5] + [-1.0 - i for i in range(1, 16)] + [40.0]
+        rule = GrowthRule()
+        verdicts, info = rule.classify(ns, logs)
+        assert verdicts[8:] == ["inconclusive"] + ["refutes"] * 11 + ["inconclusive"]
+        assert verdicts == [_reclassify(rule, ns[:i], logs[:i])[0] for i in range(1, len(ns) + 1)]
         assert repr(info) == repr(_reclassify(rule, ns, logs)[1])
 
 
