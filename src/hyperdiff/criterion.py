@@ -22,7 +22,7 @@ from .errors import PreconditionError
 from .families import GrowthRule, OperatorSequence, check_property_P, combine
 from .inverses import _fnk_decays, build_f_nk
 from .lacunary import decay_report, m0_member, select_indices
-from .scalars import QComplex, log_margin, write_jsonl
+from .scalars import QComplex, certify, write_jsonl
 from .series import TaylorPolynomial, apply_operator, eigen_defect_bound, exp_truncate
 from .synthesis import _residual
 
@@ -158,7 +158,7 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             bound = eigen_defect_bound(op, w, cfg.trunc, 1.0)
             trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
             defect = _residual(op, trunc, trunc.scale(val), 1.0)
-            ok = log_margin(defect, bound) >= 0
+            ok = certify("truncation defect bound", defect, bound, strict=False, raises=False)
             rows.append(
                 {
                     "n": n,

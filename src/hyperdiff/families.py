@@ -100,12 +100,14 @@ class Shape(NamedTuple):
         """log(|c_n| |z|^n |z - rho_n|^mu_n); exact rho_n at a Fraction z, its double at a non-real complex z
         (a float estimate). Where |log|z| - log|rho_n|| > 64 ln 2 the smaller of |z|, |rho_n| is t < 2^-64 times
         the larger, so log|z - rho_n| is the larger log within |log(1 +- t)| <= t/(1 - t) < 2^-63: the value
-        within mu_n 2^-63, under an ulp from mu_n 2^-10 up. Only elsewhere does a Fraction z build rho_n."""
+        within mu_n 2^-63, under an ulp from mu_n 2^-10 up. Below that, near |P_n(z)| = 1 where the sign of the
+        log can matter, the band widens to 1100 ln 2: past it t < 2^-1100, under half the least subnormal, so
+        log(1 +- t) rounds to 0 on either route (F1 on |z| = 1). Only inside does a Fraction z build rho_n."""
         lz, mu = log_abs(z), self.mult(n)
         mag = self.log_c(n) + lz * n
         if mu and isinstance(z, Fraction) and abs(lz - self.log_root(n)) > 64 * LN2:
             far = mag + max(lz, self.log_root(n)) * mu
-            if abs(far) >= mu * 2**-10:  # not near |P_n(z)| = 1, where the sign of the log can matter
+            if abs(far) >= mu * 2**-10 or abs(lz - self.log_root(n)) > 1100 * LN2:
                 return far
         if mu:
             rho = self.root(n) if isinstance(z, Fraction) else self.float_root(n)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
-from .errors import CapExhausted, InvariantViolation, PreconditionError
+from .errors import CapExhausted, PreconditionError
 from .families import OperatorSequence, gallop
-from .scalars import LN2, NEG_INF, log_abs, log_falling, log_margin, log_sum, write_csv
+from .scalars import LN2, NEG_INF, certify, log_abs, log_falling, log_margin, log_sum, write_csv
 from .series import TaylorPolynomial, _majorant_log
 
 
@@ -69,13 +69,8 @@ class LacunaryBasis:
                 )
         self.seq = seq
         self.entries = entries
-        audit = verify_ineq_ak(entries)
-        if not audit.all_ok:
-            bad = audit.violations[0]
-            raise InvariantViolation(
-                f"pairwise bound fails at (k={bad.k}, j={bad.j}): "
-                f"log A + d*log m = {bad.lhs_log:.6g} >= m*log2 = {bad.rhs_log:.6g}"
-            )
+        for bad in verify_ineq_ak(entries).violations:  # the first one raises
+            certify(f"pairwise bound (A_k) at (k={bad.k}, j={bad.j})", bad.lhs_log, bad.rhs_log)
 
     @classmethod
     def build(cls, seq: OperatorSequence, indices: Sequence[int]) -> "LacunaryBasis":
@@ -261,10 +256,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
         bound = _majorant_log(
             ((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), 2 * r
         )
-        if not log_margin(measured, bound) >= 0:
-            raise InvariantViolation(
-                f"tail decay bound fails at step {k}: measured log {measured:.6g} > bound log {bound:.6g}"
-            )
+        certify(f"tail decay bound at step {k}", measured, bound, strict=False)
         rows.append(
             DecayRow(k=k, n=entry.n, measured=measured, bound=bound, diagonal=diagonal, full=full)
         )

@@ -22,7 +22,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, TextIO
 
-from .errors import PreconditionError
+from .errors import InvariantViolation, PreconditionError
 
 LN2 = math.log(2.0)
 NEG_INF = float("-inf")
@@ -53,6 +53,19 @@ def log_margin(lhs: float, rhs: float) -> float:
     if abs(margin) <= SLACK * max(1.0, abs(lhs), abs(rhs)) < math.inf:
         return 0.0
     return margin
+
+
+def certify(kind: str, lhs: float, rhs: float, *, strict: bool = True, raises: bool = True) -> bool:
+    """Whether the log inequality lhs < rhs (lhs <= rhs when not ``strict``) holds, read through
+    ``log_margin``: a tie within rounding certifies only the non-strict form, and a NaN side neither.
+    A failure raises, when ``raises`` is set, an ``InvariantViolation`` naming kind, both logs and the margin."""
+    margin = log_margin(lhs, rhs)
+    if margin > 0 or not strict and margin >= 0:
+        return True
+    if raises:
+        relation = "<" if strict else "<="
+        raise InvariantViolation(f"{kind} failed: log {lhs!r} {relation} log {rhs!r} does not hold, margin {margin!r}")
+    return False
 
 
 def log_fraction(fr: Fraction) -> float:

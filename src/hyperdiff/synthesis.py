@@ -35,8 +35,8 @@ from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
 from .scalars import (
-    LN2, NEG_INF, QComplex, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum, write_csv,
-    write_jsonl,
+    LN2, NEG_INF, QComplex, certify, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
+    write_csv, write_jsonl,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
 
@@ -294,13 +294,8 @@ def _assemble(seq: OperatorSequence, steps: Sequence[SynthesisStep], trace_id: i
         tail = sum((s.eps for s in own[pos:]), Fraction(0))
         budget_log = log_fraction(tail) if tail else -math.inf
         cert_log = (1 - pos) * LN2
-        within = log_margin(residual, budget_log) >= 0
-        certified = log_margin(residual, cert_log) > 0
-        if not certified:
-            raise InvariantViolation(
-                f"residual certificate failed at step {pos}: log residual "
-                f"{residual:.6g} exceeds log 2^{{1-{pos}}} = {cert_log:.6g}"
-            )
+        within = certify("residual budget", residual, budget_log, strict=False, raises=False)
+        certified = certify(f"residual certificate at step {pos}", residual, cert_log)
         records.append(
             ResidualRecord(
                 index=pos,
@@ -449,12 +444,8 @@ def augment(
             lam = Fraction(lam)
             direct = _residual(op, second.vector + x0.scale(lam), y, step.radius)
             bound = log_sum((v_res, log_abs(lam) + base_orbit))
-            ok = log_margin(direct, bound) >= 0 and log_margin(bound, stated_log) > 0
-            if not ok:
-                raise InvariantViolation(
-                    f"augmentation bound failed at step {pos}, lambda {lam}: "
-                    f"direct {direct:.6g}, bound {bound:.6g}, stated {stated_log:.6g}"
-                )
+            ok = (certify(f"augmentation bound at step {pos}, lambda {lam}", direct, bound, strict=False)
+                  and certify(f"augmentation stated bound at step {pos}, lambda {lam}", bound, stated_log))
             rows.append(
                 AugmentRow(
                     lam=lam,
@@ -553,12 +544,7 @@ def joint_family(
         direct = _residual(seq.op(step.n), combined, y, step.radius)
         abs_sum = sum(abs(c) for c in combo)
         tolerance_log = log_fraction(abs_sum) - global_step * LN2
-        ok = log_margin(direct, tolerance_log) > 0
-        if not ok:
-            raise InvariantViolation(
-                f"combination bound failed at global step {global_step}: "
-                f"direct {direct:.6g} > tolerance {tolerance_log:.6g}"
-            )
+        ok = certify(f"combination bound at global step {global_step}", direct, tolerance_log)
         combo_rows.append(
             ComboRow(
                 combo=combo,

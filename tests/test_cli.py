@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import math
+import re
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -9,9 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hyperdiff import cli, lacunary, synthesis
 from hyperdiff.cli import COMMANDS, main, read_operator_table
 from hyperdiff.families import make_family
-from hyperdiff.scalars import QComplex
+from hyperdiff.lacunary import LacunaryBasis
+from hyperdiff.scalars import LN2, QComplex, log_margin
 from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -653,6 +658,72 @@ class TestErrorCodes:
         assert PreconditionError("x").exit_code == 3
         assert CapExhausted("x").exit_code == 4
         assert InvariantViolation("x").exit_code == 5
+
+
+def _certificate_error(kind, lhs, rhs, strict=True):
+    """The stderr line of a failed ``scalars.certify``."""
+    relation, margin = "<" if strict else "<=", log_margin(lhs, rhs)
+    return f"InvariantViolation: {kind} failed: log {lhs!r} {relation} log {rhs!r} does not hold, margin {margin!r}\n"
+
+
+def _residual_read_as(monkeypatch, value, caller):
+    """Make ``synthesis._residual`` return the log ``value`` to ``caller`` and the true residual to any other."""
+    inner = synthesis._residual
+
+    def residual(*args):
+        return value if sys._getframe(1).f_code.co_name == caller else inner(*args)
+
+    monkeypatch.setattr(synthesis, "_residual", residual)
+
+
+class TestCertificateFailures:
+    """Each raising certificate, failed on purpose by patching its input: exit 5 and one worded message."""
+
+    def test_residual_certificate(self, tmp_path, capsys, monkeypatch):
+        _residual_read_as(monkeypatch, 7.0, "_assemble")
+        assert run("synthesize", "--family", "F4", "--count", "2", "--out", str(tmp_path)) == 5
+        # step 1 certifies log residual < log 2^0
+        assert capsys.readouterr().err == _certificate_error("residual certificate at step 1", 7.0, 0.0)
+
+    def test_augmentation_bound(self, tmp_path, capsys, monkeypatch):
+        _residual_read_as(monkeypatch, 7.0, "augment")
+        assert run("augment", "--family", "F4", "--base-count", "4", "--extra", "1", "--out", str(tmp_path)) == 5
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"InvariantViolation: augmentation bound at step 1, lambda -1 failed: "
+                             r"log 7\.0 <= log (\S+) does not hold, margin \S+\n", err)
+        assert match, err
+        bound = float(match.group(1))
+        assert err == _certificate_error("augmentation bound at step 1, lambda -1", 7.0, bound, strict=False)
+
+    def test_augmentation_stated_bound(self, tmp_path, capsys, monkeypatch):
+        # the bound on direct is log_sum((v residual, log|lambda| + base orbit)); it must stay below log 2^(2-i)
+        monkeypatch.setattr(synthesis, "log_sum", lambda logs: 5.0)
+        assert run("augment", "--family", "F4", "--base-count", "4", "--extra", "1", "--out", str(tmp_path)) == 5
+        want = _certificate_error("augmentation stated bound at step 1, lambda -1", 5.0, LN2)
+        assert capsys.readouterr().err == want
+
+    def test_combination_bound(self, tmp_path, capsys, monkeypatch):
+        _residual_read_as(monkeypatch, 7.0, "joint_family")
+        assert run("joint", "--family", "F4", "--out", str(tmp_path)) == 5
+        err = capsys.readouterr().err
+        match = re.fullmatch(r"InvariantViolation: combination bound at global step (\d+) failed: .*\n", err)
+        assert match, err
+        # the first combination (1, 0) has tolerance log(|1| + |0|) - s log 2
+        step = int(match.group(1))
+        assert err == _certificate_error(f"combination bound at global step {step}", 7.0, -step * LN2)
+
+    def test_tail_decay_bound(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(lacunary, "log_sum", lambda logs: 3.0)  # the measured tail
+        monkeypatch.setattr(lacunary, "_majorant_log", lambda terms, r: 2.0)  # its bound
+        assert run("build-m0", "--family", "F4", "--count", "3", "--out", str(tmp_path)) == 5
+        assert capsys.readouterr().err == _certificate_error("tail decay bound at step 1", 3.0, 2.0, strict=False)
+
+    def test_pairwise_bound(self, tmp_path, capsys, monkeypatch):
+        # hand F4's P_3 = z^3 and P_4 = z^4 to build-m0 as its basis: 3 log 4 < 4 log 2 fails
+        monkeypatch.setattr(cli, "select_indices", lambda seq, count, **kw: LacunaryBasis.build(seq, [3, 4]))
+        assert run("build-m0", "--family", "F4", "--count", "2", "--out", str(tmp_path)) == 5
+        want = _certificate_error("pairwise bound (A_k) at (k=1, j=2)", 3 * math.log(4), 4 * LN2)
+        assert capsys.readouterr().err == want
 
 
 

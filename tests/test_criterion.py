@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hyperdiff import criterion
 from hyperdiff.cli import COMMANDS
 from hyperdiff.criterion import (
     CriterionConfig,
@@ -107,6 +108,15 @@ class TestPRoute:
         assert all(row["p_growth_verdict"] == "supports" for row in rep.items["ii"].rows)
         # (iii) truncation defects certified against the reported bounds
         assert all(row.get("within_bound", True) for row in rep.items["iii"].rows)
+
+    def test_defect_past_its_bound_refutes(self, monkeypatch):
+        # (iii)'s defect bound is a certificate that does not raise: a failed row turns the verdict
+        monkeypatch.setattr(criterion, "_residual", lambda *args: 7.0)
+        cfg = CriterionConfig(n_lo=1, n_hi=10, u_samples=(QComplex(-2),), trunc=20)
+        rep = verify_hypotheses(make_family("F3"), "P", cfg)
+        assert rep.items["iii"].verdict == "refutes" and rep.overall == "refutes"
+        rows = rep.items["iii"].rows
+        assert [row["within_bound"] for row in rows] == [row["bound_log"] > 7.0 for row in rows]
 
     def test_needs_samples(self):
         with pytest.raises(PreconditionError):

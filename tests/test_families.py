@@ -245,7 +245,7 @@ class TestShapes:
 
 
 _BAND_FAMILIES = [
-    ("F1", {}, (1, 2, 5, 16, 17, 60, 145, 300, 2000)),  # rho_145 underflows to -0.0
+    ("F1", {}, (1, 2, 5, 16, 17, 60, 145, 151, 152, 300, 2000)),  # rho_145 underflows to -0.0
     ("F2", {}, (2, 40, 400)),
     ("F2", {"c_mode": "unit"}, (1, 40, 400)),
     ("F3", {}, (1, 2, 7, 50, 300)),
@@ -333,9 +333,17 @@ class TestBandRule:
         assert rep.verdict == "supports"
         assert built == list(range(1, 16))
 
+    def test_f1_unit_circle_sweep_builds_the_root_only_to_1100_ln_2(self):
+        # at r = 1 the log -n^-n is within mu 2^-10 of 0, so the band widens to n log n <= 1100 ln 2: n <= 151
+        seq = make_family("F1")
+        seq.shape, built = _counting_roots(seq.shape)
+        rep = check_property_R(seq, 1.0, (1, 2000))
+        assert rep.verdict == "inconclusive"
+        assert built == list(range(1, 152))
+
     def test_f1_unit_circle_keeps_the_exact_log(self):
         # min |P_n| on |z| = 1 is 1 - n^-n: outside the band from n = 17, but its log -n^-n is within
-        # mu 2^-10 of 0, so the root is subtracted exactly and the log stays below the floor 0
+        # mu 2^-10 of 0, so up to n = 151 the root is subtracted exactly and the log stays below the floor 0
         shape = make_family("F1").shape
         for n in range(14, 60):
             got = shape.circle_min(n, 1.0)

@@ -11,6 +11,7 @@ from hyperdiff.scalars import (
     NEG_INF,
     SLACK,
     QComplex,
+    certify,
     exp_log,
     falling_factorial,
     format_scalar,
@@ -26,7 +27,7 @@ from hyperdiff.scalars import (
     write_csv,
     write_jsonl,
 )
-from hyperdiff.errors import PreconditionError
+from hyperdiff.errors import InvariantViolation, PreconditionError
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
 
@@ -283,6 +284,28 @@ class TestLogMargin:
         for lhs, rhs in ((math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan)):
             margin = log_margin(lhs, rhs)
             assert not margin > 0 and not margin >= 0
+
+    @pytest.mark.parametrize("lhs, rhs", [(2.0, 2.0), (NEG_INF, NEG_INF), (2.0, 2.0 + 1e-15), (1e3, 1e3 - 1e-8)])
+    def test_certify_tie_holds_only_non_strict(self, lhs, rhs):
+        # an exact tie, and a tie within rounding either way
+        assert certify("tie", lhs, rhs, strict=False)
+        assert not certify("tie", lhs, rhs, raises=False)
+        with pytest.raises(InvariantViolation) as info:
+            certify("tie", lhs, rhs)
+        assert str(info.value) == f"tie failed: log {lhs!r} < log {rhs!r} does not hold, margin 0.0"
+
+    def test_certify_beyond_rounding(self):
+        assert certify("bound", 1.0, 2.0) and certify("bound", 1.0, 2.0, strict=False)
+        with pytest.raises(InvariantViolation) as info:
+            certify("bound", 2.0, 1.0, strict=False)
+        assert str(info.value) == "bound failed: log 2.0 <= log 1.0 does not hold, margin -1.0"
+
+    @pytest.mark.parametrize("lhs, rhs", [(math.nan, 0.0), (0.0, math.nan)])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_certify_nan_side_fails(self, lhs, rhs, strict):
+        assert not certify("nan", lhs, rhs, strict=strict, raises=False)
+        with pytest.raises(InvariantViolation, match=r" does not hold, margin nan$"):
+            certify("nan", lhs, rhs, strict=strict)
 
 
 class TestScalarText:
