@@ -69,17 +69,17 @@ class Shape(NamedTuple):
     float_root: Optional[Callable[[int], float]] = None
 
     def op(self, n: int) -> PolynomialOperator:
-        # one integer pass from z^(n+mu) down: with c = a/b and -rho = p/q, the coefficient at
-        # z^(n+i) is a C(mu, i) p^k / (b q^k), k = mu - i, reduced once by its Fraction
+        """P_n in one integer pass from z^(n+mu) down: with c = a/b and -rho = p/q, the coefficient at z^(n+i) is
+        a C(mu, i) p^k / (b q^k), k = mu - i, handed over as that unreduced pair (``PolynomialOperator``)."""
         c, mu = self.c(n), self.mult(n)
-        terms = [(n + mu, QComplex.coerce(c))]
-        if mu:
-            (a, b), (p, q) = c.as_integer_ratio(), (-self.root(n)).as_integer_ratio()
-            comb, pk, qk = 1, 1, 1  # C(mu, i), p^k, q^k
-            for i in range(mu - 1, -1, -1):
-                comb, pk, qk = comb * (i + 1) // (mu - i), pk * p, qk * q
-                terms.append((n + i, QComplex.coerce(Fraction(a * comb * pk, b * qk))))
-        return PolynomialOperator._raw(dict(reversed(terms)))
+        if not mu:  # c alone, reduced already
+            return PolynomialOperator._raw({n: QComplex.coerce(c)})
+        (a, b), (p, q) = c.as_integer_ratio(), (-self.root(n)).as_integer_ratio()
+        pairs, comb, pk, qk = {n + mu: (a, b)}, 1, 1, 1  # C(mu, i), p^k, q^k
+        for i in range(mu - 1, -1, -1):
+            comb, pk, qk = comb * (i + 1) // (mu - i), pk * p, qk * q
+            pairs[n + i] = (a * comb * pk, b * qk)
+        return PolynomialOperator._raw(None, dict(reversed(pairs.items())))
 
     def items(self, n: int) -> Iterator[Tuple[int, float]]:
         """(n + i, log|c_n| + log C(mu, i) + (mu - i) log|rho_n|) in exponent order; lazy,

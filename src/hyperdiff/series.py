@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List, TextIO, Tuple, Union
+from typing import Iterable, List, Optional, TextIO, Tuple, Union
 
 from .scalars import (
     NEG_INF,
@@ -46,22 +46,38 @@ def _majorant_log(terms: Iterable[Tuple[int, QComplex]], r: float) -> float:
     return log_sum(log_abs(c) + j * log_r for j, c in terms)
 
 
-def _exact_horner(terms: dict, w: QComplex, m: int) -> QComplex:
-    """sum(c_j w^(j-m)) over exact terms {j: c_j}, j >= m: with c_j = X_j / D, D common, and
-    w = u / q, Horner sums S = sum(X_j u^(j-m) q^(d-j)) in ints; S / (D q^(d-m)) reduces once."""
+def _ratio_lanes(terms: dict) -> tuple:
+    """{j: (num, den)} of exact terms' real parts, then of their imaginary parts if any is nonzero."""
+    im = {j: c.im.as_integer_ratio() for j, c in terms.items() if c.im}
+    return ({j: c.re.as_integer_ratio() for j, c in terms.items()},) + ((im,) if im else ())
+
+
+def _integer_form(lanes: tuple, top: int, m: int) -> tuple:
+    """(D, X, Y) with c_j = (X_j + i Y_j) / D over one common denominator D, from ``_ratio_lanes``-shaped
+    lanes; X and Y list j = top down to m, 0 at a gap, and Y is None when every c_j is real."""
     den = 1
-    for d in (f.denominator for c in terms.values() for f in (c.re, c.im)):
-        if d != 1 and den % d:  # den % 1 and den // 1 cost the length of a huge den
-            den = den // math.gcd(den, d) * d
+    for b in (b for lane in lanes for _, b in lane.values()):
+        if b != 1 and den % b:  # den % 1 and den // 1 cost the length of a huge den
+            den = den // math.gcd(den, b) * b
+    xs, *ys = ([x * (den // b) for x, b in (lane.get(j, (0, 1)) for j in range(top, m - 1, -1))] for lane in lanes)
+    return den, xs, ys[0] if ys else None
+
+
+def _exact_horner(form: tuple, w: QComplex) -> QComplex:
+    """sum(c_j w^(j-m)) from an ``_integer_form``: with w = u / q, Horner sums S = sum((X_j + i Y_j) u^(j-m) q^(d-j))
+    in ints, in one lane for a real w on real c_j, and S / (D q^(d-m)) reduces once."""
+    den, xs, ys = form
     q = math.lcm(w.re.denominator, w.im.denominator)
-    ur, ui, sr, si, qk = (w.re * q).numerator, (w.im * q).numerator, 0, 0, 1  # qk = q^(d-j)
-    for j in range(next(reversed(terms)), m - 1, -1):
-        sr, si = sr * ur - si * ui, sr * ui + si * ur
-        if (c := terms.get(j)) is not None:
-            (xr, br), (xi, bi) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
-            sr += xr * qk * (den if br == 1 else den // br)
-            si += xi * qk * (den if bi == 1 else den // bi)
-        qk *= q
+    ur, ui = w.re.numerator * (q // w.re.denominator), w.im.numerator * (q // w.im.denominator)
+    sr, si, qk = 0, 0, 1  # qk = q^(d-j)
+    if ui or ys:
+        for xr, xi in zip(xs, ys or [0] * len(xs)):
+            sr, si = sr * ur - si * ui + xr * qk, sr * ui + si * ur + xi * qk
+            qk *= q
+    else:
+        for x in xs:
+            sr = sr * ur + x * qk
+            qk *= q
     scale = den * (qk // q)
     return QComplex(Fraction(sr, scale), Fraction(si, scale) if si else 0)
 
@@ -205,7 +221,7 @@ class TaylorPolynomial:
         """Horner evaluation, exact, in one integer pass over the common denominator."""
         if self.is_zero:
             return QC_ZERO
-        return _exact_horner(self._terms, to_qcomplex(z), 0)
+        return _exact_horner(_integer_form(_ratio_lanes(self._terms), self.degree, 0), to_qcomplex(z))
 
     def majorant_norm(self, r: float) -> float:
         """log of the coefficient majorant sum(|a_j| r^j).
@@ -222,13 +238,17 @@ class PolynomialOperator:
 
     Stored as its nonzero terms, a map {j: c_j} in increasing j. The valence m
     is the least exponent with nonzero coefficient, the degree d the greatest.
+    A shaped family's operator may arrive as unreduced pairs {j: (num, den)},
+    reduced to terms only when a coefficient is first read; ``value_at`` reads
+    neither, but one integer form built on the first sample and kept.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_pairs", "_form")
 
     def __init__(self, coeffs_by_degree):
         items = sorted((j, c) for j, c in dict(coeffs_by_degree).items() if c)
         self._terms = _coerce_terms(items)
+        self._pairs = self._form = None
         if not self._terms:
             raise ValueError("operator polynomial has no nonzero coefficients")
         if self.valence < 0:
@@ -237,32 +257,40 @@ class PolynomialOperator:
             raise ValueError("operator polynomial must be nonconstant (degree >= 1)")
 
     @classmethod
-    def _raw(cls, terms: dict) -> "PolynomialOperator":
-        """Internal constructor for callers that already guarantee invariants."""
+    def _raw(cls, terms: Optional[dict], pairs: Optional[dict] = None) -> "PolynomialOperator":
+        """Internal constructor for callers that already guarantee invariants: terms, or real pairs."""
         obj = object.__new__(cls)
-        obj._terms = terms
+        obj._terms, obj._pairs, obj._form = terms, pairs, None
         return obj
+
+    def _exact(self) -> dict:
+        if self._terms is None:
+            self._terms = {j: QComplex.coerce(Fraction(x, b)) for j, (x, b) in self._pairs.items()}
+        return self._terms
 
     @property
     def valence(self) -> int:
-        return next(iter(self._terms))
+        return next(iter(self._pairs or self._terms))
 
     @property
     def degree(self) -> int:
-        return next(reversed(self._terms))
+        return next(reversed(self._pairs or self._terms))
 
     def coefficient(self, j: int) -> QComplex:
-        return self._terms.get(j, QC_ZERO)
+        return (self._terms or self._exact()).get(j, QC_ZERO)
 
     def terms(self):
         """The (j, c_j) pairs with c_j nonzero, in increasing j."""
-        return self._terms.items()
+        return (self._terms or self._exact()).items()
 
     def value_at(self, w: CoeffLike) -> QComplex:
-        """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) by Horner over d..m,
-        exactly, in one integer pass over the common denominator (``_exact_horner``)."""
+        """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) exactly by Horner over d..m
+        in integers (``_exact_horner``), from the integer form built on the first sample and kept."""
+        if self._form is None:
+            lanes = (self._pairs,) if self._pairs else _ratio_lanes(self._terms)
+            self._form = _integer_form(lanes, self.degree, self.valence)
         wq = to_qcomplex(w)
-        return _exact_horner(self._terms, wq, self.valence) * wq**self.valence
+        return _exact_horner(self._form, wq) * wq**self.valence
 
     def derivative_majorant(self, r: float) -> float:
         """log of B = sum((j - m) |c_j| r^(j-1)); B / r^m bounds |H'| on |z| = r, H = P/z^m."""
@@ -279,7 +307,7 @@ class PolynomialOperator:
     def __eq__(self, other):
         if not isinstance(other, PolynomialOperator):
             return NotImplemented
-        return self._terms == other._terms
+        return self._exact() == other._exact()
 
     def __repr__(self):
         body = " + ".join(f"{c}*z^{j}" for j, c in list(self.terms())[:4])

@@ -1,3 +1,4 @@
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -24,7 +25,7 @@ from hyperdiff.families import (
 )
 from hyperdiff.lacunary import decay_report, m0_member, select_indices
 from hyperdiff.scalars import LN2, NEG_INF, QComplex, exp_log, log_abs, log_margin, log_sum
-from hyperdiff.series import PolynomialOperator, TaylorPolynomial
+from hyperdiff.series import PolynomialOperator, TaylorPolynomial, write_operator
 
 from oracles import shape_abs_at_exact, shape_op_by_fractions
 
@@ -233,6 +234,29 @@ class TestShapes:
         seq = make_family(tag, params)
         for n in ns:
             assert list(seq.op(n).terms()) == list(shape_op_by_fractions(seq.shape, n).terms()), n
+
+    @pytest.mark.parametrize("tag, params, ns", [
+        ("F1", {}, (1, 2, 5, 40, 151, 300)),
+        ("F2", {}, (1, 2, 40, 709, 710)),
+        ("F2", {"c_mode": "unit"}, (1, 2, 40, 300)),
+        ("F3", {}, (1, 2, 7, 50, 160)),
+        ("F4", {"c": "-7/2"}, (1, 2, 50)),
+        ("F4", {"decay": "pow2cubic"}, (1, 2, 5, 12)),
+    ])
+    def test_samples_before_any_read_match_the_fraction_expansion(self, tag, params, ns):
+        # P_n takes its samples, rho_n first, from its integer form before any coefficient is read;
+        # then its terms reduce to the oracle's: same file bytes, equal both ways
+        seq = make_family(tag, params)
+        for n in ns:
+            op, want = seq.op(n), shape_op_by_fractions(seq.shape, n)
+            roots = [QComplex(seq.shape.root(n))] if seq.shape.mult(n) else []
+            for z in [*roots, QComplex(-2), QComplex(Fraction(3, 7)), QComplex(Fraction(-1, 3), Fraction(1, 2))]:
+                assert op.value_at(z) == want.value_at(z), (n, z)
+            assert [op.value_at(z) for z in roots] == [QComplex(0)] * len(roots)
+            got_file, want_file = io.StringIO(), io.StringIO()
+            write_operator(op, got_file)
+            write_operator(want, want_file)
+            assert got_file.getvalue() == want_file.getvalue() and op == want and want == op, n
 
     @pytest.mark.parametrize("tag, params", [fam for fam in _SHAPED if fam[0] in ("F2", "F4")])
     def test_closed_form_sum_keeps_the_item_sum_bits(self, tag, params):

@@ -449,19 +449,51 @@ def tall_exact_operators(draw):
     return {m + i: c for i, c in enumerate(row)}, rho
 
 
+@st.composite
+def unreduced_real_pairs(draw):
+    """{j: (num, den)} in increasing j, valence m, degree d <= 40, gaps, parts of height up to 2^64,
+    every pair scaled by one drawn common factor, so no pair is in lowest terms past k = 1."""
+    m = draw(st.integers(0, 20))
+    d = draw(st.integers(max(m, 1), 40))
+    js = sorted({m, d, *draw(st.lists(st.integers(m, d), max_size=6))})
+    k, nums = draw(st.integers(1, 2**70)), st.integers(-(2**64), 2**64).filter(bool)
+    return {j: (draw(nums) * k, draw(st.integers(1, 2**64)) * k) for j in js}
+
+
 class TestExactValueAt:
     @settings(max_examples=150, deadline=None)
-    @given(tall_exact_operators(), exact_points)
-    def test_integer_pass_equals_the_model_horner(self, drawn, w):
-        # DenseOperator.value_at is the QComplex Horner that reduces a Fraction at every step
+    @given(tall_exact_operators(), st.lists(exact_points, min_size=3, max_size=4))
+    def test_integer_pass_equals_the_model_horner(self, drawn, ws):
+        # DenseOperator.value_at is the QComplex Horner that reduces a Fraction at every step. Each
+        # operator evaluates every point in a row from its one integer form: `cold` before any
+        # read of its terms, `warm` after one
         raw, rho = drawn
-        model, op, points = DenseOperator(raw), PolynomialOperator(raw), [w] if rho is None else [w, rho]
-        poly = TaylorPolynomial.from_pairs(list(op.terms()))
+        model, points = DenseOperator(raw), ws if rho is None else [*ws, rho]
+        cold, warm = PolynomialOperator(raw), PolynomialOperator(raw)
+        poly = TaylorPolynomial.from_pairs(list(warm.terms()))
         for z in points:
             want = model.value_at(z)
-            assert op.value_at(z) == want and poly.evaluate(z) == want
+            assert cold.value_at(z) == want and warm.value_at(z) == want and poly.evaluate(z) == want
+        assert cold == warm and list(cold.terms()) == model.terms()
         if rho is not None:
-            assert op.value_at(rho) == QComplex(0)
+            assert cold.value_at(rho) == QComplex(0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(unreduced_real_pairs(), st.lists(exact_points, min_size=3, max_size=4))
+    def test_unreduced_pairs_read_as_their_fractions(self, pairs, ws):
+        # an operator built from unreduced pairs has the terms, file and values of its reduced
+        # coefficients, whether its samples come before the first read of its terms or after
+        model = DenseOperator({j: Fraction(x, b) for j, (x, b) in pairs.items()})
+        cold, warm = PolynomialOperator._raw(None, pairs), PolynomialOperator._raw(None, dict(pairs))
+        assert (cold.valence, cold.degree) == (model.valence, model.degree)
+        assert list(warm.terms()) == model.terms()
+        for z in ws:
+            want = model.value_at(z)
+            assert cold.value_at(z) == want and warm.value_at(z) == want
+        assert list(cold.terms()) == model.terms() and cold == warm == PolynomialOperator(dict(model.terms()))
+        buf = io.StringIO()
+        write_operator(cold, buf)
+        assert buf.getvalue() == model.written()
 
 
 class TestCoefficientFiles:
