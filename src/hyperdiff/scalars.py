@@ -69,12 +69,14 @@ def certify(kind: str, lhs: float, rhs: float, *, strict: bool = True, raises: b
 
 
 def log_fraction(fr: Fraction) -> float:
-    """Natural log of a positive rational p/q, safe for huge p and q; log1p((p - q)/q) within
-    2^-20 of 1, where log(p) - log(q) would lose 20 or more bits to cancellation."""
+    """Natural log of a positive rational p/q within a few ulps, from correctly rounded int divisions: log1p((p - q)/q)
+    for 1/2 <= p/q <= 2, log(p / q) while p/q is a normal double, else log(p) - log(q), whose error scales with log q."""
     p, q = fr.numerator, fr.denominator
     if p <= 0:
         raise ValueError("log_fraction needs a positive rational")
-    return math.log1p((p - q) / q) if abs(p - q) << 20 < q else math.log(p) - math.log(q)
+    if abs(p - q) <= min(p, q):
+        return math.log1p((p - q) / q)
+    return math.log(p / q) if abs(p.bit_length() - q.bit_length()) < 1020 else math.log(p) - math.log(q)
 
 
 def log_falling(m: int, s: int) -> float:

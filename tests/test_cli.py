@@ -410,7 +410,7 @@ _GOLDEN = [
         (
             "combo,target,global_step,n,radius,direct_log,tolerance_log,ok\n"
             "1 0,0,3,12,3.0,-2.9143168820684817,-2.0794415416798357,True\n"
-            "1 -1/2,0,4,21,4.0,-inf,-2.3671236141316165,True\n"
+            "1 -1/2,0,4,21,4.0,-inf,-2.367123614131617,True\n"
         ),
     ),
 ]

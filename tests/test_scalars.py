@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hyperdiff.scalars import (
     NEG_INF,
@@ -28,8 +28,15 @@ from hyperdiff.scalars import (
     write_jsonl,
 )
 from hyperdiff.errors import InvariantViolation, PreconditionError
+from hyperdiff.families import make_family
+
+from oracles import log_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+
+
+def _ulps(got: float, want: float) -> float:
+    return 0.0 if got == want else abs(got - want) / math.ulp(want)
 
 
 @st.composite
@@ -184,6 +191,25 @@ class TestLogMagnitude:
         assert log_fraction(Fraction(10**400 + 1, 10**400)) == 0.0  # 10^-400 underflows, no error
         with pytest.raises(ValueError):
             log_fraction(Fraction(0))
+
+    def test_log_fraction_of_the_f3_sample_is_within_an_ulp(self):
+        # |P_300(z)| of F3 at z = (3/128)(1 + 2^-40) has 27951- and 28201-bit parts; log p - log q
+        # read its log 69 ulps from the 60-digit decimal one
+        z = Fraction(3, 128) * (1 + Fraction(1, 2**40))
+        value = make_family("F3").op(300).value_at(QComplex(z)).re
+        assert _ulps(log_fraction(abs(value)), log_rational(value)) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 14000), st.integers(-8, 8), st.integers(0, 64), st.data())
+    def test_log_fraction_of_huge_parts_is_within_a_few_ulps(self, bits, spread, near, data):
+        # p and q of close bit lengths (under 4300 digits, so a failing draw prints); for near > 0,
+        # p = q (1 + e) with |e| <= 2^-near
+        q = data.draw(st.integers(2 ** (bits - 1), 2**bits - 1))
+        if near:
+            p = q + data.draw(st.integers(-(q >> near), q >> near).filter(lambda d: d + q > 0))
+        else:
+            p = data.draw(st.integers(1, 2 ** max(1, bits + spread)))
+        assert _ulps(log_fraction(Fraction(p, q)), log_rational(Fraction(p, q))) <= 2
 
     def test_sum_empty_and_overflow_free(self):
         assert log_sum([]) == NEG_INF
