@@ -69,15 +69,15 @@ class Shape(NamedTuple):
     float_root: Optional[Callable[[int], float]] = None
 
     def op(self, n: int) -> PolynomialOperator:
-        """P_n in one integer pass from z^(n+mu) down: with c = a/b and -rho = p/q, the coefficient at z^(n+i) is
-        a C(mu, i) p^k / (b q^k), k = mu - i, handed over as that unreduced pair (``PolynomialOperator``)."""
+        """P_n in one integer pass from z^(n+mu) down: with c = a/b and rho = p/q, the coefficient at z^(n+i) is
+        a C(mu, i) (-p)^k / (b q^k), k = mu - i, handed over as that unreduced pair (``PolynomialOperator``)."""
         c, mu = self.c(n), self.mult(n)
         if not mu:  # c alone, reduced already
             return PolynomialOperator._raw({n: QComplex.coerce(c)})
-        (a, b), (p, q) = c.as_integer_ratio(), (-self.root(n)).as_integer_ratio()
-        pairs, comb, pk, qk = {n + mu: (a, b)}, 1, 1, 1  # C(mu, i), p^k, q^k
+        (a, b), (p, q) = c.as_integer_ratio(), self.root(n).as_integer_ratio()
+        pairs, comb, pk, qk = {n + mu: (a, b)}, 1, 1, 1  # C(mu, i), (-p)^k, q^k
         for i in range(mu - 1, -1, -1):
-            comb, pk, qk = comb * (i + 1) // (mu - i), pk * p, qk * q
+            comb, pk, qk = comb * (i + 1) // (mu - i), pk * -p, qk * q
             pairs[n + i] = (a * comb * pk, b * qk)
         return PolynomialOperator._raw(None, dict(reversed(pairs.items())))
 

@@ -263,9 +263,9 @@ class PolynomialOperator:
         obj._terms, obj._pairs, obj._form = terms, pairs, None
         return obj
 
-    def _exact(self) -> dict:
+    def _reduced_terms(self) -> dict:
         if self._terms is None:
-            self._terms = {j: QComplex.coerce(Fraction(x, b)) for j, (x, b) in self._pairs.items()}
+            self._terms, self._pairs = {j: QComplex.coerce(Fraction(x, b)) for j, (x, b) in self._pairs.items()}, None
         return self._terms
 
     @property
@@ -277,11 +277,11 @@ class PolynomialOperator:
         return next(reversed(self._pairs or self._terms))
 
     def coefficient(self, j: int) -> QComplex:
-        return (self._terms or self._exact()).get(j, QC_ZERO)
+        return self._reduced_terms().get(j, QC_ZERO)
 
     def terms(self):
         """The (j, c_j) pairs with c_j nonzero, in increasing j."""
-        return (self._terms or self._exact()).items()
+        return self._reduced_terms().items()
 
     def value_at(self, w: CoeffLike) -> QComplex:
         """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) exactly by Horner over d..m
@@ -307,7 +307,7 @@ class PolynomialOperator:
     def __eq__(self, other):
         if not isinstance(other, PolynomialOperator):
             return NotImplemented
-        return self._exact() == other._exact()
+        return self._reduced_terms() == other._reduced_terms()
 
     def __repr__(self):
         body = " + ".join(f"{c}*z^{j}" for j, c in list(self.terms())[:4])
