@@ -69,8 +69,8 @@ def certify(kind: str, lhs: float, rhs: float, *, strict: bool = True, raises: b
 
 
 def log_fraction(fr: Fraction) -> float:
-    """Natural log of a positive rational p/q within a few ulps, from correctly rounded int divisions: log1p((p - q)/q)
-    for 1/2 <= p/q <= 2, log(p / q) while p/q is a normal double, else log(p) - log(q), whose error scales with log q."""
+    """Natural log of a positive rational p/q within a few ulps: log1p((p - q)/q) for 1/2 <= p/q <= 2, else
+    log(p / q) while p/q is a normal double (int division rounds correctly), else log(p) - log(q) (ulps of log q)."""
     p, q = fr.numerator, fr.denominator
     if p <= 0:
         raise ValueError("log_fraction needs a positive rational")
