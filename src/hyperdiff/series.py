@@ -57,7 +57,7 @@ def _integer_form(lanes: tuple, top: int, m: int) -> tuple:
     lanes; X and Y list j = top down to m, 0 at a gap, and Y is None when every c_j is real."""
     den = 1
     for b in (b for lane in lanes for _, b in lane.values()):
-        if b != 1 and den % b:  # den % 1 and den // 1 cost the length of a huge den
+        if b != 1 and den % b:  # den % 1 costs the length of a huge den
             den = den // math.gcd(den, b) * b
     xs, *ys = ([x * (den // b) for x, b in (lane.get(j, (0, 1)) for j in range(top, m - 1, -1))] for lane in lanes)
     return den, xs, ys[0] if ys else None
