@@ -2,9 +2,10 @@
 sequences of finite-order differential operators on entire functions.
 
 Everything operates on explicit finite data: truncated Taylor polynomials,
-polynomial operators P(D), log-domain magnitudes. All values are immutable
-after construction and all operations are pure functions, so they are safe to
-share across threads or parallel sweeps without coordination.
+polynomial operators P(D), log-domain magnitudes. Result records are immutable
+named tuples. Two objects cache work on first use: an ``OperatorSequence`` keeps
+the operator it built last, and a ``PolynomialOperator`` reduces its terms and
+builds its integer form when first read; no thread safety is claimed for either.
 """
 
 from .errors import (

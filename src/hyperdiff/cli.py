@@ -72,10 +72,6 @@ def _p_float(text: str) -> float:
     return value
 
 
-def _p_str(text: str) -> str:
-    return text
-
-
 def _p_bool(text: str) -> bool:
     low = text.strip().lower()
     if low in ("1", "true", "yes", "on"):
@@ -107,12 +103,15 @@ def _p_point(token: str):
     raise ConfigError(f"cannot parse sample point {token!r} as a finite number")
 
 
-def _p_points(text: str) -> tuple:
-    return tuple(_p_point(tok) for tok in text.split(",") if tok.strip())
+def _p_list(parse: Callable[[str], object], sep: str = ",") -> Callable[[str], tuple]:
+    """A parser of ``sep``-separated items, each read by ``parse``; blank items are skipped."""
+    return lambda text: tuple(parse(tok) for tok in text.split(sep) if tok.strip())
 
 
-def _p_fractions(text: str) -> tuple:
-    return tuple(_p_rational(tok) for tok in text.split(",") if tok.strip())
+_p_points = _p_list(_p_point)
+_p_fractions = _p_list(_p_rational)
+_p_ints = _p_list(_p_int)
+_p_combos = _p_list(_p_fractions, ";")
 
 
 def _p_poly(text: str) -> TaylorPolynomial:
@@ -123,19 +122,11 @@ def _p_poly(text: str) -> TaylorPolynomial:
 
 def _p_polys(text: str) -> tuple:
     """Polynomial literals separated by ';', with an optional "polys:" prefix."""
-    return tuple(_p_poly(part) for part in text.removeprefix("polys:").split(";") if part.strip())
+    return _p_list(_p_poly, ";")(text.removeprefix("polys:"))
 
 
 def _p_targets(text: str):
     return "diagonal" if text == "diagonal" else _p_polys(text)
-
-
-def _p_combos(text: str) -> tuple:
-    return tuple(_p_fractions(part) for part in text.split(";") if part.strip())
-
-
-def _p_ints(text: str) -> tuple:
-    return tuple(_p_int(tok) for tok in text.split(",") if tok.strip())
 
 
 # -- key tables ---------------------------------------------------------------------
@@ -149,15 +140,15 @@ class Key(NamedTuple):
 
 
 FAMILY_KEYS = [
-    Key("family", _p_str, None, "family tag F1..F5"),
-    Key("c", _p_str, None, "F4 constant coefficient (rational)"),
-    Key("decay", _p_str, None, "F4 decay regime: pow2cubic"),
-    Key("c_mode", _p_str, None, "F2 coefficients: paper or unit"),
-    Key("log_base", _p_str, None, "F2 exponent log base (default natural)"),
-    Key("table", _p_str, None, "F5 operator table file"),
+    Key("family", str, None, "family tag F1..F5"),
+    Key("c", str, None, "F4 constant coefficient (rational)"),
+    Key("decay", str, None, "F4 decay regime: pow2cubic"),
+    Key("c_mode", str, None, "F2 coefficients: paper or unit"),
+    Key("log_base", str, None, "F2 exponent log base (default natural)"),
+    Key("table", str, None, "F5 operator table file"),
 ]
 
-OUT_KEY = Key("out", _p_str, "out", "output directory")
+OUT_KEY = Key("out", str, "out", "output directory")
 SEED_KEY = Key("seed", _p_int, 0, "seed for randomized batteries")
 
 # the single-trace construction shared by synthesize and perturb
@@ -277,30 +268,20 @@ def _cmd_check_properties(cfg: Dict) -> int:
         raise ConfigError(f"props must be letters from P, Q and R, got {cfg['props']!r}")
     out = _outdir(cfg)
     n_range = (cfg["n_min"], cfg["n_max"])
-    produced = []
-    if "P" in props:
-        rep = check_property_P(
-            seq, list(cfg["u_samples"]), n_range, GrowthRule(threshold_log=cfg["threshold_log"])
-        )
-        _write(out / "property_P.csv", lambda h: write_evidence_csv(rep, h))
-        produced.append(("P", rep.verdict))
-    if "Q" in props:
-        rep = check_property_Q(
-            seq,
-            cfg["k_max"],
-            (max(2, n_range[0]), n_range[1]),
-            GrowthRule(threshold_log=cfg["q_threshold_log"], vanish_hits=None),
-        )
-        _write(out / "property_Q.csv", lambda h: write_evidence_csv(rep, h))
-        produced.append(("Q", rep.verdict))
-    if "R" in props:
-        rep = check_property_R(
-            seq, cfg["r"], n_range, cfg["samples"], GrowthRule(threshold_log=cfg["threshold_log"])
-        )
-        _write(out / "property_R.csv", lambda h: write_evidence_csv(rep, h))
-        produced.append(("R", rep.verdict))
-    for prop, verdict in produced:
-        print(f"property ({prop}): {verdict}")
+    rule = GrowthRule(threshold_log=cfg["threshold_log"])
+    q_rule = GrowthRule(threshold_log=cfg["q_threshold_log"], vanish_hits=None)
+    checks = {  # in run order; each file is written before the next check runs
+        "P": lambda: check_property_P(seq, list(cfg["u_samples"]), n_range, rule),
+        "Q": lambda: check_property_Q(seq, cfg["k_max"], (max(2, n_range[0]), n_range[1]), q_rule),
+        "R": lambda: check_property_R(seq, cfg["r"], n_range, cfg["samples"], rule),
+    }
+    verdicts = []
+    for prop, check in checks.items():
+        if prop in props:
+            rep = check()
+            _write(out / f"property_{prop}.csv", lambda h: write_evidence_csv(rep, h))
+            verdicts.append(f"property ({prop}): {rep.verdict}")
+    print("\n".join(verdicts))
     return 0
 
 
@@ -466,7 +447,7 @@ class Command(NamedTuple):
 # each command's handler and keys, in help order
 COMMANDS: Dict[str, Command] = {
     "check-properties": Command(_cmd_check_properties, FAMILY_KEYS + [
-        Key("props", _p_str, "PQR", "subset of properties to check"),
+        Key("props", str, "PQR", "subset of properties to check"),
         Key("n_min", _p_int, 1, "first index"),
         Key("n_max", _p_int, 40, "last index"),
         Key("r", _p_float, 2.0, "circle radius for (R)"),
@@ -478,7 +459,7 @@ COMMANDS: Dict[str, Command] = {
         OUT_KEY,
     ]),
     "unicity": Command(_cmd_unicity, [
-        Key("points", _p_str, "sqrt", "sqrt | linear | pow2 | file:<path>"),
+        Key("points", str, "sqrt", "sqrt | linear | pow2 | file:<path>"),
         Key("r_max", _p_float, 1e6, "largest radius"),
         Key("margin", _p_float, 0.1, "required excess of chi over 1"),
         OUT_KEY,
@@ -497,7 +478,7 @@ COMMANDS: Dict[str, Command] = {
         OUT_KEY,
     ]),
     "verify-criterion": Command(_cmd_verify_criterion, FAMILY_KEYS + [
-        Key("route", _p_str, "Q", "P or Q"),
+        Key("route", str, "Q", "P or Q"),
         Key("n_min", _p_int, 1, "first index"),
         Key("n_max", _p_int, 40, "last index"),
         Key("k_max", _p_int, 3, "largest target degree for the Q route"),

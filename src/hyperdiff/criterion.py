@@ -44,8 +44,7 @@ class CriterionConfig(NamedTuple):
 
 class HypothesisEvidence(NamedTuple):
     verdict: str
-    rows: List[dict]
-    notes: dict
+    rows: List[dict]  # all of the evidence: criterion.jsonl writes one record per row
 
 
 class CriterionReport(NamedTuple):
@@ -105,12 +104,7 @@ def _hypothesis_i(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvid
                 exact[i] = apply_operator(op, g).is_zero
     rows = [{"degree": g.degree, "crossing": c, "exact_zero": ok} for g, c, ok in zip(battery, firsts, exact)]
     verdicts = {None: "inconclusive", True: "supports", False: "refutes"}
-    crossings = {row["degree"]: row["crossing"] for row in rows if row["crossing"] is not None}
-    return HypothesisEvidence(
-        verdict=combine(verdicts[ok] for ok in exact),
-        rows=rows,
-        notes={"crossings": crossings},
-    )
+    return HypothesisEvidence(verdict=combine(verdicts[ok] for ok in exact), rows=rows)
 
 
 def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -119,7 +113,7 @@ def _hypothesis_ii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
         dict(k=rep.k, verdict=rep.verdict, crossing=rep.crossing, final_norm_log=rep.rows[-1].norm)
         for rep in reports
     ]
-    return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows, notes={})
+    return HypothesisEvidence(verdict=combine(row["verdict"] for row in rows), rows=rows)
 
 
 def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -130,7 +124,7 @@ def _hypothesis_ii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisE
         {"w": str(w), "p_growth_verdict": verdicts[str(w)], "final_log": tracks[str(w)][-1]}
         for w in cfg.u_samples
     ]
-    return HypothesisEvidence(verdict=rep.verdict, rows=rows, notes={})
+    return HypothesisEvidence(verdict=rep.verdict, rows=rows)
 
 
 def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
@@ -140,15 +134,16 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
         for k in range(0, cfg.k_max + 1):
             build_f_nk(op, k, verify=True)  # raises on failure
             rows.append({"n": n, "k": k, "identity": "exact"})
-    return HypothesisEvidence(verdict="supports" if rows else "inconclusive", rows=rows, notes={})
+    return HypothesisEvidence(verdict="supports" if rows else "inconclusive", rows=rows)
 
 
 def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
     verdict = "supports"
+    truncs = [exp_truncate(w, cfg.trunc, 1.0)[0] for w in cfg.u_samples]  # each depends on w alone
     for n in _sample_indices(cfg.n_lo, cfg.n_hi, SWEEP_POINTS):
         op = seq.op(n)
-        for w in cfg.u_samples:
+        for w, trunc in zip(cfg.u_samples, truncs):
             val = op.value_at(w)
             if not val:
                 rows.append({"n": n, "w": str(w), "status": "root (inverse defined as 0)"})
@@ -156,7 +151,6 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             # algebraic identity P(w) * (1/P(w)) = 1 is exact; certify the
             # truncation defect against its reported bound
             bound = eigen_defect_bound(op, w, cfg.trunc, 1.0)
-            trunc, _ = exp_truncate(w, cfg.trunc, 1.0)
             defect = _residual(op, trunc, trunc.scale(val), 1.0)
             ok = certify("truncation defect bound", defect, bound, strict=False, raises=False)
             rows.append(
@@ -170,13 +164,13 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
             )
             if not ok:
                 verdict = "refutes"
-    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows, notes={})
+    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows)
 
 
 def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     basis = select_indices(seq, cfg.basis_size)
     r_iv = max(1.0, cfg.r)
-    q = max(4, math.ceil(4 * r_iv))
+    q = max(4, math.ceil(4 * Fraction(r_iv)))  # exact: 4 * r_iv overflows a double from r_iv = 2^1022
     member = m0_member(basis, [QComplex(Fraction(1, q ** e.valence)) for e in basis.entries])
     rep = decay_report(basis, member, r_iv)
     rows = [
@@ -189,11 +183,7 @@ def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvi
         for row in rep.rows
     ]
     # decay_report has already raised on any row whose measured norm exceeds its bound
-    return HypothesisEvidence(
-        verdict="supports" if rep.measured_nonincreasing else "inconclusive",
-        rows=rows,
-        notes={"indices": basis.indices, "decay_base": q, "radius": r_iv},
-    )
+    return HypothesisEvidence(verdict="supports" if rep.measured_nonincreasing else "inconclusive", rows=rows)
 
 
 def verify_hypotheses(

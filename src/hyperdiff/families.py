@@ -11,9 +11,9 @@ three divergence properties:
 Checkers gather monotone finite evidence and return three-valued verdicts;
 they never claim to decide a limit. All statistics are computed in the log
 domain, with per-family closed-form magnitude escorts so that coefficients
-like n^(-n) never underflow. Per-index evaluations are independent pure
-computations; reports are assembled in index order regardless of evaluation
-order, so sweeps may be parallelized by the caller.
+like n^(-n) never underflow. Each sweep visits n in increasing order and
+assembles its report in that order; an ``OperatorSequence`` caches the
+operator it built last, so a sequence is not meant to be shared across threads.
 """
 
 from __future__ import annotations
@@ -121,17 +121,17 @@ class Shape(NamedTuple):
 
 
 class OperatorSequence:
-    """An indexed family n -> P_n with metadata and log-domain escorts.
+    """An indexed family n -> P_n with metadata and log-domain escorts, from one of a shape or a table.
 
     F1..F4 pass a ``shape``, which gives valence n, degree n + mu_n, A_n and
     |P_n(z)| in closed form and yields the (exponent, log |c_{j,n}|) items
     lazily, so sweeps stay overflow/underflow free and ``log_coeff``
-    reads only up to the exponent it asks for. F5 tables pass ``build``, and
-    each of these is read from the built operator. Valence n is
-    nondecreasing, so ``select_indices`` gallops on exactly the shaped families.
+    reads only up to the exponent it asks for. F5 passes a ``table``, P_n = table[n - 1] for
+    n <= ``max_n = len(table)``, and each of these is read from the stored operator. Valence n
+    is nondecreasing, so ``select_indices`` gallops on exactly the shaped families.
 
-    ``op`` keeps only the operator it built last, so a sweep or scan holds one
-    exact operator at a time however far n runs: a loop that reads P_n more than
+    On a shape, ``op`` keeps only the operator it built last, so a sweep or scan holds
+    one exact operator at a time however far n runs: a loop that reads P_n more than
     once visits n in its outer loop, or holds the operator itself.
     """
 
@@ -139,21 +139,18 @@ class OperatorSequence:
         self,
         tag: str,
         label: str,
-        build: Optional[Callable[[int], PolynomialOperator]] = None,
         *,
         shape: Optional[Shape] = None,
-        max_n: Optional[int] = None,
+        table: Optional[Sequence[PolynomialOperator]] = None,
     ):
+        if (shape is None) == (table is None):
+            raise PreconditionError("an operator sequence takes exactly one of a shape and a table")
         self.tag = tag
         self.label = label
         self.shape = shape
-        self.max_n = max_n
-        self._build = build if shape is None else shape.op
+        self.table = table
+        self.max_n = None if table is None else len(table)
         self._last: Tuple[int, Optional[PolynomialOperator]] = (0, None)  # (n, P_n) built last
-
-    @property
-    def nondecreasing_valence(self) -> bool:
-        return self.shape is not None
 
     def _check_index(self, n: int) -> None:
         if n < 1:
@@ -163,8 +160,10 @@ class OperatorSequence:
 
     def op(self, n: int) -> PolynomialOperator:
         self._check_index(n)
+        if self.table is not None:
+            return self.table[n - 1]
         if self._last[0] != n:
-            self._last = (n, self._build(n))
+            self._last = (n, self.shape.op(n))
         return self._last[1]
 
     def valence(self, n: int) -> int:
@@ -298,9 +297,8 @@ def _f4(c=1, decay: Optional[str] = None) -> OperatorSequence:
 def _f5(ops=None) -> OperatorSequence:
     if not ops:
         raise ConfigError("F5 needs an explicit operator table under params['ops']")
-    table: List[PolynomialOperator] = list(ops)
-    return OperatorSequence("F5", f"F5: explicit table of {len(table)} operators", lambda n: table[n - 1],
-                            max_n=len(table))
+    table = list(ops)
+    return OperatorSequence("F5", f"F5: explicit table of {len(table)} operators", table=table)
 
 
 # tag -> (builder, the parameters it reads)

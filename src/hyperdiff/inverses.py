@@ -27,7 +27,6 @@ from .scalars import (
     QC_ONE,
     QC_ZERO,
     divide_by_int,
-    falling_factorial,
     log_margin,
     to_qcomplex,
 )
@@ -62,7 +61,7 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[QComplex, ...]:
             a_js = coeff(j - s)
             if not a_js:
                 continue
-            acc = acc + a_js * b[j] * falling_factorial(j, j - s)
+            acc = acc + a_js * b[j] * math.perm(j, j - s)
         b[s] = -(inv_a0 * acc)
     return tuple(b)
 
@@ -87,7 +86,7 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
     # f_{s+m} = b_s / ((s+1)(s+2)...(s+m)), in increasing degree; b_k = 1/a_0 != 0, so N = k + m
-    terms = {s + m: divide_by_int(b_s, falling_factorial(s + m, m)) for s, b_s in enumerate(b) if b_s}
+    terms = {s + m: divide_by_int(b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s}
     f = TaylorPolynomial._raw(terms, k + m)
     if verify:
         image = apply_operator(op, f)
@@ -117,9 +116,8 @@ class FnkDecayReport(NamedTuple):
     k: int
     radius: float
     rows: Tuple[FnkRow, ...]
-    crossing: Optional[int]
+    crossing: Optional[int]  # the first n from which every row keeps the threshold, or None
     verdict: str
-    notes: dict
 
 
 def fnk_norm_log(seq: OperatorSequence, n: int, k: int, r: float) -> float:
@@ -166,26 +164,19 @@ def _fnk_decays(
             rows.append(FnkRow(n=n, norm=fnk_norm_log(seq, n, k, r), stirling_ok=stirling_threshold_ok(seq, n, k, r)))
     reports = []
     for k, rows in tracks.items():
-        crossing = None
-        for i in range(len(rows)):
-            if all(row.stirling_ok for row in rows[i:]):
-                crossing = ns[i]
-                break
+        # the first index from which the threshold holds to the end: one past the last failure
+        first = next((i + 1 for i in range(len(rows) - 1, -1, -1) if not rows[i].stirling_ok), 0)
+        crossing = ns[first] if first < len(rows) else None
         verdict = "inconclusive"
-        notes: dict = {}
-        if crossing is not None:
-            post = [row.norm for row in rows if row.n >= crossing]
-            if len(post) >= 4:
-                half = len(post) // 2
-                early, late = post[:half], post[half:]
-                if post[-1] < post[0] and max(late) < max(early):
-                    verdict = "supports"
-                elif post[-1] > post[0] and min(late) > max(early):
-                    verdict = "refutes"
-                notes["post_crossing"] = {"first": post[0], "last": post[-1]}
-        reports.append(
-            FnkDecayReport(k=k, radius=r, rows=tuple(rows), crossing=crossing, verdict=verdict, notes=notes)
-        )
+        post = [row.norm for row in rows[first:]]
+        if len(post) >= 4:  # none when there is no crossing
+            half = len(post) // 2
+            early, late = post[:half], post[half:]
+            if post[-1] < post[0] and max(late) < max(early):
+                verdict = "supports"
+            elif post[-1] > post[0] and min(late) > max(early):
+                verdict = "refutes"
+        reports.append(FnkDecayReport(k=k, radius=r, rows=tuple(rows), crossing=crossing, verdict=verdict))
     return reports
 
 

@@ -20,7 +20,7 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, PreconditionError
 from .families import OperatorSequence, gallop
-from .scalars import LN2, NEG_INF, certify, log_abs, log_falling, log_margin, log_sum, write_csv
+from .scalars import LN2, certify, log_abs, log_falling, log_margin, log_sum, write_csv
 from .series import TaylorPolynomial, _majorant_log
 
 
@@ -115,7 +115,7 @@ def select_indices(
 
     def least(lo: int, ok: Callable[[int], bool]) -> Optional[int]:
         """Least n in [lo, n_cap] with ok(n), or None."""
-        if seq.nondecreasing_valence:
+        if seq.shape is not None:
             return gallop(lo, n_cap, ok)
         return next((n for n in range(lo, n_cap + 1) if ok(n)), None)
 
@@ -184,8 +184,6 @@ class DecayRow(NamedTuple):
     n: int
     measured: float  # log norm of P_{n_k}(D) applied to the strict tail j > k
     bound: float  # log of the sum over j >= k of |a_j| (2r)^{m(n_j)}
-    diagonal: float  # log norm of P_{n_k}(D) applied to the j = k term alone
-    full: float  # log norm of P_{n_k}(D) applied to all of f
 
 
 class DecayReport(NamedTuple):
@@ -203,8 +201,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
 
     ``measured`` applies P_{n_k}(D) to the strict tail sum(a_j z^{m_j}, j > k),
     which is the part the pairwise bound sum(|a_j| (2r)^{m_j}, j >= k) provably
-    dominates; the j = k term (reported as ``diagonal``, with ``full`` giving
-    the whole image norm) is governed by the falling factorial m_k!/(m_k-s)!
+    dominates; the j = k term is governed by the falling factorial m_k!/(m_k-s)!
     and can exceed the bound by orders of magnitude. measured <= bound is
     asserted for every step.
 
@@ -243,23 +240,11 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
             for m_j, a_log in tail
             for s, c_log in items
         )
-        # The j = k image is the single constant a_k * c_{m_k} * m_k!, because the
-        # operator's valence equals this exponent; its support (degree 0) is
-        # disjoint from the tail image (degrees >= m_{k+1} - d_k > 0), so the
-        # full-image norm is exactly diagonal + measured.
-        diag_a = coeffs[k - 1]
-        diagonal = NEG_INF
-        if diag_a is not None:
-            log_c_m = basis.seq.log_coeff(entry.n, entry.valence)
-            diagonal = log_abs(diag_a) + log_c_m + math.lgamma(entry.valence + 1)
-        full = log_sum((diagonal, measured))
         bound = _majorant_log(
             ((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), 2 * r
         )
         certify(f"tail decay bound at step {k}", measured, bound, strict=False)
-        rows.append(
-            DecayRow(k=k, n=entry.n, measured=measured, bound=bound, diagonal=diagonal, full=full)
-        )
+        rows.append(DecayRow(k=k, n=entry.n, measured=measured, bound=bound))
     return DecayReport(rows=tuple(rows), radius=r)
 
 

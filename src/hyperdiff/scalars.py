@@ -89,11 +89,6 @@ def log_falling(m: int, s: int) -> float:
     return math.lgamma(m + 1) - math.lgamma(m - s + 1)
 
 
-def falling_factorial(m: int, s: int) -> int:
-    """Exact m·(m-1)···(m-s+1), 0 when s > m; ValueError on a negative argument."""
-    return math.perm(m, s)
-
-
 class QComplex:
     """Complex number with exact rational real and imaginary parts.
 

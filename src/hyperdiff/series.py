@@ -21,7 +21,6 @@ from .scalars import (
     QC_ONE,
     QC_ZERO,
     exp_log,
-    falling_factorial,
     format_scalar,
     log_abs,
     log_sum,
@@ -211,7 +210,7 @@ class TaylorPolynomial:
         if self.truncation < order:
             return TaylorPolynomial.zero()
         terms = {
-            i - order: scale_by_int(c, falling_factorial(i, order))
+            i - order: scale_by_int(c, math.perm(i, order))
             for i, c in self._terms.items()
             if i >= order
         }

@@ -257,6 +257,25 @@ class TestExitCodes:
         assert rc == 3
         assert capsys.readouterr().err == "PreconditionError: property (Q) needs valence >= 1, but P_2 has valence 0\n"
 
+    def test_failing_property_keeps_the_files_before_it_and_prints_nothing(self, tmp_path, capsys):
+        # P, Q, R run in that order, each file written before the next check: (Q) fails on the valence-0
+        # operator after property_P.csv is on disk, and no verdict line is printed
+        table = tmp_path / "t.coeffs"
+        table.write_text("#operator m=1 d=2\n1,1,0\n2,1,0\n#operator m=0 d=2\n0,-1,0\n2,1,0\n")
+        out = tmp_path / "out"
+        rc = run("check-properties", "--family", "F5", "--table", str(table), "--props", "RQP",
+                 "--n-max", "2", "--out", str(out))
+        assert rc == 3
+        assert capsys.readouterr().out == ""
+        assert sorted(path.name for path in out.iterdir()) == ["property_P.csv"]
+
+    def test_huge_criterion_radius_is_not_a_traceback(self, tmp_path, capsys):
+        # the (iv) decay base is ceil(4 r), and 4 r overflows a double from r = 2^1022
+        rc = run("verify-criterion", "--family", "F4", "--route", "Q", "--r", "1e308",
+                 "--out", str(tmp_path / "out"))
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("overall: ")
+
     def test_valence_zero_table_in_the_criterion_is_precondition_error(self, tmp_path, capsys):
         # the Q route's Stirling threshold takes an m(n)-th root: valence 0 is named, not a division by zero
         table = tmp_path / "t.coeffs"

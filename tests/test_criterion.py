@@ -76,7 +76,7 @@ class TestQRoute:
         assert report.overall == "supports"
 
     def test_crossing_recorded_for_degree_5(self, report):
-        assert report.items["i"].notes["crossings"][5] == 6
+        assert {row["degree"]: row["crossing"] for row in report.items["i"].rows}[5] == 6
 
     def test_identity_exact_everywhere(self, report):
         assert report.items["iii"].rows

@@ -11,6 +11,7 @@ from hyperdiff.families import (
     _FLOOR_LOG,
     _MIN_LEN,
     GrowthRule,
+    OperatorSequence,
     Shape,
     _circle_samples,
     _circle_scan,
@@ -75,6 +76,17 @@ class TestMakeFamily:
     def test_f3_first_operator(self):
         op = make_family("F3").op(1)  # z(z - 1)
         assert op.coefficient(1) == QComplex(-1) and op.coefficient(2) == QComplex(1)
+
+    def test_sequence_takes_exactly_one_of_shape_and_table(self):
+        shape, table = make_family("F4").shape, [PolynomialOperator({n: 1, n + 2: Fraction(1, n)}) for n in (1, 2, 3)]
+        seq = OperatorSequence("F5", "three", table=table)
+        assert seq.max_n == 3 and [seq.op(n) for n in (1, 2, 3)] == table
+        with pytest.raises(PreconditionError):
+            seq.op(4)
+        assert OperatorSequence("F4", "four", shape=shape).max_n is None
+        for sources in ({}, {"shape": shape, "table": table}):
+            with pytest.raises(PreconditionError):
+                OperatorSequence("X", "x", **sources)
 
     def test_unknown_tag(self):
         with pytest.raises(ConfigError):
@@ -425,10 +437,10 @@ class TestLazyEscorts:
         calls = _counting_items(monkeypatch)
         half, quarter = QComplex(Fraction(1, 2)), QComplex(Fraction(1, 4))
         cases = (
-            # member, item reads: one per diagonal term, n + 1 per non-empty strict tail
-            (m0_member(basis, [QComplex(1), half, quarter]), [1, 1, 1, n1 + 1, n2 + 1]),
-            (TaylorPolynomial.from_pairs([(m1, 1), (m3, 1)]), [1, 1, n1 + 1, n2 + 1]),
-            (m0_member(basis, [QComplex(1), half]), [1, 1, n1 + 1]),
+            # member, item reads: n + 1 per non-empty strict tail
+            (m0_member(basis, [QComplex(1), half, quarter]), [n1 + 1, n2 + 1]),
+            (TaylorPolynomial.from_pairs([(m1, 1), (m3, 1)]), [n1 + 1, n2 + 1]),
+            (m0_member(basis, [QComplex(1), half]), [n1 + 1]),
             (TaylorPolynomial.zero(), []),
         )
         for f, want in cases:

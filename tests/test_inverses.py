@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hyperdiff.errors import PreconditionError
 from hyperdiff.families import make_family
@@ -285,6 +286,34 @@ class TestFnkDecay:
                 for k in (0, 1, 2):
                     inv = build_f_nk(seq.op(n), k)
                     assert fnk_norm_log(seq, n, k, 2.0) == inv.f.majorant_norm(2.0)
+
+    # P_n = c_n z^n + z^(n+1), n = 1..16, with c_n = 10^-30 at n = 14: at k = 1 and r = 2 the threshold
+    # holds from n = 9, fails again at n = 14 and holds after, so the crossing is 15
+    LATE_DIP = [PolynomialOperator({n: Fraction(1, 10**30) if n == 14 else 1, n + 1: 1}) for n in range(1, 17)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([("F1", None), ("F2", None), ("F3", None), ("F4", {"c": "1/3"}), ("F5", "late_dip")]),
+        st.integers(0, 3),
+        st.sampled_from([1.5, 2.0, 8.0]),
+        st.integers(1, 14),
+        st.integers(0, 12),
+    )
+    def test_crossing_is_the_first_index_from_which_the_threshold_holds(self, family, k, r, lo, width):
+        tag, params = family
+        seq = make_family(tag, {"ops": self.LATE_DIP} if params == "late_dip" else params)
+        hi = min(lo + width, 16) if tag == "F5" else lo + width
+        rep = fnk_decay(seq, k, r, (lo, hi))
+        rows = rep.rows
+        want = next((row.n for i, row in enumerate(rows) if all(later.stirling_ok for later in rows[i:])), None)
+        assert rep.crossing == want
+
+    def test_late_dip_crossing(self):
+        rep = fnk_decay(make_family("F5", {"ops": self.LATE_DIP}), 1, 2.0, (2, 16))
+        flags = {row.n: row.stirling_ok for row in rep.rows}
+        assert flags[13] and not flags[14] and flags[15] and flags[16]
+        assert rep.crossing == 15
+        assert fnk_decay(make_family("F5", {"ops": self.LATE_DIP}), 1, 2.0, (2, 14)).crossing is None
 
     def test_stirling_marker_matches_hand_computation(self):
         seq = make_family("F4")

@@ -13,7 +13,6 @@ from hyperdiff.scalars import (
     QComplex,
     certify,
     exp_log,
-    falling_factorial,
     format_scalar,
     log_abs,
     log_falling,
@@ -242,33 +241,6 @@ class TestLogMagnitude:
                 hi, lo = max(a, b), min(a, b)
                 want = hi + math.log1p(math.exp(lo - hi))
                 assert got == pytest.approx(want, rel=2**-50, abs=2**-50), (a, b)
-
-
-class TestFallingFactorial:
-    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=0, max_value=200))
-    def test_matches_perm(self, m, s):
-        assert falling_factorial(m, s) == (math.perm(m, s) if s <= m else 0)
-
-    @given(st.integers(min_value=0, max_value=400), st.integers(min_value=0, max_value=300))
-    def test_matches_plain_product(self, m, s):
-        want = 1
-        for v in range(m - s + 1, m + 1):
-            want *= v
-        assert falling_factorial(m, s) == want  # the range holds 0 when s > m
-
-    def test_edge_cases(self):
-        assert falling_factorial(3, 4) == 0
-        assert falling_factorial(0, 1) == 0
-        assert falling_factorial(0, 0) == falling_factorial(7, 0) == 1
-        for m, s in [(-1, 0), (-3, 2), (3, -1)]:
-            with pytest.raises(ValueError):
-                falling_factorial(m, s)
-
-    def test_large_run_equals_factorial_ratio(self):
-        assert falling_factorial(5000, 3000) == math.factorial(5000) // math.factorial(2000)
-
-    def test_full_run_is_factorial(self):
-        assert falling_factorial(300, 300) == math.factorial(300)
 
 
 class TestLogFalling:
