@@ -3,9 +3,10 @@ sequences of finite-order differential operators on entire functions.
 
 Everything operates on explicit finite data: truncated Taylor polynomials,
 polynomial operators P(D), log-domain magnitudes. Result records are immutable
-named tuples. Two objects cache work on first use: an ``OperatorSequence`` keeps
-the operator it built last, and a ``PolynomialOperator`` reduces its terms and
-builds its integer form when first read; no thread safety is claimed for either.
+named tuples. Three objects cache work on first use: an ``OperatorSequence`` keeps
+the operator it built last, and a ``PolynomialOperator`` or a right inverse's
+``TaylorPolynomial`` reduces its terms when first read (the operator also keeps an
+integer form); no thread safety is claimed for any of them.
 """
 
 from .errors import (

@@ -70,12 +70,12 @@ class Shape(NamedTuple):
 
     def op(self, n: int) -> PolynomialOperator:
         """P_n in one integer pass from z^(n+mu) down: with c = a/b and rho = p/q, the coefficient at z^(n+i) is
-        a C(mu, i) (-p)^k / (b q^k), k = mu - i, handed over as that unreduced pair (``PolynomialOperator``)."""
+        a C(mu, i) (-p)^k / (b q^k), k = mu - i, handed over as that unreduced pair (c itself at the top)."""
         c, mu = self.c(n), self.mult(n)
         if not mu:  # c alone, reduced already
             return PolynomialOperator._raw({n: QComplex.coerce(c)})
         (a, b), (p, q) = c.as_integer_ratio(), self.root(n).as_integer_ratio()
-        pairs, comb, pk, qk = {n + mu: (a, b)}, 1, 1, 1  # C(mu, i), (-p)^k, q^k
+        pairs, comb, pk, qk = {n + mu: c}, 1, 1, 1  # C(mu, i), (-p)^k, q^k
         for i in range(mu - 1, -1, -1):
             comb, pk, qk = comb * (i + 1) // (mu - i), pk * -p, qk * q
             pairs[n + i] = (a * comb * pk, b * qk)
@@ -545,7 +545,7 @@ def _circle_samples(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[l
         samples.append((z, abs(acc)))
     r_m = op.valence * math.log(r)
     h_terms = op.degree - op.valence + 1  # H has degree d - m
-    return samples, 8.0 * 2.0**-52 * h_terms * exp_log(_majorant_log(op.terms(), r) - r_m)
+    return samples, 8.0 * 2.0**-52 * h_terms * exp_log(_majorant_log(op.terms(), math.log(r)) - r_m)
 
 
 def _circle_scan(op: PolynomialOperator, r: float, m_samples: int) -> Tuple[float, float]:

@@ -85,9 +85,12 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
-    # f_{s+m} = b_s / ((s+1)(s+2)...(s+m)), in increasing degree; b_k = 1/a_0 != 0, so N = k + m
-    terms = {s + m: divide_by_int(b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s}
-    f = TaylorPolynomial._raw(terms, k + m)
+    # f_{s+m} = b_s / ((s+1)(s+2)...(s+m)), b_k = 1/a_0 != 0 so N = k + m; real b_s go over as unreduced pairs
+    steps = [(s + m, b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s]
+    if any(b_s.im for b_s in b):
+        f = TaylorPolynomial._raw({j: divide_by_int(b_s, d) for j, b_s, d in steps}, k + m)
+    else:
+        f = TaylorPolynomial._raw(None, k + m, {j: (b_s.re.numerator, b_s.re.denominator * d) for j, b_s, d in steps})
     if verify:
         image = apply_operator(op, f)
         if image != TaylorPolynomial.monomial(k, QC_ONE):

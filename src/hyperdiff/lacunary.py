@@ -229,6 +229,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
         coeffs[slot[j]] = c
 
     log_r = math.log(r)
+    log_2r = math.log(2 * r) if 2 * r < math.inf else LN2 + log_r  # 2r overflows from r = 2^1023
     rows: List[DecayRow] = []
     for entry in basis.entries:
         k = entry.k
@@ -240,9 +241,7 @@ def decay_report(basis: LacunaryBasis, f: TaylorPolynomial, r: float) -> DecayRe
             for m_j, a_log in tail
             for s, c_log in items
         )
-        bound = _majorant_log(
-            ((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), 2 * r
-        )
+        bound = _majorant_log(((m, a) for m, a in zip(exponents[k - 1:], coeffs[k - 1:]) if a is not None), log_2r)
         certify(f"tail decay bound at step {k}", measured, bound, strict=False)
         rows.append(DecayRow(k=k, n=entry.n, measured=measured, bound=bound))
     return DecayReport(rows=tuple(rows), radius=r)

@@ -25,6 +25,7 @@ from typing import Iterable, TextIO
 from .errors import InvariantViolation, PreconditionError
 
 LN2 = math.log(2.0)
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # fdlibm's split of ln 2, to 2^-86
 NEG_INF = float("-inf")
 
 # Rounding slack of ``log_margin``, relative to max(1, |lhs|, |rhs|). Error
@@ -68,15 +69,27 @@ def certify(kind: str, lhs: float, rhs: float, *, strict: bool = True, raises: b
     return False
 
 
-def log_fraction(fr: Fraction) -> float:
-    """Natural log of a positive rational p/q within a few ulps: log1p((p - q)/q) for 1/2 <= p/q <= 2, else
-    log(p / q) while p/q is a normal double (int division rounds correctly), else log(p) - log(q) (ulps of log q)."""
-    p, q = fr.numerator, fr.denominator
-    if p <= 0:
-        raise ValueError("log_fraction needs a positive rational")
-    if abs(p - q) <= min(p, q):
+def log_ratio(p: int, q: int) -> float:
+    """Natural log of p/q for positive ints, within about an ulp. With e = floor(log2(p/q)): log1p((p - q)/q) for e
+    in {-1, 0}, log(p / q) while |e| < 1020, else log(x) + e ln 2, x = (p 2^-e)/q correctly rounded and taken from the
+    top 64 bits hp, hq of p and q where they decide it (then O(1)): each branch depends on the value p/q alone."""
+    if p <= 0 or q <= 0:
+        raise ValueError("log_ratio needs positive integers")
+    e = (lp := p.bit_length()) - (lq := q.bit_length())
+    hp, hq = p >> lp - 64 if lp > 64 else p << 64 - lp, q >> lq - 64 if lq > 64 else q << 64 - lq
+    e -= (k := hp < hq or hp == hq and (p << -e if e < 0 else p) < (q << e if e > 0 else q))  # p/q < 2^e
+    if -1 <= e <= 0:
         return math.log1p((p - q) / q)
-    return math.log(p / q) if abs(p.bit_length() - q.bit_length()) < 1020 else math.log(p) - math.log(q)
+    if abs(e) < 1020:
+        return math.log(p / q)
+    lo, hi = (hp << k) / (hq + 1), ((hp + 1) << k) / hq  # the ends of the range of x
+    x = lo if lo == hi else (p << -e) / q if e < 0 else p / (q << e)
+    return math.fsum((e * _LN2_HI, e * _LN2_LO, math.log(x)))  # e * _LN2_HI is exact while |e| < 2^20
+
+
+def log_fraction(fr: Fraction) -> float:
+    """Natural log of a positive rational, through ``log_ratio``."""
+    return log_ratio(fr.numerator, fr.denominator)
 
 
 def log_falling(m: int, s: int) -> float:

@@ -6,7 +6,8 @@ inverses and lacunary members occupy a few degrees far above zero. Operations
 that drop tails report a majorant bound for what was dropped. Every
 coefficient is an exact rational complex number (``QComplex``); a float given
 as a coefficient or a point enters as its exact dyadic value, so each
-operation has one exact kernel path.
+operation has one exact kernel path. F1–F3 operators and real right inverses
+hold unreduced integer pairs until a coefficient is read (``_Reducible``).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .scalars import (
     exp_log,
     format_scalar,
     log_abs,
+    log_ratio,
     log_sum,
     parse_scalar,
     scale_by_int,
@@ -39,9 +41,8 @@ def _coerce_terms(items: Iterable[Tuple[int, CoeffLike]]) -> dict:
     return {j: v for j, c in items if (v := to_qcomplex(c))}
 
 
-def _majorant_log(terms: Iterable[Tuple[int, QComplex]], r: float) -> float:
-    """log of sum(|c_j| r^j) over (j, c_j) pairs."""
-    log_r = math.log(r)
+def _majorant_log(terms: Iterable[Tuple[int, QComplex]], log_r: float) -> float:
+    """log of sum(|c_j| r^j) over (j, c_j) pairs, from log r, so r itself may lie past the double range."""
     return log_sum(log_abs(c) + j * log_r for j, c in terms)
 
 
@@ -81,30 +82,42 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
     return QComplex(Fraction(sr, scale), Fraction(si, scale) if si else 0)
 
 
-class TaylorPolynomial:
+class _Reducible:
+    """Nonzero terms {j: c_j} in increasing j that may arrive as unreduced real pairs {j: (num, den)}, held (``_terms``
+    None) until the first read reduces each pair by its Fraction and drops them (a reduced top entry is kept)."""
+
+    __slots__ = ()
+
+    def _reduced_terms(self) -> dict:
+        if self._terms is None:
+            reduced = {j: QComplex.coerce(Fraction(*p) if type(p) is tuple else p) for j, p in self._pairs.items()}
+            self._terms, self._pairs = reduced, None
+        return self._terms
+
+
+class TaylorPolynomial(_Reducible):
     """A truncated entire function sum(a_j z^j, j=0..N) with explicit N.
 
     Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
     truncation degree N. Construction preserves N even when the top
     coefficients are zero; the zero polynomial has N = -1. Equality compares
-    values and ignores N.
+    values and ignores N. A right inverse's unreduced real pairs (``_Reducible``)
+    serve ``degree``, ``is_zero``, ``support``, ``majorant_norm`` and real ``scale``.
     """
 
-    __slots__ = ("_terms", "truncation")
+    __slots__ = ("_terms", "_pairs", "truncation")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         raw = list(coeffs)
-        self._terms = _coerce_terms(enumerate(raw))
-        self.truncation = len(raw) - 1
+        self._terms, self._pairs, self.truncation = _coerce_terms(enumerate(raw)), None, len(raw) - 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict, truncation: int) -> "TaylorPolynomial":
-        """Internal constructor for callers that already guarantee invariants."""
+    def _raw(cls, terms: Optional[dict], truncation: int, pairs: Optional[dict] = None) -> "TaylorPolynomial":
+        """Internal constructor for callers that already guarantee invariants: terms, or nonempty real pairs."""
         obj = object.__new__(cls)
-        obj._terms = terms
-        obj.truncation = truncation
+        obj._terms, obj._pairs, obj.truncation = terms, pairs, truncation
         return obj
 
     @classmethod
@@ -136,34 +149,34 @@ class TaylorPolynomial:
     @property
     def degree(self) -> int:
         """Greatest exponent with a nonzero coefficient (-1 for zero)."""
-        return next(reversed(self._terms), -1)
+        return next(reversed(self._pairs or self._terms), -1)
 
     @property
     def is_zero(self) -> bool:
-        return not self._terms
+        return not (self._pairs or self._terms)
 
     def support(self) -> Tuple[int, ...]:
-        return tuple(self._terms)
+        return tuple(self._pairs or self._terms)
 
     def terms(self):
         """The (j, a_j) pairs with a_j nonzero, in increasing j."""
-        return self._terms.items()
+        return self._reduced_terms().items()
 
     def coefficient(self, j: int) -> QComplex:
-        return self._terms.get(j, QC_ZERO)
+        return self._reduced_terms().get(j, QC_ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        return self._reduced_terms() == other._reduced_terms()
 
     def __hash__(self):
-        return hash(tuple(self._terms.items()))
+        return hash(tuple(self.terms()))
 
     def __repr__(self):
         if self.is_zero:
             return "TaylorPolynomial(0)"
-        items = list(self._terms.items())
+        items = list(self.terms())
         parts = [f"{c}*z^{j}" for j, c in items[:4]]
         if len(items) > 4:
             parts.append("...")
@@ -175,8 +188,8 @@ class TaylorPolynomial:
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
         a, b = (self, other) if self.truncation >= other.truncation else (other, self)
-        out = dict(a._terms)
-        for j, c in b._terms.items():
+        out = dict(a.terms())
+        for j, c in b.terms():
             s = out.get(j, QC_ZERO) + c
             if s:
                 out[j] = s
@@ -192,8 +205,10 @@ class TaylorPolynomial:
 
     def scale(self, factor: CoeffLike) -> "TaylorPolynomial":
         f = to_qcomplex(factor)
-        terms = {j: c * f for j, c in self._terms.items()} if f else {}
-        return TaylorPolynomial._raw(terms, self.truncation)
+        if not f or f.im or self._terms is not None:
+            return TaylorPolynomial._raw({j: c * f for j, c in self.terms()} if f else {}, self.truncation)
+        u, v = f.re.as_integer_ratio()  # real pairs stay pairs
+        return TaylorPolynomial._raw(None, self.truncation, {j: (x * u, b * v) for j, (x, b) in self._pairs.items()})
 
     # -- analysis ----------------------------------------------------------
 
@@ -211,7 +226,7 @@ class TaylorPolynomial:
             return TaylorPolynomial.zero()
         terms = {
             i - order: scale_by_int(c, math.perm(i, order))
-            for i, c in self._terms.items()
+            for i, c in self.terms()
             if i >= order
         }
         return TaylorPolynomial._raw(terms, self.truncation - order)
@@ -220,7 +235,7 @@ class TaylorPolynomial:
         """Horner evaluation, exact, in one integer pass over the common denominator."""
         if self.is_zero:
             return QC_ZERO
-        return _exact_horner(_integer_form(_ratio_lanes(self._terms), self.degree, 0), to_qcomplex(z))
+        return _exact_horner(_integer_form(_ratio_lanes(self._reduced_terms()), self.degree, 0), to_qcomplex(z))
 
     def majorant_norm(self, r: float) -> float:
         """log of the coefficient majorant sum(|a_j| r^j).
@@ -229,15 +244,17 @@ class TaylorPolynomial:
         """
         if r <= 0:
             raise ValueError("majorant radius must be positive")
-        return _majorant_log(self._terms.items(), r)
+        if self._terms is None:  # log_ratio of a pair is the log of its reduced value, to the bit
+            return log_sum(log_ratio(abs(x), b) + j * math.log(r) for j, (x, b) in self._pairs.items())
+        return _majorant_log(self._terms.items(), math.log(r))
 
 
-class PolynomialOperator:
+class PolynomialOperator(_Reducible):
     """A nonconstant polynomial P(z) = sum(c_j z^j, j=m..d) acting as P(D).
 
     Stored as its nonzero terms, a map {j: c_j} in increasing j. The valence m
     is the least exponent with nonzero coefficient, the degree d the greatest.
-    A shaped family's operator may arrive as unreduced pairs {j: (num, den)},
+    A shaped family's operator may arrive as unreduced pairs (``_Reducible``),
     reduced to terms only when a coefficient is first read; ``value_at`` reads
     neither, but one integer form built on the first sample and kept.
     """
@@ -262,11 +279,6 @@ class PolynomialOperator:
         obj._terms, obj._pairs, obj._form = terms, pairs, None
         return obj
 
-    def _reduced_terms(self) -> dict:
-        if self._terms is None:
-            self._terms, self._pairs = {j: QComplex.coerce(Fraction(x, b)) for j, (x, b) in self._pairs.items()}, None
-        return self._terms
-
     @property
     def valence(self) -> int:
         return next(iter(self._pairs or self._terms))
@@ -286,8 +298,10 @@ class PolynomialOperator:
         """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) exactly by Horner over d..m
         in integers (``_exact_horner``), from the integer form built on the first sample and kept."""
         if self._form is None:
-            lanes = (self._pairs,) if self._pairs else _ratio_lanes(self._terms)
-            self._form = _integer_form(lanes, self.degree, self.valence)
+            d, pairs = self.degree, self._pairs  # ``Shape.op`` hands its top coefficient over as its value
+            lane = pairs and {**pairs, d: p if type(p := pairs[d]) is tuple else p.as_integer_ratio()}
+            lanes = (lane,) if lane else _ratio_lanes(self._terms)
+            self._form = _integer_form(lanes, d, self.valence)
         wq = to_qcomplex(w)
         return _exact_horner(self._form, wq) * wq**self.valence
 

@@ -276,6 +276,18 @@ class TestExitCodes:
         assert rc == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("overall: ")
 
+    def test_huge_criterion_radius_keeps_the_decay_bounds_finite(self, tmp_path):
+        # the (iv) bound sums |a_j| (2r)^m_j; 2r overflows a double from r = 2^1023, so log 2r is log 2 + log r there
+        assert run("verify-criterion", "--family", "F4", "--route", "Q", "--r", "1e308",
+                   "--out", str(tmp_path)) == 0
+        records = [json.loads(line) for line in (tmp_path / "criterion.jsonl").read_text().splitlines()]
+        rows = [rec for rec in records if rec.get("hypothesis") == "iv" and "bound_log" in rec]
+        assert rows
+        for rec in rows:
+            measured = -math.inf if rec["measured_log"] == "-inf" else rec["measured_log"]
+            assert isinstance(rec["bound_log"], float) and math.isfinite(rec["bound_log"])
+            assert measured <= rec["bound_log"]
+
     def test_valence_zero_table_in_the_criterion_is_precondition_error(self, tmp_path, capsys):
         # the Q route's Stirling threshold takes an m(n)-th root: valence 0 is named, not a division by zero
         table = tmp_path / "t.coeffs"

@@ -17,12 +17,13 @@ from hyperdiff.inverses import (
     stirling_threshold_ok,
     write_right_inverse,
 )
-from hyperdiff.scalars import NEG_INF, QComplex, log_abs, log_sum
+from hyperdiff.scalars import NEG_INF, QComplex, divide_by_int, log_abs, log_sum
 from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
     apply_operator,
     read_coefficients,
+    write_taylor,
 )
 from oracles import cramer_with_cofactors
 
@@ -238,6 +239,97 @@ class TestBuildF:
         assert "route=polynomial" in text and "n=6" in text
         buf.seek(0)
         assert read_coefficients(buf) == inv.f
+
+
+_REAL_TABLE = [
+    PolynomialOperator({1: QComplex(Fraction(3, 7)), 4: QComplex(Fraction(-1, 2))}),
+    PolynomialOperator({2: QComplex(Fraction(-5, 9)), 3: QComplex(Fraction(1, 3)), 5: QComplex(2)}),
+]
+_COMPLEX_TABLE = [
+    PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(3, 4)), 3: QComplex(1)}),
+    PolynomialOperator({2: QComplex(Fraction(-2, 3)), 3: QComplex(0, Fraction(1, 5)), 4: QComplex(3)}),
+]
+_CORRECTION_CASES = [
+    ("F1", {}, (1, 2, 5, 12)), ("F2", {}, (1, 3, 9)), ("F3", {}, (1, 2, 4)), ("F4", {}, (1, 3, 7)),
+    ("F4", {"c": "-7/2"}, (2, 5)), ("F5", {"ops": _REAL_TABLE}, (1, 2)), ("F5", {"ops": _COMPLEX_TABLE}, (1, 2)),
+]
+
+
+def _eager_f(op, k):
+    """f_{n,k} with every coefficient divided out at once, as terms."""
+    m = op.valence
+    b = solve_monic_system(_shifted(op)[: k + 1], k)
+    terms = {s + m: divide_by_int(b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s}
+    return TaylorPolynomial._raw(terms, k + m)
+
+
+def _written(f):
+    buf = io.StringIO()
+    write_taylor(f, buf)
+    return buf.getvalue()
+
+
+class TestUnreducedCorrections:
+    """build_f_nk hands real corrections over as unreduced pairs; every read matches the eager model."""
+
+    @pytest.mark.parametrize("family, params, ns", _CORRECTION_CASES)
+    def test_reads_match_the_eager_model_in_both_orders(self, family, params, ns):
+        seq = make_family(family, params)
+        for n in ns:
+            op = seq.op(n)
+            for k in range(4):
+                model = _eager_f(op, k)
+                lazy_first = build_f_nk(op, k, verify=False).f
+                read_first = build_f_nk(op, k, verify=False).f
+                # lazy reads first, then the reducing ones
+                assert (lazy_first.degree, lazy_first.is_zero, lazy_first.support(), lazy_first.truncation) == (
+                    model.degree, model.is_zero, model.support(), model.truncation)
+                assert lazy_first.majorant_norm(2.0) == model.majorant_norm(2.0)
+                assert [lazy_first.coefficient(j) for j in range(-1, k + op.valence + 2)] == [
+                    model.coefficient(j) for j in range(-1, k + op.valence + 2)]
+                assert list(lazy_first.terms()) == list(model.terms())
+                assert lazy_first == model and model == lazy_first and hash(lazy_first) == hash(model)
+                assert _written(lazy_first) == _written(model)
+                # the reducing reads first, then the lazy ones
+                assert _written(read_first) == _written(model) and hash(read_first) == hash(model)
+                assert read_first == model and list(read_first.terms()) == list(model.terms())
+                assert read_first.coefficient(k + op.valence) == model.coefficient(k + op.valence)
+                assert (read_first.degree, read_first.support()) == (model.degree, model.support())
+                assert read_first.majorant_norm(2.0) == model.majorant_norm(2.0)
+
+    @pytest.mark.parametrize("family, params, ns", _CORRECTION_CASES)
+    def test_majorant_norm_is_the_same_before_and_after_a_read(self, family, params, ns):
+        seq = make_family(family, params)
+        for n in ns:
+            for k in (0, 3):
+                f = build_f_nk(seq.op(n), k, verify=False).f
+                before = [f.majorant_norm(r) for r in (0.5, 1.0, 3.0, 1e300)]
+                list(f.terms())
+                assert [f.majorant_norm(r) for r in (0.5, 1.0, 3.0, 1e300)] == before
+
+    def test_the_pairs_are_held_until_a_coefficient_is_read(self):
+        op = make_family("F1").op(40)
+        f = build_f_nk(op, 2, verify=False).f
+        f.majorant_norm(2.0), f.degree, f.support(), f.scale(Fraction(-3, 5))
+        assert f._terms is None  # no lazy read reduced it
+        f.coefficient(40)
+        assert f._pairs is None and f._terms is not None  # the first read dropped the pairs
+        complex_f = build_f_nk(_COMPLEX_TABLE[0], 2, verify=False).f
+        assert complex_f._pairs is None  # complex b_s are divided out at once
+
+    @pytest.mark.parametrize(
+        "factor", [Fraction(-3, 7), 5, 0.75, QComplex(1, -2), QComplex(0, Fraction(1, 3)), 0, QComplex(0)]
+    )
+    @pytest.mark.parametrize("family, params, ns", _CORRECTION_CASES[::2])
+    def test_scale(self, factor, family, params, ns):
+        op = make_family(family, params).op(ns[-1])
+        for k in (0, 2):
+            model = _eager_f(op, k).scale(factor)
+            got = build_f_nk(op, k, verify=False).f.scale(factor)
+            assert (got.degree, got.is_zero, got.support(), got.truncation) == (
+                model.degree, model.is_zero, model.support(), model.truncation)
+            assert got.majorant_norm(2.0) == model.majorant_norm(2.0)
+            assert got == model and list(got.terms()) == list(model.terms()) and _written(got) == _written(model)
 
 
 class TestFnkDecay:

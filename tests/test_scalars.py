@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hyperdiff.scalars import (
     NEG_INF,
@@ -18,6 +18,7 @@ from hyperdiff.scalars import (
     log_falling,
     log_fraction,
     log_margin,
+    log_ratio,
     log_sum,
     parse_real,
     parse_scalar,
@@ -208,7 +209,53 @@ class TestLogMagnitude:
             p = q + data.draw(st.integers(-(q >> near), q >> near).filter(lambda d: d + q > 0))
         else:
             p = data.draw(st.integers(1, 2 ** max(1, bits + spread)))
-        assert _ulps(log_fraction(Fraction(p, q)), log_rational(Fraction(p, q))) <= 2
+        assert _ulps(log_fraction(Fraction(p, q)), log_rational(Fraction(p, q))) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([-1020, -1019, -2, -1, 0, 1, 1019, 1020]), st.integers(-3000, 3000)),
+        st.integers(1, 2**64), st.integers(0, 2**64 - 1), st.integers(1, 2**200),
+    )
+    @example(1019, 896727, 5794992457191552792, 614008)  # p, q and g p, g q differ in bit-length difference,
+    @example(-1020, 950397, 5529725096132913496, 832969)  # one 1019 and the other 1020 in absolute value
+    def test_log_ratio_depends_on_the_value_alone(self, e, base, spread, g):
+        # p/q = 2^e (1 + t), t = spread 2^-64 in [0, 1), so e = floor(log2(p/q)) (e + 1 where rounding down
+        # reaches 2^(e+1)): the log1p branch at e in {-1, 0}, the plain quotient while |e| < 1020 and the
+        # scaled one past that, on both edges, where p, q and g p, g q differ in their bit-length difference
+        if e >= 0:
+            q, p = base, (base << e) + ((base << e) * spread >> 64)
+        else:
+            p, q = base, (base << (-e - 1)) + ((base << (-e - 1)) * spread >> 64)
+        got = log_ratio(p, q)
+        assert log_ratio(g * p, g * q) == got == log_fraction(Fraction(p, q))
+        assert _ulps(got, log_rational(Fraction(p, q))) <= 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 2**5000), st.integers(1, 2**5000), st.integers(0, 3000))
+    @example(2**4100, 2**100 + 1, 0)  # the top bits tie, and only the exact comparison finds p/q < 2^4000
+    @example(3**2000 + 1, 1, 0)
+    def test_log_ratio_matches_its_exact_division_form(self, p, q, shift):
+        # the top 64 bits give floor(log2(p/q)) and the quotient x = (p 2^-e)/q where they decide them; the
+        # reference takes both from exact int comparison and true division
+        p <<= shift
+        e = p.bit_length() - q.bit_length()
+        e -= (p << -e if e < 0 else p) < (q << e if e > 0 else q)
+        if abs(e) >= 1020:
+            x = (p << -e) / q if e < 0 else p / (q << e)
+            ln2_hi, ln2_lo = float.fromhex("0x1.62e42fee00000p-1"), float.fromhex("0x1.a39ef35793c76p-33")
+            assert log_ratio(p, q) == math.fsum((e * ln2_hi, e * ln2_lo, math.log(x)))
+        assert log_ratio(p, q) == log_ratio(q * p, q * q)
+
+    def test_log_ratio_of_n_to_the_n_over_n_factorial_is_within_an_ulp(self):
+        # the self-norm of F1's f_{n,0}, n^n/n!, crosses e = 1020 near n = 710; log p - log q was up to 12 ulps off
+        for n in range(700, 2001):
+            p, q = n**n, math.factorial(n)
+            assert _ulps(log_ratio(p, q), log_rational(Fraction(p, q))) <= 1, n
+
+    def test_log_ratio_rejects_nonpositive(self):
+        for p, q in ((0, 1), (-3, 2), (1, 0), (2, -1)):
+            with pytest.raises(ValueError):
+                log_ratio(p, q)
 
     def test_sum_empty_and_overflow_free(self):
         assert log_sum([]) == NEG_INF
