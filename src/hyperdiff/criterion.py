@@ -139,7 +139,6 @@ def _hypothesis_iii_q(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
 
 def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:
     rows = []
-    verdict = "supports"
     truncs = [exp_truncate(w, cfg.trunc, 1.0)[0] for w in cfg.u_samples]  # each depends on w alone
     for n in _sample_indices(cfg.n_lo, cfg.n_hi, SWEEP_POINTS):
         op = seq.op(n)
@@ -162,9 +161,9 @@ def _hypothesis_iii_p(seq: OperatorSequence, cfg: CriterionConfig) -> Hypothesis
                     "within_bound": ok,
                 }
             )
-            if not ok:
-                verdict = "refutes"
-    return HypothesisEvidence(verdict=verdict if rows else "inconclusive", rows=rows)
+    # a root row certifies nothing: supports needs a certified row and no refuted one
+    certified = (row["within_bound"] for row in rows if "within_bound" in row)
+    return HypothesisEvidence(verdict=combine("supports" if ok else "refutes" for ok in certified), rows=rows)
 
 
 def _hypothesis_iv(seq: OperatorSequence, cfg: CriterionConfig) -> HypothesisEvidence:

@@ -84,13 +84,13 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
 
 class _Reducible:
     """Nonzero terms {j: c_j} in increasing j that may arrive as unreduced real pairs {j: (num, den)}, held (``_terms``
-    None) until the first read reduces each pair by its Fraction and drops them (a reduced top entry is kept)."""
+    None) until the first read reduces each pair by its Fraction and drops them."""
 
     __slots__ = ()
 
     def _reduced_terms(self) -> dict:
         if self._terms is None:
-            reduced = {j: QComplex.coerce(Fraction(*p) if type(p) is tuple else p) for j, p in self._pairs.items()}
+            reduced = {j: QComplex.coerce(Fraction(*p)) for j, p in self._pairs.items()}
             self._terms, self._pairs = reduced, None
         return self._terms
 
@@ -298,10 +298,8 @@ class PolynomialOperator(_Reducible):
         """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) exactly by Horner over d..m
         in integers (``_exact_horner``), from the integer form built on the first sample and kept."""
         if self._form is None:
-            d, pairs = self.degree, self._pairs  # ``Shape.op`` hands its top coefficient over as its value
-            lane = pairs and {**pairs, d: p if type(p := pairs[d]) is tuple else p.as_integer_ratio()}
-            lanes = (lane,) if lane else _ratio_lanes(self._terms)
-            self._form = _integer_form(lanes, d, self.valence)
+            lanes = (self._pairs,) if self._pairs else _ratio_lanes(self._terms)
+            self._form = _integer_form(lanes, self.degree, self.valence)
         wq = to_qcomplex(w)
         return _exact_horner(self._form, wq) * wq**self.valence
 

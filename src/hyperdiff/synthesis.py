@@ -8,7 +8,7 @@ eps_k) the engine picks the least admissible index n_k > n_{k-1} such that
   (b) the correction h_k (the right inverse of y_k under P_{n_k}(D)) has
       majorant norm below eps_k on |z| <= r_k,
   (c) every earlier operator maps h_k below eps_k on its own radius, tried
-      first on the image's top coefficient, which bounds its norm from below.
+      first on a floor read from h_k's degree and top coefficient in closed form.
 
 The accumulated vector x_K = sum(h_k) then satisfies, for every i <= K,
 ||P_{n_i}(D) x_K - y_i|| on |z| <= r_i bounded by sum(eps_j, j > i): the
@@ -35,7 +35,7 @@ from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
 from .scalars import (
-    LN2, NEG_INF, QComplex, certify, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
+    LN2, QComplex, certify, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
     write_csv, write_jsonl,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
@@ -161,15 +161,23 @@ class SynthesisTrace(NamedTuple):
         return tuple(s for s in self.steps if s.target.is_zero)
 
 
-def _top_image_logs(h: TaylorPolynomial, priors: Iterable[Tuple[int, float, float]]) -> Iterator[float]:
-    """Per (m, log|c_m|, log r), a floor for log ||P(D) h|| on |z| <= r, P of valence m: with
-    K = deg h, only c_m z^m acting on h_K z^K reaches z^(K-m), so c_m h_K K!/(K-m)! there cannot
-    cancel, and its term alone (K!/(K-m)! from ``log_falling``) bounds the majorant from below.
-    -inf when K < m."""
-    k = h.degree
-    log_top = log_abs(h.coefficient(k)) if k >= 0 else 0.0
+def _correction_head(seq: OperatorSequence, n: int, target: TaylorPolynomial) -> Tuple[int, float]:
+    """(K+m, log|h_(K+m)|) of h = sum(y_k f_{n,k}) for a target of degree K under P_n of valence m, without h: only
+    f_{n,K} reaches z^(K+m), with top coefficient K!/(c_m (K+m)!), so nothing cancels there; log|c_m| is read through
+    ``seq.log_coeff``, closed-form on a shaped family. (-1, 0.0) for a zero target."""
+    k = target.degree
+    if k < 0:
+        return -1, 0.0
+    m = seq.valence(n)
+    return k + m, log_abs(target.coefficient(k)) - seq.log_coeff(n, m) - log_falling(k + m, m)
+
+
+def _top_image_logs(degree: int, log_top: float, priors: Iterable[Tuple[int, float, float]]) -> Iterator[float]:
+    """Per (m, log|c_m|, log r), a floor for log ||P(D) h|| on |z| <= r, P of valence m, from h's degree K and
+    log|h_K|: only c_m z^m acting on h_K z^K reaches z^(K-m), so c_m h_K K!/(K-m)! there cannot cancel, and its
+    term alone (K!/(K-m)! from ``log_falling``) bounds the majorant from below. -inf when K < m."""
     for m, log_c, log_r in priors:
-        yield log_c + log_top + log_falling(k, m) + (k - m) * log_r if k >= m else -math.inf
+        yield log_c + log_top + log_falling(degree, m) + (degree - m) * log_r if degree >= m else -math.inf
 
 
 def _build_schedule(
@@ -181,84 +189,67 @@ def _build_schedule(
     """Run the greedy selection over a (trace, target) schedule.
 
     Step s works on radius s with tolerance 2^-s: the residual certificates
-    2^(1-i) rest on exactly this schedule.
-
-    The cross-norm test (c) is tried first on the image's top coefficient
-    (``_top_image_logs``): a floor above eps_s beyond rounding for any earlier
-    step rejects the candidate without an operator application, and a tie or
-    a floor below goes on to the exact test. That runs over the earlier steps
-    newest first, since a rejection almost always fails at the newest step,
-    which has the largest radius and the nearest index. Admission is a
-    conjunction of independent per-step tests, and a floor never exceeds the
-    exact norm, so neither changes the chosen index or the rejection
-    tallies; the admitted candidate's cross_norm_logs are stored in step order.
+    2^(1-i) rest on exactly this schedule. Each candidate runs one chain:
+    annihilation, the correction h (zero, of norm -inf, for a zero target) and
+    its norm (b), then (c), first as floors read from h's closed-form head
+    (``_correction_head``, ``_top_image_logs``): one above eps_s beyond
+    rounding rejects the candidate without an operator application, and a tie
+    or a floor below goes on to the exact test. That runs over the earlier
+    steps newest first, where a rejection almost always falls (largest radius,
+    nearest index). A floor never exceeds the exact norm, so neither changes
+    the chosen index or the rejection tallies.
     """
     if seq.max_n is not None:
         n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
     steps: List[SynthesisStep] = []
-    ops: List[PolynomialOperator] = []  # the operator of each admitted step, which test (c) applies
-    priors: List[Tuple[int, float, float]] = []  # (m, log|c_m|, log r) of each admitted step
+    # (P(D), (m, log|c_m|, log r)) of each admitted step: test (c) applies the operator, its floor reads the rest
+    admitted: List[Tuple[PolynomialOperator, Tuple[int, float, float]]] = []
     max_deg = -1
     n_prev = 0
     pool = sorted(index_pool) if index_pool is not None else None
-    per_trace_count: dict = {}
     for s, (trace_id, target) in enumerate(schedule, start=1):
         r_s = float(s)
         e_s = Fraction(1, 2**s)
         e_log = log_fraction(e_s)
-        if pool is not None:
-            candidates: Iterable[int] = [n for n in pool if n > n_prev]
-        else:
-            candidates = range(n_prev + 1, n_cap + 1)
+        candidates = range(n_prev + 1, n_cap + 1) if pool is None else [n for n in pool if n_prev < n <= n_cap]
         fail = {"annihilation": 0, "self_norm": 0, "cross_norm": 0}
-        chosen = None
         for n in candidates:
-            if n > n_cap:
-                break
             if seq.valence(n) <= max_deg:
                 fail["annihilation"] += 1
                 continue
-            if target.is_zero:
-                h = TaylorPolynomial.zero()
-                h_norm = NEG_INF
-            else:
-                h = inverse_for_polynomial(seq.op(n), target)
-                h_norm = h.majorant_norm(r_s)
-                if not log_margin(h_norm, e_log) > 0:
-                    fail["self_norm"] += 1
-                    continue
-            if any(log_margin(floor, e_log) < 0 for floor in _top_image_logs(h, reversed(priors))):
+            op = seq.op(n)
+            h = inverse_for_polynomial(op, target)
+            h_norm = h.majorant_norm(r_s)
+            if not log_margin(h_norm, e_log) > 0:
+                fail["self_norm"] += 1
+                continue
+            floors = _top_image_logs(*_correction_head(seq, n, target), (p for _, p in reversed(admitted)))
+            if any(log_margin(floor, e_log) < 0 for floor in floors):
                 fail["cross_norm"] += 1
                 continue
             cross_logs: List[float] = []
-            ok = True
-            for prior, prior_op in zip(reversed(steps), reversed(ops)):
+            for prior, (prior_op, _) in zip(reversed(steps), reversed(admitted)):
                 c = apply_operator(prior_op, h).majorant_norm(prior.radius)
                 if not log_margin(c, e_log) > 0:
-                    ok = False
                     break
                 cross_logs.append(c)
-            if not ok:
-                fail["cross_norm"] += 1
-                continue
-            cross_logs.reverse()
-            chosen = n
-            break
-        if chosen is None:
-            worst = max(fail, key=lambda key: fail[key])
+            else:
+                break
+            fail["cross_norm"] += 1
+        else:
             raise CapExhausted(
                 f"no admissible index <= {n_cap} at build step {s} "
                 f"(rejections: {fail})",
                 step=s,
-                condition=worst,
+                condition=max(fail, key=lambda key: fail[key]),
             )
-        per_trace_count[trace_id] = per_trace_count.get(trace_id, 0) + 1
+        cross_logs.reverse()
         steps.append(
             SynthesisStep(
-                index=per_trace_count[trace_id],
+                index=1 + sum(prior.trace == trace_id for prior in steps),
                 global_index=s,
                 trace=trace_id,
-                n=chosen,
+                n=n,
                 target=target,
                 radius=r_s,
                 eps=e_s,
@@ -267,12 +258,10 @@ def _build_schedule(
                 cross_norm_logs=tuple(cross_logs),
             )
         )
-        ops.append(seq.op(chosen))  # already built, unless the target is zero
-        m = ops[-1].valence
-        priors.append((m, log_abs(ops[-1].coefficient(m)), math.log(r_s)))
-        if not h.is_zero:
-            max_deg = max(max_deg, h.degree)
-        n_prev = chosen
+        m = seq.valence(n)
+        admitted.append((op, (m, seq.log_coeff(n, m), math.log(r_s))))
+        max_deg = max(max_deg, h.degree)
+        n_prev = n
     return steps
 
 

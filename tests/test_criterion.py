@@ -118,6 +118,20 @@ class TestPRoute:
         rows = rep.items["iii"].rows
         assert [row["within_bound"] for row in rows] == [row["bound_log"] > 7.0 for row in rows]
 
+    def test_root_rows_alone_are_inconclusive(self):
+        # P_n(-1) = c_n (-1)^n (1 - 1) = 0 on F2: every (iii) row is a root, which certifies no identity
+        ev = verify_hypotheses(make_family("F2"), "P", CriterionConfig(u_samples=(QComplex(-1),))).items["iii"]
+        assert ev.rows and all(row["status"] == "root (inverse defined as 0)" for row in ev.rows)
+        assert ev.verdict == "inconclusive"
+
+    def test_root_rows_beside_certified_rows_support(self):
+        cfg = CriterionConfig(u_samples=(QComplex(-1), QComplex(-2)))
+        ev = verify_hypotheses(make_family("F2"), "P", cfg).items["iii"]
+        roots = [row for row in ev.rows if "status" in row]
+        assert roots and len(roots) < len(ev.rows)
+        assert all(row["within_bound"] for row in ev.rows if "status" not in row)
+        assert ev.verdict == "supports"
+
     def test_needs_samples(self):
         with pytest.raises(PreconditionError):
             verify_hypotheses(make_family("F3"), "P", CriterionConfig(u_samples=()))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hyperdiff.synthesis
+from hyperdiff import series
 from hyperdiff.errors import CapExhausted, PreconditionError
 from hyperdiff.families import make_family
 from hyperdiff.inverses import inverse_for_polynomial
@@ -14,6 +15,7 @@ from hyperdiff.scalars import LN2, NEG_INF, QComplex, log_abs, log_fraction, log
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
     _build_schedule,
+    _correction_head,
     _top_image_logs,
     augment,
     enumerate_targets,
@@ -486,7 +488,59 @@ def test_top_image_floor_never_exceeds_the_image_norm(case):
     """The floor is never above log ||P(D) h|| beyond rounding, and it is -inf when deg h < m."""
     op, h, r = case
     m = op.valence
-    (floor,) = _top_image_logs(h, [(m, log_abs(op.coefficient(m)), math.log(r))])
+    top = log_abs(h.coefficient(h.degree))
+    (floor,) = _top_image_logs(h.degree, top, [(m, log_abs(op.coefficient(m)), math.log(r))])
     exact = apply_operator(op, h).majorant_norm(r)
     assert log_margin(floor, exact) >= 0
     assert (floor == -math.inf) == (h.degree < m)
+
+
+# -- the correction's head, in closed form ------------------------------------------
+
+_F5_COMPLEX = [
+    PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(1, 3)), 3: QComplex(-2, 1)}),
+    PolynomialOperator({2: QComplex(0, 1), 3: Fraction(3, 7), 5: QComplex(1, Fraction(-1, 9))}),
+]
+_HEAD_FAMILIES = {
+    **_ORACLE_FAMILIES,
+    "F4-pow2cubic": ("F4", {"decay": "pow2cubic"}),  # P_24 alone holds 2^-13824
+    "F5-complex": ("F5", {"ops": _F5_COMPLEX}),
+}
+_targets_coeffs = st.one_of(_rationals.map(QComplex), _scalars)  # real and complex
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tag=st.sampled_from(sorted(_HEAD_FAMILIES)), data=st.data())
+def test_correction_head_matches_the_built_correction(tag, data):
+    """The closed-form head has the built correction's degree, and its log top coefficient to 2^-40 relative."""
+    seq = make_family(*_HEAD_FAMILIES[tag])
+    n = data.draw(st.integers(1, seq.max_n or 24))
+    k = data.draw(st.integers(0, 4))
+    coeffs = data.draw(st.dictionaries(st.integers(0, k), _targets_coeffs, max_size=3))
+    coeffs[k] = data.draw(_targets_coeffs.filter(bool))
+    y = TaylorPolynomial.from_pairs(coeffs.items())
+    h = inverse_for_polynomial(seq.op(n), y)
+    degree, log_top = _correction_head(seq, n, y)
+    assert degree == h.degree
+    want = log_abs(h.coefficient(h.degree))
+    assert abs(log_top - want) <= 2**-40 * max(1.0, abs(want))
+    zero = TaylorPolynomial.zero()
+    assert _correction_head(seq, n, zero)[0] == -1 == inverse_for_polynomial(seq.op(n), zero).degree
+
+
+def test_rejected_corrections_are_never_reduced(monkeypatch):
+    """Floors read each candidate's head in closed form, so a held correction is reduced only by the
+    exact cross checks of an admitted step: once per admitted nonzero step."""
+    reduce = series._Reducible._reduced_terms
+    held = 0
+
+    def counting(self):
+        nonlocal held
+        held += isinstance(self, TaylorPolynomial) and self._terms is None
+        return reduce(self)
+
+    monkeypatch.setattr(series._Reducible, "_reduced_terms", counting)
+    with pytest.raises(CapExhausted) as err:
+        synthesize(make_family("F4"), enumerate_targets(8), n_cap=40)
+    assert str(err.value).endswith("(rejections: {'annihilation': 0, 'self_norm': 0, 'cross_norm': 6})")
+    assert held == 4
