@@ -39,7 +39,7 @@ from .scalars import QComplex, to_qcomplex, write_csv
 from .series import (
     PolynomialOperator,
     TaylorPolynomial,
-    read_coefficients,
+    read_blocks,
     write_taylor,
 )
 from .synthesis import (
@@ -150,13 +150,15 @@ FAMILY_KEYS = [
 
 OUT_KEY = Key("out", str, "out", "output directory")
 SEED_KEY = Key("seed", _p_int, 0, "seed for randomized batteries")
+N_CAP_KEY = Key("n_cap", _p_int, 10**6, "candidate cap per step")
+N_RANGE_KEYS = [Key("n_min", _p_int, 1, "first index"), Key("n_max", _p_int, 40, "last index")]
 
 # the single-trace construction shared by synthesize and perturb
 TRACE_KEYS = [
     Key("targets", _p_targets, "diagonal", "diagonal | [polys:]<a0,a1;...>"),
     Key("count", _p_int, 8, "number of steps K"),
     Key("zero_recurrent", _p_bool, False, "interleave zero targets"),
-    Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+    N_CAP_KEY,
 ]
 
 
@@ -215,25 +217,14 @@ def _family_from(cfg: Dict) -> OperatorSequence:
 
 
 def read_operator_table(path: str) -> List[PolynomialOperator]:
-    """A table file holds several #operator blocks, in sequence order."""
+    """A table file holds one or more #operator blocks, in sequence order."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read operator table {path}: {exc}") from exc
-    blocks: List[List[str]] = []
-    for line in text.splitlines():
-        if line.strip().startswith("#operator"):
-            blocks.append([line])
-        elif blocks and line.strip():
-            blocks[-1].append(line)
-    if not blocks:
-        raise ConfigError(f"{path} holds no #operator blocks")
-    import io
-
-    try:
-        return [read_coefficients(io.StringIO("\n".join(block) + "\n")) for block in blocks]
-    except (ValueError, ZeroDivisionError) as exc:
+        ops = read_blocks(Path(path).read_text())
+    except (OSError, ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    if not ops or not all(isinstance(op, PolynomialOperator) for op in ops):
+        raise ConfigError(f"{path}: an operator table holds one or more #operator blocks and no other block")
+    return ops
 
 
 def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:
@@ -448,8 +439,7 @@ class Command(NamedTuple):
 COMMANDS: Dict[str, Command] = {
     "check-properties": Command(_cmd_check_properties, FAMILY_KEYS + [
         Key("props", str, "PQR", "subset of properties to check"),
-        Key("n_min", _p_int, 1, "first index"),
-        Key("n_max", _p_int, 40, "last index"),
+        *N_RANGE_KEYS,
         Key("r", _p_float, 2.0, "circle radius for (R)"),
         Key("samples", _p_int, 256, "circle sample count"),
         Key("k_max", _p_int, 3, "largest k for (Q)"),
@@ -467,7 +457,7 @@ COMMANDS: Dict[str, Command] = {
     "build-m0": Command(_cmd_build_m0, FAMILY_KEYS + [
         Key("count", _p_int, 4, "basis size J"),
         Key("n_start", _p_int, 1, "first candidate index"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        N_CAP_KEY,
         Key("decay_base", _p_int, 4, "member coefficients a_j = decay_base^-m_j"),
         Key("r", _p_float, 1.0, "decay report radius"),
         OUT_KEY,
@@ -479,8 +469,7 @@ COMMANDS: Dict[str, Command] = {
     ]),
     "verify-criterion": Command(_cmd_verify_criterion, FAMILY_KEYS + [
         Key("route", str, "Q", "P or Q"),
-        Key("n_min", _p_int, 1, "first index"),
-        Key("n_max", _p_int, 40, "last index"),
+        *N_RANGE_KEYS,
         Key("k_max", _p_int, 3, "largest target degree for the Q route"),
         Key("u_samples", _p_points, _p_points("-2,-3,-5"), "P-route sample points"),
         Key("r", _p_float, 2.0, "radius for norm sweeps"),
@@ -499,14 +488,14 @@ COMMANDS: Dict[str, Command] = {
         Key("base_count", _p_int, 12, "steps in the zero-recurrent base trace"),
         Key("extra", _p_polys, _p_polys("1;0,1"), "extra targets (poly literals)"),
         Key("lambdas", _p_fractions, _p_fractions("-1,1,2"), "scalar multiples"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        N_CAP_KEY,
         OUT_KEY,
     ]),
     "joint": Command(_cmd_joint, FAMILY_KEYS + [
         Key("traces", _p_int, 2, "number of traces J"),
         Key("targets", _p_polys, _p_polys("1"), "shared targets (poly literals)"),
         Key("combos", _p_combos, _p_combos("1,0;0,1;1,1"), "combination vectors"),
-        Key("n_cap", _p_int, 10**6, "candidate cap per step"),
+        N_CAP_KEY,
         OUT_KEY,
     ]),
 }

@@ -6,8 +6,11 @@ inverses and lacunary members occupy a few degrees far above zero. Operations
 that drop tails report a majorant bound for what was dropped. Every
 coefficient is an exact rational complex number (``QComplex``); a float given
 as a coefficient or a point enters as its exact dyadic value, so each
-operation has one exact kernel path. F1–F3 operators and real right inverses
-hold unreduced integer pairs until a coefficient is read (``_Reducible``).
+operation has one exact kernel path. Both polynomial kinds share one sparse
+term map (``_Reducible``): F1–F3 operators and real right inverses hold it as
+unreduced integer pairs until a coefficient is read, and exact evaluation reads
+the pairs as they are held. A coefficient text is split into its ``#taylor`` /
+``#operator`` blocks by one reader, ``read_blocks``.
 """
 
 from __future__ import annotations
@@ -46,26 +49,9 @@ def _majorant_log(terms: Iterable[Tuple[int, QComplex]], log_r: float) -> float:
     return log_sum(log_abs(c) + j * log_r for j, c in terms)
 
 
-def _ratio_lanes(terms: dict) -> tuple:
-    """{j: (num, den)} of exact terms' real parts, then of their imaginary parts if any is nonzero."""
-    im = {j: c.im.as_integer_ratio() for j, c in terms.items() if c.im}
-    return ({j: c.re.as_integer_ratio() for j, c in terms.items()},) + ((im,) if im else ())
-
-
-def _integer_form(lanes: tuple, top: int, m: int) -> tuple:
-    """(D, X, Y) with c_j = (X_j + i Y_j) / D over one common denominator D, from ``_ratio_lanes``-shaped
-    lanes; X and Y list j = top down to m, 0 at a gap, and Y is None when every c_j is real."""
-    den = 1
-    for b in (b for lane in lanes for _, b in lane.values()):
-        if b != 1 and den % b:  # den % 1 costs the length of a huge den
-            den = den // math.gcd(den, b) * b
-    xs, *ys = ([x * (den // b) for x, b in (lane.get(j, (0, 1)) for j in range(top, m - 1, -1))] for lane in lanes)
-    return den, xs, ys[0] if ys else None
-
-
 def _exact_horner(form: tuple, w: QComplex) -> QComplex:
-    """sum(c_j w^(j-m)) from an ``_integer_form``: with w = u / q, Horner sums S = sum((X_j + i Y_j) u^(j-m) q^(d-j))
-    in ints, in one lane for a real w on real c_j, and S / (D q^(d-m)) reduces once."""
+    """sum(c_j w^(j-m)) from ``_Reducible._integer_form``: with w = u / q, Horner sums S = sum((X_j + i Y_j)
+    u^(j-m) q^(d-j)) in ints, in one lane for a real w on real c_j, and S / (D q^(d-m)) reduces once."""
     den, xs, ys = form
     q = math.lcm(w.re.denominator, w.im.denominator)
     ur, ui = w.re.numerator * (q // w.re.denominator), w.im.numerator * (q // w.im.denominator)
@@ -83,8 +69,9 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
 
 
 class _Reducible:
-    """Nonzero terms {j: c_j} in increasing j that may arrive as unreduced real pairs {j: (num, den)}, held (``_terms``
-    None) until the first read reduces each pair by its Fraction and drops them."""
+    """A sparse exact polynomial: its nonzero terms {j: c_j} in increasing j, which may arrive as unreduced real
+    pairs {j: (num, den)}, held (``_terms`` None) until the first read reduces each pair by its Fraction and drops
+    them. Structure reads (``_held``, ``degree``) and the integer form read the pairs as they are held."""
 
     __slots__ = ()
 
@@ -94,6 +81,44 @@ class _Reducible:
             self._terms, self._pairs = reduced, None
         return self._terms
 
+    @property
+    def _held(self) -> dict:
+        """The term map as held: the pairs, or the reduced terms; both have the same keys."""
+        return self._pairs or self._terms
+
+    @property
+    def degree(self) -> int:
+        """Greatest exponent with a nonzero coefficient (-1 for zero)."""
+        return next(reversed(self._pairs or self._terms), -1)
+
+    def terms(self):
+        """The (j, c_j) pairs with c_j nonzero, in increasing j."""
+        return self._reduced_terms().items()
+
+    def coefficient(self, j: int) -> QComplex:
+        return self._reduced_terms().get(j, QC_ZERO)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._reduced_terms() == other._reduced_terms()
+
+    def _integer_form(self, m: int) -> tuple:
+        """(D, X, Y) with c_j = (X_j + i Y_j) / D over one common denominator D; X and Y list j = degree down
+        to m, 0 at a gap, and Y is None when every c_j is real. Held pairs are read as the one real lane."""
+        if self._pairs:
+            lanes = (self._pairs,)
+        else:
+            im = {j: c.im.as_integer_ratio() for j, c in self._terms.items() if c.im}
+            lanes = ({j: c.re.as_integer_ratio() for j, c in self._terms.items()},) + ((im,) if im else ())
+        den = 1
+        for b in (b for lane in lanes for _, b in lane.values()):
+            if b != 1 and den % b:  # den % 1 costs the length of a huge den
+                den = den // math.gcd(den, b) * b
+        span = range(self.degree, m - 1, -1)
+        xs, *ys = ([x * (den // b) for x, b in (lane.get(j, (0, 1)) for j in span)] for lane in lanes)
+        return den, xs, ys[0] if ys else None
+
 
 class TaylorPolynomial(_Reducible):
     """A truncated entire function sum(a_j z^j, j=0..N) with explicit N.
@@ -101,8 +126,8 @@ class TaylorPolynomial(_Reducible):
     Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
     truncation degree N. Construction preserves N even when the top
     coefficients are zero; the zero polynomial has N = -1. Equality compares
-    values and ignores N. A right inverse's unreduced real pairs (``_Reducible``)
-    serve ``degree``, ``is_zero``, ``support``, ``majorant_norm`` and real ``scale``.
+    values and ignores N. A right inverse's unreduced real pairs (``_Reducible``) serve
+    ``degree``, ``is_zero``, ``support``, ``evaluate``, ``majorant_norm`` and real ``scale``.
     """
 
     __slots__ = ("_terms", "_pairs", "truncation")
@@ -147,28 +172,11 @@ class TaylorPolynomial(_Reducible):
     # -- structure ---------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        """Greatest exponent with a nonzero coefficient (-1 for zero)."""
-        return next(reversed(self._pairs or self._terms), -1)
-
-    @property
     def is_zero(self) -> bool:
-        return not (self._pairs or self._terms)
+        return not self._held
 
     def support(self) -> Tuple[int, ...]:
-        return tuple(self._pairs or self._terms)
-
-    def terms(self):
-        """The (j, a_j) pairs with a_j nonzero, in increasing j."""
-        return self._reduced_terms().items()
-
-    def coefficient(self, j: int) -> QComplex:
-        return self._reduced_terms().get(j, QC_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, TaylorPolynomial):
-            return NotImplemented
-        return self._reduced_terms() == other._reduced_terms()
+        return tuple(self._held)
 
     def __hash__(self):
         return hash(tuple(self.terms()))
@@ -232,10 +240,10 @@ class TaylorPolynomial(_Reducible):
         return TaylorPolynomial._raw(terms, self.truncation - order)
 
     def evaluate(self, z: CoeffLike) -> QComplex:
-        """Horner evaluation, exact, in one integer pass over the common denominator."""
+        """Horner evaluation, exact, in one integer pass over the common denominator; held pairs stay held."""
         if self.is_zero:
             return QC_ZERO
-        return _exact_horner(_integer_form(_ratio_lanes(self._reduced_terms()), self.degree, 0), to_qcomplex(z))
+        return _exact_horner(self._integer_form(0), to_qcomplex(z))
 
     def majorant_norm(self, r: float) -> float:
         """log of the coefficient majorant sum(|a_j| r^j).
@@ -281,25 +289,13 @@ class PolynomialOperator(_Reducible):
 
     @property
     def valence(self) -> int:
-        return next(iter(self._pairs or self._terms))
-
-    @property
-    def degree(self) -> int:
-        return next(reversed(self._pairs or self._terms))
-
-    def coefficient(self, j: int) -> QComplex:
-        return self._reduced_terms().get(j, QC_ZERO)
-
-    def terms(self):
-        """The (j, c_j) pairs with c_j nonzero, in increasing j."""
-        return self._reduced_terms().items()
+        return next(iter(self._held))
 
     def value_at(self, w: CoeffLike) -> QComplex:
         """P(w) = w^m H(w), H = P/z^m, the eigenvalue of P(D) on e_w; H(w) exactly by Horner over d..m
         in integers (``_exact_horner``), from the integer form built on the first sample and kept."""
         if self._form is None:
-            lanes = (self._pairs,) if self._pairs else _ratio_lanes(self._terms)
-            self._form = _integer_form(lanes, self.degree, self.valence)
+            self._form = self._integer_form(self.valence)
         wq = to_qcomplex(w)
         return _exact_horner(self._form, wq) * wq**self.valence
 
@@ -314,11 +310,6 @@ class PolynomialOperator(_Reducible):
         """The coefficients c_d..c_m of H = P/z^m as doubles, highest first: what the
         circle scan samples. A coefficient beyond the double range raises."""
         return [to_complex(self.coefficient(j)) for j in range(self.degree, self.valence - 1, -1)]
-
-    def __eq__(self, other):
-        if not isinstance(other, PolynomialOperator):
-            return NotImplemented
-        return self._reduced_terms() == other._reduced_terms()
 
     def __repr__(self):
         body = " + ".join(f"{c}*z^{j}" for j, c in list(self.terms())[:4])
@@ -384,7 +375,9 @@ def eigen_defect_bound(op: PolynomialOperator, w: CoeffLike, n: int, r: float) -
 #
 # Format: a header line `#taylor N=<degree>` or `#operator m=<valence> d=<degree>`
 # followed by one `index,re,im` line per stored coefficient, in rational
-# notation (see ``scalars.parse_real`` for a decimal token).
+# notation (see ``scalars.parse_real`` for a decimal token). A coefficient file
+# is one such block; an F5 table is one or more `#operator` blocks. Other `#`
+# lines are comments, and a coefficient line before the first header is an error.
 
 
 def write_taylor(f: TaylorPolynomial, out: TextIO) -> None:
@@ -396,49 +389,53 @@ def write_operator(op: PolynomialOperator, out: TextIO) -> None:
     write_csv(out, header, ((j, format_scalar(c)) for j, c in op.terms()))
 
 
-def _parse_body(lines) -> list:
-    entries = []
-    seen = set()
+def _read_block(header: str, lines: List[str]):
+    """The TaylorPolynomial or PolynomialOperator of one header line and its stripped coefficient lines."""
+    taylor = header.startswith("#taylor")
+    names = ("N",) if taylor else ("m", "d")
+    given = dict(token.partition("=")[::2] for token in header.split()[1:])
+    try:
+        fields = [int(given[name]) for name in names]  # the required integer fields name=<int>
+    except (KeyError, ValueError):
+        raise ValueError(f"header {header!r} needs integer fields {', '.join(names)}") from None
+    entries: dict = {}
     for line in lines:
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"bad coefficient line {line!r}")
         j = int(parts[0])
-        if j in seen:
+        if j in entries:
             raise ValueError(f"repeated coefficient index {j}")
-        seen.add(j)
-        entries.append((j, parse_scalar(parts[1], parts[2])))
-    return entries
+        entries[j] = parse_scalar(parts[1], parts[2])
+    if taylor:
+        (n,) = fields
+        for j in sorted(entries):
+            if not 0 <= j <= n:
+                raise ValueError(f"coefficient index {j} is outside 0..N={n}")
+        return TaylorPolynomial._raw(_coerce_terms(sorted(entries.items())), max(n, -1))
+    op = PolynomialOperator(entries)
+    if [op.valence, op.degree] != fields:
+        raise ValueError(f"{header!r} does not match the body (m={op.valence} d={op.degree})")
+    return op
 
 
-def _header_ints(header: str, *names: str) -> list:
-    """The required integer fields name=<int> of a header line."""
-    fields = dict(token.partition("=")[::2] for token in header.split()[1:])
-    try:
-        return [int(fields[name]) for name in names]
-    except (KeyError, ValueError):
-        raise ValueError(f"header {header!r} needs integer fields {', '.join(names)}") from None
+def read_blocks(text: str) -> list:
+    """The ``#taylor`` and ``#operator`` blocks of a coefficient text, in order, each read into a TaylorPolynomial
+    or a PolynomialOperator; a coefficient line before the first header raises ValueError."""
+    blocks: List[Tuple[str, List[str]]] = []
+    for line in map(str.strip, text.splitlines()):
+        if line.startswith(("#taylor", "#operator")):
+            blocks.append((line, []))
+        elif line and not line.startswith("#"):
+            if not blocks:
+                raise ValueError(f"coefficient line {line!r} comes before the first #taylor or #operator header")
+            blocks[-1][1].append(line)
+    return [_read_block(header, lines) for header, lines in blocks]
 
 
 def read_coefficients(source: TextIO):
-    """Parse a coefficient file into a TaylorPolynomial or PolynomialOperator."""
-    lines = source.read().splitlines()
-    stripped = (l.strip() for l in lines)
-    header = next((l for l in stripped if l.startswith(("#taylor", "#operator"))), "")
-    if header.startswith("#taylor"):
-        (n,) = _header_ints(header, "N")
-        entries = sorted(_parse_body(lines))
-        for j, _ in entries:
-            if not 0 <= j <= n:
-                raise ValueError(f"coefficient index {j} is outside 0..N={n}")
-        return TaylorPolynomial._raw(_coerce_terms(entries), max(n, -1))
-    if header.startswith("#operator"):
-        m, d = _header_ints(header, "m", "d")
-        op = PolynomialOperator(_parse_body(lines))
-        if (op.valence, op.degree) != (m, d):
-            raise ValueError(f"{header!r} does not match the body (m={op.valence} d={op.degree})")
-        return op
-    raise ValueError("missing #taylor or #operator header")
+    """Parse a coefficient file, one #taylor or #operator block, into a TaylorPolynomial or PolynomialOperator."""
+    blocks = read_blocks(source.read())
+    if len(blocks) != 1:
+        raise ValueError(f"a coefficient file holds one #taylor or #operator block, not {len(blocks)}")
+    return blocks[0]

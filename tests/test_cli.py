@@ -145,6 +145,9 @@ class TestExitCodes:
             "#operator m=1 d=2\n1,1,0\n1,2,0\n2,1,0\n",  # repeated index
             "#operator m=1 d=1\n1,1/0,0\n",  # zero denominator
             "#operator m=7 d=9\n3,1,0\n4,2,0\n",  # header disagrees with the body
+            "2,5,0\n#operator m=1 d=3\n1,1,0\n3,1,0\n",  # a coefficient line before the first header
+            "#taylor N=2\n0,1,0\n#operator m=1 d=3\n1,1,0\n3,1,0\n",  # a #taylor block ahead of the operators
+            "#operator m=1 d=3\n1,1,0\n3,1,0\n#taylor N=0\n#operator m=2 d=3\n2,1,0\n3,1,0\n",  # one between them
         ],
     )
     def test_malformed_table_is_config_error(self, tmp_path, capsys, body):

@@ -581,17 +581,27 @@ class TestPropertyR:
         assert rep.verdict in ("inconclusive", "refutes")
 
     def test_collapsed_lower_bound_never_refutes(self):
-        # P_n = z^(n+8) (z - 129/64) has its root 1/64 outside |z| = 2, nearer than the arc
-        # correction pi r / M = 0.0245: the scan's certified lower track reads -inf, which
-        # is a weak bound, not a witness of small values
-        table = [PolynomialOperator({n + 8: QComplex(Fraction(-129, 64)), n + 9: QComplex(1)})
-                 for n in range(1, 121)]
-        rep = check_property_R(make_family("F5", {"ops": table}), 2.0, (1, 120), 256)
-        lower = rep.tracks["lower_log"]
-        assert all(v == -math.inf for v in lower)
-        assert GrowthRule().classify(list(range(1, 121)), lower)[0][-1] == "refutes"
-        assert all(verdict != "refutes" for _, _, verdict in rep.rows)
-        assert rep.verdict == "inconclusive" and rep.witness is None
+        # the scan's certified lower track reads -inf, which is a weak bound, not a witness of small values
+        cases = [
+            # P_n = z^(n+8) (z - 129/64) has its root 1/64 outside |z| = 2, nearer than the arc
+            # correction pi r / M = 0.0245
+            (2.0, [PolynomialOperator({n + 8: QComplex(Fraction(-129, 64)), n + 9: QComplex(1)})
+                   for n in range(1, 121)]),
+            # P_n = z + z^3 at r = 1e200: the float samples of H = 1 + z^2 overflow, so the scan's
+            # bounds are (-inf, inf), and the upper track is the exact log|P_n(r)| = 1381.55...
+            (1e200, [PolynomialOperator({1: QComplex(1), 3: QComplex(1)})] * 12),
+        ]
+        for r, table in cases:
+            seq = make_family("F5", {"ops": table})
+            ns = list(range(1, len(table) + 1))
+            rep = check_property_R(seq, r, (1, len(table)), 256)
+            lower = rep.tracks["lower_log"]
+            assert all(v == -math.inf for v in lower)
+            assert GrowthRule().classify(ns, lower)[0][-1] == "refutes"
+            fr = Fraction(r)
+            assert rep.tracks["upper_log"] == [min(seq.log_abs_at(n, fr), seq.log_abs_at(n, -fr)) for n in ns]
+            assert all(verdict != "refutes" for _, _, verdict in rep.rows)
+            assert rep.verdict == "inconclusive" and rep.witness is None
 
     def test_scan_past_double_range(self):
         # |z^m| = 2^m leaves the double range at m = 1024; the scan factors it out.

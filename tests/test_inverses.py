@@ -255,6 +255,10 @@ _CORRECTION_CASES = [
 ]
 
 
+# evaluation points: zero, real, and complex with an imaginary part
+_POINTS = [QComplex(0), QComplex(-2), QComplex(Fraction(1, 3)), QComplex(Fraction(-5, 7), Fraction(2, 9))]
+
+
 def _eager_f(op, k):
     """f_{n,k} with every coefficient divided out at once, as terms."""
     m = op.valence
@@ -285,6 +289,7 @@ class TestUnreducedCorrections:
                 assert (lazy_first.degree, lazy_first.is_zero, lazy_first.support(), lazy_first.truncation) == (
                     model.degree, model.is_zero, model.support(), model.truncation)
                 assert lazy_first.majorant_norm(2.0) == model.majorant_norm(2.0)
+                assert [lazy_first.evaluate(z) for z in _POINTS] == [model.evaluate(z) for z in _POINTS]
                 assert [lazy_first.coefficient(j) for j in range(-1, k + op.valence + 2)] == [
                     model.coefficient(j) for j in range(-1, k + op.valence + 2)]
                 assert list(lazy_first.terms()) == list(model.terms())
@@ -310,7 +315,7 @@ class TestUnreducedCorrections:
     def test_the_pairs_are_held_until_a_coefficient_is_read(self):
         op = make_family("F1").op(40)
         f = build_f_nk(op, 2, verify=False).f
-        f.majorant_norm(2.0), f.degree, f.support(), f.scale(Fraction(-3, 5))
+        f.majorant_norm(2.0), f.degree, f.support(), f.scale(Fraction(-3, 5)), f.evaluate(QComplex(-2))
         assert f._terms is None  # no lazy read reduced it
         f.coefficient(40)
         assert f._pairs is None and f._terms is not None  # the first read dropped the pairs

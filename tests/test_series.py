@@ -58,6 +58,18 @@ class TestEquality:
         assert len({TaylorPolynomial.zero(), TaylorPolynomial([0, 0.0])}) == 1
         assert len({TaylorPolynomial([1, 0.5]), TaylorPolynomial([1, Fraction(1, 2), 0])}) == 1
 
+    def test_a_polynomial_and_an_operator_never_compare_equal(self):
+        # one term map serves both kinds, but equality is exact in type
+        f = TaylorPolynomial.from_pairs([(1, 2), (3, Fraction(-1, 5))])
+        op = PolynomialOperator({1: 2, 3: Fraction(-1, 5)})
+        assert list(f.terms()) == list(op.terms())
+        assert f != op and op != f
+        assert not (f == op) and not (op == f)
+
+    def test_an_operator_is_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(PolynomialOperator({1: 1, 2: 3}))
+
 
 class TestApplyOperator:
     def test_single_derivative(self):
@@ -535,6 +547,8 @@ class TestCoefficientFiles:
             "#operator\n3,1,0\n4,2,0\n",
             "#taylor\n0,1,0\n",
             "#taylor M=2\n0,1,0\n",
+            "#taylor N=3\n0,1,0\n#taylor N=3\n1,5,0\n",  # two blocks are not one polynomial
+            "0,1,0\n#taylor N=3\n1,5,0\n",  # a data line before its header
         ],
     )
     def test_header_must_state_the_body(self, text):
