@@ -7,12 +7,12 @@ solve the upper-triangular system
 
 whose determinant is a_0^{k+1}; then antidifferentiate m times,
 
-    f_k(z) = sum(b_s z^{s+m} / ((s+1)(s+2)...(s+m)), s=0..k),
+    f_k(z) = sum(b_s z^{s+m} / (m! C(s+m, s)), s=0..k),   m! C(s+m, s) = (s+1)(s+2)...(s+m),
 
-which satisfies P(D) f_k = z^k exactly. Every solve is exact: a float
-coefficient enters as its exact dyadic value, so the identity is checked with
-rational equality for every operator. Back-substitution is the only solver; the
-tests check it against an independent cofactor-expansion (Cramer) route.
+which satisfies P(D) f_k = z^k exactly; m! comes from ``scalars.factorial``, which steps on from the m
+it returned last, as a greedy scan builds f for valences n, n+1, ... in turn. Every solve is exact: a
+float coefficient enters as its exact dyadic value, so the identity is checked with rational equality for
+every operator. Back-substitution is the only solver; the tests check it against a cofactor (Cramer) route.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .scalars import (
     QC_ONE,
     QC_ZERO,
     divide_by_int,
+    factorial,
     log_margin,
     to_qcomplex,
 )
@@ -85,8 +86,9 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
-    # f_{s+m} = b_s / ((s+1)(s+2)...(s+m)), b_k = 1/a_0 != 0 so N = k + m; real b_s go over as unreduced pairs
-    steps = [(s + m, b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s]
+    # f_{s+m} = b_s / ((s+1)...(s+m)) = b_s / (m! C(s+m, s)), b_k = 1/a_0 != 0 so N = k + m; real b_s go over unreduced
+    m_fact = factorial(m)  # stepped on from the last valence asked for: a greedy scan asks for n, n+1, ... in turn
+    steps = [(s + m, b_s, m_fact * math.comb(s + m, s)) for s, b_s in enumerate(b) if b_s]
     if any(b_s.im for b_s in b):
         f = TaylorPolynomial._raw({j: divide_by_int(b_s, d) for j, b_s, d in steps}, k + m)
     else:

@@ -27,6 +27,7 @@ from .errors import InvariantViolation, PreconditionError
 LN2 = math.log(2.0)
 _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10  # fdlibm's split of ln 2, to 2^-86
 NEG_INF = float("-inf")
+_last_factorial = (0, 1)  # the (n, n!) that ``factorial`` returned last, rebound as one tuple
 
 # Rounding slack of ``log_margin``, relative to max(1, |lhs|, |rhs|). Error
 # model: each side is a log computed with at most 2^20 roundings of relative
@@ -100,6 +101,15 @@ def log_falling(m: int, s: int) -> float:
     if 45 * s < m:
         return math.fsum(math.log(m - i) for i in range(s))
     return math.lgamma(m + 1) - math.lgamma(m - s + 1)
+
+
+def factorial(n: int) -> int:
+    """n!, exactly. Past the n it returned last only the new factors are multiplied in: a scan asks for m, m+1, ..."""
+    global _last_factorial
+    k, f = _last_factorial
+    if n != k:
+        _last_factorial = (n, f := f * math.perm(n, n - k) if n > k else math.factorial(n))
+    return f
 
 
 class QComplex:

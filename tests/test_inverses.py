@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -311,6 +312,21 @@ class TestUnreducedCorrections:
                 before = [f.majorant_norm(r) for r in (0.5, 1.0, 3.0, 1e300)]
                 list(f.terms())
                 assert [f.majorant_norm(r) for r in (0.5, 1.0, 3.0, 1e300)] == before
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "interleaved"])
+    def test_corrections_do_not_depend_on_the_call_order(self, order):
+        # m! steps on from the last valence asked for, so every order of n must read the same corrections
+        seqs = [(make_family(family, params), ns) for family, params, ns in _CORRECTION_CASES]
+        per_family = [[(n, seq.op(n)) for n in ns] for seq, ns in seqs]
+        if order == "interleaved":
+            ops = [op for ring in itertools.zip_longest(*per_family) for _, op in filter(None, ring)]
+        else:
+            pairs = sorted((pair for pairs in per_family for pair in pairs), key=lambda pair: pair[0])
+            ops = [op for _, op in (pairs if order == "ascending" else reversed(pairs))]
+        for op in ops:
+            for k in range(5):
+                f, model = build_f_nk(op, k, verify=False).f, _eager_f(op, k)
+                assert f == model and _written(f) == _written(model), (op, k)
 
     def test_the_pairs_are_held_until_a_coefficient_is_read(self):
         op = make_family("F1").op(40)

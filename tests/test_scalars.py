@@ -13,6 +13,7 @@ from hyperdiff.scalars import (
     QComplex,
     certify,
     exp_log,
+    factorial,
     format_scalar,
     log_abs,
     log_falling,
@@ -27,6 +28,7 @@ from hyperdiff.scalars import (
     write_csv,
     write_jsonl,
 )
+from hyperdiff import scalars
 from hyperdiff.errors import InvariantViolation, PreconditionError
 from hyperdiff.families import make_family
 
@@ -298,6 +300,34 @@ class TestLogFalling:
                 if s <= m:
                     want = math.log(math.perm(m, s))
                     assert abs(log_falling(m, s) - want) <= 1e-14 * want, (m, s)
+
+
+# argument runs for ``factorial``: an ascending run, a repeat, a lone value (a backward or a long forward jump) and 0
+_factorial_runs = st.lists(
+    st.one_of(
+        st.builds(lambda n, length: list(range(n, min(n + length, 3001))), st.integers(0, 3000), st.integers(1, 8)),
+        st.integers(0, 3000).map(lambda n: [n] * 3),
+        st.integers(0, 3000).map(lambda n: [n]),
+        st.just([0]),
+    ),
+    min_size=1,
+    max_size=8,
+).map(lambda runs: [n for run in runs for n in run])
+
+
+class TestFactorial:
+    @settings(max_examples=200, deadline=None)
+    @given(_factorial_runs)
+    @example([0, 1, 2, 3, 3, 2999, 3000, 3000, 5, 0, 1500, 1501, 2, 3000, 0])
+    def test_matches_math_factorial_in_any_call_order(self, ns):
+        for n in ns:
+            assert factorial(n) == math.factorial(n), n
+            # the memo is one (n, n!) pair, the one just returned
+            assert scalars._last_factorial == (n, math.factorial(n)), n
+
+    def test_negative_argument_raises(self):
+        with pytest.raises(ValueError):
+            factorial(-1)
 
 
 class TestLogMargin:
