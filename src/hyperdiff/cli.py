@@ -257,8 +257,10 @@ def _cmd_check_properties(cfg: Dict) -> int:
     props = cfg["props"].upper()
     if not props or set(props) - set("PQR"):
         raise ConfigError(f"props must be letters from P, Q and R, got {cfg['props']!r}")
-    out = _outdir(cfg)
     n_range = (cfg["n_min"], cfg["n_max"])
+    if n_range[0] > n_range[1]:
+        raise PreconditionError(f"empty index range: n_min={n_range[0]} exceeds n_max={n_range[1]}")
+    out = _outdir(cfg)
     rule = GrowthRule(threshold_log=cfg["threshold_log"])
     q_rule = GrowthRule(threshold_log=cfg["q_threshold_log"], vanish_hits=None)
     checks = {  # in run order; each file is written before the next check runs

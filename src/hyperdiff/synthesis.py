@@ -7,8 +7,8 @@ eps_k) the engine picks the least admissible index n_k > n_{k-1} such that
       P_{n_k}(D) annihilates them exactly,
   (b) the correction h_k (the right inverse of y_k under P_{n_k}(D)) has
       majorant norm below eps_k on |z| <= r_k,
-  (c) every earlier operator maps h_k below eps_k on its own radius, tried
-      first on a floor read from h_k's degree and top coefficient in closed form.
+  (c) every earlier operator maps h_k below eps_k on its own radius, tried first on a floor read from h_k's
+      degree and top coefficient in closed form, before h_k is built where a closed-form ceiling proves (b).
 
 The accumulated vector x_K = sum(h_k) then satisfies, for every i <= K,
 ||P_{n_i}(D) x_K - y_i|| on |z| <= r_i bounded by sum(eps_j, j > i): the
@@ -28,14 +28,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, TextIO, Tuple
 
 from .errors import CapExhausted, InvariantViolation, PreconditionError
 from .families import OperatorSequence
 from .inverses import inverse_for_polynomial
 from .scalars import (
-    LN2, QComplex, certify, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
+    LN2, NEG_INF, QComplex, certify, format_scalar, log_abs, log_falling, log_fraction, log_margin, log_sum,
     write_csv, write_jsonl,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator
@@ -161,15 +161,26 @@ class SynthesisTrace(NamedTuple):
         return tuple(s for s in self.steps if s.target.is_zero)
 
 
-def _correction_head(seq: OperatorSequence, n: int, target: TaylorPolynomial) -> Tuple[int, float]:
-    """(K+m, log|h_(K+m)|) of h = sum(y_k f_{n,k}) for a target of degree K under P_n of valence m, without h: only
-    f_{n,K} reaches z^(K+m), with top coefficient K!/(c_m (K+m)!), so nothing cancels there; log|c_m| is read through
-    ``seq.log_coeff``, closed-form on a shaped family. (-1, 0.0) for a zero target."""
-    k = target.degree
-    if k < 0:
-        return -1, 0.0
-    m = seq.valence(n)
-    return k + m, log_abs(target.coefficient(k)) - seq.log_coeff(n, m) - log_falling(k + m, m)
+def _correction_bounds(
+    seq: OperatorSequence, n: int, y_logs: Sequence[Tuple[int, float]], log_r: float
+) -> Tuple[int, float, float]:
+    """(K+m, log|h_(K+m)|, a ceiling on log ||h|| on |z| <= e^log_r) of h = sum(y_k f_{n,k}), P_n of valence m and
+    y_logs the (k, log|y_k|) of a target of degree K in ascending k, without h. Only f_{n,K} reaches z^(K+m), with top
+    coefficient K!/(c_m (K+m)!), so nothing cancels there. f_{n,k} has k! u_(k-s) / (s+m)! at z^(s+m), where
+    u = 1/sum(c_(m+i) x^i) as a power series, and back-substitution bounds |u_t| by
+    U_t = sum(|c_(m+i)| U_(t-i), i = 1..t) / |c_m|, so ||h|| <= sum(|y_k| U_(k-s) r^(s+m) k!/(s+m)!, s <= k),
+    with equality under a monomial. (-1, 0.0, -inf) for a zero target."""
+    if not y_logs:
+        return -1, 0.0, NEG_INF
+    deg, m = y_logs[-1][0], seq.valence(n)
+    c = dict(takewhile(lambda item: item[0] <= m + deg, seq.log_items(n)))  # log|c_j| for j <= K+m
+    u = [-c[m]]  # log U_t
+    for t in range(1, deg + 1):
+        u.append(log_sum(c.get(m + i, NEG_INF) + u[t - i] for i in range(1, t + 1)) - c[m])
+    falls = [log_falling(s + m, m) for s in range(deg + 1)]  # log (s+m)!/s!
+    ceiling = log_sum(ly + log_falling(k, k - s) + u[k - s] - falls[s] + (s + m) * log_r
+                      for k, ly in y_logs for s in range(k + 1))
+    return deg + m, y_logs[-1][1] - c[m] - falls[deg], ceiling
 
 
 def _top_image_logs(degree: int, log_top: float, priors: Iterable[Tuple[int, float, float]]) -> Iterator[float]:
@@ -190,14 +201,18 @@ def _build_schedule(
 
     Step s works on radius s with tolerance 2^-s: the residual certificates
     2^(1-i) rest on exactly this schedule. Each candidate runs one chain:
-    annihilation, the correction h (zero, of norm -inf, for a zero target) and
-    its norm (b), then (c), first as floors read from h's closed-form head
-    (``_correction_head``, ``_top_image_logs``): one above eps_s beyond
-    rounding rejects the candidate without an operator application, and a tie
-    or a floor below goes on to the exact test. That runs over the earlier
-    steps newest first, where a rejection almost always falls (largest radius,
-    nearest index). A floor never exceeds the exact norm, so neither changes
-    the chosen index or the rejection tallies.
+    annihilation; (b), proven by the closed-form ceiling of ``_correction_bounds``
+    below eps_s beyond rounding, or else by the exact correction h (zero, of norm
+    -inf, for a zero target); (c)'s floors from h's closed-form head
+    (``_top_image_logs``), one above eps_s beyond rounding rejecting the
+    candidate with no h built or operator applied; h, if not built yet; the exact
+    (c) over the earlier steps newest first, where a rejection almost always
+    falls (largest radius, nearest index). The ceiling is tried only while the
+    step's last exactly tested candidate passed (b), so F1, whose candidates all
+    fail (b), never pays for it. A ceiling never lies below the exact norm, nor
+    a floor above it, beyond rounding far inside ``log_margin``'s slack: the
+    ceiling only adds a route for candidates whose (b) holds anyway, and neither
+    changes the chosen index or the rejection tallies.
     """
     if seq.max_n is not None:
         n_cap = min(n_cap, seq.max_n)  # the end of a table bounds the scan like a cap
@@ -208,25 +223,30 @@ def _build_schedule(
     n_prev = 0
     pool = sorted(index_pool) if index_pool is not None else None
     for s, (trace_id, target) in enumerate(schedule, start=1):
-        r_s = float(s)
+        r_s, log_r = float(s), math.log(s)
         e_s = Fraction(1, 2**s)
         e_log = log_fraction(e_s)
+        y_logs = [(k, log_abs(y_k)) for k, y_k in target.terms()]
         candidates = range(n_prev + 1, n_cap + 1) if pool is None else [n for n in pool if n_prev < n <= n_cap]
         fail = {"annihilation": 0, "self_norm": 0, "cross_norm": 0}
+        proven = False  # whether the last exactly tested candidate passed (b): only then is the ceiling tried
         for n in candidates:
             if seq.valence(n) <= max_deg:
                 fail["annihilation"] += 1
                 continue
-            op = seq.op(n)
-            h = inverse_for_polynomial(op, target)
-            h_norm = h.majorant_norm(r_s)
-            if not log_margin(h_norm, e_log) > 0:
-                fail["self_norm"] += 1
-                continue
-            floors = _top_image_logs(*_correction_head(seq, n, target), (p for _, p in reversed(admitted)))
+            h = None
+            bounds = proven and _correction_bounds(seq, n, y_logs, log_r)
+            if not (bounds and log_margin(bounds[2], e_log) > 0):
+                h = inverse_for_polynomial(seq.op(n), target)
+                if not (proven := log_margin(h.majorant_norm(r_s), e_log) > 0):
+                    fail["self_norm"] += 1
+                    continue
+            degree, log_top, _ = bounds or _correction_bounds(seq, n, y_logs, log_r)
+            floors = _top_image_logs(degree, log_top, (p for _, p in reversed(admitted)))
             if any(log_margin(floor, e_log) < 0 for floor in floors):
                 fail["cross_norm"] += 1
                 continue
+            h = inverse_for_polynomial(seq.op(n), target) if h is None else h
             cross_logs: List[float] = []
             for prior, (prior_op, _) in zip(reversed(steps), reversed(admitted)):
                 c = apply_operator(prior_op, h).majorant_norm(prior.radius)
@@ -254,12 +274,12 @@ def _build_schedule(
                 radius=r_s,
                 eps=e_s,
                 correction=h,
-                correction_norm=h_norm,
+                correction_norm=h.majorant_norm(r_s),
                 cross_norm_logs=tuple(cross_logs),
             )
         )
         m = seq.valence(n)
-        admitted.append((op, (m, seq.log_coeff(n, m), math.log(r_s))))
+        admitted.append((seq.op(n), (m, seq.log_coeff(n, m), log_r)))
         max_deg = max(max_deg, h.degree)
         n_prev = n
     return steps

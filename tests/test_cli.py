@@ -214,6 +214,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("ConfigError: props must be letters from P, Q and R")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("argv, n_min, n_max", [(("--n-max", "0"), 1, 0), (("--n-min", "5", "--n-max", "3"), 5, 3)])
+    def test_empty_property_range_is_precondition_error(self, tmp_path, capsys, argv, n_min, n_max):
+        """As in verify-criterion: exit 3 before any output, not three inconclusive verdicts over header-only CSVs."""
+        rc = run("check-properties", "--family", "F4", *argv, "--out", str(tmp_path / "out"))
+        assert rc == 3
+        assert capsys.readouterr().err == f"PreconditionError: empty index range: n_min={n_min} exceeds n_max={n_max}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_q_range_clamped_to_two(self, tmp_path, capsys):
+        """(Q) starts at n = 2, so n_max = 1 leaves it an empty sweep, not an error."""
+        rc = run("check-properties", "--family", "F4", "--props", "PQR", "--n-max", "1", "--out", str(tmp_path))
+        assert rc == 0
+        assert capsys.readouterr().out.count("property (") == 3
+
     def test_lower_case_props_accepted(self, tmp_path, capsys):
         rc = run("check-properties", "--family", "F4", "--props", "qr", "--n-max", "8", "--out", str(tmp_path))
         assert rc == 0

@@ -15,7 +15,7 @@ from hyperdiff.scalars import LN2, NEG_INF, QComplex, log_abs, log_fraction, log
 from hyperdiff.series import PolynomialOperator, TaylorPolynomial, apply_operator
 from hyperdiff.synthesis import (
     _build_schedule,
-    _correction_head,
+    _correction_bounds,
     _top_image_logs,
     augment,
     enumerate_targets,
@@ -398,13 +398,28 @@ _F5_GAPS = [
     PolynomialOperator({22: 1, 26: 1}),
 ]
 
+# Complex coefficients throughout. From valence 3 on, a candidate that follows one whose exact correction passed
+# its own test has that test proven by the closed-form ceiling, and most of those fall to the image floor.
+_F5_COMPLEX = [
+    PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(1, 3)), 3: QComplex(-2, 1)}),
+    PolynomialOperator({2: QComplex(0, 1), 3: Fraction(3, 7), 5: QComplex(1, Fraction(-1, 9))}),
+    *(PolynomialOperator({m: QComplex(Fraction(1, m), Fraction(1, 3)), m + 2: QComplex(-2, 1)}) for m in range(3, 9)),
+]
+
+# Monomials whose coefficient alternates 1000, 1/1000: a candidate that follows one passing its own test can fail
+# it, so a ceiling that proved (b) where the exact norm does not would move a chosen index or a tally.
+_F5_DROPS = [PolynomialOperator({m: 1000 if m % 2 else Fraction(1, 1000)}) for m in range(1, 25)]
+
 _ORACLE_FAMILIES = {
     "F1": ("F1", {}),
     "F2-paper": ("F2", {}),
     "F2-unit": ("F2", {"c_mode": "unit"}),
     "F3": ("F3", {}),
     "F4": ("F4", {"c": "7/2"}),
+    "F4-unit": ("F4", {}),
     "F5-gaps": ("F5", {"ops": _F5_GAPS}),
+    "F5-complex": ("F5", {"ops": _F5_COMPLEX}),
+    "F5-drops": ("F5", {"ops": _F5_DROPS}),
 }
 
 
@@ -497,35 +512,73 @@ def test_top_image_floor_never_exceeds_the_image_norm(case):
 
 # -- the correction's head, in closed form ------------------------------------------
 
-_F5_COMPLEX = [
-    PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(1, 3)), 3: QComplex(-2, 1)}),
-    PolynomialOperator({2: QComplex(0, 1), 3: Fraction(3, 7), 5: QComplex(1, Fraction(-1, 9))}),
-]
 _HEAD_FAMILIES = {
     **_ORACLE_FAMILIES,
     "F4-pow2cubic": ("F4", {"decay": "pow2cubic"}),  # P_24 alone holds 2^-13824
-    "F5-complex": ("F5", {"ops": _F5_COMPLEX}),
 }
 _targets_coeffs = st.one_of(_rationals.map(QComplex), _scalars)  # real and complex
+
+
+def _y_logs(y):
+    return [(k, log_abs(c)) for k, c in y.terms()]
+
+
+def _head_case(data, tag):
+    """(seq, n, y): an index of the family and a real or complex target of degree 0-4."""
+    seq = make_family(*_HEAD_FAMILIES[tag])
+    n = data.draw(st.integers(1, seq.max_n or 24))
+    k = data.draw(st.integers(0, 4))
+    coeffs = data.draw(st.dictionaries(st.integers(0, k), _targets_coeffs, max_size=3))
+    coeffs[k] = data.draw(_targets_coeffs.filter(bool))
+    return seq, n, TaylorPolynomial.from_pairs(coeffs.items())
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(tag=st.sampled_from(sorted(_HEAD_FAMILIES)), data=st.data())
 def test_correction_head_matches_the_built_correction(tag, data):
     """The closed-form head has the built correction's degree, and its log top coefficient to 2^-40 relative."""
-    seq = make_family(*_HEAD_FAMILIES[tag])
-    n = data.draw(st.integers(1, seq.max_n or 24))
-    k = data.draw(st.integers(0, 4))
-    coeffs = data.draw(st.dictionaries(st.integers(0, k), _targets_coeffs, max_size=3))
-    coeffs[k] = data.draw(_targets_coeffs.filter(bool))
-    y = TaylorPolynomial.from_pairs(coeffs.items())
+    seq, n, y = _head_case(data, tag)
     h = inverse_for_polynomial(seq.op(n), y)
-    degree, log_top = _correction_head(seq, n, y)
+    degree, log_top, _ = _correction_bounds(seq, n, _y_logs(y), 0.0)
     assert degree == h.degree
     want = log_abs(h.coefficient(h.degree))
     assert abs(log_top - want) <= 2**-40 * max(1.0, abs(want))
-    zero = TaylorPolynomial.zero()
-    assert _correction_head(seq, n, zero)[0] == -1 == inverse_for_polynomial(seq.op(n), zero).degree
+    assert _correction_bounds(seq, n, [], 0.0) == (-1, 0.0, -math.inf)
+    assert inverse_for_polynomial(seq.op(n), TaylorPolynomial.zero()).degree == -1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(tag=st.sampled_from(sorted(_HEAD_FAMILIES)), data=st.data())
+def test_correction_ceiling_never_below_the_built_correction_norm(tag, data):
+    """The closed-form ceiling is never below log ||h||_r by more than 2^-40 relative. Under a monomial
+    (F4) it is that norm, one-term targets included: the tie that the greedy chain sends to the exact test."""
+    seq, n, y = _head_case(data, tag)
+    r = data.draw(st.floats(1.0, 60.0))
+    want = inverse_for_polynomial(seq.op(n), y).majorant_norm(r)
+    *_, ceiling = _correction_bounds(seq, n, _y_logs(y), math.log(r))
+    assert ceiling >= want - 2**-40 * max(1.0, abs(want))
+    if tag.startswith("F4"):
+        assert abs(ceiling - want) <= 2**-40 * max(1.0, abs(want))
+
+
+def test_ceiling_route_skips_most_corrections(monkeypatch):
+    """F4 candidates whose (b) the ceiling proves fall to (c)'s floor without a correction: at most 60 built over
+    24 steps (879 when every candidate built one). F1 never passes (b), so its scan builds one per candidate."""
+    calls = 0
+    build = hyperdiff.synthesis.inverse_for_polynomial
+
+    def counting(op, y):
+        nonlocal calls
+        calls += 1
+        return build(op, y)
+
+    monkeypatch.setattr(hyperdiff.synthesis, "inverse_for_polynomial", counting)
+    synthesize(make_family("F4"), enumerate_targets(24))
+    assert calls <= 60
+    calls = 0
+    with pytest.raises(CapExhausted):
+        synthesize(make_family("F1"), [TaylorPolynomial.zero(), TaylorPolynomial.monomial(0, QComplex(1))], n_cap=200)
+    assert calls == 200
 
 
 def test_rejected_corrections_are_never_reduced(monkeypatch):
