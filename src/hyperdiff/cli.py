@@ -240,7 +240,10 @@ def _targets_from(cfg: Dict) -> List[TaylorPolynomial]:
 
 def _outdir(cfg: Dict) -> Path:
     path = Path(cfg["out"])
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # an existing file, a path below one, no permission, ...
+        raise ConfigError(f"cannot create output directory {str(path)!r}: {exc.strerror or exc}") from None
     return path
 
 

@@ -9,8 +9,11 @@ as a coefficient or a point enters as its exact dyadic value, so each
 operation has one exact kernel path. Both polynomial kinds share one sparse
 term map (``_Reducible``): F1–F3 operators and real right inverses hold it as
 unreduced integer pairs until a coefficient is read, and exact evaluation reads
-the pairs as they are held. A coefficient text is split into its ``#taylor`` /
-``#operator`` blocks by one reader, ``read_blocks``.
+the pairs as they are held. Real polynomials stay pairs through differentiation,
+real scaling, sums and differences, so through ``apply_operator``: a sum reduces
+only a degree both operands hold, and majorant norms read the pairs. A
+coefficient text is split into its ``#taylor`` / ``#operator`` blocks by one
+reader, ``read_blocks``.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
 class _Reducible:
     """A sparse exact polynomial: its nonzero terms {j: c_j} in increasing j, which may arrive as unreduced real
     pairs {j: (num, den)}, held (``_terms`` None) until the first read reduces each pair by its Fraction and drops
-    them. Structure reads (``_held``, ``degree``) and the integer form read the pairs as they are held."""
+    them. Structure reads (``_held``, ``degree``), ``_real_pairs`` and the integer form read the pairs as held."""
 
     __slots__ = ()
 
@@ -103,14 +106,20 @@ class _Reducible:
             return NotImplemented
         return self._reduced_terms() == other._reduced_terms()
 
+    def _real_pairs(self) -> Optional[dict]:
+        """The terms as integer pairs {j: (x, b)}, c_j = x / b with b > 0 and x != 0, when every c_j is real: held
+        pairs as they are, reduced terms by their ratios; None when a term is complex."""
+        if self._terms is None:
+            return self._pairs
+        if any(c.im for c in self._terms.values()):
+            return None
+        return {j: c.re.as_integer_ratio() for j, c in self._terms.items()}
+
     def _integer_form(self, m: int) -> tuple:
         """(D, X, Y) with c_j = (X_j + i Y_j) / D over one common denominator D; X and Y list j = degree down
-        to m, 0 at a gap, and Y is None when every c_j is real. Held pairs are read as the one real lane."""
-        if self._pairs:
-            lanes = (self._pairs,)
-        else:
-            im = {j: c.im.as_integer_ratio() for j, c in self._terms.items() if c.im}
-            lanes = ({j: c.re.as_integer_ratio() for j, c in self._terms.items()},) + ((im,) if im else ())
+        to m, 0 at a gap, and Y is None when every c_j is real. Real pairs are read as the one real lane."""
+        lanes = (pairs,) if (pairs := self._real_pairs()) is not None else tuple(
+            {j: getattr(c, part).as_integer_ratio() for j, c in self._terms.items()} for part in ("re", "im"))
         den = 1
         for b in (b for lane in lanes for _, b in lane.values()):
             if b != 1 and den % b:  # den % 1 costs the length of a huge den
@@ -126,8 +135,9 @@ class TaylorPolynomial(_Reducible):
     Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
     truncation degree N. Construction preserves N even when the top
     coefficients are zero; the zero polynomial has N = -1. Equality compares
-    values and ignores N. A right inverse's unreduced real pairs (``_Reducible``) serve
-    ``degree``, ``is_zero``, ``support``, ``evaluate``, ``majorant_norm`` and real ``scale``.
+    values and ignores N. Real coefficients may be held as unreduced integer pairs (``_Reducible``):
+    ``degree``, ``is_zero``, ``support``, ``evaluate`` and ``majorant_norm`` read them as held, and
+    ``differentiate``, real ``scale``, ``+`` and ``-`` return pairs, reducing only where two terms meet.
     """
 
     __slots__ = ("_terms", "_pairs", "truncation")
@@ -140,9 +150,9 @@ class TaylorPolynomial(_Reducible):
 
     @classmethod
     def _raw(cls, terms: Optional[dict], truncation: int, pairs: Optional[dict] = None) -> "TaylorPolynomial":
-        """Internal constructor for callers that already guarantee invariants: terms, or nonempty real pairs."""
+        """Internal constructor for callers that already guarantee invariants: terms, or real pairs ({} is terms)."""
         obj = object.__new__(cls)
-        obj._terms, obj._pairs, obj.truncation = terms, pairs, truncation
+        obj._terms, obj._pairs, obj.truncation = (None, pairs, truncation) if pairs else (terms or {}, None, truncation)
         return obj
 
     @classmethod
@@ -196,14 +206,21 @@ class TaylorPolynomial(_Reducible):
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
         a, b = (self, other) if self.truncation >= other.truncation else (other, self)
-        out = dict(a.terms())
-        for j, c in b.terms():
-            s = out.get(j, QC_ZERO) + c
-            if s:
-                out[j] = s
+        pa, pb = a._real_pairs(), b._real_pairs()
+        if pa is None or pb is None:  # a complex operand: QComplex terms
+            out = dict(a.terms())
+            for j, c in b.terms():
+                out[j] = out.get(j, QC_ZERO) + c
+            return TaylorPolynomial._raw({j: c for j, c in sorted(out.items()) if c}, a.truncation)
+        out = dict(pa)  # a degree one side holds is copied as it is; one both hold is reduced once, or dropped at 0
+        for j, (x, d) in pb.items():
+            if j not in out:
+                out[j] = x, d
+            elif s := Fraction(out[j][0] * d + x * out[j][1], out[j][1] * d):
+                out[j] = s.as_integer_ratio()
             else:
                 del out[j]
-        return TaylorPolynomial._raw(dict(sorted(out.items())), a.truncation)
+        return TaylorPolynomial._raw(None, a.truncation, dict(sorted(out.items())))
 
     def __neg__(self) -> "TaylorPolynomial":
         return self.scale(-1)
@@ -213,10 +230,10 @@ class TaylorPolynomial(_Reducible):
 
     def scale(self, factor: CoeffLike) -> "TaylorPolynomial":
         f = to_qcomplex(factor)
-        if not f or f.im or self._terms is not None:
+        if not (f and (pairs := None if f.im else self._real_pairs())):
             return TaylorPolynomial._raw({j: c * f for j, c in self.terms()} if f else {}, self.truncation)
         u, v = f.re.as_integer_ratio()  # real pairs stay pairs
-        return TaylorPolynomial._raw(None, self.truncation, {j: (x * u, b * v) for j, (x, b) in self._pairs.items()})
+        return TaylorPolynomial._raw(None, self.truncation, {j: (x * u, b * v) for j, (x, b) in pairs.items()})
 
     # -- analysis ----------------------------------------------------------
 
@@ -232,11 +249,10 @@ class TaylorPolynomial(_Reducible):
             return self
         if self.truncation < order:
             return TaylorPolynomial.zero()
-        terms = {
-            i - order: scale_by_int(c, math.perm(i, order))
-            for i, c in self.terms()
-            if i >= order
-        }
+        if (pairs := self._real_pairs()) is not None:  # real pairs stay pairs
+            held = {i - order: (x * math.perm(i, order), b) for i, (x, b) in pairs.items() if i >= order}
+            return TaylorPolynomial._raw(None, self.truncation - order, held)
+        terms = {i - order: scale_by_int(c, math.perm(i, order)) for i, c in self.terms() if i >= order}
         return TaylorPolynomial._raw(terms, self.truncation - order)
 
     def evaluate(self, z: CoeffLike) -> QComplex:

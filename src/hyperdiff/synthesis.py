@@ -261,7 +261,7 @@ def _build_schedule(
                 f"no admissible index <= {n_cap} at build step {s} "
                 f"(rejections: {fail})",
                 step=s,
-                condition=max(fail, key=lambda key: fail[key]),
+                condition=max(fail, key=fail.get) if any(fail.values()) else None,
             )
         cross_logs.reverse()
         steps.append(

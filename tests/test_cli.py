@@ -106,6 +106,24 @@ class TestExitCodes:
         assert captured.err.startswith("PreconditionError: need at least one") and "Traceback" not in captured.err
         assert "hold" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("synthesize", "--family", "F4", "--count", "2"),
+         ("check-properties", "--family", "F4", "--props", "Q", "--n-max", "5"),
+         ("build-inverse", "--family", "F4", "--n", "6", "--k", "2")],
+        ids=["synthesize", "check-properties", "build-inverse"],
+    )
+    @pytest.mark.parametrize("below", [False, True], ids=["existing-file", "below-a-file"])
+    def test_out_path_that_cannot_be_a_directory_is_config_error(self, tmp_path, capsys, argv, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if below else blocker
+        assert run(*argv, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"ConfigError: cannot create output directory {str(out)!r}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert blocker.read_text() == "kept\n"
+
     @pytest.mark.parametrize("command", ["synthesize", "perturb"])
     @pytest.mark.parametrize("targets", ["polys:1;2;3", "diagonal"])
     @pytest.mark.parametrize("count", ["-1", "0"])

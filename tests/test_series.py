@@ -508,8 +508,81 @@ class TestExactValueAt:
         assert buf.getvalue() == model.written()
 
 
-class TestCoefficientFiles:
-    def test_taylor_round_trip_exact(self):
+@st.composite
+def held_and_reduced(draw):
+    """(held, reduced, model): one polynomial of truncation N <= 12 twice, and its Dense model. A real one is held
+    as pairs scaled by a drawn common factor, and reduced first in its twin; a complex one is its terms in both."""
+    n = draw(st.integers(-1, 12))
+    js = sorted(set(draw(st.lists(st.integers(0, n), max_size=6)))) if n >= 0 else []
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 2**40))
+        nums, dens = st.integers(-(2**20), 2**20).filter(bool), st.integers(1, 2**20)
+        return _held_twins(n, {j: (draw(nums) * k, draw(dens) * k) for j in js})
+    values = {j: draw(st.builds(QComplex, rationals, rationals.filter(bool))) for j in js}
+    poly = TaylorPolynomial._raw(values, n)
+    return poly, poly, Dense([values.get(j, 0) for j in range(n + 1)])
+
+
+def _held_twins(n, pairs):
+    """A real polynomial of truncation n held as the pairs, its twin reduced first, and its Dense model."""
+    held, reduced = TaylorPolynomial._raw(None, n, pairs), TaylorPolynomial._raw(None, n, dict(pairs))
+    reduced.terms()
+    return held, reduced, Dense([Fraction(*pairs[j]) if j in pairs else 0 for j in range(n + 1)])
+
+
+def _model_apply(op, model):
+    out = Dense([])
+    for j, c in op.terms():
+        out = out.add(model.differentiate(j).scale(c))
+    return out
+
+
+# an F5 table with complex coefficients: P_1 = (1/2 + i/3) z - (2 - i) z^3, P_2 = i z^2 + 3/7 z^3 + (1 - i/9) z^5
+COMPLEX = [
+    PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(1, 3)), 3: QComplex(-2, 1)}),
+    PolynomialOperator({2: QComplex(0, 1), 3: Fraction(3, 7), 5: QComplex(1, Fraction(-1, 9))}),
+]
+PAIR_OPERATORS = [make_family("F4").op(n) for n in (1, 3)] + [make_family("F3").op(n) for n in (1, 2, 3)]
+PAIR_OPERATORS += GAPS + COMPLEX
+
+
+class TestHeldPairs:
+    """Real polynomials stay unreduced integer pairs through differentiate, scale, + and - (so through
+    apply_operator), reduced only at a degree where two terms meet. Each result from the held operands must
+    equal the one from operands reduced first, and the Dense model, in terms, N, file and norm to the bit."""
+
+    @staticmethod
+    def _check(got, also, model):
+        for pairs in (got._pairs, also._pairs):  # no empty map, no zero numerator, no denominator <= 0
+            assert pairs is None or pairs and all(x and b > 0 for x, b in pairs.values())
+        norm = repr(got.majorant_norm(3.0))  # read from the pairs as held
+        assert norm == repr(also.majorant_norm(3.0)) == repr(model.majorant(3.0))
+        assert got.truncation == also.truncation == len(model.cs) - 1
+        want = [(j, format_scalar(c)) for j, c in enumerate(model.cs) if c]
+        assert [(j, format_scalar(c)) for j, c in got.terms()] == want == [
+            (j, format_scalar(c)) for j, c in also.terms()]
+        assert _written(got) == _written(also)
+
+    @settings(max_examples=150, deadline=None)
+    @given(held_and_reduced(), held_and_reduced(), st.integers(0, 4),
+           st.sampled_from([0, 1, -1, Fraction(-7, 3), QComplex(Fraction(1, 2), -2)]),
+           st.sampled_from(PAIR_OPERATORS))
+    # the sum cancels at z^1, a degree both hold, and keeps z^2 and z^3, which one side holds
+    @example(_held_twins(3, {1: (6, 4), 3: (-3, 9)}), _held_twins(3, {1: (-3, 2), 2: (2, 2)}), 1, -1, GAPS[0])
+    def test_held_pairs_read_as_the_reduced_terms(self, p, q, order, factor, op):
+        (hp, rp, mp), (hq, rq, mq) = p, q
+        cases = [
+            (lambda a, b: a.differentiate(order), mp.differentiate(order)),
+            (lambda a, b: a.scale(factor), mp.scale(factor)),
+            (lambda a, b: a + b, mp.add(mq)),
+            (lambda a, b: a - b, mp.sub(mq)),
+            (lambda a, b: a - a, mp.sub(mp)),
+            (lambda a, b: (a + b) - b, mp.add(mq).sub(mq)),
+            (lambda a, b: apply_operator(op, a), _model_apply(op, mp)),
+            (lambda a, b: apply_operator(op, a) - b, _model_apply(op, mp).sub(mq)),
+        ]
+        for run, model in cases:
+            self._check(run(hp, hq), run(rp, rq), model)
         f = TaylorPolynomial.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-7, 2))])
         buf = io.StringIO()
         write_taylor(f, buf)

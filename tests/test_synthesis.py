@@ -128,6 +128,13 @@ class TestSynthesize:
             synthesize(make_family("F4"), [TaylorPolynomial([1])] * 3, n_cap=4)
         assert err.value.step is not None
 
+    def test_cap_exhaustion_without_candidates_names_no_condition(self):
+        # step 1 takes n = 1, so under n_cap = 1 step 2 scans no candidate: no tally counts, and no reason is named
+        with pytest.raises(CapExhausted) as err:
+            synthesize(make_family("F4"), enumerate_targets(3), n_cap=1)
+        assert (err.value.step, err.value.condition) == (2, None)
+        assert str(err.value).endswith("(rejections: {'annihilation': 0, 'self_norm': 0, 'cross_norm': 0})")
+
     def test_capped_scan_retains_no_rejected_operator(self):
         # 1,499 candidates are rejected on their self norm; their operators (about 2 MB together)
         # are dropped, so the peak is one operator and one inverse
@@ -368,7 +375,7 @@ def _oldest_first(seq, targets, n_cap):
             raise CapExhausted(
                 f"no admissible index <= {n_cap} at build step {s} (rejections: {fail})",
                 step=s,
-                condition=max(fail, key=lambda key: fail[key]),
+                condition=max(fail, key=fail.get) if any(fail.values()) else None,
             )
         if not h.is_zero:
             max_deg = max(max_deg, h.degree)
@@ -582,8 +589,8 @@ def test_ceiling_route_skips_most_corrections(monkeypatch):
 
 
 def test_rejected_corrections_are_never_reduced(monkeypatch):
-    """Floors read each candidate's head in closed form, so a held correction is reduced only by the
-    exact cross checks of an admitted step: once per admitted nonzero step."""
+    """Floors read each candidate's head in closed form, and the exact cross checks, the residual pass of
+    ``_assemble`` and ``augment`` read images and residuals from pairs: no held correction is ever reduced."""
     reduce = series._Reducible._reduced_terms
     held = 0
 
@@ -593,7 +600,14 @@ def test_rejected_corrections_are_never_reduced(monkeypatch):
         return reduce(self)
 
     monkeypatch.setattr(series._Reducible, "_reduced_terms", counting)
+    seq = make_family("F4")
     with pytest.raises(CapExhausted) as err:
-        synthesize(make_family("F4"), enumerate_targets(8), n_cap=40)
+        synthesize(seq, enumerate_targets(8), n_cap=40)
     assert str(err.value).endswith("(rejections: {'annihilation': 0, 'self_norm': 0, 'cross_norm': 6})")
-    assert held == 4
+    assert held == 0
+    trace = synthesize(seq, enumerate_targets(12))
+    assert all(rec.certified for rec in trace.residuals)
+    base = synthesize(seq, enumerate_targets(12, zero_recurrent=True))
+    report = augment(seq, base, enumerate_targets(3)[1:], [Fraction(-1), Fraction(1, 2)])
+    assert report.rows and all(row.ok for row in report.rows)
+    assert held == 0 and trace.vector._terms is None and report.second_trace.vector._terms is None
