@@ -583,6 +583,10 @@ class TestHeldPairs:
         ]
         for run, model in cases:
             self._check(run(hp, hq), run(rp, rq), model)
+
+
+class TestCoefficientFiles:
+    def test_taylor_round_trip_exact(self):
         f = TaylorPolynomial.from_pairs([(0, Fraction(1, 3)), (4, Fraction(-7, 2))])
         buf = io.StringIO()
         write_taylor(f, buf)
