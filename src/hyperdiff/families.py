@@ -29,8 +29,7 @@ from typing import (Callable, Iterable, Iterator, List, Mapping, NamedTuple, Opt
                     Union)
 
 from .errors import ConfigError, PreconditionError
-from .scalars import (LN2, NEG_INF, QComplex, exp_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex,
-                      write_csv)
+from .scalars import LN2, NEG_INF, exp_log, log_abs, log_fraction, log_sum, to_complex, to_qcomplex, write_csv
 from .series import PolynomialOperator, _majorant_log
 
 # -- rational enumeration ------------------------------------------------------
@@ -70,16 +69,14 @@ class Shape(NamedTuple):
 
     def op(self, n: int) -> PolynomialOperator:
         """P_n in one integer pass from z^(n+mu) down: with c = a/b and rho = p/q, the coefficient at z^(n+i) is
-        a C(mu, i) (-p)^k / (b q^k), k = mu - i, handed over as that unreduced pair."""
-        c, mu = self.c(n), self.mult(n)
-        if not mu:  # c alone, reduced already
-            return PolynomialOperator._raw({n: QComplex.coerce(c)})
-        (a, b), (p, q) = c.as_integer_ratio(), self.root(n).as_integer_ratio()
-        pairs, comb, pk, qk = {n + mu: (a, b)}, 1, 1, 1  # C(mu, i), (-p)^k, q^k
+        a C(mu, i) (-p)^k / (b q^k), k = mu - i, handed over as that unreduced real triple."""
+        (a, b), mu = self.c(n).as_integer_ratio(), self.mult(n)
+        p, q = self.root(n).as_integer_ratio() if mu else (0, 1)
+        triples, comb, pk, qk = {n + mu: (a, 0, b)}, 1, 1, 1  # C(mu, i), (-p)^k, q^k
         for i in range(mu - 1, -1, -1):
             comb, pk, qk = comb * (i + 1) // (mu - i), pk * -p, qk * q
-            pairs[n + i] = (a * comb * pk, b * qk)
-        return PolynomialOperator._raw(None, dict(reversed(pairs.items())))
+            triples[n + i] = (a * comb * pk, 0, b * qk)
+        return PolynomialOperator._raw(None, dict(reversed(triples.items())))
 
     def items(self, n: int) -> Iterator[Tuple[int, float]]:
         """(n + i, log|c_n| + log C(mu, i) + (mu - i) log|rho_n|) in exponent order; lazy,

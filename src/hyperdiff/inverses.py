@@ -26,10 +26,10 @@ from .scalars import (
     QComplex,
     QC_ONE,
     QC_ZERO,
-    divide_by_int,
     factorial,
     log_margin,
     to_qcomplex,
+    to_triple,
 )
 from .series import PolynomialOperator, TaylorPolynomial, apply_operator, write_taylor
 
@@ -46,24 +46,14 @@ def solve_monic_system(a: Sequence, k: int) -> Tuple[QComplex, ...]:
         raise PreconditionError("k must be >= 0")
     if not a:
         raise PreconditionError("empty coefficient list")
-    aa = [to_qcomplex(v) for v in a]
+    aa = [to_qcomplex(v) for v in a] + [QC_ZERO] * k  # a_i = 0 past the given list
     if not aa[0]:
         raise PreconditionError("a_0 must be nonzero (operator valence coefficient)")
     inv_a0 = QC_ONE / aa[0]
-
-    def coeff(i: int) -> QComplex:
-        return aa[i] if i < len(aa) else QC_ZERO
-
-    b: List[QComplex] = [QC_ZERO] * (k + 1)
-    b[k] = inv_a0
+    b: List[QComplex] = [QC_ZERO] * k + [inv_a0]
     for s in range(k - 1, -1, -1):
-        acc = QC_ZERO
-        for j in range(s + 1, k + 1):
-            a_js = coeff(j - s)
-            if not a_js:
-                continue
-            acc = acc + a_js * b[j] * math.perm(j, j - s)
-        b[s] = -(inv_a0 * acc)
+        terms = (aa[j - s] * b[j] * math.perm(j, j - s) for j in range(s + 1, k + 1) if aa[j - s])
+        b[s] = -(inv_a0 * sum(terms, QC_ZERO))
     return tuple(b)
 
 
@@ -86,19 +76,12 @@ def build_f_nk(op: PolynomialOperator, k: int, *, verify: bool = True) -> RightI
     m = op.valence
     # a_j = c_{j+m}, of which the solve reads a_0..a_k; a_0 is nonzero by the valence invariant
     b = solve_monic_system([op.coefficient(m + j) for j in range(k + 1)], k)
-    # f_{s+m} = b_s / ((s+1)...(s+m)) = b_s / (m! C(s+m, s)), b_k = 1/a_0 != 0 so N = k + m; real b_s go over unreduced
+    # f_{s+m} = b_s / ((s+1)...(s+m)) = b_s / (m! C(s+m, s)), b_k = 1/a_0 != 0 so N = k + m; held as unreduced triples
     m_fact = factorial(m)  # stepped on from the last valence asked for: a greedy scan asks for n, n+1, ... in turn
-    steps = [(s + m, b_s, m_fact * math.comb(s + m, s)) for s, b_s in enumerate(b) if b_s]
-    if any(b_s.im for b_s in b):
-        f = TaylorPolynomial._raw({j: divide_by_int(b_s, d) for j, b_s, d in steps}, k + m)
-    else:
-        f = TaylorPolynomial._raw(None, k + m, {j: (b_s.re.numerator, b_s.re.denominator * d) for j, b_s, d in steps})
-    if verify:
-        image = apply_operator(op, f)
-        if image != TaylorPolynomial.monomial(k, QC_ONE):
-            raise InvariantViolation(
-                f"right-inverse identity failed: P(D) f != z^{k} for {op!r}"
-            )
+    f = TaylorPolynomial._raw(None, k + m, {s + m: (x, y, d * (m_fact * math.comb(s + m, s)))
+                                            for s, (x, y, d) in enumerate(map(to_triple, b)) if x or y})
+    if verify and apply_operator(op, f) != TaylorPolynomial.monomial(k, QC_ONE):
+        raise InvariantViolation(f"right-inverse identity failed: P(D) f != z^{k} for {op!r}")
     return RightInverse(k=k, operator=op, f=f)
 
 

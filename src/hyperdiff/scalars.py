@@ -264,24 +264,36 @@ def to_complex(value) -> complex:
 
 
 def scale_by_int(value: QComplex, factor: int) -> QComplex:
-    """value * factor, exactly, for a possibly huge positive integer factor."""
+    """value * factor. Nothing in ``src/`` calls it; it stays only as a trace target of ``perfbench/tracing.py``."""
     return value * factor
 
 
 def divide_by_int(value: QComplex, divisor: int) -> QComplex:
-    """value / divisor, exactly, for a possibly huge positive integer divisor."""
+    """value / divisor. Nothing in ``src/`` calls it; it stays only as a trace target of ``perfbench/tracing.py``."""
     return value * QComplex(Fraction(1, divisor))
+
+
+def to_triple(value: QComplex) -> tuple:
+    """(x, y, b) with value = (x + iy) / b and b > 0 the least common denominator of the two parts."""
+    (x, b), (y, e) = value.re.as_integer_ratio(), value.im.as_integer_ratio()
+    if e == 1:  # a real value, or an integer imaginary part
+        return x, y * b, b
+    g = math.gcd(b, e)
+    return x * (e // g), y * (b // g), b // g * e
+
+
+def log_triple(x: int, y: int, b: int) -> float:
+    """log |(x + iy) / b| for ints, b > 0, -inf at 0: on an axis the nonzero part's log (nothing squared), else
+    half the log of (x^2 + y^2) / b^2. ``log_ratio`` reads the value alone, so all triples of a value give its bits."""
+    if x and y:
+        return 0.5 * log_ratio(x * x + y * y, b * b)
+    return log_ratio(abs(x or y), b) if x or y else NEG_INF
 
 
 def log_abs(value) -> float:
     """log |value| of any supported scalar, without overflow; -inf for an exact zero."""
     if isinstance(value, QComplex):
-        # purely real/imaginary fast paths avoid squaring huge rationals
-        if not value.im:
-            return log_abs(value.re)
-        if not value.re:
-            return log_abs(value.im)
-        return 0.5 * log_fraction(value.abs_squared())
+        return log_triple(*to_triple(value))
     if isinstance(value, Fraction):
         return log_fraction(abs(value)) if value else NEG_INF
     mag = abs(value) if isinstance(value, (int, complex)) else abs(float(value))

@@ -7,13 +7,13 @@ that drop tails report a majorant bound for what was dropped. Every
 coefficient is an exact rational complex number (``QComplex``); a float given
 as a coefficient or a point enters as its exact dyadic value, so each
 operation has one exact kernel path. Both polynomial kinds share one sparse
-term map (``_Reducible``): F1–F3 operators and real right inverses hold it as
-unreduced integer pairs until a coefficient is read, and exact evaluation reads
-the pairs as they are held. Real polynomials stay pairs through differentiation,
-real scaling, sums and differences, so through ``apply_operator``: a sum reduces
-only a degree both operands hold, and majorant norms read the pairs. A
-coefficient text is split into its ``#taylor`` / ``#operator`` blocks by one
-reader, ``read_blocks``.
+term map (``_Reducible``): F1–F3 operators and right inverses hold it as
+unreduced Gaussian-integer triples (x, y, b), c = (x + iy)/b, until a coefficient
+is read, and exact evaluation reads the triples as they are held. Real and
+complex polynomials alike stay triples through differentiation, scaling, sums
+and differences, so through ``apply_operator``: a sum reduces only a degree both
+operands hold, and majorant norms read the triples. A coefficient text is
+split into its ``#taylor`` / ``#operator`` blocks by one reader, ``read_blocks``.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ from .scalars import (
     exp_log,
     format_scalar,
     log_abs,
-    log_ratio,
     log_sum,
+    log_triple,
     parse_scalar,
-    scale_by_int,
     to_complex,
-    write_csv,
     to_qcomplex,
+    to_triple,
+    write_csv,
 )
 
 CoeffLike = Union[QComplex, complex, float, int, Fraction]
@@ -59,8 +59,8 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
     q = math.lcm(w.re.denominator, w.im.denominator)
     ur, ui = w.re.numerator * (q // w.re.denominator), w.im.numerator * (q // w.im.denominator)
     sr, si, qk = 0, 0, 1  # qk = q^(d-j)
-    if ui or ys:
-        for xr, xi in zip(xs, ys or [0] * len(xs)):
+    if ui or any(ys):
+        for xr, xi in zip(xs, ys):
             sr, si = sr * ur - si * ui + xr * qk, sr * ui + si * ur + xi * qk
             qk *= q
     else:
@@ -72,27 +72,29 @@ def _exact_horner(form: tuple, w: QComplex) -> QComplex:
 
 
 class _Reducible:
-    """A sparse exact polynomial: its nonzero terms {j: c_j} in increasing j, which may arrive as unreduced real
-    pairs {j: (num, den)}, held (``_terms`` None) until the first read reduces each pair by its Fraction and drops
-    them. Structure reads (``_held``, ``degree``), ``_real_pairs`` and the integer form read the pairs as held."""
+    """A sparse exact polynomial: its nonzero terms {j: c_j} in increasing j, which may arrive as unreduced
+    Gaussian-integer triples {j: (x, y, b)}, c_j = (x + iy)/b with b > 0 and (x, y) != (0, 0), held (``_terms``
+    None) until the first read reduces each triple (a real one, y = 0, by one Fraction) and drops them. Structure
+    reads (``_held``, ``degree``), ``_triple_terms`` and the integer form read the triples as held."""
 
     __slots__ = ()
 
     def _reduced_terms(self) -> dict:
         if self._terms is None:
-            reduced = {j: QComplex.coerce(Fraction(*p)) for j, p in self._pairs.items()}
-            self._terms, self._pairs = reduced, None
+            self._terms = {j: QComplex(Fraction(x, b), Fraction(y, b)) if y else QComplex.coerce(Fraction(x, b))
+                           for j, (x, y, b) in self._triples.items()}  # a real triple by one Fraction
+            self._triples = None
         return self._terms
 
     @property
     def _held(self) -> dict:
-        """The term map as held: the pairs, or the reduced terms; both have the same keys."""
-        return self._pairs or self._terms
+        """The term map as held: the triples, or the reduced terms; both have the same keys."""
+        return self._triples or self._terms
 
     @property
     def degree(self) -> int:
         """Greatest exponent with a nonzero coefficient (-1 for zero)."""
-        return next(reversed(self._pairs or self._terms), -1)
+        return next(reversed(self._held), -1)
 
     def terms(self):
         """The (j, c_j) pairs with c_j nonzero, in increasing j."""
@@ -106,27 +108,20 @@ class _Reducible:
             return NotImplemented
         return self._reduced_terms() == other._reduced_terms()
 
-    def _real_pairs(self) -> Optional[dict]:
-        """The terms as integer pairs {j: (x, b)}, c_j = x / b with b > 0 and x != 0, when every c_j is real: held
-        pairs as they are, reduced terms by their ratios; None when a term is complex."""
-        if self._terms is None:
-            return self._pairs
-        if any(c.im for c in self._terms.values()):
-            return None
-        return {j: c.re.as_integer_ratio() for j, c in self._terms.items()}
+    def _triple_terms(self) -> dict:
+        """The terms as triples {j: (x, y, b)}: held triples as they are, reduced terms over their parts' least
+        common denominator."""
+        return self._triples if self._terms is None else {j: to_triple(c) for j, c in self._terms.items()}
 
     def _integer_form(self, m: int) -> tuple:
         """(D, X, Y) with c_j = (X_j + i Y_j) / D over one common denominator D; X and Y list j = degree down
-        to m, 0 at a gap, and Y is None when every c_j is real. Real pairs are read as the one real lane."""
-        lanes = (pairs,) if (pairs := self._real_pairs()) is not None else tuple(
-            {j: getattr(c, part).as_integer_ratio() for j, c in self._terms.items()} for part in ("re", "im"))
-        den = 1
-        for b in (b for lane in lanes for _, b in lane.values()):
+        to m, 0 at a gap, and Y is all 0 when every c_j is real."""
+        triples, den = self._triple_terms(), 1
+        for _, _, b in triples.values():
             if b != 1 and den % b:  # den % 1 costs the length of a huge den
                 den = den // math.gcd(den, b) * b
-        span = range(self.degree, m - 1, -1)
-        xs, *ys = ([x * (den // b) for x, b in (lane.get(j, (0, 1)) for j in span)] for lane in lanes)
-        return den, xs, ys[0] if ys else None
+        span = [triples.get(j, (0, 0, 1)) for j in range(self.degree, m - 1, -1)]
+        return den, [x * (den // b) for x, _, b in span], [y and y * (den // b) for _, y, b in span]
 
 
 class TaylorPolynomial(_Reducible):
@@ -135,24 +130,24 @@ class TaylorPolynomial(_Reducible):
     Stored as its nonzero terms, a map {j: a_j} in increasing j, beside the
     truncation degree N. Construction preserves N even when the top
     coefficients are zero; the zero polynomial has N = -1. Equality compares
-    values and ignores N. Real coefficients may be held as unreduced integer pairs (``_Reducible``):
+    values and ignores N. Coefficients may be held as unreduced Gaussian-integer triples (``_Reducible``):
     ``degree``, ``is_zero``, ``support``, ``evaluate`` and ``majorant_norm`` read them as held, and
-    ``differentiate``, real ``scale``, ``+`` and ``-`` return pairs, reducing only where two terms meet.
+    ``differentiate``, ``scale``, ``+`` and ``-`` return triples, reducing only where two terms meet.
     """
 
-    __slots__ = ("_terms", "_pairs", "truncation")
+    __slots__ = ("_terms", "_triples", "truncation")
 
     def __init__(self, coeffs: Iterable[CoeffLike] = ()):
         raw = list(coeffs)
-        self._terms, self._pairs, self.truncation = _coerce_terms(enumerate(raw)), None, len(raw) - 1
+        self._terms, self._triples, self.truncation = _coerce_terms(enumerate(raw)), None, len(raw) - 1
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: Optional[dict], truncation: int, pairs: Optional[dict] = None) -> "TaylorPolynomial":
-        """Internal constructor for callers that already guarantee invariants: terms, or real pairs ({} is terms)."""
+    def _raw(cls, terms: Optional[dict], truncation: int, held: Optional[dict] = None) -> "TaylorPolynomial":
+        """Internal constructor for callers that already guarantee invariants: terms, or triples ({} is terms)."""
         obj = object.__new__(cls)
-        obj._terms, obj._pairs, obj.truncation = (None, pairs, truncation) if pairs else (terms or {}, None, truncation)
+        obj._terms, obj._triples, obj.truncation = (None, held, truncation) if held else (terms or {}, None, truncation)
         return obj
 
     @classmethod
@@ -206,20 +201,16 @@ class TaylorPolynomial(_Reducible):
         if not isinstance(other, TaylorPolynomial):
             return NotImplemented
         a, b = (self, other) if self.truncation >= other.truncation else (other, self)
-        pa, pb = a._real_pairs(), b._real_pairs()
-        if pa is None or pb is None:  # a complex operand: QComplex terms
-            out = dict(a.terms())
-            for j, c in b.terms():
-                out[j] = out.get(j, QC_ZERO) + c
-            return TaylorPolynomial._raw({j: c for j, c in sorted(out.items()) if c}, a.truncation)
-        out = dict(pa)  # a degree one side holds is copied as it is; one both hold is reduced once, or dropped at 0
-        for j, (x, d) in pb.items():
+        out = dict(a._triple_terms())  # a degree one side holds is copied as it is; one both hold is reduced once
+        for j, (x, y, d) in b._triple_terms().items():
             if j not in out:
-                out[j] = x, d
-            elif s := Fraction(out[j][0] * d + x * out[j][1], out[j][1] * d):
-                out[j] = s.as_integer_ratio()
-            else:
-                del out[j]
+                out[j] = x, y, d
+                continue
+            u, v, e = out.pop(j)
+            sx, sy, sb = u * d + x * e, v * d + y * e, e * d
+            if sx or sy:  # a zero sum drops the degree
+                g = math.gcd(sx, sy, sb)
+                out[j] = sx // g, sy // g, sb // g
         return TaylorPolynomial._raw(None, a.truncation, dict(sorted(out.items())))
 
     def __neg__(self) -> "TaylorPolynomial":
@@ -230,10 +221,11 @@ class TaylorPolynomial(_Reducible):
 
     def scale(self, factor: CoeffLike) -> "TaylorPolynomial":
         f = to_qcomplex(factor)
-        if not (f and (pairs := None if f.im else self._real_pairs())):
-            return TaylorPolynomial._raw({j: c * f for j, c in self.terms()} if f else {}, self.truncation)
-        u, v = f.re.as_integer_ratio()  # real pairs stay pairs
-        return TaylorPolynomial._raw(None, self.truncation, {j: (x * u, b * v) for j, (x, b) in pairs.items()})
+        if not f:
+            return TaylorPolynomial._raw({}, self.truncation)
+        u, v, w = to_triple(f)
+        held = {j: (x * u - y * v, x * v + y * u, b * w) for j, (x, y, b) in self._triple_terms().items()}
+        return TaylorPolynomial._raw(None, self.truncation, held)
 
     # -- analysis ----------------------------------------------------------
 
@@ -249,14 +241,12 @@ class TaylorPolynomial(_Reducible):
             return self
         if self.truncation < order:
             return TaylorPolynomial.zero()
-        if (pairs := self._real_pairs()) is not None:  # real pairs stay pairs
-            held = {i - order: (x * math.perm(i, order), b) for i, (x, b) in pairs.items() if i >= order}
-            return TaylorPolynomial._raw(None, self.truncation - order, held)
-        terms = {i - order: scale_by_int(c, math.perm(i, order)) for i, c in self.terms() if i >= order}
-        return TaylorPolynomial._raw(terms, self.truncation - order)
+        held = {i - order: (x * (p := math.perm(i, order)), y * p, b)
+                for i, (x, y, b) in self._triple_terms().items() if i >= order}
+        return TaylorPolynomial._raw(None, self.truncation - order, held)
 
     def evaluate(self, z: CoeffLike) -> QComplex:
-        """Horner evaluation, exact, in one integer pass over the common denominator; held pairs stay held."""
+        """Horner evaluation, exact, in one integer pass over the common denominator; held triples stay held."""
         if self.is_zero:
             return QC_ZERO
         return _exact_horner(self._integer_form(0), to_qcomplex(z))
@@ -268,9 +258,8 @@ class TaylorPolynomial(_Reducible):
         """
         if r <= 0:
             raise ValueError("majorant radius must be positive")
-        if self._terms is None:  # log_ratio of a pair is the log of its reduced value, to the bit
-            return log_sum(log_ratio(abs(x), b) + j * math.log(r) for j, (x, b) in self._pairs.items())
-        return _majorant_log(self._terms.items(), math.log(r))
+        log_r = math.log(r)  # a triple's log is the log of its reduced value, to the bit
+        return log_sum(log_triple(*t) + j * log_r for j, t in self._triple_terms().items())
 
 
 class PolynomialOperator(_Reducible):
@@ -278,17 +267,17 @@ class PolynomialOperator(_Reducible):
 
     Stored as its nonzero terms, a map {j: c_j} in increasing j. The valence m
     is the least exponent with nonzero coefficient, the degree d the greatest.
-    A shaped family's operator may arrive as unreduced pairs (``_Reducible``),
+    A shaped family's operator may arrive as unreduced triples (``_Reducible``),
     reduced to terms only when a coefficient is first read; ``value_at`` reads
     neither, but one integer form built on the first sample and kept.
     """
 
-    __slots__ = ("_terms", "_pairs", "_form")
+    __slots__ = ("_terms", "_triples", "_form")
 
     def __init__(self, coeffs_by_degree):
         items = sorted((j, c) for j, c in dict(coeffs_by_degree).items() if c)
         self._terms = _coerce_terms(items)
-        self._pairs = self._form = None
+        self._triples = self._form = None
         if not self._terms:
             raise ValueError("operator polynomial has no nonzero coefficients")
         if self.valence < 0:
@@ -297,10 +286,10 @@ class PolynomialOperator(_Reducible):
             raise ValueError("operator polynomial must be nonconstant (degree >= 1)")
 
     @classmethod
-    def _raw(cls, terms: Optional[dict], pairs: Optional[dict] = None) -> "PolynomialOperator":
-        """Internal constructor for callers that already guarantee invariants: terms, or real pairs."""
+    def _raw(cls, terms: Optional[dict], held: Optional[dict] = None) -> "PolynomialOperator":
+        """Internal constructor for callers that already guarantee invariants: terms, or triples."""
         obj = object.__new__(cls)
-        obj._terms, obj._pairs, obj._form = terms, pairs, None
+        obj._terms, obj._triples, obj._form = terms, held, None
         return obj
 
     @property

@@ -18,7 +18,7 @@ from hyperdiff.inverses import (
     stirling_threshold_ok,
     write_right_inverse,
 )
-from hyperdiff.scalars import NEG_INF, QComplex, divide_by_int, log_abs, log_sum
+from hyperdiff.scalars import NEG_INF, QComplex, log_abs, log_sum
 from hyperdiff.series import (
     PolynomialOperator,
     TaylorPolynomial,
@@ -261,10 +261,10 @@ _POINTS = [QComplex(0), QComplex(-2), QComplex(Fraction(1, 3)), QComplex(Fractio
 
 
 def _eager_f(op, k):
-    """f_{n,k} with every coefficient divided out at once, as terms."""
+    """f_{n,k} from the cofactor (Cramer) solve, every coefficient divided out at once, as reduced terms."""
     m = op.valence
-    b = solve_monic_system(_shifted(op)[: k + 1], k)
-    terms = {s + m: divide_by_int(b_s, math.perm(s + m, m)) for s, b_s in enumerate(b) if b_s}
+    b = cramer_with_cofactors(_shifted(op)[: k + 1], k)[0]
+    terms = {s + m: b_s / math.perm(s + m, m) for s, b_s in enumerate(b) if b_s}
     return TaylorPolynomial._raw(terms, k + m)
 
 
@@ -275,7 +275,7 @@ def _written(f):
 
 
 class TestUnreducedCorrections:
-    """build_f_nk hands real corrections over as unreduced pairs; every read matches the eager model."""
+    """build_f_nk hands corrections over as unreduced triples; every read matches the eager model."""
 
     @pytest.mark.parametrize("family, params, ns", _CORRECTION_CASES)
     def test_reads_match_the_eager_model_in_both_orders(self, family, params, ns):
@@ -328,15 +328,14 @@ class TestUnreducedCorrections:
                 f, model = build_f_nk(op, k, verify=False).f, _eager_f(op, k)
                 assert f == model and _written(f) == _written(model), (op, k)
 
-    def test_the_pairs_are_held_until_a_coefficient_is_read(self):
-        op = make_family("F1").op(40)
+    @pytest.mark.parametrize("op", [make_family("F1").op(40), _COMPLEX_TABLE[0]], ids=["real", "complex"])
+    def test_the_triples_are_held_until_a_coefficient_is_read(self, op):
         f = build_f_nk(op, 2, verify=False).f
         f.majorant_norm(2.0), f.degree, f.support(), f.scale(Fraction(-3, 5)), f.evaluate(QComplex(-2))
-        assert f._terms is None  # no lazy read reduced it
-        f.coefficient(40)
-        assert f._pairs is None and f._terms is not None  # the first read dropped the pairs
-        complex_f = build_f_nk(_COMPLEX_TABLE[0], 2, verify=False).f
-        assert complex_f._pairs is None  # complex b_s are divided out at once
+        f.scale(QComplex(1, -2)), f.differentiate(1), f + f
+        assert f._terms is None and f._triples  # no lazy read reduced it
+        f.coefficient(op.valence)
+        assert f._triples is None and f._terms is not None  # the first read dropped the triples
 
     @pytest.mark.parametrize(
         "factor", [Fraction(-3, 7), 5, 0.75, QComplex(1, -2), QComplex(0, Fraction(1, 3)), 0, QComplex(0)]

@@ -21,10 +21,12 @@ from hyperdiff.scalars import (
     log_margin,
     log_ratio,
     log_sum,
+    log_triple,
     parse_real,
     parse_scalar,
     scale_by_int,
     to_qcomplex,
+    to_triple,
     write_csv,
     write_jsonl,
 )
@@ -35,6 +37,8 @@ from hyperdiff.families import make_family
 from oracles import log_rational
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=50)
+# nonzero integer parts, small or past 2^1100
+triple_parts = (st.integers(1, 2**64) | st.integers(2**1100, 2**1300)).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
 def _ulps(got: float, want: float) -> float:
@@ -183,6 +187,29 @@ class TestLogMagnitude:
         assert log_abs(-(10**400)) == pytest.approx(400 * math.log(10))
         assert log_abs(-2.5) == math.log(2.5)
         assert log_abs(3 + 4j) == pytest.approx(math.log(5))
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.sampled_from(["real", "imaginary", "mixed"]), triple_parts, triple_parts, triple_parts,
+           st.integers(1, 2**80))
+    # parts past 2^1100 put the value past 2^1020 or under 2^-1020, where log_ratio takes its far branch
+    @example("real", 3 * 2**1100 + 1, 5, 7, 3**40)
+    @example("imaginary", 1, -(2**1100 + 5), 2**1150 - 1, 2**79 + 1)
+    @example("mixed", 2**1100 - 3, -(2**1101 + 7), 9, 1)
+    @example("mixed", 5, -7, 2**1100 + 1, 6)
+    def test_an_unreduced_triple_reads_as_its_reduced_value(self, kind, x, y, b, k):
+        # log_triple of (x + iy)k / bk is the log_abs of the reduced QComplex to the bit, and the one of the three
+        # Fraction cases (the axis part's log, else half the log of the squared modulus) computed here
+        x, y, b = (0 if kind == "imaginary" else x), (0 if kind == "real" else y), abs(b)
+        value = QComplex(Fraction(x, b), Fraction(y, b))
+        if not value.im:
+            want = log_fraction(abs(value.re))
+        elif not value.re:
+            want = log_fraction(abs(value.im))
+        else:
+            want = 0.5 * log_fraction(value.re * value.re + value.im * value.im)
+        assert repr(log_triple(x * k, y * k, b * k)) == repr(log_abs(value)) == repr(want)
+        assert repr(log_triple(*to_triple(value))) == repr(want)
+        assert log_triple(0, 0, b * k) == NEG_INF
 
     def test_log_fraction_keeps_the_digits_next_to_1(self):
         # log p - log q rounds log(1 - 14^-14) to 0.0; |P_14(-1)| of F1 is 1 - 14^-14

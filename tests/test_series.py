@@ -462,14 +462,20 @@ def tall_exact_operators(draw):
 
 
 @st.composite
-def unreduced_real_pairs(draw):
-    """{j: (num, den)} in increasing j, valence m, degree d <= 40, gaps, parts of height up to 2^64,
-    every pair scaled by one drawn common factor, so no pair is in lowest terms past k = 1."""
+def unreduced_triples(draw):
+    """{j: (x, y, b)}, c_j = (x + iy)/b, in increasing j, valence m, degree d <= 40, gaps, parts of height up
+    to 2^64, every triple scaled by one drawn common factor, so no triple is in lowest terms past k = 1. A real
+    operator has y = 0 throughout; a complex one mixes real, imaginary and complex terms."""
     m = draw(st.integers(0, 20))
     d = draw(st.integers(max(m, 1), 40))
     js = sorted({m, d, *draw(st.lists(st.integers(m, d), max_size=6))})
-    k, nums = draw(st.integers(1, 2**70)), st.integers(-(2**64), 2**64).filter(bool)
-    return {j: (draw(nums) * k, draw(st.integers(1, 2**64)) * k) for j in js}
+    k, parts = draw(st.integers(1, 2**70)), st.integers(-(2**64), 2**64)
+    pair = st.tuples(parts, parts if draw(st.booleans()) else st.just(0)).filter(any)
+    return {j: (x * k, y * k, draw(st.integers(1, 2**64)) * k) for j, (x, y) in ((j, draw(pair)) for j in js)}
+
+
+def _value(x, y, b):
+    return QComplex(Fraction(x, b), Fraction(y, b))
 
 
 class TestExactValueAt:
@@ -491,12 +497,12 @@ class TestExactValueAt:
             assert cold.value_at(rho) == QComplex(0)
 
     @settings(max_examples=100, deadline=None)
-    @given(unreduced_real_pairs(), st.lists(exact_points, min_size=3, max_size=4))
-    def test_unreduced_pairs_read_as_their_fractions(self, pairs, ws):
-        # an operator built from unreduced pairs has the terms, file and values of its reduced
+    @given(unreduced_triples(), st.lists(exact_points, min_size=3, max_size=4))
+    def test_unreduced_triples_read_as_their_values(self, triples, ws):
+        # an operator built from unreduced triples has the terms, file and values of its reduced
         # coefficients, whether its samples come before the first read of its terms or after
-        model = DenseOperator({j: Fraction(x, b) for j, (x, b) in pairs.items()})
-        cold, warm = PolynomialOperator._raw(None, pairs), PolynomialOperator._raw(None, dict(pairs))
+        model = DenseOperator({j: _value(*t) for j, t in triples.items()})
+        cold, warm = PolynomialOperator._raw(None, triples), PolynomialOperator._raw(None, dict(triples))
         assert (cold.valence, cold.degree) == (model.valence, model.degree)
         assert list(warm.terms()) == model.terms()
         for z in ws:
@@ -510,24 +516,21 @@ class TestExactValueAt:
 
 @st.composite
 def held_and_reduced(draw):
-    """(held, reduced, model): one polynomial of truncation N <= 12 twice, and its Dense model. A real one is held
-    as pairs scaled by a drawn common factor, and reduced first in its twin; a complex one is its terms in both."""
+    """(held, reduced, model): one polynomial of truncation N <= 12 twice, and its Dense model. It is held as
+    triples scaled by a drawn common factor, and reduced first in its twin. A real one has y = 0 throughout; a
+    complex one mixes real, imaginary and complex terms."""
     n = draw(st.integers(-1, 12))
     js = sorted(set(draw(st.lists(st.integers(0, n), max_size=6)))) if n >= 0 else []
-    if draw(st.booleans()):
-        k = draw(st.integers(1, 2**40))
-        nums, dens = st.integers(-(2**20), 2**20).filter(bool), st.integers(1, 2**20)
-        return _held_twins(n, {j: (draw(nums) * k, draw(dens) * k) for j in js})
-    values = {j: draw(st.builds(QComplex, rationals, rationals.filter(bool))) for j in js}
-    poly = TaylorPolynomial._raw(values, n)
-    return poly, poly, Dense([values.get(j, 0) for j in range(n + 1)])
+    k, parts, dens = draw(st.integers(1, 2**40)), st.integers(-(2**20), 2**20), st.integers(1, 2**20)
+    pair = st.tuples(parts, parts if draw(st.booleans()) else st.just(0)).filter(any)
+    return _held_twins(n, {j: (x * k, y * k, draw(dens) * k) for j, (x, y) in ((j, draw(pair)) for j in js)})
 
 
-def _held_twins(n, pairs):
-    """A real polynomial of truncation n held as the pairs, its twin reduced first, and its Dense model."""
-    held, reduced = TaylorPolynomial._raw(None, n, pairs), TaylorPolynomial._raw(None, n, dict(pairs))
+def _held_twins(n, triples):
+    """A polynomial of truncation n held as the triples, its twin reduced first, and its Dense model."""
+    held, reduced = TaylorPolynomial._raw(None, n, triples), TaylorPolynomial._raw(None, n, dict(triples))
     reduced.terms()
-    return held, reduced, Dense([Fraction(*pairs[j]) if j in pairs else 0 for j in range(n + 1)])
+    return held, reduced, Dense([_value(*triples[j]) if j in triples else 0 for j in range(n + 1)])
 
 
 def _model_apply(op, model):
@@ -542,20 +545,20 @@ COMPLEX = [
     PolynomialOperator({1: QComplex(Fraction(1, 2), Fraction(1, 3)), 3: QComplex(-2, 1)}),
     PolynomialOperator({2: QComplex(0, 1), 3: Fraction(3, 7), 5: QComplex(1, Fraction(-1, 9))}),
 ]
-PAIR_OPERATORS = [make_family("F4").op(n) for n in (1, 3)] + [make_family("F3").op(n) for n in (1, 2, 3)]
-PAIR_OPERATORS += GAPS + COMPLEX
+HELD_OPERATORS = [make_family("F4").op(n) for n in (1, 3)] + [make_family("F3").op(n) for n in (1, 2, 3)]
+HELD_OPERATORS += GAPS + COMPLEX
 
 
-class TestHeldPairs:
-    """Real polynomials stay unreduced integer pairs through differentiate, scale, + and - (so through
-    apply_operator), reduced only at a degree where two terms meet. Each result from the held operands must
-    equal the one from operands reduced first, and the Dense model, in terms, N, file and norm to the bit."""
+class TestHeldTriples:
+    """Real and complex polynomials stay unreduced Gaussian-integer triples through differentiate, scale, + and -
+    (so through apply_operator), reduced only at a degree where two terms meet. Each result from the held operands
+    must equal the one from operands reduced first, and the Dense model, in terms, N, file and norm to the bit."""
 
     @staticmethod
     def _check(got, also, model):
-        for pairs in (got._pairs, also._pairs):  # no empty map, no zero numerator, no denominator <= 0
-            assert pairs is None or pairs and all(x and b > 0 for x, b in pairs.values())
-        norm = repr(got.majorant_norm(3.0))  # read from the pairs as held
+        for held in (got._triples, also._triples):  # no empty map, no (0, 0, b) entry, no denominator b <= 0
+            assert held is None or held and all((x or y) and b > 0 for x, y, b in held.values())
+        norm = repr(got.majorant_norm(3.0))  # read from the triples as held
         assert norm == repr(also.majorant_norm(3.0)) == repr(model.majorant(3.0))
         assert got.truncation == also.truncation == len(model.cs) - 1
         want = [(j, format_scalar(c)) for j, c in enumerate(model.cs) if c]
@@ -565,11 +568,18 @@ class TestHeldPairs:
 
     @settings(max_examples=150, deadline=None)
     @given(held_and_reduced(), held_and_reduced(), st.integers(0, 4),
-           st.sampled_from([0, 1, -1, Fraction(-7, 3), QComplex(Fraction(1, 2), -2)]),
-           st.sampled_from(PAIR_OPERATORS))
+           st.sampled_from([0, 1, -1, Fraction(-7, 3), QComplex(Fraction(1, 2), -2), QComplex(0, Fraction(2, 3))]),
+           st.sampled_from(HELD_OPERATORS))
     # the sum cancels at z^1, a degree both hold, and keeps z^2 and z^3, which one side holds
-    @example(_held_twins(3, {1: (6, 4), 3: (-3, 9)}), _held_twins(3, {1: (-3, 2), 2: (2, 2)}), 1, -1, GAPS[0])
-    def test_held_pairs_read_as_the_reduced_terms(self, p, q, order, factor, op):
+    @example(_held_twins(3, {1: (6, 0, 4), 3: (-3, 0, 9)}), _held_twins(3, {1: (-3, 0, 2), 2: (2, 0, 2)}), 1, -1,
+             GAPS[0])
+    # a real term and a complex term meet at z^1
+    @example(_held_twins(2, {1: (6, 0, 4), 2: (1, 0, 3)}), _held_twins(2, {1: (3, -2, 6)}), 1, QComplex(1, -2),
+             COMPLEX[0])
+    # 1/3 + 2i/3 and 1/3 - 2i/3 meet at z^1: the sum's imaginary parts cancel there, and the difference's real parts
+    @example(_held_twins(2, {1: (2, 4, 6), 2: (0, 5, 10)}), _held_twins(1, {1: (3, -6, 9)}), 2,
+             QComplex(0, Fraction(2, 3)), COMPLEX[1])
+    def test_held_triples_read_as_the_reduced_terms(self, p, q, order, factor, op):
         (hp, rp, mp), (hq, rq, mq) = p, q
         cases = [
             (lambda a, b: a.differentiate(order), mp.differentiate(order)),
